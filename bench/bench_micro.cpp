@@ -3,13 +3,15 @@
 // event-driven timing simulation, PDN stepping and response lookup, the
 // overclocked capture, the CPA trace update, and the block-batched
 // capture/CPA kernels against their per-trace baselines (ns/sample and
-// ns/trace; see items_per_second in the JSON). Unless --benchmark_out is
+// ns/trace; see items_per_second in the JSON), and the CRC-32 kernels
+// behind store I/O (bytes_per_second). Unless --benchmark_out is
 // given, results are also written to BENCH_micro.json.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <vector>
 
+#include "common/binio.hpp"
 #include "common/rng.hpp"
 #include "core/calibration.hpp"
 #include "core/parallel.hpp"
@@ -25,6 +27,7 @@
 #include "sca/fold_kernels.hpp"
 #include "sca/model.hpp"
 #include "timing/timed_sim.hpp"
+#include "crc32_bytewise.hpp"
 
 using namespace slm;
 
@@ -449,6 +452,49 @@ void BM_ClassFoldI64Avx2(benchmark::State& state) {
   class_fold_i64_bench(state, sca::DispatchLevel::kAvx2);
 }
 BENCHMARK(BM_ClassFoldI64Avx2);
+
+// --- CRC-32 kernels ------------------------------------------------------
+//
+// Store opens CRC every payload byte twice (envelope, then per chunk)
+// and framed writes once per span, so the CRC's bytes/sec bounds store
+// I/O. Bytewise is the one-table reference loop the kernels replaced;
+// crc32_update dispatches to Pclmul where the CPU has it, else Slice16.
+// bytes_per_second at 64 B (fold setup dominates), 4 KiB and 1 MiB.
+
+void crc32_bench(benchmark::State& state,
+                 std::uint32_t (*kernel)(std::uint32_t, const std::uint8_t*,
+                                         std::size_t)) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Xoshiro256 rng(3);
+  std::vector<std::uint8_t> buf(n);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = kernel(crc, buf.data(), n);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
+void BM_Crc32Bytewise(benchmark::State& state) {
+  crc32_bench(state, slm::reference::crc32_bytewise);
+}
+BENCHMARK(BM_Crc32Bytewise)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+void BM_Crc32Slice16(benchmark::State& state) {
+  crc32_bench(state, detail::crc32_slice16);
+}
+BENCHMARK(BM_Crc32Slice16)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+void BM_Crc32Pclmul(benchmark::State& state) {
+  if (!detail::crc32_pclmul_supported()) {
+    state.SkipWithError("PCLMULQDQ not supported by this CPU");
+    return;
+  }
+  crc32_bench(state, detail::crc32_pclmul);
+}
+BENCHMARK(BM_Crc32Pclmul)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 // --- RNG contract v2: per-trace stream derivation and pipelining -------
 //

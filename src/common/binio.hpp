@@ -7,7 +7,9 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,12 +23,34 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 /// Incremental CRC-32: pass the previous return value (0 to start) to
 /// chain spans — crc32_update(crc32_update(0, a, na), b, nb) equals
 /// crc32 of a‖b. The trace store uses this to checksum each chunk's
-/// slices of several columns without concatenating them.
+/// slices of several columns without concatenating them. Runs the
+/// fastest kernel below that the CPU supports, chosen once per process;
+/// every kernel returns the same value.
 std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
                            std::size_t size);
 
+namespace detail {
+
+/// Portable slice-by-16 table kernel (same contract as crc32_update).
+std::uint32_t crc32_slice16(std::uint32_t crc, const std::uint8_t* data,
+                            std::size_t size);
+
+/// PCLMULQDQ carry-less-multiply folding kernel (same contract as
+/// crc32_update). Call only when crc32_pclmul_supported().
+std::uint32_t crc32_pclmul(std::uint32_t crc, const std::uint8_t* data,
+                           std::size_t size);
+
+/// True on x86-64 CPUs with PCLMULQDQ and SSE4.1.
+bool crc32_pclmul_supported();
+
+}  // namespace detail
+
+/// Byte count of the framed-file envelope (magic, version, length, crc).
+inline constexpr std::size_t kFramedEnvelopeBytes = 8 + 4 + 8 + 4;
+
 /// Shared framed-file envelope for the binary state formats (`SLMCKPT1`
-/// campaign checkpoints, `SLMSNAP1` fabric accumulator snapshots):
+/// campaign checkpoints, `SLMSNAP1` fabric accumulator snapshots,
+/// `SLMTRC1` trace stores):
 ///
 ///   magic   8 bytes
 ///   version u32      readers reject other versions (no silent migration)
@@ -34,15 +58,18 @@ std::uint32_t crc32_update(std::uint32_t crc, const std::uint8_t* data,
 ///   crc     u32      CRC-32 of the payload
 ///   payload
 ///
-/// The file is written to `<path>.tmp` and atomically renamed into
-/// place, so a kill at any instant (including mid-write) leaves either
-/// the previous complete file or the new complete file, never a torn
-/// one. Returns the total byte count written; throws slm::Error
-/// ("<context>: cannot write ...") on I/O failure.
-std::size_t write_framed_file(const std::string& path, const char* magic8,
-                              std::uint32_t version,
-                              const std::vector<std::uint8_t>& payload,
-                              const std::string& context);
+/// The payload is the concatenation of `payload` spans, in order; each
+/// span is written straight from the caller's memory, so a multi-column
+/// file needs no assembled copy. The file is written to `<path>.tmp` and
+/// atomically renamed into place, so a kill at any instant (including
+/// mid-write) leaves either the previous complete file or the new
+/// complete file, never a torn one. Returns the total byte count
+/// written; throws slm::Error ("<context>: cannot write ...") on I/O
+/// failure.
+std::size_t write_framed_file(
+    const std::string& path, const char* magic8, std::uint32_t version,
+    std::initializer_list<std::span<const std::uint8_t>> payload,
+    const std::string& context);
 
 /// Read and validate a framed file. Returns nullopt when the file does
 /// not exist; throws slm::Error with a `context`-prefixed message on bad

@@ -174,7 +174,7 @@ std::size_t save_checkpoint(const std::string& dir,
 
   const ByteWriter payload = serialize_payload(ck);
   return write_framed_file(checkpoint_file(dir), kMagic, kCheckpointVersion,
-                           payload.bytes(), "checkpoint");
+                           {payload.bytes()}, "checkpoint");
 }
 
 std::optional<CampaignCheckpoint> load_checkpoint(const std::string& dir) {

@@ -167,7 +167,7 @@ std::size_t save_snapshot(const std::string& path,
   payload.put_u64(snap.accumulator.size());
   payload.put_bytes(snap.accumulator.data(), snap.accumulator.size());
   return write_framed_file(path, kSnapMagic, kSnapshotVersion,
-                           payload.bytes(), "snapshot");
+                           {payload.bytes()}, "snapshot");
 }
 
 AccumulatorSnapshot load_snapshot(const std::string& path) {

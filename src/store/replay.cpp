@@ -355,7 +355,17 @@ ReplayAllResult replay_all(const TraceStoreReader& store,
           models[j].correct_guess(true_last_round_key);
     }
   }
-  const auto fold_attack = [&]() {
+  // With fullkey riding along, the folder has usually just folded the
+  // target byte at this same trace count (until that byte early-exits).
+  // Its point is exactly what the attack fold would compute, so reuse it
+  // instead of folding the same tile row twice.
+  const auto fold_attack = [&](std::size_t traces) {
+    const std::vector<sca::CpaProgressPoint>& shared =
+        result.fullkey.bytes[target].progress;
+    if (opts.fullkey && !shared.empty() && shared.back().traces == traces) {
+      result.attack.progress.push_back(shared.back());
+      return;
+    }
     const sca::CpaEngine folded =
         want_mb ? acc->fold(target, models[target].pattern().data())
                 : cls->fold(models[target].pattern().data());
@@ -370,16 +380,17 @@ ReplayAllResult replay_all(const TraceStoreReader& store,
       if (cp == 0 || cp > n || cp < done) continue;
       feed_blocks(store, done, cp, add);
       done = cp;
-      if (opts.attack) fold_attack();
       if (opts.fullkey) folder.fold_at(*acc, cp);
+      if (opts.attack) fold_attack(cp);
     }
   }
   feed_blocks(store, done, n, add);
 
+  if (opts.fullkey) folder.finish(*acc, n);
   if (opts.attack) {
     if (result.attack.progress.empty() ||
         result.attack.progress.back().traces != n) {
-      fold_attack();
+      fold_attack(n);
     }
     result.attack.traces = n;
     result.attack.recovered_guess =
@@ -388,7 +399,6 @@ ReplayAllResult replay_all(const TraceStoreReader& store,
         result.attack.recovered_guess == result.attack.correct_guess;
     result.attack.mtd = sca::estimate_mtd(result.attack.progress);
   }
-  if (opts.fullkey) folder.finish(*acc, n);
   if (opts.tvla) {
     result.has_tvla = true;
     result.tvla.max_abs_t = ttest->max_abs_t();

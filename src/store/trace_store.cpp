@@ -18,7 +18,6 @@ namespace {
 // the file — the alignment the zero-copy mmap reader relies on.
 constexpr std::size_t kHeaderBytes = 80;
 constexpr std::size_t kIndexEntryBytes = 8 + 8 + 4;
-constexpr std::size_t kEnvelopeBytes = 24;
 constexpr std::size_t kBlockBytes = 16;
 
 std::size_t chunk_count_for(std::size_t traces, std::size_t chunk_traces) {
@@ -155,19 +154,16 @@ TraceStoreWriter::FinalizeStats TraceStoreWriter::finalize() {
   const auto* readings_bytes =
       reinterpret_cast<const std::uint8_t*>(readings_.data());
 
-  ByteWriter payload;
-  identity_.save(payload);
-  payload.put_u64(chunk_traces_);
-  payload.put_u64(chunks);
-  payload.put_u64(resolved_single_bit_);
-  payload.put_u32(capture_threads_);
-  payload.put_u32(0);  // pad to kHeaderBytes (8-aligns the readings column)
-  SLM_ASSERT(payload.size() == kHeaderBytes, "trace store header size drift");
+  ByteWriter header;
+  identity_.save(header);
+  header.put_u64(chunk_traces_);
+  header.put_u64(chunks);
+  header.put_u64(resolved_single_bit_);
+  header.put_u32(capture_threads_);
+  header.put_u32(0);  // pad to kHeaderBytes (8-aligns the readings column)
+  SLM_ASSERT(header.size() == kHeaderBytes, "trace store header size drift");
 
-  payload.put_bytes(readings_bytes, readings_.size() * sizeof(double));
-  payload.put_bytes(pt_.data(), pt_.size());
-  payload.put_bytes(ct_.data(), ct_.size());
-
+  ByteWriter index;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t first = c * chunk_traces_;
     const std::size_t rows = std::min(chunk_traces_, n - first);
@@ -178,14 +174,20 @@ TraceStoreWriter::FinalizeStats TraceStoreWriter::finalize() {
                        rows * kBlockBytes);
     crc = crc32_update(crc, ct_.data() + first * kBlockBytes,
                        rows * kBlockBytes);
-    payload.put_u64(first);
-    payload.put_u64(rows);
-    payload.put_u32(crc);
+    index.put_u64(first);
+    index.put_u64(rows);
+    index.put_u32(crc);
   }
 
   FinalizeStats stats;
-  stats.bytes_written = write_framed_file(path_, kStoreMagic, kStoreVersion,
-                                          payload.bytes(), "trace store");
+  stats.bytes_written = write_framed_file(
+      path_, kStoreMagic, kStoreVersion,
+      {header.bytes(),
+       {readings_bytes, readings_.size() * sizeof(double)},
+       pt_,
+       ct_,
+       index.bytes()},
+      "trace store");
   stats.traces = n;
   stats.chunks = chunks;
   return stats;
@@ -235,7 +237,7 @@ void TraceStoreReader::open_and_validate() {
     throw StoreFormatError("trace store: cannot stat '" + path_ + "'");
   }
   map_bytes_ = static_cast<std::size_t>(st.st_size);
-  if (map_bytes_ < kEnvelopeBytes) {
+  if (map_bytes_ < kFramedEnvelopeBytes) {
     ::close(fd);
     throw StoreFormatError("trace store: truncated envelope in '" + path_ +
                            "'");
@@ -252,7 +254,7 @@ void TraceStoreReader::open_and_validate() {
   if (std::memcmp(base, kStoreMagic, 8) != 0) {
     throw StoreFormatError("trace store: bad magic in '" + path_ + "'");
   }
-  ByteReader env(base + 8, kEnvelopeBytes - 8);
+  ByteReader env(base + 8, kFramedEnvelopeBytes - 8);
   const std::uint32_t version = env.get_u32();
   if (version != kStoreVersion) {
     throw StoreFormatError("trace store: unsupported version " +
@@ -262,11 +264,11 @@ void TraceStoreReader::open_and_validate() {
   }
   const std::uint64_t length = env.get_u64();
   const std::uint32_t stored_crc = env.get_u32();
-  if (length != map_bytes_ - kEnvelopeBytes) {
+  if (length != map_bytes_ - kFramedEnvelopeBytes) {
     throw StoreFormatError("trace store: truncated payload in '" + path_ +
                            "'");
   }
-  const std::uint8_t* payload = base + kEnvelopeBytes;
+  const std::uint8_t* payload = base + kFramedEnvelopeBytes;
   if (crc32(payload, length) != stored_crc) {
     throw StoreFormatError("trace store: CRC mismatch in '" + path_ +
                            "' — store is corrupt");

@@ -3,16 +3,21 @@
 // missing, short header, wrong magic, wrong version, truncated payload,
 // flipped CRC or payload byte — must surface as a typed, context-
 // prefixed error, never a misparse. The trace store, checkpoints and
-// snapshots all stand on this envelope.
+// snapshots all stand on this envelope. The CRC-32 kernels behind it
+// are checked against the bytewise reference loop.
 #include "common/binio.hpp"
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "crc32_bytewise.hpp"
 #include "gtest/gtest.h"
 
 namespace slm {
@@ -69,7 +74,7 @@ TEST(BinioFramedTest, RoundTripReturnsPayloadAndByteCount) {
   TempFile f("roundtrip");
   const auto payload = sample_payload();
   const std::size_t written =
-      write_framed_file(f.path, "SLMTEST1", 3, payload, "test");
+      write_framed_file(f.path, "SLMTEST1", 3, {payload}, "test");
   EXPECT_EQ(written, 24 + payload.size());  // 8 magic + 4 + 8 + 4 header
 
   const auto back = read_framed_file(f.path, "SLMTEST1", 3, "test");
@@ -85,7 +90,7 @@ TEST(BinioFramedTest, MissingFileIsNullopt) {
 
 TEST(BinioFramedTest, WrongMagicRejected) {
   TempFile f("magic");
-  write_framed_file(f.path, "SLMTEST1", 1, sample_payload(), "test");
+  write_framed_file(f.path, "SLMTEST1", 1, {sample_payload()}, "test");
   expect_error_containing(
       [&] { (void)read_framed_file(f.path, "SLMOTHER", 1, "test"); },
       "bad magic in");
@@ -93,7 +98,7 @@ TEST(BinioFramedTest, WrongMagicRejected) {
 
 TEST(BinioFramedTest, WrongVersionRejected) {
   TempFile f("version");
-  write_framed_file(f.path, "SLMTEST1", 7, sample_payload(), "test");
+  write_framed_file(f.path, "SLMTEST1", 7, {sample_payload()}, "test");
   expect_error_containing(
       [&] { (void)read_framed_file(f.path, "SLMTEST1", 8, "test"); },
       "unsupported version 7");
@@ -101,7 +106,7 @@ TEST(BinioFramedTest, WrongVersionRejected) {
 
 TEST(BinioFramedTest, TruncatedPayloadRejected) {
   TempFile f("truncated");
-  write_framed_file(f.path, "SLMTEST1", 1, sample_payload(), "test");
+  write_framed_file(f.path, "SLMTEST1", 1, {sample_payload()}, "test");
   auto bytes = slurp(f.path);
   bytes.resize(bytes.size() - 10);  // header intact, payload short
   spit(f.path, bytes);
@@ -114,7 +119,7 @@ TEST(BinioFramedTest, ExtraTrailingBytesRejected) {
   // length != remaining also catches a file that GREW — trailing
   // garbage is as suspect as truncation.
   TempFile f("trailing");
-  write_framed_file(f.path, "SLMTEST1", 1, sample_payload(), "test");
+  write_framed_file(f.path, "SLMTEST1", 1, {sample_payload()}, "test");
   auto bytes = slurp(f.path);
   bytes.push_back(0xab);
   spit(f.path, bytes);
@@ -125,7 +130,7 @@ TEST(BinioFramedTest, ExtraTrailingBytesRejected) {
 
 TEST(BinioFramedTest, FlippedCrcByteRejected) {
   TempFile f("crcflip");
-  write_framed_file(f.path, "SLMTEST1", 1, sample_payload(), "test");
+  write_framed_file(f.path, "SLMTEST1", 1, {sample_payload()}, "test");
   auto bytes = slurp(f.path);
   bytes[20] ^= 0x01;  // stored CRC lives at envelope offset 20..23
   spit(f.path, bytes);
@@ -136,7 +141,7 @@ TEST(BinioFramedTest, FlippedCrcByteRejected) {
 
 TEST(BinioFramedTest, FlippedPayloadByteRejected) {
   TempFile f("payloadflip");
-  write_framed_file(f.path, "SLMTEST1", 1, sample_payload(), "test");
+  write_framed_file(f.path, "SLMTEST1", 1, {sample_payload()}, "test");
   auto bytes = slurp(f.path);
   bytes[24 + 50] ^= 0x80;
   spit(f.path, bytes);
@@ -173,7 +178,7 @@ TEST(BinioFramedTest, EmptyPayloadRoundTrips) {
 
 TEST(BinioFramedTest, ErrorMessagesCarryContext) {
   TempFile f("context");
-  write_framed_file(f.path, "SLMTEST1", 1, sample_payload(), "test");
+  write_framed_file(f.path, "SLMTEST1", 1, {sample_payload()}, "test");
   expect_error_containing(
       [&] {
         (void)read_framed_file(f.path, "SLMOTHER", 1, "trace store");
@@ -181,22 +186,129 @@ TEST(BinioFramedTest, ErrorMessagesCarryContext) {
       "trace store:");
 }
 
-TEST(BinioFramedTest, Crc32UpdateChainsLikeOneShot) {
-  // The trace store checksums each chunk's slices of several columns
-  // incrementally; chaining must equal the one-shot CRC of the
-  // concatenation.
+TEST(BinioFramedTest, GatherWriteMatchesOneSpan) {
+  // The trace store writes its header, columns and chunk index as
+  // separate spans; the file must be byte-identical to writing their
+  // concatenation, and an empty span must contribute nothing.
+  TempFile one("gather_one");
+  TempFile many("gather_many");
   const auto payload = sample_payload();
-  const std::uint32_t one_shot = crc32(payload.data(), payload.size());
-  std::uint32_t chained = 0;
-  chained = crc32_update(chained, payload.data(), 13);
-  chained = crc32_update(chained, payload.data() + 13, 29);
-  chained = crc32_update(chained, payload.data() + 42,
-                         payload.size() - 42);
-  EXPECT_EQ(chained, one_shot);
-
-  // Empty spans are identity.
-  EXPECT_EQ(crc32_update(one_shot, payload.data(), 0), one_shot);
+  const std::span<const std::uint8_t> all(payload);
+  write_framed_file(one.path, "SLMTEST1", 2, {all}, "test");
+  const std::size_t written = write_framed_file(
+      many.path, "SLMTEST1", 2,
+      {all.first(13), all.subspan(13, 0), all.subspan(13, 50),
+       all.subspan(63)},
+      "test");
+  EXPECT_EQ(written, kFramedEnvelopeBytes + payload.size());
+  EXPECT_EQ(slurp(many.path), slurp(one.path));
+  const auto back = read_framed_file(many.path, "SLMTEST1", 2, "test");
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, payload);
 }
+
+// ---------------------------------------------------------------------
+// CRC-32 kernels against the bytewise reference.
+
+using Crc32Kernel = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                      std::size_t);
+
+using slm::reference::crc32_bytewise;
+
+struct KernelCase {
+  const char* name;
+  Crc32Kernel kernel;
+  bool (*supported)();
+};
+
+bool always() { return true; }
+
+std::vector<std::uint8_t> noise_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng());
+  return v;
+}
+
+class Crc32KernelTest : public ::testing::TestWithParam<KernelCase> {
+ protected:
+  void SetUp() override {
+    if (!GetParam().supported()) {
+      GTEST_SKIP() << GetParam().name << " not supported by this CPU";
+    }
+  }
+  std::uint32_t run(std::uint32_t crc, const std::uint8_t* data,
+                    std::size_t size) const {
+    return GetParam().kernel(crc, data, size);
+  }
+};
+
+TEST_P(Crc32KernelTest, CheckValue) {
+  // CRC-32 of "123456789" is the classic check value 0xcbf43926.
+  const auto* s = reinterpret_cast<const std::uint8_t*>("123456789");
+  EXPECT_EQ(crc32_bytewise(0, s, 9), 0xcbf43926u);
+  EXPECT_EQ(run(0, s, 9), 0xcbf43926u);
+}
+
+TEST_P(Crc32KernelTest, MatchesBytewiseAcrossLengthsAndOffsets) {
+  // Every length through the short-tail, single-block and multi-block
+  // paths, each from every alignment within 16 bytes, with zero and
+  // non-zero incoming CRCs.
+  const auto buf = noise_bytes(4097 + 16, 1);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4095u, 4096u, 4097u}) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const auto mix = static_cast<std::uint32_t>(n + off);
+      const std::uint32_t seed = mix % 2 == 0 ? 0u : 0x9e3779b9u * mix;
+      ASSERT_EQ(run(seed, buf.data() + off, n),
+                crc32_bytewise(seed, buf.data() + off, n))
+          << "length " << n << " offset " << off << " crc " << seed;
+    }
+  }
+}
+
+TEST_P(Crc32KernelTest, MatchesBytewiseOnOneMebibyte) {
+  const auto buf = noise_bytes((1u << 20) + 7, 2);
+  for (const std::size_t off : {0u, 7u}) {
+    EXPECT_EQ(run(0xdeadbeefu, buf.data() + off, 1u << 20),
+              crc32_bytewise(0xdeadbeefu, buf.data() + off, 1u << 20))
+        << "offset " << off;
+  }
+}
+
+TEST_P(Crc32KernelTest, ChainedSplitsMatchOneShot) {
+  // The trace store chains each chunk's column slices through
+  // crc32_update; any split must equal the one-shot CRC.
+  const auto buf = noise_bytes(10000, 3);
+  const std::uint32_t one_shot = crc32_bytewise(0, buf.data(), buf.size());
+  std::mt19937 rng(4);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::uint32_t chained = 0;
+    std::size_t pos = 0;
+    while (pos < buf.size()) {
+      const std::size_t piece =
+          std::min<std::size_t>(rng() % 300, buf.size() - pos);
+      chained = run(chained, buf.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(chained, one_shot) << "trial " << trial;
+  }
+  // Empty spans are identity.
+  EXPECT_EQ(run(one_shot, buf.data(), 0), one_shot);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, Crc32KernelTest,
+    ::testing::Values(
+        KernelCase{"slice16", detail::crc32_slice16, always},
+        KernelCase{"pclmul", detail::crc32_pclmul,
+                   detail::crc32_pclmul_supported},
+        KernelCase{"dispatched", crc32_update, always}),
+    [](const ::testing::TestParamInfo<KernelCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace slm

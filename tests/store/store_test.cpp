@@ -4,7 +4,8 @@
 // correlation, because the CPA accumulators are exact integer sums
 // (partition invariance, sca/cpa.hpp). The battery also pins the
 // format-level rejections: corrupt/truncated stores (StoreFormatError)
-// and fingerprint mismatches (StoreMismatch).
+// and fingerprint mismatches (StoreMismatch), and pins the exact file
+// bytes of a fixed store.
 #include "store/trace_store.hpp"
 
 #include <cstdint>
@@ -433,13 +434,6 @@ TEST_F(StoreFormatTest, MissingFileThrowsFormatError) {
                StoreFormatError);
 }
 
-TEST_F(StoreFormatTest, FlippedPayloadByteThrowsFormatError) {
-  auto bad = bytes_;
-  bad[bad.size() / 2] ^= 0x40;  // lands in a column -> chunk CRC breaks
-  spit(path_, bad);
-  EXPECT_THROW(TraceStoreReader reader(path_), StoreFormatError);
-}
-
 TEST_F(StoreFormatTest, FlippedEnvelopeCrcThrowsFormatError) {
   auto bad = bytes_;
   bad[20] ^= 0x01;  // envelope CRC bytes at offset 20..23
@@ -565,6 +559,131 @@ TEST(StoreWriterTest, RoundTripPreservesEveryColumn) {
     EXPECT_EQ(reader.readings(t)[2], t * 3.0);
     EXPECT_EQ(reader.plaintext(t)[0], static_cast<std::uint8_t>(t));
     EXPECT_EQ(reader.ciphertext(t)[15], static_cast<std::uint8_t>(0xf0 + t));
+  }
+  std::remove(path.c_str());
+}
+
+// A fixed 13-trace store with an odd chunk size and a short last chunk
+// (13 = 5 + 5 + 3), so chunk boundaries fall inside every column.
+constexpr std::size_t kFixedTraces = 13;
+constexpr std::size_t kFixedSamples = 3;
+constexpr std::size_t kFixedChunk = 5;
+
+void write_fixed_store(const std::string& path) {
+  StoreIdentity id;
+  id.kind = static_cast<std::uint8_t>(StoreKind::kFullKey);
+  id.circuit = 2;
+  id.mode = 1;
+  id.rng_contract = 2;
+  id.seed = 0x0123456789abcdefull;
+  id.trace_count = kFixedTraces;
+  id.samples = kFixedSamples;
+  id.target_key_byte = 9;
+  id.target_bit = 21;
+  id.config_hash = 0xdeadbeef;
+
+  TraceStoreWriter writer(path, id, kFixedChunk);
+  writer.set_resolved_single_bit(6);
+  writer.set_capture_threads(3);
+  for (std::size_t t = 0; t < kFixedTraces; ++t) {
+    crypto::Block pt{};
+    crypto::Block ct{};
+    for (std::size_t i = 0; i < pt.size(); ++i) {
+      pt[i] = static_cast<std::uint8_t>(t * 7 + i * 13);
+      ct[i] = static_cast<std::uint8_t>(0xa5 ^ (t * 31 + i));
+    }
+    writer.record_meta(t, pt, ct);
+    const double y[kFixedSamples] = {t * 1.5, -0.125 * static_cast<double>(t),
+                                     1e3 + static_cast<double>(t * t)};
+    writer.record_readings(t, y);
+  }
+  EXPECT_EQ(writer.finalize().chunks, 3u);
+}
+
+// FNV-1a 64 over a file's bytes: a pin independent of the CRC kernels
+// the envelope and chunk index are built with.
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(StoreWriterTest, FileBytesArePinned) {
+  // The pinned size and hash were generated by the writer that assembled
+  // the whole payload in one buffer; any change to the header, column
+  // order, chunk index or envelope breaks them.
+  const std::string path = temp_path("store_pinned.trc");
+  std::remove(path.c_str());
+  write_fixed_store(path);
+  const std::vector<std::uint8_t> bytes = slurp(path);
+  EXPECT_EQ(bytes.size(), 892u);
+  EXPECT_EQ(fnv1a64(bytes), 0xde4b9eadfd393eaeull);
+  std::remove(path.c_str());
+}
+
+TEST(StoreCorruptionTest, FlippedByteInEveryRegionThrowsFormatError) {
+  // One flipped byte per region of the file. Every flip must fail the
+  // envelope CRC. Column and index flips must ALSO fail on their own
+  // once the envelope CRC is recomputed over the damaged payload ("reseal"),
+  // which proves each chunk CRC is checked on open, not just the envelope.
+  const std::string path = temp_path("store_corrupt.trc");
+  std::remove(path.c_str());
+  write_fixed_store(path);
+  const std::vector<std::uint8_t> good = slurp(path);
+
+  constexpr std::size_t kRow = kFixedSamples * sizeof(double);
+  constexpr std::size_t kHeader = kFramedEnvelopeBytes;
+  constexpr std::size_t kReadings = kHeader + 80;
+  constexpr std::size_t kPt = kReadings + kFixedTraces * kRow;
+  constexpr std::size_t kCt = kPt + kFixedTraces * 16;
+  constexpr std::size_t kIndex = kCt + kFixedTraces * 16;
+  ASSERT_EQ(good.size(), kIndex + 3 * 20);
+
+  struct Flip {
+    const char* region;
+    std::size_t offset;
+    const char* resealed_error;  // nullptr: only the envelope CRC guards it
+  };
+  const Flip flips[] = {
+      {"header", kHeader + 9, nullptr},
+      {"first readings byte", kReadings, "chunk 0 CRC mismatch"},
+      {"readings byte on a chunk boundary", kReadings + kFixedChunk * kRow,
+       "chunk 1 CRC mismatch"},
+      {"last partial chunk", kReadings + (kFixedTraces - 1) * kRow + 5,
+       "chunk 2 CRC mismatch"},
+      {"plaintext column", kPt + 7 * 16 + 3, "chunk 1 CRC mismatch"},
+      {"ciphertext column", kCt + kFixedTraces * 16 - 1,
+       "chunk 2 CRC mismatch"},
+      {"chunk index crc", kIndex + 20 + 16, "chunk 1 CRC mismatch"},
+      {"stored envelope crc", 20, nullptr},
+  };
+  for (const Flip& f : flips) {
+    SCOPED_TRACE(f.region);
+    std::vector<std::uint8_t> bad = good;
+    bad[f.offset] ^= 0x10;
+    spit(path, bad);
+    EXPECT_THROW(TraceStoreReader reader(path), StoreFormatError);
+    if (f.resealed_error == nullptr) continue;
+
+    const std::uint32_t crc =
+        crc32(bad.data() + kFramedEnvelopeBytes,
+              bad.size() - kFramedEnvelopeBytes);
+    for (int i = 0; i < 4; ++i) {
+      bad[20 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(crc >> (8 * i));
+    }
+    spit(path, bad);
+    try {
+      TraceStoreReader reader(path);
+      ADD_FAILURE() << "resealed flip was not caught by its chunk CRC";
+    } catch (const StoreFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(f.resealed_error),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }

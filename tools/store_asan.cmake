@@ -3,9 +3,13 @@
 # the CLI with -fsanitize=address and drives a capture plus replays
 # through it: every chunk-CRC walk over the mapped file, every column
 # view handed to the folding kernels, and the refusal paths for a
-# corrupted and a truncated store must stay inside the mapping. An
-# out-of-bounds read aborts the process (halt_on_error=1, exitcode=66)
-# and fails the test. Skips gracefully when the toolchain lacks ASan.
+# corrupted and a truncated store must stay inside the mapping. The
+# same tree also runs binio_framed_test (every CRC kernel over every
+# length and alignment, so each unaligned and short-tail load is
+# bounds-checked) and store_test (gather-written stores, the byte pins
+# and the per-region corruption table). An out-of-bounds read aborts
+# the process (halt_on_error=1, exitcode=66) and fails the test. Skips
+# gracefully when the toolchain lacks ASan.
 #
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P store_asan.cmake
@@ -32,7 +36,8 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "asan configure failed:\n${out}\n${err}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} --build ${scratch}/build
-                        --target slm --parallel 4
+                        --target slm binio_framed_test store_test
+                        --parallel 4
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "asan build failed:\n${out}\n${err}")
@@ -40,6 +45,18 @@ endif()
 
 set(slm ${scratch}/build/tools/slm)
 set(ENV{ASAN_OPTIONS} "halt_on_error=1 exitcode=66")
+
+foreach(test binio_framed_test store_test)
+  execute_process(COMMAND ${scratch}/build/tests/${test}
+                  WORKING_DIRECTORY ${scratch}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "asan ${test} -> rc=${rc} (rc 66 means AddressSanitizer "
+            "reported a memory error)\n${out}\n${err}")
+  endif()
+endforeach()
 
 function(run_slm expect_rc)
   execute_process(COMMAND ${slm} ${ARGN}
@@ -97,4 +114,4 @@ run_slm(14 attack --from-store ${store} --circuit alu --mode tdc
         --key-byte 5 --rng-contract v2)
 
 file(REMOVE ${store} ${bad} ${short})
-message(STATUS "store asan: mmap replay and refusal paths are clean under AddressSanitizer")
+message(STATUS "store asan: CRC kernels, store tests, mmap replay and refusal paths are clean under AddressSanitizer")
