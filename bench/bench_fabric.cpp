@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   core::StealthyAttack attack(core::BenignCircuit::kAlu);
   core::CampaignConfig cfg =
       attack.byte_campaign_config(3, traces, core::SensorMode::kTdcFull);
-  cfg.rng_contract = core::RngContract::kV2;
   const std::string serial_snap = work_root + "/serial.snap";
   core::FabricWorker worker(attack.setup(), cfg, /*fullkey=*/false);
   const double t0 = obs::monotonic_seconds();
@@ -86,10 +85,9 @@ int main(int argc, char** argv) {
       opt.work_dir = work_root + "/n" + std::to_string(shards);
       opt.total_traces = traces;
       opt.shards = shards;
-      opt.worker_args = {"--circuit", "alu",         "--mode",
-                         "tdc",       "--key-byte",  "3",
-                         "--traces",  std::to_string(traces),
-                         "--rng-contract", "v2"};
+      opt.worker_args = {"--circuit",  "alu", "--mode",   "tdc",
+                         "--key-byte", "3",   "--traces",
+                         std::to_string(traces)};
       const double c0 = obs::monotonic_seconds();
       const core::CoordinateResult res = core::coordinate_local(opt);
       ShardPoint p;

@@ -496,16 +496,16 @@ void BM_Crc32Pclmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32Pclmul)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
-// --- RNG contract v2: per-trace stream derivation and pipelining -------
+// --- RNG contract v2: per-trace stream derivation ---------------------
 //
 // Contract v2 (DESIGN.md §12) replaces one sequential xoshiro stream
 // with a freshly derived stream per trace. The pairs below price that
 // swap: the sequential baseline draws a trace's worth of randomness
-// from one stream (v1's generation shape), the trace_stream variants
-// pay the splitmix derivation per trace, and the gen/compute pair
-// measures the double-buffered producer/consumer overlap the serial v2
-// engine runs (generation on a 1-worker pool via submit_indexed/wait,
-// compute on the calling thread). items_per_second is traces/sec.
+// from one stream (the retired v1's generation shape), the trace_stream
+// variants pay the splitmix derivation per trace, and the gen/compute
+// benchmark times one block's generation plus its sensor kernel on the
+// calling thread, as an engine shard runs it. items_per_second is
+// traces/sec.
 
 // A trace's draw volume in the blocked benign-HW path: 16 plaintext
 // bytes, one env-noise fill, one jitter fill.
@@ -554,7 +554,8 @@ void BM_RngTraceStreamPerTrace(benchmark::State& state) {
 }
 BENCHMARK(BM_RngTraceStreamPerTrace);
 
-void gen_compute_bench(benchmark::State& state, bool pipelined) {
+// Real time, not CPU time, like the engines' wall-clock figures.
+void BM_GenCompute(benchmark::State& state) {
   core::AttackSetup setup(core::BenignCircuit::kAlu,
                           core::Calibration::paper_defaults());
   const auto plan = micro_hw_plan(setup);
@@ -562,8 +563,7 @@ void gen_compute_bench(benchmark::State& state, bool pipelined) {
   const std::size_t dps = plan.draws_per_sample;
   std::vector<double> v(lanes, 0.97);
   std::vector<double> y(lanes, 0.0);
-  std::vector<double> z[2] = {std::vector<double>(lanes * dps),
-                              std::vector<double>(lanes * dps)};
+  std::vector<double> z(lanes * dps);
   std::uint64_t g = 0;
   auto gen_block = [&](std::vector<double>& slab) {
     for (std::size_t t = 0; t < kMicroBlock; ++t) {
@@ -577,48 +577,17 @@ void gen_compute_bench(benchmark::State& state, bool pipelined) {
     }
     g += kMicroBlock;
   };
-  if (!pipelined) {
-    for (auto _ : state) {
-      gen_block(z[0]);
-      setup.sensor().toggle_hw_block(plan, v.data(), lanes, z[0].data(),
-                                     y.data(), true);
-      benchmark::DoNotOptimize(y[0]);
-    }
-  } else {
-    core::ThreadPool pool(1);
-    int cur = 0;
-    gen_block(z[cur]);
-    for (auto _ : state) {
-      // Producer fills the other slab while this thread computes.
-      std::vector<double>* next = &z[1 - cur];
-      pool.submit_indexed(1, [&gen_block, next](std::size_t) {
-        gen_block(*next);
-      });
-      setup.sensor().toggle_hw_block(plan, v.data(), lanes, z[cur].data(),
-                                     y.data(), true);
-      benchmark::DoNotOptimize(y[0]);
-      pool.wait();
-      cur = 1 - cur;
-    }
+  for (auto _ : state) {
+    gen_block(z);
+    setup.sensor().toggle_hw_block(plan, v.data(), lanes, z.data(), y.data(),
+                                   true);
+    benchmark::DoNotOptimize(y[0]);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kMicroBlock));
 }
 
-// Real time, not CPU time: the pipelined variant spends producer CPU
-// on a second thread, and the honest comparison is wall clock per
-// block. On a single-core machine the pair reports parity-or-worse —
-// which is exactly why the engine gates the overlap on
-// hardware_concurrency (SLM_PIPELINE overrides).
-void BM_GenComputeSerial(benchmark::State& state) {
-  gen_compute_bench(state, false);
-}
-BENCHMARK(BM_GenComputeSerial)->UseRealTime();
-
-void BM_GenComputePipelined(benchmark::State& state) {
-  gen_compute_bench(state, true);
-}
-BENCHMARK(BM_GenComputePipelined)->UseRealTime();
+BENCHMARK(BM_GenCompute)->UseRealTime();
 
 }  // namespace
 

@@ -60,7 +60,6 @@ int main() {
   core::StealthyAttack attack(core::BenignCircuit::kC6288x2);
   core::CampaignConfig cfg = attack.byte_campaign_config(
       kKeyByte, traces, core::SensorMode::kTdcFull);
-  cfg.rng_contract = core::RngContract::kV2;
   cfg.store_out = store_path;
   core::CpaCampaign campaign(attack.setup(), cfg);
   const core::CampaignResult live = campaign.run();

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -17,6 +18,7 @@
 #include "core/preliminary.hpp"
 #include "core/setup.hpp"
 #include "obs/observer.hpp"
+#include "reference_capture.hpp"
 
 namespace slm::bench {
 
@@ -59,16 +61,6 @@ inline std::size_t trace_budget(std::size_t dflt) {
   return dflt;
 }
 
-/// SLM_COMPILED=0 forces the reference (uncompiled) capture + CPA path in
-/// the figure benches — for before/after throughput measurements; any
-/// other value (or unset) keeps the default compiled kernels.
-inline bool compiled_budget() {
-  if (const char* env = std::getenv("SLM_COMPILED")) {
-    return std::atoi(env) != 0;
-  }
-  return true;
-}
-
 /// Worker count for the CPA figure benches: `--threads N` on the command
 /// line beats the SLM_THREADS environment variable beats the serial
 /// default. The default stays 1 so the published figure tables are
@@ -100,45 +92,31 @@ struct CpaFigureResult {
 /// recovery checks are skipped so bench_smoke can run a 2k-trace variant.
 inline bool full_shape_budget(std::size_t traces) { return traces >= 50000; }
 
-/// Four-way kernel comparison, serial campaigns with fresh AttackSetups:
-/// (1) the block-batched compiled path under the run's RNG contract
-/// (--block/SLM_BLOCK-resolved size; v2 by default, which also engages
-/// the pipelined generate/compute overlap), (2) the compiled per-trace
-/// path (block = 1, the PR 2 baseline), (3) the reference path
-/// (compiled_kernels = false, block = 1), and (4) the same blocked
-/// compiled campaign pinned to contract v1 — the sequential-stream
-/// serial floor that v2 exists to break. Passes 1–3 share a contract
-/// and must be bit-identical: recovered guess, every per-candidate
-/// |correlation| and every progress point. Pass 4 draws different
-/// randomness by design (DESIGN.md §12), so it is timed, not diffed.
-/// Each path is timed over three interleaved repetitions and the
-/// fastest is reported (min-of-N damps scheduler noise on shared
-/// machines; all repetitions are seeded identically, so the repeat
-/// cannot change the equivalence verdict). Throughput is computed over
-/// the capture phase only (capture_seconds minus selection_seconds):
-/// the selection pre-pass runs per-trace over every sensor bit in all
-/// paths, so including it would dilute the ratios with identical
-/// common work that none of the kernel knobs touch.
+/// Three-way kernel comparison on fresh AttackSetups: (1) the engine at
+/// the --block/SLM_BLOCK-resolved block size, (2) the engine at block =
+/// 1, and (3) the test-side reference capture (tests/core/
+/// reference_capture.hpp: per-trace loop, per-call sensor reads, plain
+/// CpaEngine sums). All three must be bit-identical: recovered guess,
+/// every per-candidate |correlation| and every progress point. Each path
+/// is timed over three interleaved repetitions and the fastest is
+/// reported (min-of-N damps scheduler noise on shared machines; all
+/// repetitions are seeded identically, so the repeat cannot change the
+/// equivalence verdict). Engine throughput is computed over the capture
+/// phase only (capture_seconds minus selection_seconds); the reference
+/// capture is timed whole, its own selection pre-pass included.
 struct KernelComparison {
   bool equivalent = false;
   std::size_t traces = 0;
   std::size_t block_size = 0;  ///< effective block of the blocked pass
-  core::RngContract rng_contract = core::RngContract::kV2;
-  double block_tps = 0.0;      ///< traces/sec, blocked compiled path
-  double compiled_tps = 0.0;   ///< traces/sec, per-trace compiled path
-  double reference_tps = 0.0;  ///< traces/sec, reference path
-  double v1_block_tps = 0.0;   ///< traces/sec, blocked path under v1
+  double block_tps = 0.0;      ///< traces/sec, engine at the block size
+  double compiled_tps = 0.0;   ///< traces/sec, engine at block = 1
+  double reference_tps = 0.0;  ///< traces/sec, reference capture
   double speedup() const {
     return reference_tps > 0.0 ? compiled_tps / reference_tps : 0.0;
   }
-  /// Block-pipeline win over the per-trace compiled baseline.
+  /// Block-pipeline win over the block = 1 engine.
   double block_speedup() const {
     return compiled_tps > 0.0 ? block_tps / compiled_tps : 0.0;
-  }
-  /// Contract v2 (counter-keyed streams + pipelined generation) vs the
-  /// v1 sequential-stream floor, same blocked compiled campaign.
-  double contract_speedup() const {
-    return v1_block_tps > 0.0 ? block_tps / v1_block_tps : 0.0;
   }
 };
 
@@ -149,84 +127,72 @@ inline KernelComparison compare_kernel_paths(core::BenignCircuit circuit,
   core::CampaignConfig cfg = cfg_in;
   cfg.traces = std::min(cfg.traces, max_traces);
   out.traces = cfg.traces;
-  out.rng_contract = core::resolve_contract(cfg_in.rng_contract);
 
-  constexpr int kPasses = 4;
+  constexpr int kEnginePasses = 2;
   constexpr int kReps = 3;
-  core::CampaignResult res[kPasses];
-  double best_seconds[kPasses] = {0.0, 0.0, 0.0, 0.0};
-  // Rep-major order: each repetition cycles through all four paths
+  core::CampaignResult res[kEnginePasses];
+  reference::Result ref;
+  double best_seconds[kEnginePasses + 1] = {0.0, 0.0, 0.0};
+  const auto keep_best = [&](int pass, int rep, double secs) {
+    if (rep == 0 || (secs > 0.0 && secs < best_seconds[pass])) {
+      best_seconds[pass] = secs;
+    }
+  };
+  // Rep-major order: each repetition cycles through all three paths
   // back-to-back, so slow drift in background load (shared machines)
   // hits every path roughly equally instead of biasing whichever path
   // happened to run during a quiet stretch.
   for (int rep = 0; rep < kReps; ++rep) {
-    for (int pass = 0; pass < kPasses; ++pass) {
-      cfg.compiled_kernels = (pass != 2);
-      // Passes 0 and 3 keep the caller's block request (0 = auto); the
-      // baselines pin block = 1, which runs the exact per-trace loop.
-      cfg.block = (pass == 1 || pass == 2) ? 1 : cfg_in.block;
-      cfg.rng_contract =
-          (pass == 3) ? core::RngContract::kV1 : cfg_in.rng_contract;
+    for (int pass = 0; pass < kEnginePasses; ++pass) {
+      cfg.block = pass == 0 ? cfg_in.block : 1;
       core::AttackSetup setup(circuit, core::Calibration::paper_defaults());
       core::CpaCampaign campaign(setup, cfg);
       core::CampaignResult r = campaign.run();
-      const double secs = r.capture_seconds - r.selection_seconds;
-      if (rep == 0 || (secs > 0.0 && secs < best_seconds[pass])) {
-        best_seconds[pass] = secs;
-      }
+      keep_best(pass, rep, r.capture_seconds - r.selection_seconds);
       if (rep == 0) res[pass] = std::move(r);
     }
+    core::AttackSetup setup(circuit, core::Calibration::paper_defaults());
+    const auto t0 = std::chrono::steady_clock::now();
+    reference::Result r = reference::capture(setup, cfg);
+    keep_best(kEnginePasses, rep,
+              std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count());
+    if (rep == 0) ref = std::move(r);
   }
   const core::CampaignResult& a = res[0];
   out.block_size = a.block_size;
-  if (best_seconds[0] > 0.0) {
-    out.block_tps = static_cast<double>(a.traces_run) / best_seconds[0];
-  }
-  if (best_seconds[1] > 0.0) {
-    out.compiled_tps =
-        static_cast<double>(res[1].traces_run) / best_seconds[1];
-  }
-  if (best_seconds[2] > 0.0) {
-    out.reference_tps =
-        static_cast<double>(res[2].traces_run) / best_seconds[2];
-  }
-  if (best_seconds[3] > 0.0) {
-    out.v1_block_tps =
-        static_cast<double>(res[3].traces_run) / best_seconds[3];
-  }
+  const auto tps = [](std::size_t traces, double secs) {
+    return secs > 0.0 ? static_cast<double>(traces) / secs : 0.0;
+  };
+  out.block_tps = tps(a.traces_run, best_seconds[0]);
+  out.compiled_tps = tps(res[1].traces_run, best_seconds[1]);
+  out.reference_tps = tps(ref.traces_run, best_seconds[2]);
 
-  bool eq = true;
-  for (int pass = 1; pass < 3; ++pass) {
-    const core::CampaignResult& b = res[pass];
-    eq = eq && a.traces_run == b.traces_run &&
-         a.recovered_guess == b.recovered_guess &&
-         a.single_bit == b.single_bit &&
-         a.bits_of_interest == b.bits_of_interest &&
-         a.final_max_abs_corr == b.final_max_abs_corr &&
-         a.progress.size() == b.progress.size();
-    if (!eq) break;
-    for (std::size_t i = 0; i < a.progress.size(); ++i) {
-      eq = eq && a.progress[i].traces == b.progress[i].traces &&
-           a.progress[i].correct_corr == b.progress[i].correct_corr &&
-           a.progress[i].best_wrong_corr == b.progress[i].best_wrong_corr &&
-           a.progress[i].correct_rank == b.progress[i].correct_rank;
+  const auto same = [](const auto& x, const auto& y) {
+    bool eq = x.traces_run == y.traces_run &&
+              x.recovered_guess == y.recovered_guess &&
+              x.single_bit == y.single_bit &&
+              x.bits_of_interest == y.bits_of_interest &&
+              x.final_max_abs_corr == y.final_max_abs_corr &&
+              x.progress.size() == y.progress.size();
+    for (std::size_t i = 0; eq && i < x.progress.size(); ++i) {
+      eq = x.progress[i].traces == y.progress[i].traces &&
+           x.progress[i].correct_corr == y.progress[i].correct_corr &&
+           x.progress[i].best_wrong_corr == y.progress[i].best_wrong_corr &&
+           x.progress[i].correct_rank == y.progress[i].correct_rank;
     }
-  }
-  // The v1 pass must at least agree on the physics (same recovered
-  // byte over a full-shape budget is checked by the caller's shape
-  // checks; here we only require the run completed).
-  eq = eq && res[3].traces_run == a.traces_run;
-  out.equivalent = eq;
+    return eq;
+  };
+  out.equivalent = same(a, res[1]) && same(a, ref);
 
   std::printf(
       "kernel equivalence: %s over %zu traces "
-      "(block=%zu %.0f traces/sec, per-trace compiled %.0f traces/sec "
-      "[%.2fx], reference %.0f traces/sec [%.2fx]; "
-      "v1 blocked %.0f traces/sec -> contract speedup %.2fx)\n",
-      eq ? "bit-identical" : "MISMATCH", out.traces, out.block_size,
-      out.block_tps, out.compiled_tps, out.block_speedup(),
-      out.reference_tps, out.speedup(), out.v1_block_tps,
-      out.contract_speedup());
+      "(block=%zu %.0f traces/sec, block=1 %.0f traces/sec [%.2fx], "
+      "reference capture %.0f traces/sec [%.2fx])\n",
+      out.equivalent ? "bit-identical" : "MISMATCH", out.traces,
+      out.block_size, out.block_tps, out.compiled_tps, out.block_speedup(),
+      out.reference_tps, out.speedup());
   return out;
 }
 
@@ -259,7 +225,6 @@ inline void write_bench_json(const std::string& tag,
                "  \"traces\": %zu,\n"
                "  \"threads\": %u,\n"
                "  \"block_size\": %zu,\n"
-               "  \"rng_contract\": \"%s\",\n"
                "  \"capture_seconds\": %.6f,\n"
                "  \"traces_per_sec\": %.1f,\n"
                "  \"key_recovered\": %s,\n"
@@ -270,9 +235,7 @@ inline void write_bench_json(const std::string& tag,
                "    \"block_speedup\": %.3f,\n"
                "    \"compiled_traces_per_sec\": %.1f,\n"
                "    \"reference_traces_per_sec\": %.1f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"v1_traces_per_sec\": %.1f,\n"
-               "    \"contract_speedup\": %.3f\n"
+               "    \"speedup\": %.3f\n"
                "  },\n"
                "  \"metrics\": {\n"
                "    \"kernel_seconds\": %.6f,\n"
@@ -284,13 +247,11 @@ inline void write_bench_json(const std::string& tag,
                "}\n",
                tag.c_str(), core::sensor_mode_name(r.mode),
                static_cast<unsigned long long>(cfg.seed), r.traces_run,
-               r.threads_used, r.block_size,
-               core::rng_contract_name(r.rng_contract), r.capture_seconds,
+               r.threads_used, r.block_size, r.capture_seconds,
                tps, r.key_recovered ? "true" : "false",
                eq.equivalent ? "true" : "false", eq.traces, eq.block_tps,
                eq.block_speedup(), eq.compiled_tps,
-               eq.reference_tps, eq.speedup(), eq.v1_block_tps,
-               eq.contract_speedup(), r.kernel_seconds,
+               eq.reference_tps, eq.speedup(), r.kernel_seconds,
                r.cpa_seconds, r.selection_seconds, r.checkpoint_io_seconds,
                observer != nullptr ? observer->metrics().to_json().c_str()
                                    : "{}");
@@ -307,7 +268,6 @@ inline CpaFigureResult run_cpa_figure(core::BenignCircuit circuit,
   core::AttackSetup setup(circuit,
                           core::Calibration::paper_defaults());
   core::CampaignConfig cfg = cfg_in;
-  cfg.compiled_kernels = cfg.compiled_kernels && compiled_budget();
   // Every figure bench runs under an observer: SLM_TRACE attaches a JSONL
   // event sink, otherwise a metrics-only registry feeds the phase-time
   // split in the output and the BENCH_*.json metrics block. (The timers
@@ -329,9 +289,7 @@ inline CpaFigureResult run_cpa_figure(core::BenignCircuit circuit,
             << "target           : last-round key byte " << cfg.target_key_byte
             << ", state bit " << cfg.target_bit << "\n"
             << "threads          : " << r.threads_used << "\n"
-            << "trace block      : " << r.block_size << "\n"
-            << "rng contract     : " << core::rng_contract_name(r.rng_contract)
-            << "\n";
+            << "trace block      : " << r.block_size << "\n";
   if (r.capture_seconds > 0.0) {
     std::printf("throughput       : %.0f traces/sec (%.2f s)\n",
                 static_cast<double>(r.traces_run) / r.capture_seconds,

@@ -1,6 +1,5 @@
 #include "core/attack.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/error.hpp"
@@ -27,7 +26,6 @@ KeyByteReport report_from(std::size_t key_byte, const CampaignResult& r) {
   report.selection_seconds = r.selection_seconds;
   report.resumed_from = r.resumed_from;
   report.snapshot_path = r.snapshot_path;
-  report.rng_contract = r.rng_contract;
   return report;
 }
 
@@ -90,7 +88,6 @@ KeyByteReport StealthyAttack::recover_key_byte(std::size_t key_byte,
   cfg.halt_after_traces = opts.halt_after_traces;
   cfg.block = opts.block;
   cfg.simd = opts.simd;
-  cfg.rng_contract = opts.rng_contract;
   cfg.pool = opts.pool;
   cfg.store_out = opts.store_out;
   ParallelCampaign campaign(setup_, cfg, threads);
@@ -113,10 +110,9 @@ CampaignConfig StealthyAttack::fullkey_campaign_config(std::size_t traces,
   CampaignConfig cfg;
   cfg.traces = traces;
   cfg.mode = mode;
-  cfg.target_key_byte = 0;  // fused engine attacks all 16; farmed overrides
+  cfg.target_key_byte = 0;  // the fused engine attacks all 16
   cfg.target_bit = 0;
-  // One seed plan for the whole key: every full-key path (fused or
-  // farmed) derives the identical shared capture stream from it.
+  // One seed plan for the whole key: the one shared capture stream.
   cfg.seed = seed_ ^ (0x9e3779b97f4a7c15ull * 17);
   if (mode == SensorMode::kBenignSingleBit ||
       mode == SensorMode::kTdcSingleBit) {
@@ -157,78 +153,44 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
     const FullKeyOptions& opts) {
   FullKeyReport report;
   report.success = true;
-  report.mode_used = opts.mode;
-  const unsigned t = resolve_threads(threads);
-  report.threads_used = t;
+  report.threads_used = resolve_threads(threads);
   const auto t0 = std::chrono::steady_clock::now();
-  if (opts.mode == FullKeyMode::kFused) {
-    CampaignConfig cfg = fullkey_campaign_config(traces, mode);
-    cfg.observer = opts.run.observer;
-    cfg.checkpoint_dir = opts.run.checkpoint_dir;
-    cfg.resume = opts.run.resume;
-    cfg.halt_after_traces = opts.run.halt_after_traces;
-    cfg.block = opts.run.block;
-    cfg.simd = opts.run.simd;
-    cfg.rng_contract = opts.run.rng_contract;
-    cfg.pool = opts.run.pool;
-    cfg.store_out = opts.run.store_out;
-    ParallelCampaign campaign(setup_, cfg, threads);
-    const FullKeyRunResult r = campaign.run_fullkey(opts.fused);
-    report.bytes.reserve(16);
-    for (std::size_t b = 0; b < 16; ++b) {
-      const FullKeyByteResult& br = r.bytes[b];
-      KeyByteReport kb;
-      kb.key_byte = b;
-      kb.true_value = br.correct;
-      kb.recovered = br.recovered;
-      kb.success = br.success;
-      kb.traces = br.traces;
-      kb.early_exited = br.early_exited;
-      kb.mtd = br.mtd;
-      kb.threads_used = r.threads_used;
-      kb.capture_seconds = r.capture_seconds;  // shared capture pass
-      kb.block_size = r.block_size;
-      kb.rng_contract = r.rng_contract;
-      kb.resumed_from = r.resumed_from;
-      kb.snapshot_path = r.snapshot_path;
-      report.last_round_key[b] = kb.recovered;
-      report.success = report.success && kb.success;
-      if (kb.early_exited) ++report.bytes_early_exited;
-      report.bytes.push_back(std::move(kb));
-    }
-    report.traces_captured = r.traces_run;
-    report.block_size = r.block_size;
-    report.rng_contract = r.rng_contract;
-    report.resumed_from = r.resumed_from;
-    report.snapshot_path = r.snapshot_path;
-  } else {
-    SLM_REQUIRE(opts.run.store_out.empty(),
-                "store_out: the farmed full-key oracle captures 16 "
-                "separate trace streams — use the fused engine");
-    // Farmed oracle: 16 single-byte campaigns over the SAME shared
-    // config, each on a fresh, identically-seeded platform replica —
-    // per-byte results are independent of worker scheduling AND of the
-    // thread count (each campaign is serial on its own replica).
-    report.bytes.resize(16);
-    ThreadPool pool(std::min(std::max(t, 1u), 16u));
-    pool.run_indexed(16, [&](std::size_t b) {
-      AttackSetup local(setup_.circuit_kind(), cal_, seed_);
-      CampaignConfig cfg = fullkey_campaign_config(traces, mode);
-      cfg.target_key_byte = b;
-      cfg.block = opts.run.block;
-      cfg.simd = opts.run.simd;
-      cfg.rng_contract = opts.run.rng_contract;
-      CpaCampaign campaign(local, cfg);
-      report.bytes[b] = report_from(b, campaign.run());
-    });
-    for (std::size_t b = 0; b < 16; ++b) {
-      report.last_round_key[b] = report.bytes[b].recovered;
-      report.success = report.success && report.bytes[b].success;
-      report.traces_captured += report.bytes[b].traces;
-    }
-    report.block_size = report.bytes[0].block_size;
-    report.rng_contract = report.bytes[0].rng_contract;
+  CampaignConfig cfg = fullkey_campaign_config(traces, mode);
+  cfg.observer = opts.run.observer;
+  cfg.checkpoint_dir = opts.run.checkpoint_dir;
+  cfg.resume = opts.run.resume;
+  cfg.halt_after_traces = opts.run.halt_after_traces;
+  cfg.block = opts.run.block;
+  cfg.simd = opts.run.simd;
+  cfg.pool = opts.run.pool;
+  cfg.store_out = opts.run.store_out;
+  ParallelCampaign campaign(setup_, cfg, threads);
+  const FullKeyRunResult r = campaign.run_fullkey(opts.fused);
+  report.bytes.reserve(16);
+  for (std::size_t b = 0; b < 16; ++b) {
+    const FullKeyByteResult& br = r.bytes[b];
+    KeyByteReport kb;
+    kb.key_byte = b;
+    kb.true_value = br.correct;
+    kb.recovered = br.recovered;
+    kb.success = br.success;
+    kb.traces = br.traces;
+    kb.early_exited = br.early_exited;
+    kb.mtd = br.mtd;
+    kb.threads_used = r.threads_used;
+    kb.capture_seconds = r.capture_seconds;  // shared capture pass
+    kb.block_size = r.block_size;
+    kb.resumed_from = r.resumed_from;
+    kb.snapshot_path = r.snapshot_path;
+    report.last_round_key[b] = kb.recovered;
+    report.success = report.success && kb.success;
+    if (kb.early_exited) ++report.bytes_early_exited;
+    report.bytes.push_back(std::move(kb));
   }
+  report.traces_captured = r.traces_run;
+  report.block_size = r.block_size;
+  report.resumed_from = r.resumed_from;
+  report.snapshot_path = r.snapshot_path;
   report.capture_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

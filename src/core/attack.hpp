@@ -35,10 +35,6 @@ struct KeyByteReport {
   double selection_seconds = 0.0;
   std::size_t resumed_from = 0;
   std::string snapshot_path;
-
-  /// RNG determinism contract the campaign actually ran under (resolved
-  /// from RunOptions::rng_contract / SLM_RNG_CONTRACT; see DESIGN.md §12).
-  RngContract rng_contract = RngContract::kV2;
 };
 
 /// Cross-cutting run options shared by every campaign entry point:
@@ -51,9 +47,6 @@ struct RunOptions {
   std::size_t halt_after_traces = 0;          ///< simulated kill (0 = off)
   std::size_t block = 0;   ///< trace-block size (0 = SLM_BLOCK / default)
   bool simd = true;        ///< false forces the scalar block kernels
-  /// RNG determinism contract (kDefault = SLM_RNG_CONTRACT, else v2);
-  /// `slm attack --rng-contract v1|v2` routes through this.
-  RngContract rng_contract = RngContract::kDefault;
   /// Externally-owned worker pool (borrowed, may be null): shard the
   /// campaign over this pool instead of a private one, overriding the
   /// `threads` knob. How `slm serve` multiplexes many tenants' jobs
@@ -61,28 +54,13 @@ struct RunOptions {
   ThreadPool* pool = nullptr;
   /// Non-empty: also persist every captured trace to an SLMTRC1 store
   /// at this path (`slm capture --store-out`; see docs/STORE.md).
-  /// Incompatible with resume; only the fused full-key engine honours
-  /// it (the farmed oracle captures 16 separate streams).
+  /// Incompatible with resume.
   std::string store_out;
 };
 
-/// How recover_full_key captures its traces (see docs/FULLKEY.md).
-enum class FullKeyMode {
-  /// One shared capture pass feeds a fused 16-bytes x 256-guesses CPA
-  /// fold (sca::MultiByteCpa) — the default, ~16x less capture work.
-  kFused,
-  /// 16 independent single-byte campaigns over the SAME shared capture
-  /// config, one fresh platform replica each. Kept as the bit-exactness
-  /// oracle: under contract v2 every byte's CPA sums are bit-identical
-  /// to the fused fold's (the capture stream is model-independent).
-  kFarmed,
-};
-
-/// Options for the full-key entry point. `fused` (early-exit knobs) and
-/// `run` (observer / checkpointing) only apply to FullKeyMode::kFused;
-/// the farmed oracle ignores observers and cannot snapshot.
+/// Options for the full-key entry point: the fused engine's early-exit
+/// knobs and the shared run options (observer / checkpointing / store).
 struct FullKeyOptions {
-  FullKeyMode mode = FullKeyMode::kFused;
   FullKeyConfig fused;
   RunOptions run;
 };
@@ -96,10 +74,10 @@ class StealthyAttack {
   AttackSetup& setup() { return setup_; }
 
   // All recover_* calls take a `threads` knob: 0 (the default) uses
-  // hardware_concurrency, 1 is the exact pre-sharding serial behaviour
-  // (bit-identical results), and N > 1 shards the trace capture across
-  // N workers. Same seed + same threads => identical results; see
-  // DESIGN.md for the full determinism contract.
+  // hardware_concurrency, 1 runs one shard on the calling thread, and
+  // N > 1 shards the trace capture across N workers. The results are
+  // bit-identical for every thread count; see DESIGN.md for the full
+  // determinism contract.
 
   /// Recover one last-round key byte with the given sensor mode. The
   /// RunOptions overload attaches an observer and/or crash-safe
@@ -122,27 +100,24 @@ class StealthyAttack {
     crypto::Block last_round_key{};       ///< assembled from the campaigns
     crypto::Block master_key{};           ///< inverse key schedule
     bool success = false;                 ///< all 16 bytes correct
-    FullKeyMode mode_used = FullKeyMode::kFused;
-    /// Traces actually captured: the shared-pass count for fused, the
-    /// sum over the 16 byte campaigns for farmed (~16x larger at equal
-    /// per-byte budgets — the whole point of the fused engine).
+    /// Traces of the one shared capture pass (16 single-byte campaigns
+    /// would capture 16x as many at equal per-byte budgets).
     std::size_t traces_captured = 0;
     double capture_seconds = 0.0;  ///< wall time of the capture/attack
     unsigned threads_used = 0;
     std::size_t block_size = 0;
-    RngContract rng_contract = RngContract::kV2;
-    std::size_t bytes_early_exited = 0;  ///< fused: frozen before budget
-    std::size_t resumed_from = 0;        ///< fused: snapshot resume point
-    std::string snapshot_path;           ///< fused: last snapshot written
+    std::size_t bytes_early_exited = 0;  ///< frozen before the budget
+    std::size_t resumed_from = 0;        ///< snapshot resume point
+    std::string snapshot_path;           ///< last snapshot written
   };
 
   /// The complete break: recover all 16 last-round key bytes and invert
-  /// the key schedule back to the AES master key. The default (fused)
-  /// engine captures ONE shared trace stream and folds all 16 bytes'
-  /// CPA sums out of it (sca::MultiByteCpa), with per-byte early exit
-  /// once a byte's winning guess and margin stabilize. Under RNG
-  /// contract v2 the result is bit-identical for any thread count,
-  /// block size, and SIMD toggle — and per byte to the farmed oracle.
+  /// the key schedule back to the AES master key. The fused engine
+  /// captures ONE shared trace stream and folds all 16 bytes' CPA sums
+  /// out of it (sca::MultiByteCpa), with per-byte early exit once a
+  /// byte's winning guess and margin stabilize. The result is bit-
+  /// identical for any thread count, block size, and SIMD toggle — and
+  /// per byte to a single-byte campaign over the same config.
   FullKeyReport recover_full_key(std::size_t traces,
                                  SensorMode mode = SensorMode::kTdcFull,
                                  unsigned threads = 0);
@@ -150,11 +125,11 @@ class StealthyAttack {
                                  unsigned threads,
                                  const FullKeyOptions& opts);
 
-  /// The shared capture config every full-key path runs under: one seed
-  /// plan for the whole key and a sampling window bracketing every
-  /// byte's leakage cycle. Farmed byte campaigns override only
-  /// target_key_byte — the capture stream itself is model-independent,
-  /// which is what makes fused and farmed bit-identical per byte.
+  /// The shared capture config of the full-key campaign: one seed plan
+  /// for the whole key and a sampling window bracketing every byte's
+  /// leakage cycle. The capture stream is model-independent, so a
+  /// single-byte campaign that overrides only target_key_byte folds
+  /// bit-identical sums for that byte.
   CampaignConfig fullkey_campaign_config(std::size_t traces,
                                          SensorMode mode) const;
 
@@ -164,8 +139,8 @@ class StealthyAttack {
       const bitstream::CheckerOptions& opt = {}) const;
 
   /// Campaign configuration for one byte campaign (shared between the
-  /// serial path, the farmed full-key path, and fabric shard workers,
-  /// which must run the byte-for-byte identical config).
+  /// engines and fabric shard workers, which must run the byte-for-byte
+  /// identical config).
   CampaignConfig byte_campaign_config(std::size_t key_byte,
                                       std::size_t traces,
                                       SensorMode mode) const;

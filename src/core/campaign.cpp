@@ -4,14 +4,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <memory>
-#include <thread>
-
 #include <string>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "core/capture.hpp"
 #include "core/checkpoint.hpp"
 #include "core/parallel.hpp"
 #include "obs/observer.hpp"
@@ -52,9 +52,15 @@ std::vector<std::size_t> default_checkpoints(std::size_t traces) {
 
 std::vector<std::size_t> checkpoint_schedule(
     const std::vector<std::size_t>& requested, std::size_t traces) {
-  auto checkpoints =
-      requested.empty() ? default_checkpoints(traces) : requested;
+  std::vector<std::size_t> checkpoints;
+  for (const std::size_t c :
+       requested.empty() ? default_checkpoints(traces) : requested) {
+    if (c > 0 && c <= traces) checkpoints.push_back(c);
+  }
   std::sort(checkpoints.begin(), checkpoints.end());
+  if (checkpoints.empty() || checkpoints.back() != traces) {
+    checkpoints.push_back(traces);
+  }
   return checkpoints;
 }
 
@@ -76,20 +82,6 @@ bool resolve_simd(bool requested) {
   return sca::active_dispatch() != sca::DispatchLevel::kScalar;
 }
 
-// Whether the serial engine's v2 generate/compute overlap should run.
-// The producer thread only pays off when a second hardware thread can
-// actually run it; on a single-core machine the two threads time-slice
-// and the handoffs are pure overhead, so the default gates on
-// hardware_concurrency. SLM_PIPELINE=0/1 forces it either way (the
-// TSan drill forces it on; results are bit-identical regardless, only
-// throughput moves — Campaign.ThreadAndBlockInvariant pins that).
-bool resolve_pipeline() {
-  if (const char* env = std::getenv("SLM_PIPELINE")) {
-    return std::atoi(env) != 0;
-  }
-  return std::thread::hardware_concurrency() > 1;
-}
-
 const char* rng_contract_name(RngContract c) {
   switch (c) {
     case RngContract::kV1:
@@ -103,14 +95,9 @@ const char* rng_contract_name(RngContract c) {
 }
 
 RngContract resolve_contract(RngContract requested) {
-  if (requested != RngContract::kDefault) return requested;
-  if (const char* env = std::getenv("SLM_RNG_CONTRACT")) {
-    const std::string v(env);
-    if (v == "v1" || v == "1") return RngContract::kV1;
-    if (v == "v2" || v == "2") return RngContract::kV2;
-    SLM_REQUIRE(false,
-                "SLM_RNG_CONTRACT must be 'v1' or 'v2' (got '" + v + "')");
-  }
+  SLM_REQUIRE(requested != RngContract::kV1,
+              "RNG contract v1 (sequential streams) is retired — campaigns "
+              "run contract v2 (counter-keyed per-trace streams) only");
   return RngContract::kV2;
 }
 
@@ -154,7 +141,7 @@ store::StoreIdentity CpaCampaign::store_identity(store::StoreKind kind,
   id.circuit = static_cast<std::uint8_t>(setup_.circuit_kind());
   id.mode = static_cast<std::uint8_t>(cfg_.mode);
   id.rng_contract =
-      resolve_contract(cfg_.rng_contract) == RngContract::kV1 ? 1 : 2;
+      static_cast<std::uint8_t>(resolve_contract(cfg_.rng_contract));
   id.seed = cfg_.seed;
   id.trace_count = traces;
   id.samples = sample_times_.size();
@@ -207,21 +194,18 @@ void finalize_trace_store(store::TraceStoreWriter& writer,
 
 void CpaCampaign::make_voltages(
     const crypto::AesDatapathModel::Encryption& enc, Xoshiro256& rng,
-    std::vector<double>& v_out, defense::ActiveFence* fence,
-    Xoshiro256* fence_rng) const {
+    std::vector<double>& v_out, Xoshiro256* fence_rng) const {
   const Calibration& cal = setup_.calibration();
   // Victim current as seen by the attacker region (coupling-attenuated).
   static thread_local std::vector<double> i_cycles;
   i_cycles.assign(enc.cycle_current.begin(), enc.cycle_current.end());
-  if (fence != nullptr) {
+  if (fence_) {
     // The active fence sits in the victim region: its randomised draw
     // rides on the same coupling path and masks the victim's signal.
-    // Contract v2 passes the trace's counter-keyed fence stream; v1
-    // callers draw from the fence's sequential stream.
     if (fence_rng != nullptr) {
-      for (double& i : i_cycles) i += fence->cycle_current(*fence_rng);
+      for (double& i : i_cycles) i += fence_->cycle_current(*fence_rng);
     } else {
-      for (double& i : i_cycles) i += fence->next_cycle_current();
+      for (double& i : i_cycles) i += fence_->next_cycle_current();
     }
   }
   const double coupling = setup_.effective_coupling();
@@ -275,7 +259,7 @@ void CpaCampaign::read_sensor(const std::vector<double>& v,
   }
 }
 
-CpaCampaign::SensorPlan CpaCampaign::make_sensor_plan(
+SensorPlan CpaCampaign::make_sensor_plan(
     const std::vector<std::size_t>& bits) const {
   SensorPlan plan;
   if (cfg_.mode == SensorMode::kBenignHw) {
@@ -413,32 +397,20 @@ sca::BitSelector CpaCampaign::run_selection_pass() {
   Xoshiro256 rng(cfg_.seed ^ 0xb17561ec7u);
   sca::BitSelector selector(setup_.sensor_bits());
   std::vector<double> v;
-  if (cfg_.compiled_kernels) {
-    // Same draws, same toggle decisions — only the bookkeeping is batched
-    // (per-bit counts instead of per-sample BitVec words).
-    std::vector<std::size_t> ones(setup_.sensor_bits(), 0);
-    std::size_t samples = 0;
-    for (std::size_t t = 0; t < cfg_.selection_traces; ++t) {
-      crypto::Block pt;
-      for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
-      const auto enc = setup_.victim().encrypt(pt);
-      make_voltages(enc, rng, v);
-      setup_.sensor().toggle_accumulate_batch(v.data(), v.size(), rng,
-                                              ones.data());
-      samples += v.size();
-    }
-    selector.add_batch(ones, samples);
-    return selector;
-  }
+  // Per-bit toggle counts over every sample; the per-sample reference
+  // (BitSelector::add over sample_toggles words) lives in the tests.
+  std::vector<std::size_t> ones(setup_.sensor_bits(), 0);
+  std::size_t samples = 0;
   for (std::size_t t = 0; t < cfg_.selection_traces; ++t) {
     crypto::Block pt;
     for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
     const auto enc = setup_.victim().encrypt(pt);
     make_voltages(enc, rng, v);
-    for (double vs : v) {
-      selector.add(setup_.sensor().sample_toggles(vs, rng));
-    }
+    setup_.sensor().toggle_accumulate_batch(v.data(), v.size(), rng,
+                                            ones.data());
+    samples += v.size();
   }
+  selector.add_batch(ones, samples);
   return selector;
 }
 
@@ -455,711 +427,559 @@ std::vector<std::size_t> CpaCampaign::select_bits_of_interest() {
   return bits;
 }
 
-CampaignResult CpaCampaign::run() {
+void label_block(const std::vector<sca::LastRoundBitModel>& models,
+                 std::size_t n, CaptureBuffers& buf) {
+  const std::size_t m = models.size();
+  buf.cls_v.resize(n * m);
+  buf.cls_b.resize(n * m);
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t j = 0; j < m; ++j) {
+      buf.cls_v[b * m + j] = models[j].class_value(buf.ct[b]);
+      buf.cls_b[b * m + j] = models[j].class_bit(buf.ct[b]);
+    }
+  }
+}
+
+CpaCampaign::Regs CpaCampaign::registers_before(std::size_t g) const {
+  if (g == 0) return Regs{};
+  Xoshiro256 prev =
+      Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g - 1);
+  crypto::Block pt;
+  for (auto& b : pt) b = static_cast<std::uint8_t>(prev.next());
+  return setup_.victim().registers_after(pt, g - 1);
+}
+
+CapturePlan CpaCampaign::capture_plan(
+    const std::vector<std::size_t>& bits) const {
+  CapturePlan plan;
+  plan.sensor = make_sensor_plan(bits);
+  plan.bits = bits;
+  plan.block = resolve_block(cfg_.block);
+  plan.simd = resolve_simd(cfg_.simd);
+  return plan;
+}
+
+void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
+                                std::size_t bn, Regs& regs,
+                                CaptureBuffers& buf,
+                                store::TraceStoreWriter* store) const {
+  const std::size_t block = plan.block;
+  const std::size_t samples = sample_times_.size();
+  const std::size_t ncyc = response_.cycle_count();
+  const std::size_t dps = plan.sensor.hw.draws_per_sample;
+  // Only the benign-HW batch plan separates its draws from the compute:
+  // that mode stages each trace's coupling-scaled per-cycle currents
+  // (cycle-major, so the lane-inner kernel is unit-stride) and its draws,
+  // then runs the PDN matvec and the sensor kernel over the whole block.
+  // Every other sensor consumes its stream inside the read, per trace.
+  const bool hw = cfg_.mode == SensorMode::kBenignHw;
+  const double coupling = setup_.effective_coupling();
+  buf.y.resize(block * samples);
+  buf.ct.resize(block);
+  if (hw) {
+    buf.v.resize(block * samples);
+    buf.ic.resize(ncyc * block);
+    buf.zv.resize(block * samples);
+    buf.z.resize(block * samples * dps);
+  }
+  for (std::size_t b = 0; b < bn; ++b) {
+    const std::size_t gb = g + b;
+    Xoshiro256 rng =
+        Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, gb);
+    crypto::Block pt;
+    for (auto& pb : pt) pb = static_cast<std::uint8_t>(rng.next());
+    const auto enc = setup_.victim().encrypt_stateless(pt, gb, regs);
+    std::optional<Xoshiro256> frng;
+    if (fence_) frng.emplace(fence_->trace_rng(gb));
+    if (hw) {
+      // Same per-element arithmetic and fence-stream call order as
+      // make_voltages; only the matvec is deferred.
+      for (std::size_t c = 0; c < ncyc; ++c) {
+        double i = enc.cycle_current[c];
+        if (fence_) i += fence_->cycle_current(*frng);
+        i *= coupling;
+        buf.ic[c * block + b] = i;
+      }
+      FastNormal::instance().fill(rng, buf.zv.data() + b * samples, samples);
+      FastNormal::instance().fill(rng, buf.z.data() + b * samples * dps,
+                                  samples * dps);
+    } else {
+      make_voltages(enc, rng, buf.v, frng ? &*frng : nullptr);
+      read_sensor_fast(plan.sensor, buf.v, plan.bits, rng, buf.yt);
+      std::copy(buf.yt.begin(), buf.yt.end(), buf.y.begin() + b * samples);
+    }
+    buf.ct[b] = enc.ciphertext;
+    if (store != nullptr) store->record_meta(gb, pt, enc.ciphertext);
+  }
+  if (hw) {
+    // The scalar matvec is a latency-bound FP-add chain, so this is where
+    // blocking pays most.
+    response_.voltages_block(buf.ic.data(), bn, block, buf.v.data(),
+                             plan.simd);
+    const double env_noise_v = setup_.calibration().env_noise_v;
+    for (std::size_t i = 0; i < bn * samples; ++i) {
+      buf.v[i] += 0.0 + env_noise_v * buf.zv[i];
+    }
+    setup_.sensor().toggle_hw_block(plan.sensor.hw, buf.v.data(),
+                                    bn * samples, buf.z.data(), buf.y.data(),
+                                    plan.simd);
+  }
+  if (store != nullptr) store->record_readings_block(g, buf.y.data(), bn);
+}
+
+namespace {
+
+// One shard's mutable half of the pipeline: its accumulator, block
+// buffers and observer-gated phase timers (accumulated thread-locally,
+// read by the coordinator only between segments).
+template <class Acc>
+struct Shard {
+  explicit Shard(std::size_t samples) : acc(samples) {}
+  Acc acc;
+  std::size_t position = 0;
+  CaptureBuffers buf;
+  double kernel_s = 0.0;
+  double cpa_s = 0.0;
+  std::size_t blocks = 0;
+};
+
+// The shard accumulators merged in fixed shard order — bit-exact for any
+// order, because the sums are integers. One shard is its own merge.
+template <class Acc>
+const Acc& merged_acc(const std::vector<Shard<Acc>>& shards,
+                      std::optional<Acc>& scratch, std::size_t samples) {
+  if (shards.size() == 1) return shards[0].acc;
+  scratch.emplace(samples);
+  for (const Shard<Acc>& sh : shards) scratch->merge(sh.acc);
+  return *scratch;
+}
+
+template <class Acc>
+void save_shards(const std::vector<Shard<Acc>>& shards, bool fenced,
+                 CampaignCheckpoint& ck) {
+  for (const Shard<Acc>& sh : shards) {
+    CheckpointShard cs;
+    cs.position = sh.position;
+    cs.has_fence = fenced;
+    ByteWriter acc;
+    sh.acc.save(acc);
+    cs.accumulator = acc.bytes();
+    ck.shard_state.push_back(std::move(cs));
+  }
+}
+
+template <class Acc>
+void load_shards(const CampaignCheckpoint& ck,
+                 std::vector<Shard<Acc>>& shards) {
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const CheckpointShard& cs = ck.shard_state[i];
+    shards[i].position = static_cast<std::size_t>(cs.position);
+    ByteReader acc(cs.accumulator.data(), cs.accumulator.size());
+    shards[i].acc.load(acc);
+    SLM_REQUIRE(acc.done(), "resume: trailing accumulator bytes");
+  }
+}
+
+template <class Acc>
+void sum_phase_times(const std::vector<Shard<Acc>>& shards, double* kernel_s,
+                     double* cpa_s) {
+  for (const Shard<Acc>& sh : shards) {
+    *kernel_s += sh.kernel_s;
+    *cpa_s += sh.cpa_s;
+  }
+}
+
+template <class Acc>
+std::string shard_positions(const std::vector<Shard<Acc>>& shards) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(shards[i].position);
+  }
+  return out + ']';
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// Where the shards run: one shard on the calling thread (null), more on
+// the borrowed pool or a private one of `shards` workers.
+ThreadPool* shard_pool(unsigned shards, ThreadPool* borrowed,
+                       std::optional<ThreadPool>* owned) {
+  if (shards == 1) return nullptr;
+  return borrowed != nullptr ? borrowed : &owned->emplace(shards);
+}
+
+// Capture rate since the previous checkpoint event, which this one
+// becomes.
+double segment_rate(std::size_t done, std::size_t* seg_traces,
+                    double* seg_time) {
+  const double now = obs::monotonic_seconds();
+  const double rate =
+      now > *seg_time
+          ? static_cast<double>(done - *seg_traces) / (now - *seg_time)
+          : 0.0;
+  *seg_traces = done;
+  *seg_time = now;
+  return rate;
+}
+
+// The run's phase-time split as end-of-run gauges.
+template <class Result>
+void note_phase_times(obs::CampaignObserver* ob, const Result& r) {
+  if (ob == nullptr) return;
+  ob->metrics().set("slm.campaign.kernel_seconds", r.kernel_seconds);
+  ob->metrics().set("slm.campaign.cpa_seconds", r.cpa_seconds);
+  ob->metrics().set("slm.campaign.checkpoint_io_seconds",
+                    r.checkpoint_io_seconds);
+  ob->metrics().set("slm.campaign.selection_seconds", r.selection_seconds);
+}
+
+}  // namespace
+
+template <class ShardT, class Fold>
+void CpaCampaign::capture_segment(ThreadPool* pool, const CapturePlan& plan,
+                                  std::vector<ShardT>& shards,
+                                  std::size_t covered, std::size_t cp,
+                                  store::TraceStoreWriter* store,
+                                  const Fold& fold) const {
+  obs::CampaignObserver* const ob = cfg_.observer;
+  const bool timed = ob != nullptr;
+  const std::size_t n = cp - covered;
+  const std::size_t T = shards.size();
+  // Shard i owns global traces [g0, g1) of the segment [covered, cp): no
+  // cross-shard RNG ordering at all, and every shard stores its own rows.
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
+    ShardT& sh = shards[i];
+    const std::size_t g0 = covered + i * n / T;
+    const std::size_t g1 = covered + (i + 1) * n / T;
+    Regs regs = g0 < g1 ? registers_before(g0) : Regs{};
+    for (std::size_t g = g0; g < g1;) {
+      const std::size_t bn = std::min(plan.block, g1 - g);
+      const double t0 = timed ? obs::monotonic_seconds() : 0.0;
+      capture_block(plan, g, bn, regs, sh.buf, store);
+      const double t1 = timed ? obs::monotonic_seconds() : 0.0;
+      fold(sh, bn);
+      if (timed) {
+        sh.kernel_s += t1 - t0;
+        sh.cpa_s += obs::monotonic_seconds() - t1;
+      }
+      ++sh.blocks;
+      sh.position += bn;
+      g += bn;
+    }
+  };
+  {
+    std::optional<obs::CampaignObserver::Span> span;
+    if (ob != nullptr) span.emplace(ob->span("capture"));
+    if (pool == nullptr) {
+      body(0);
+    } else {
+      pool->run_indexed(T, body);
+    }
+  }
+  if (ob != nullptr) {
+    // Per-shard block counts, batched to the checkpoint boundary like the
+    // phase timers (workers never touch the registry mid-segment).
+    double nb = 0.0;
+    for (ShardT& sh : shards) {
+      nb += static_cast<double>(sh.blocks);
+      sh.blocks = 0;
+    }
+    if (nb > 0.0) ob->metrics().add("slm.kernel.blocks_total", nb);
+  }
+}
+
+std::unique_ptr<store::TraceStoreWriter> CpaCampaign::open_store(
+    store::StoreKind kind, unsigned shards) const {
+  if (cfg_.store_out.empty()) return nullptr;
+  // A resumed run never regenerates the traces captured before the
+  // snapshot, so its store would be silently short.
+  SLM_REQUIRE(!cfg_.resume,
+              "store_out: cannot combine with resume — traces captured "
+              "before the snapshot would be missing from the store");
+  auto writer = std::make_unique<store::TraceStoreWriter>(
+      cfg_.store_out, store_identity(kind, cfg_.traces));
+  writer->set_capture_threads(shards);
+  return writer;
+}
+
+double CpaCampaign::timed_selection(CampaignResult* result) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::optional<obs::CampaignObserver::Span> span;
+  if (cfg_.observer != nullptr) span.emplace(cfg_.observer->span("selection"));
+  resolve_sensor_bits(result);
+  return seconds_since(t0);
+}
+
+std::optional<CampaignCheckpoint> CpaCampaign::load_resume(unsigned shards,
+                                                           bool fullkey) const {
+  if (!cfg_.resume || cfg_.checkpoint_dir.empty()) return std::nullopt;
+  std::optional<CampaignCheckpoint> ck = load_checkpoint(cfg_.checkpoint_dir);
+  if (!ck) return std::nullopt;
+  // The selection pre-pass re-ran from its own deterministic seed
+  // streams and every capture stream re-derives from (seed, trace
+  // index), so the accumulators and progress are all a snapshot holds.
+  require_checkpoint_matches(*ck, cfg_, shards, sample_times_.size(),
+                             fullkey);
+  for (const CheckpointShard& cs : ck->shard_state) {
+    SLM_REQUIRE(cs.has_fence == fence_.has_value(),
+                "resume: fence configuration differs from snapshot");
+  }
+  const std::string path = checkpoint_file(cfg_.checkpoint_dir);
+  log_info() << (fullkey ? "fullkey" : "campaign") << ": resumed from "
+             << path << " at trace " << ck->traces_done << "/" << cfg_.traces
+             << " across " << shards << " shards";
+  if (obs::CampaignObserver* const ob = cfg_.observer) {
+    ob->metrics().add("slm.checkpoint.resumes_total");
+    ob->event("resume",
+              obs::JsonWriter()
+                  .field("traces_done", ck->traces_done)
+                  .field("shards", static_cast<std::uint64_t>(shards))
+                  .field("path", path));
+  }
+  return ck;
+}
+
+void CpaCampaign::note_run_start(unsigned shards, std::size_t block,
+                                 bool fullkey, std::size_t resumed_from) const {
+  obs::CampaignObserver* const ob = cfg_.observer;
+  if (ob == nullptr) return;
+  ob->metrics().set("slm.campaign.traces_target",
+                    static_cast<double>(cfg_.traces));
+  ob->metrics().set("slm.kernel.block_size", static_cast<double>(block));
+  obs::JsonWriter w;
+  w.field("mode", sensor_mode_name(cfg_.mode));
+  if (fullkey) {
+    ob->metrics().set("slm.fullkey.bytes_total",
+                      static_cast<double>(sca::MultiByteCpa::kBytes));
+    w.field("fullkey", true);
+  }
+  ob->event("run_start",
+            w.field("traces", static_cast<std::uint64_t>(cfg_.traces))
+                .field("seed", static_cast<std::uint64_t>(cfg_.seed))
+                .field("threads", static_cast<std::uint64_t>(shards))
+                .field("compiled", true)
+                .field("block", static_cast<std::uint64_t>(block))
+                .field("rng_contract", rng_contract_name(RngContract::kV2))
+                .field("resumed_from",
+                       static_cast<std::uint64_t>(resumed_from)));
+}
+
+CampaignCheckpoint CpaCampaign::checkpoint_header(unsigned shards,
+                                                  std::size_t block,
+                                                  std::size_t done,
+                                                  bool fullkey) const {
+  CampaignCheckpoint ck;
+  ck.seed = cfg_.seed;
+  ck.total_traces = cfg_.traces;
+  ck.mode = static_cast<std::uint32_t>(cfg_.mode);
+  ck.shards = shards;
+  ck.samples = sample_times_.size();
+  ck.target_key_byte = cfg_.target_key_byte;
+  ck.target_bit = cfg_.target_bit;
+  ck.single_bit = cfg_.single_bit;
+  ck.compiled = true;
+  ck.block = block;
+  ck.rng_contract = static_cast<std::uint32_t>(RngContract::kV2);
+  ck.fullkey = fullkey;
+  ck.traces_done = done;
+  ck.shard_state.reserve(shards);
+  return ck;
+}
+
+void CpaCampaign::write_snapshot(const CampaignCheckpoint& ck,
+                                 std::string* path, double* io_seconds) const {
+  obs::CampaignObserver* const ob = cfg_.observer;
+  std::optional<obs::CampaignObserver::Span> span;
+  if (ob != nullptr) span.emplace(ob->span("checkpoint"));
+  const double s0 = obs::monotonic_seconds();
+  const std::size_t bytes = save_checkpoint(cfg_.checkpoint_dir, ck);
+  *path = checkpoint_file(cfg_.checkpoint_dir);
+  const double io = obs::monotonic_seconds() - s0;
+  *io_seconds += io;
+  if (ob != nullptr) {
+    ob->metrics().add("slm.checkpoint.snapshots_total");
+    ob->metrics().add("slm.checkpoint.bytes_total",
+                      static_cast<double>(bytes));
+    ob->metrics().observe("slm.checkpoint.write_seconds", io);
+    ob->event("snapshot",
+              obs::JsonWriter()
+                  .field("traces", ck.traces_done)
+                  .field("bytes", static_cast<std::uint64_t>(bytes))
+                  .field("seconds", io)
+                  .field("path", *path));
+  }
+}
+
+void CpaCampaign::halt_if_due(std::size_t done, const std::string& path) const {
+  if (cfg_.halt_after_traces == 0 || done < cfg_.halt_after_traces) return;
+  if (cfg_.observer != nullptr) {
+    cfg_.observer->event("halt",
+                         obs::JsonWriter()
+                             .field("traces", static_cast<std::uint64_t>(done))
+                             .field("path", path));
+  }
+  throw CampaignHalted(done, path);
+}
+
+CampaignResult CpaCampaign::run_shards(unsigned shard_count) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::CampaignObserver* const ob = cfg_.observer;
+  const bool timed = ob != nullptr;
+  (void)resolve_contract(cfg_.rng_contract);
   CampaignResult result;
   result.mode = cfg_.mode;
   result.sample_times_ns = sample_times_;
-
-  sca::LastRoundBitModel model(cfg_.target_key_byte, cfg_.target_bit);
+  const std::vector<sca::LastRoundBitModel> models{
+      sca::LastRoundBitModel(cfg_.target_key_byte, cfg_.target_bit)};
+  const sca::LastRoundBitModel& model = models[0];
   result.correct_guess =
       model.correct_guess(setup_.victim().cipher().last_round_key());
 
   // The store fingerprint hashes the *requested* endpoint bit, so the
-  // writer is created before bit resolution mutates cfg_.single_bit —
-  // a replay-side CpaCampaign never resolves and must hash the same
-  // value. Resume is refused: a resumed run does not regenerate the
-  // traces already captured, so the store would be silently short.
-  std::unique_ptr<store::TraceStoreWriter> store_writer;
-  if (!cfg_.store_out.empty()) {
-    SLM_REQUIRE(!cfg_.resume,
-                "store_out: cannot combine with resume — traces captured "
-                "before the snapshot would be missing from the store");
-    store_writer = std::make_unique<store::TraceStoreWriter>(
-        cfg_.store_out,
-        store_identity(store::StoreKind::kByteCampaign, cfg_.traces));
-  }
-
-  {
-    const auto sel_start = std::chrono::steady_clock::now();
-    std::optional<obs::CampaignObserver::Span> span;
-    if (ob != nullptr) span.emplace(ob->span("selection"));
-    resolve_sensor_bits(&result);
-    result.selection_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sel_start)
-            .count();
-  }
+  // writer is created before bit resolution mutates cfg_.single_bit — a
+  // replay-side CpaCampaign never resolves and must hash the same value.
+  const auto store_writer =
+      open_store(store::StoreKind::kByteCampaign, shard_count);
+  result.selection_seconds = timed_selection(&result);
   result.single_bit = cfg_.single_bit;
   if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
 
-  auto checkpoints = checkpoint_schedule(cfg_.checkpoints, cfg_.traces);
-  std::size_t next_cp = 0;
-
-  // RNG determinism contract (DESIGN.md §7/§12). v1: one sequential
-  // stream, strict per-trace draw order. v2 (default): every trace's
-  // draws derive statelessly from (seed, domain, trace index), so
-  // generation order is free and results depend on the seed alone.
-  const RngContract contract = resolve_contract(cfg_.rng_contract);
-  const bool v2 = contract == RngContract::kV2;
-  result.rng_contract = contract;
-
-  // The fast path bins traces into (ciphertext-class, base-bit) cells and
-  // folds them into full per-guess CPA sums only at checkpoints; readings
-  // are integer-valued so the regrouped sums are bit-identical to the
-  // reference engine's (see sca::XorClassCpa).
-  const bool fast = cfg_.compiled_kernels;
-  const SensorPlan plan =
-      fast ? make_sensor_plan(result.bits_of_interest) : SensorPlan{};
-
-  sca::CpaEngine engine(256, sample_times_.size());
-  sca::XorClassCpa cls(sample_times_.size());
-  Xoshiro256 rng(cfg_.seed);
-
-  // Contract v2 victim register chain: starts zeroed at trace 0 and is
-  // advanced by encrypt_stateless trace by trace. On resume it is
-  // re-derived from the previous trace alone (registers_after), so v2
-  // snapshots need no RNG/victim/fence state at all.
-  crypto::AesDatapathModel::RegisterSnapshot v2_regs{};
-
-  // Crash-safe resume: restore the exact capture state the snapshot
-  // froze — accumulator sums and, under contract v1, the main RNG
-  // position, victim register history, and fence stream — and skip the
-  // checkpoints already recorded. The selection pre-pass above re-ran
-  // from its own deterministic seed streams, so it needs no
-  // snapshotting.
-  std::size_t start_t = 1;
-  const bool snapshotting = !cfg_.checkpoint_dir.empty();
-  if (cfg_.resume && snapshotting) {
-    if (auto ck = load_checkpoint(cfg_.checkpoint_dir)) {
-      require_checkpoint_matches(*ck, cfg_, 1, sample_times_.size(),
-                                 static_cast<std::uint32_t>(contract));
-      const CheckpointShard& sh = ck->shard_state[0];
-      SLM_REQUIRE(sh.has_fence == fence_.has_value(),
-                  "resume: fence configuration differs from snapshot");
-      if (!v2) {
-        rng.set_state(sh.rng);
-        setup_.victim().restore_registers(sh.victim);
-        if (fence_) fence_->set_rng_state(sh.fence_rng);
-      }
-      ByteReader acc(sh.accumulator.data(), sh.accumulator.size());
-      if (fast) {
-        cls.load(acc);
-      } else {
-        engine.load(acc);
-      }
-      SLM_REQUIRE(acc.done(), "resume: trailing accumulator bytes");
-      result.progress = ck->progress;
-      result.resumed_from = static_cast<std::size_t>(ck->traces_done);
-      start_t = result.resumed_from + 1;
-      if (v2 && result.resumed_from > 0) {
-        // Re-derive the register state left behind by the last completed
-        // trace: its plaintext comes from its own counter-keyed stream,
-        // and registers_after needs no earlier history (the register is
-        // fully overwritten every encryption).
-        const std::size_t g = result.resumed_from - 1;
-        Xoshiro256 prev =
-            Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g);
-        crypto::Block prev_pt;
-        for (auto& b : prev_pt) b = static_cast<std::uint8_t>(prev.next());
-        v2_regs = setup_.victim().registers_after(prev_pt, g);
-      }
-      while (next_cp < checkpoints.size() &&
-             checkpoints[next_cp] <= result.resumed_from) {
-        ++next_cp;
-      }
-      log_info() << "campaign: resumed from "
-                 << checkpoint_file(cfg_.checkpoint_dir) << " at trace "
-                 << result.resumed_from << "/" << cfg_.traces;
-      if (ob != nullptr) {
-        ob->metrics().add("slm.checkpoint.resumes_total");
-        ob->event("resume",
-                  obs::JsonWriter()
-                      .field("traces_done",
-                             static_cast<std::uint64_t>(result.resumed_from))
-                      .field("path", checkpoint_file(cfg_.checkpoint_dir)));
-      }
-    }
-  }
-
-  // Block-batched pipeline (DESIGN.md §11): the per-trace RNG-ordered
-  // generation (plaintext draws, victim encrypt, PDN voltages, noise and
-  // jitter fills) stays sequential, and only the RNG-free compute — the
-  // packed sensor kernel and the accumulator update — is deferred to
-  // lane-parallel block kernels. Blocks clamp at checkpoint edges, so
-  // progress points, snapshots, and results are bit-identical for every
-  // block size (block = 1 runs the exact per-trace loop).
-  const std::size_t block = resolve_block(cfg_.block);
-  const bool simd = resolve_simd(cfg_.simd);
-  result.block_size = block;
-  const bool blocked = block > 1;
-  // Only the benign-HW batch plan separates its draws from the compute;
-  // every other sensor consumes RNG inside the read, so those modes
-  // block just the accumulator update.
-  const bool defer_hw = blocked && fast && plan.batched &&
-                        cfg_.mode == SensorMode::kBenignHw;
+  const CapturePlan plan = capture_plan(result.bits_of_interest);
+  result.block_size = plan.block;
   const std::size_t samples = sample_times_.size();
-  const std::size_t dps = plan.hw.draws_per_sample;
-
-  if (ob != nullptr) {
-    ob->metrics().set("slm.campaign.traces_target",
-                      static_cast<double>(cfg_.traces));
-    ob->metrics().set("slm.kernel.block_size", static_cast<double>(block));
-    ob->event("run_start",
-              obs::JsonWriter()
-                  .field("mode", sensor_mode_name(cfg_.mode))
-                  .field("traces", static_cast<std::uint64_t>(cfg_.traces))
-                  .field("seed", static_cast<std::uint64_t>(cfg_.seed))
-                  .field("threads", static_cast<std::uint64_t>(1))
-                  .field("compiled", fast)
-                  .field("block", static_cast<std::uint64_t>(block))
-                  .field("rng_contract", rng_contract_name(contract))
-                  .field("resumed_from",
-                         static_cast<std::uint64_t>(result.resumed_from)));
+  // Each shard bins its traces into (ciphertext-class, base-bit) cells;
+  // the merge folds them into full per-guess CPA sums at checkpoints only
+  // (see sca::XorClassCpa).
+  std::vector<Shard<sca::XorClassCpa>> shards(
+      shard_count, Shard<sca::XorClassCpa>(samples));
+  if (const auto ck = load_resume(shard_count, false)) {
+    load_shards(*ck, shards);
+    result.progress = ck->progress;
+    result.resumed_from = static_cast<std::size_t>(ck->traces_done);
   }
+  note_run_start(shard_count, plan.block, false, result.resumed_from);
 
-  // Per-trace phase timers only exist when an observer is attached; the
-  // disabled path performs no clock reads inside the loop.
-  const bool timed = ob != nullptr;
-  double kernel_s = 0.0;
-  double cpa_s = 0.0;
   double ckpt_io_s = 0.0;
-  std::size_t seg_traces = start_t - 1;
+  std::size_t seg_traces = result.resumed_from;
   double seg_time = timed ? obs::monotonic_seconds() : 0.0;
-
-  // The deferred-HW path also defers the PDN voltage matvec: the
-  // generation pass stages each trace's coupling-scaled per-cycle
-  // currents (cycle-major, so the lane-inner kernel is unit-stride) plus
-  // its env-noise draws, and the compute pass evaluates the whole block
-  // through CycleResponseMatrix::voltages_block. The scalar matvec is a
-  // latency-bound FP-add chain, so this is where blocking pays most.
-  const std::size_t ncyc = response_.cycle_count();
-  const double coupling = setup_.effective_coupling();
-  const double env_noise_v = setup_.calibration().env_noise_v;
-  std::vector<double> v;
-  std::vector<double> y(samples);
-  std::vector<std::uint8_t> h;
-  std::vector<double> vblk;
-  std::vector<double> zblk;
-  std::vector<double> icblk;
-  std::vector<double> zvblk;
-  std::vector<double> yblk;
-  std::vector<std::uint8_t> clsv;
-  std::vector<std::uint8_t> clsb;
-  std::vector<std::uint8_t> hblk;
-  if (blocked) {
-    yblk.resize(block * samples);
-    clsv.resize(block);
-    clsb.resize(block);
-    if (defer_hw) {
-      vblk.resize(block * samples);
-      zblk.resize(block * samples * dps);
-      icblk.resize(ncyc * block);
-      zvblk.resize(block * samples);
-    }
-    if (!fast) hblk.resize(block * 256);
-  }
-
-  // Double-buffered generate/compute pipeline (contract v2, deferred-HW
-  // path only): a one-worker producer generates block k+1's slab —
-  // plaintexts, victim currents, fence draws, noise/jitter draws, all
-  // from counter-keyed per-trace streams — while the main thread runs
-  // block k's RNG-free compute pass. Contract v1 cannot do this: its
-  // generation is a serial RNG chain (the ~0.8 µs/trace floor DESIGN.md
-  // §11 documents).
-  struct GenSlab {
-    std::vector<double> icblk;
-    std::vector<double> zvblk;
-    std::vector<double> zblk;
-    std::vector<std::uint8_t> clsv;
-    std::vector<std::uint8_t> clsb;
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool* const pool = shard_pool(shard_count, cfg_.pool, &owned_pool);
+  const auto fold = [&](Shard<sca::XorClassCpa>& sh, std::size_t bn) {
+    label_block(models, bn, sh.buf);
+    sh.acc.add_block(sh.buf.cls_v.data(), sh.buf.cls_b.data(),
+                     sh.buf.y.data(), bn);
   };
-  const bool pipelined = v2 && defer_hw && resolve_pipeline();
-  GenSlab slabs[2];
-  if (pipelined) {
-    for (GenSlab& s : slabs) {
-      s.icblk.resize(ncyc * block);
-      s.zvblk.resize(block * samples);
-      s.zblk.resize(block * samples * dps);
-      s.clsv.resize(block);
-      s.clsb.resize(block);
+  sca::CpaEngine merged(256, samples);
+  std::size_t covered = result.resumed_from;
+  for (const std::size_t cp :
+       checkpoint_schedule(cfg_.checkpoints, cfg_.traces)) {
+    if (cp <= result.resumed_from) continue;
+    capture_segment(pool, plan, shards, covered, cp, store_writer.get(), fold);
+    covered = cp;
+    {
+      std::optional<obs::CampaignObserver::Span> span;
+      if (ob != nullptr) span.emplace(ob->span("merge"));
+      const double m0 = timed ? obs::monotonic_seconds() : 0.0;
+      std::optional<sca::XorClassCpa> scratch;
+      merged =
+          merged_acc(shards, scratch, samples).fold(model.pattern().data());
+      // Booked against shard 0 so the sum over shards counts it once.
+      if (timed) shards[0].cpa_s += obs::monotonic_seconds() - m0;
     }
-  }
-  // Block span starting at 1-based trace t0: clamp at the next
-  // checkpoint, exactly as the main loop does, so the producer and the
-  // consumer tile the trace sequence identically.
-  const auto span_bn = [&](std::size_t t0) {
-    std::size_t limit = cfg_.traces;
-    const auto it =
-        std::lower_bound(checkpoints.begin(), checkpoints.end(), t0);
-    if (it != checkpoints.end() && *it < limit) limit = *it;
-    return std::min(block, limit - t0 + 1);
-  };
-  // Generate one slab: per-trace counter-keyed streams, same expression
-  // order as make_voltages/the v1 staging pass, victim registers carried
-  // sequentially by the (single) producer.
-  const auto gen_slab = [&](GenSlab& slab, std::size_t t0, std::size_t bn) {
-    for (std::size_t b = 0; b < bn; ++b) {
-      const std::size_t g = t0 - 1 + b;
-      Xoshiro256 rng_t =
-          Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g);
-      crypto::Block pt;
-      for (auto& pb : pt) pb = static_cast<std::uint8_t>(rng_t.next());
-      const auto enc = setup_.victim().encrypt_stateless(pt, g, v2_regs);
-      if (fence_) {
-        Xoshiro256 frng = fence_->trace_rng(g);
-        for (std::size_t c = 0; c < ncyc; ++c) {
-          double i = enc.cycle_current[c];
-          i += fence_->cycle_current(frng);
-          i *= coupling;
-          slab.icblk[c * block + b] = i;
-        }
-      } else {
-        for (std::size_t c = 0; c < ncyc; ++c) {
-          double i = enc.cycle_current[c];
-          i *= coupling;
-          slab.icblk[c * block + b] = i;
-        }
-      }
-      FastNormal::instance().fill(rng_t, slab.zvblk.data() + b * samples,
-                                  samples);
-      FastNormal::instance().fill(rng_t, slab.zblk.data() + b * samples * dps,
-                                  samples * dps);
-      slab.clsv[b] = model.class_value(enc.ciphertext);
-      slab.clsb[b] = model.class_bit(enc.ciphertext);
-      // Meta lands from the producer thread, readings from the consumer:
-      // disjoint columns, and the writer's completeness counter is only
-      // advanced by record_readings on the consumer side.
-      if (store_writer) store_writer->record_meta(g, pt, enc.ciphertext);
-    }
-  };
-  // The pool is declared AFTER the slabs and the register chain so its
-  // destructor joins any in-flight producer task before they unwind
-  // (CampaignHalted propagates through here with a task in flight).
-  std::optional<ThreadPool> gen_pool;
-  int cur = 0;
-  std::size_t gen_t = start_t;
-  if (pipelined) {
-    gen_pool.emplace(1);
-    if (gen_t <= cfg_.traces) {
-      GenSlab* s = &slabs[cur];
-      const std::size_t t0 = gen_t;
-      const std::size_t bn0 = span_bn(t0);
-      gen_pool->submit_indexed(
-          1, [&gen_slab, s, t0, bn0](std::size_t) { gen_slab(*s, t0, bn0); });
-      gen_t += bn0;
-    }
-    if (ob != nullptr) ob->metrics().set("slm.pipeline.depth", 2.0);
-  }
+    result.progress.push_back(
+        sca::snapshot_progress(merged, result.correct_guess));
 
-  std::size_t t = start_t;
-  while (t <= cfg_.traces) {
-    // Clamp the block at the next checkpoint so snapshots land on the
-    // same trace counts as the per-trace loop.
-    while (next_cp < checkpoints.size() && checkpoints[next_cp] < t) {
-      ++next_cp;
+    if (ob != nullptr) {
+      const sca::CpaProgressPoint& p = result.progress.back();
+      const double seg_rate = segment_rate(cp, &seg_traces, &seg_time);
+      ob->metrics().add("slm.campaign.checkpoints_total");
+      ob->metrics().set("slm.campaign.traces_done", static_cast<double>(cp));
+      ob->metrics().set("slm.cpa.best_guess",
+                        static_cast<double>(p.best_guess));
+      ob->metrics().set("slm.cpa.correct_corr", p.correct_corr);
+      ob->metrics().set("slm.cpa.corr_margin",
+                        p.correct_corr - p.best_wrong_corr);
+      ob->metrics().observe("slm.campaign.segment_traces_per_sec", seg_rate);
+      ob->event("checkpoint",
+                obs::JsonWriter()
+                    .field("traces", static_cast<std::uint64_t>(p.traces))
+                    .field("best_guess",
+                           static_cast<std::uint64_t>(p.best_guess))
+                    .field("correct_rank",
+                           static_cast<std::uint64_t>(p.correct_rank))
+                    .field("correct_corr", p.correct_corr)
+                    .field("best_wrong_corr", p.best_wrong_corr)
+                    .field("corr_margin", p.correct_corr - p.best_wrong_corr)
+                    .field("traces_per_sec", seg_rate)
+                    .raw("shard_traces", shard_positions(shards)));
     }
-    std::size_t limit = cfg_.traces;
-    if (next_cp < checkpoints.size() && checkpoints[next_cp] < limit) {
-      limit = checkpoints[next_cp];
+
+    if (!cfg_.checkpoint_dir.empty()) {
+      CampaignCheckpoint ck =
+          checkpoint_header(shard_count, plan.block, cp, false);
+      save_shards(shards, fence_.has_value(), ck);
+      ck.progress = result.progress;
+      write_snapshot(ck, &result.snapshot_path, &ckpt_io_s);
     }
-    const std::size_t bn = std::min(block, limit - t + 1);
-
-    const double t0 = timed ? obs::monotonic_seconds() : 0.0;
-    double t1 = 0.0;
-    if (!blocked) {
-      // block == 1: the exact per-trace loop, kept as the dispatchable
-      // baseline the block path is benchmarked (and bit-compared)
-      // against. Contract v2 swaps the sequential stream for the trace's
-      // counter-keyed streams; every expression downstream is identical.
-      std::optional<Xoshiro256> rng_t;
-      std::optional<Xoshiro256> frng;
-      Xoshiro256* r = &rng;
-      Xoshiro256* fr = nullptr;
-      if (v2) {
-        const std::size_t g = t - 1;
-        rng_t.emplace(
-            Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g));
-        r = &*rng_t;
-        if (fence_) {
-          frng.emplace(fence_->trace_rng(g));
-          fr = &*frng;
-        }
-      }
-      crypto::Block pt;
-      for (auto& b : pt) b = static_cast<std::uint8_t>(r->next());
-      const auto enc = v2
-                           ? setup_.victim().encrypt_stateless(pt, t - 1,
-                                                               v2_regs)
-                           : setup_.victim().encrypt(pt);
-      make_voltages(enc, *r, v, fence_ ? &*fence_ : nullptr, fr);
-      if (fast) {
-        read_sensor_fast(plan, v, result.bits_of_interest, *r, y);
-        t1 = timed ? obs::monotonic_seconds() : 0.0;
-        cls.add_trace(model.class_value(enc.ciphertext),
-                      model.class_bit(enc.ciphertext), y);
-      } else {
-        read_sensor(v, result.bits_of_interest, *r, y);
-        t1 = timed ? obs::monotonic_seconds() : 0.0;
-        model.hypotheses(enc.ciphertext, h);
-        engine.add_trace(h, y);
-      }
-      if (store_writer) {
-        store_writer->record_meta(t - 1, pt, enc.ciphertext);
-        store_writer->record_readings(t - 1, y.data());
-      }
-    } else if (pipelined) {
-      // The producer already has (or is still generating) this span's
-      // slab; wait for it, immediately hand the producer the next span,
-      // then run the RNG-free compute pass on the main thread.
-      const double w0 = timed ? obs::monotonic_seconds() : 0.0;
-      gen_pool->wait();
-      const double gen_wait = timed ? obs::monotonic_seconds() - w0 : 0.0;
-      GenSlab& slab = slabs[cur];
-      if (gen_t <= cfg_.traces) {
-        GenSlab* s = &slabs[1 - cur];
-        const std::size_t nt0 = gen_t;
-        const std::size_t nbn = span_bn(nt0);
-        gen_pool->submit_indexed(1, [&gen_slab, s, nt0, nbn](std::size_t) {
-          gen_slab(*s, nt0, nbn);
-        });
-        gen_t += nbn;
-      }
-      cur = 1 - cur;
-      response_.voltages_block(slab.icblk.data(), bn, block, vblk.data(),
-                               simd);
-      for (std::size_t i = 0; i < bn * samples; ++i) {
-        vblk[i] += 0.0 + env_noise_v * slab.zvblk[i];
-      }
-      setup_.sensor().toggle_hw_block(plan.hw, vblk.data(), bn * samples,
-                                      slab.zblk.data(), yblk.data(), simd);
-      t1 = timed ? obs::monotonic_seconds() : 0.0;
-      cls.add_block(slab.clsv.data(), slab.clsb.data(), yblk.data(), bn);
-      if (store_writer) {
-        store_writer->record_readings_block(t - 1, yblk.data(), bn);
-      }
-      if (timed) {
-        ob->metrics().add("slm.pipeline.blocks_total");
-        ob->metrics().observe("slm.pipeline.gen_wait_seconds", gen_wait);
-      }
-    } else {
-      // Generation pass: everything that touches the RNG. Contract v1
-      // consumes the sequential stream in exact per-trace order
-      // (FastNormal::fill is position-wise identical to per-call draws);
-      // contract v2 gives every lane its trace's counter-keyed streams.
-      for (std::size_t b = 0; b < bn; ++b) {
-        std::optional<Xoshiro256> rng_t;
-        std::optional<Xoshiro256> frng;
-        Xoshiro256* r = &rng;
-        Xoshiro256* fr = nullptr;
-        if (v2) {
-          const std::size_t g = t - 1 + b;
-          rng_t.emplace(
-              Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g));
-          r = &*rng_t;
-          if (fence_) {
-            frng.emplace(fence_->trace_rng(g));
-            fr = &*frng;
-          }
-        }
-        crypto::Block pt;
-        for (auto& pb : pt) pb = static_cast<std::uint8_t>(r->next());
-        const auto enc =
-            v2 ? setup_.victim().encrypt_stateless(pt, t - 1 + b, v2_regs)
-               : setup_.victim().encrypt(pt);
-        if (defer_hw) {
-          // Stage the scaled currents and this trace's noise draws; the
-          // per-element arithmetic and the fence-stream call order match
-          // make_voltages exactly, only the matvec is deferred.
-          defense::ActiveFence* fence = fence_ ? &*fence_ : nullptr;
-          for (std::size_t c = 0; c < ncyc; ++c) {
-            double i = enc.cycle_current[c];
-            // v2: the fence draws from this trace's counter-keyed
-            // stream (fr), exactly as gen_slab and make_voltages do;
-            // v1 consumes the fence's own sequential stream.
-            if (fence != nullptr) {
-              i += fr != nullptr ? fence->cycle_current(*fr)
-                                 : fence->next_cycle_current();
-            }
-            i *= coupling;
-            icblk[c * block + b] = i;
-          }
-          FastNormal::instance().fill(*r, zvblk.data() + b * samples,
-                                      samples);
-          FastNormal::instance().fill(*r, zblk.data() + b * samples * dps,
-                                      samples * dps);
-        } else if (fast) {
-          make_voltages(enc, *r, v, fence_ ? &*fence_ : nullptr, fr);
-          read_sensor_fast(plan, v, result.bits_of_interest, *r, y);
-          std::copy(y.begin(), y.end(), yblk.begin() + b * samples);
-        } else {
-          make_voltages(enc, *r, v, fence_ ? &*fence_ : nullptr, fr);
-          read_sensor(v, result.bits_of_interest, *r, y);
-          std::copy(y.begin(), y.end(), yblk.begin() + b * samples);
-          model.hypotheses(enc.ciphertext, h);
-          std::copy(h.begin(), h.end(), hblk.begin() + b * 256);
-        }
-        if (fast) {
-          clsv[b] = model.class_value(enc.ciphertext);
-          clsb[b] = model.class_bit(enc.ciphertext);
-        }
-        if (store_writer) {
-          store_writer->record_meta(t - 1 + b, pt, enc.ciphertext);
-        }
-      }
-      // Compute pass: RNG-free lane-parallel kernels over the block.
-      if (defer_hw) {
-        response_.voltages_block(icblk.data(), bn, block, vblk.data(), simd);
-        for (std::size_t i = 0; i < bn * samples; ++i) {
-          vblk[i] += 0.0 + env_noise_v * zvblk[i];
-        }
-        setup_.sensor().toggle_hw_block(plan.hw, vblk.data(), bn * samples,
-                                        zblk.data(), yblk.data(), simd);
-      }
-      t1 = timed ? obs::monotonic_seconds() : 0.0;
-      if (fast) {
-        cls.add_block(clsv.data(), clsb.data(), yblk.data(), bn);
-      } else {
-        engine.add_traces(hblk.data(), yblk.data(), bn);
-      }
-      if (store_writer) {
-        store_writer->record_readings_block(t - 1, yblk.data(), bn);
-      }
-    }
-    if (timed) {
-      const double t2 = obs::monotonic_seconds();
-      kernel_s += t1 - t0;
-      cpa_s += t2 - t1;
-      if (blocked) {
-        ob->metrics().add("slm.kernel.blocks_total");
-        ob->metrics().observe("slm.kernel.block_kernel_seconds", t1 - t0);
-        ob->metrics().observe("slm.kernel.block_cpa_seconds", t2 - t1);
-      }
-    }
-    t += bn;
-    const std::size_t done = t - 1;
-
-    while (next_cp < checkpoints.size() && done == checkpoints[next_cp]) {
-      const double f0 = timed ? obs::monotonic_seconds() : 0.0;
-      if (fast) {
-        const sca::CpaEngine folded = cls.fold(model.pattern().data());
-        result.progress.push_back(
-            sca::snapshot_progress(folded, result.correct_guess));
-      } else {
-        result.progress.push_back(
-            sca::snapshot_progress(engine, result.correct_guess));
-      }
-      if (timed) cpa_s += obs::monotonic_seconds() - f0;
-
-      if (ob != nullptr) {
-        const sca::CpaProgressPoint& p = result.progress.back();
-        const double now = obs::monotonic_seconds();
-        const double seg_rate =
-            now > seg_time
-                ? static_cast<double>(done - seg_traces) / (now - seg_time)
-                : 0.0;
-        ob->metrics().add("slm.campaign.checkpoints_total");
-        ob->metrics().set("slm.campaign.traces_done",
-                          static_cast<double>(done));
-        ob->metrics().set("slm.cpa.best_guess",
-                          static_cast<double>(p.best_guess));
-        ob->metrics().set("slm.cpa.correct_corr", p.correct_corr);
-        ob->metrics().set("slm.cpa.corr_margin",
-                          p.correct_corr - p.best_wrong_corr);
-        ob->metrics().observe("slm.campaign.segment_traces_per_sec",
-                              seg_rate);
-        ob->event(
-            "checkpoint",
-            obs::JsonWriter()
-                .field("traces", static_cast<std::uint64_t>(p.traces))
-                .field("best_guess",
-                       static_cast<std::uint64_t>(p.best_guess))
-                .field("correct_rank",
-                       static_cast<std::uint64_t>(p.correct_rank))
-                .field("correct_corr", p.correct_corr)
-                .field("best_wrong_corr", p.best_wrong_corr)
-                .field("corr_margin", p.correct_corr - p.best_wrong_corr)
-                .field("traces_per_sec", seg_rate)
-                .raw("shard_traces",
-                     "[" + std::to_string(done) + "]"));
-        seg_traces = done;
-        seg_time = now;
-      }
-
-      if (snapshotting) {
-        const double s0 = obs::monotonic_seconds();
-        CampaignCheckpoint ck;
-        ck.seed = cfg_.seed;
-        ck.total_traces = cfg_.traces;
-        ck.mode = static_cast<std::uint32_t>(cfg_.mode);
-        ck.shards = 1;
-        ck.samples = sample_times_.size();
-        ck.target_key_byte = cfg_.target_key_byte;
-        ck.target_bit = cfg_.target_bit;
-        ck.single_bit = cfg_.single_bit;
-        ck.compiled = fast;
-        ck.block = block;
-        ck.rng_contract = static_cast<std::uint32_t>(contract);
-        ck.traces_done = done;
-        CheckpointShard sh;
-        sh.position = done;
-        sh.has_fence = fence_.has_value();
-        if (!v2) {
-          // Contract v2 re-derives every stream and the register chain
-          // from (seed, trace index) on resume, so only the accumulator
-          // and the trace count matter; the v1-era state stays zeroed.
-          sh.rng = rng.state();
-          sh.victim = setup_.victim().register_snapshot();
-          if (fence_) sh.fence_rng = fence_->rng_state();
-        }
-        ByteWriter acc;
-        if (fast) {
-          cls.save(acc);
-        } else {
-          engine.save(acc);
-        }
-        sh.accumulator = acc.bytes();
-        ck.shard_state.push_back(std::move(sh));
-        ck.progress = result.progress;
-        const std::size_t bytes = save_checkpoint(cfg_.checkpoint_dir, ck);
-        result.snapshot_path = checkpoint_file(cfg_.checkpoint_dir);
-        const double io = obs::monotonic_seconds() - s0;
-        ckpt_io_s += io;
-        if (ob != nullptr) {
-          ob->metrics().add("slm.checkpoint.snapshots_total");
-          ob->metrics().add("slm.checkpoint.bytes_total",
-                            static_cast<double>(bytes));
-          ob->metrics().observe("slm.checkpoint.write_seconds", io);
-          ob->event("snapshot",
-                    obs::JsonWriter()
-                        .field("traces", static_cast<std::uint64_t>(done))
-                        .field("bytes", static_cast<std::uint64_t>(bytes))
-                        .field("seconds", io)
-                        .field("path", result.snapshot_path));
-        }
-      }
-      ++next_cp;
-
-      if (cfg_.halt_after_traces > 0 && done >= cfg_.halt_after_traces) {
-        if (ob != nullptr) {
-          ob->event("halt",
-                    obs::JsonWriter()
-                        .field("traces", static_cast<std::uint64_t>(done))
-                        .field("path", result.snapshot_path));
-        }
-        throw CampaignHalted(done, result.snapshot_path);
-      }
-    }
-  }
-
-  if (fast) {
-    const double f0 = timed ? obs::monotonic_seconds() : 0.0;
-    engine = cls.fold(model.pattern().data());
-    if (timed) cpa_s += obs::monotonic_seconds() - f0;
+    halt_if_due(cp, result.snapshot_path);
   }
 
   if (store_writer) finalize_trace_store(*store_writer, ob);
 
-  result.kernel_seconds = kernel_s;
-  result.cpa_seconds = cpa_s;
-  result.checkpoint_io_seconds = ckpt_io_s;
-  if (ob != nullptr) {
-    ob->metrics().set("slm.campaign.kernel_seconds", kernel_s);
-    ob->metrics().set("slm.campaign.cpa_seconds", cpa_s);
-    ob->metrics().set("slm.campaign.checkpoint_io_seconds", ckpt_io_s);
-    ob->metrics().set("slm.campaign.selection_seconds",
-                      result.selection_seconds);
-  }
-
-  if (result.progress.empty() ||
-      result.progress.back().traces != engine.trace_count()) {
-    result.progress.push_back(
-        sca::snapshot_progress(engine, result.correct_guess));
-  }
-
-  result.traces_run = engine.trace_count();
-  result.final_max_abs_corr = engine.max_abs_correlation();
-  result.recovered_guess = static_cast<std::uint8_t>(engine.best_guess());
+  result.traces_run = merged.trace_count();
+  result.final_max_abs_corr = merged.max_abs_correlation();
+  result.recovered_guess = static_cast<std::uint8_t>(merged.best_guess());
   result.key_recovered = result.recovered_guess == result.correct_guess;
   result.mtd = sca::estimate_mtd(result.progress);
-  result.threads_used = 1;
-  result.capture_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  result.checkpoint_io_seconds = ckpt_io_s;
+  sum_phase_times(shards, &result.kernel_seconds, &result.cpa_seconds);
+  note_phase_times(ob, result);
+  result.threads_used = shard_count;
+  result.capture_seconds = seconds_since(wall_start);
   return result;
 }
 
-FullKeyRunResult CpaCampaign::run_fullkey(const FullKeyConfig& fk) {
+FullKeyRunResult CpaCampaign::run_fullkey_shards(unsigned shard_count,
+                                                 const FullKeyConfig& fk) {
   const auto wall_start = std::chrono::steady_clock::now();
   obs::CampaignObserver* const ob = cfg_.observer;
+  const bool timed = ob != nullptr;
   constexpr std::size_t kBytes = sca::MultiByteCpa::kBytes;
+  (void)resolve_contract(cfg_.rng_contract);
   FullKeyRunResult result;
   result.mode = cfg_.mode;
   result.sample_times_ns = sample_times_;
 
-  // One model per last-round key byte. Generation (plaintext draws,
-  // victim encryption, PDN voltages, sensor readings) never consults a
-  // model — only the (v, b) class labels do — so the capture stream below
-  // is the byte-independent stream run() produces under the same config.
+  // One model per last-round key byte. Capture never consults a model —
+  // only the class labels do — so the stream is the byte-independent
+  // stream run() produces under the same config.
   std::vector<sca::LastRoundBitModel> models;
   models.reserve(kBytes);
-  for (std::size_t j = 0; j < kBytes; ++j) {
-    models.emplace_back(j, cfg_.target_bit);
-  }
   const crypto::Block lrk = setup_.victim().cipher().last_round_key();
   for (std::size_t j = 0; j < kBytes; ++j) {
+    models.emplace_back(j, cfg_.target_bit);
     result.bytes[j].correct = models[j].correct_guess(lrk);
   }
 
-  // Created before bit resolution so the fingerprint hashes the
-  // requested endpoint bit (see run()).
-  std::unique_ptr<store::TraceStoreWriter> store_writer;
-  if (!cfg_.store_out.empty()) {
-    SLM_REQUIRE(!cfg_.resume,
-                "store_out: cannot combine with resume — traces captured "
-                "before the snapshot would be missing from the store");
-    store_writer = std::make_unique<store::TraceStoreWriter>(
-        cfg_.store_out, store_identity(store::StoreKind::kFullKey, cfg_.traces));
-  }
-
+  // Created before bit resolution (see run_shards).
+  const auto store_writer = open_store(store::StoreKind::kFullKey, shard_count);
   {
-    const auto sel_start = std::chrono::steady_clock::now();
-    std::optional<obs::CampaignObserver::Span> span;
-    if (ob != nullptr) span.emplace(ob->span("selection"));
     CampaignResult scratch;
-    resolve_sensor_bits(&scratch);
+    result.selection_seconds = timed_selection(&scratch);
     result.bits_of_interest = std::move(scratch.bits_of_interest);
-    result.selection_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      sel_start)
-            .count();
   }
   result.single_bit = cfg_.single_bit;
   if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
 
-  auto checkpoints = checkpoint_schedule(cfg_.checkpoints, cfg_.traces);
-  std::size_t next_cp = 0;
-
-  const RngContract contract = resolve_contract(cfg_.rng_contract);
-  const bool v2 = contract == RngContract::kV2;
-  result.rng_contract = contract;
-
-  // The fused path always accumulates through MultiByteCpa — folding 16
-  // reference CpaEngines per trace would defeat the point — so
-  // compiled_kernels only selects the sensor read path here. Both sensor
-  // paths produce bit-identical readings (the property suite pins it),
-  // and the per-byte class sums are bit-identical to a standalone
-  // XorClassCpa / reference CpaEngine fed the same stream.
-  const bool fast = cfg_.compiled_kernels;
-  const SensorPlan plan =
-      fast ? make_sensor_plan(result.bits_of_interest) : SensorPlan{};
-
+  const CapturePlan plan = capture_plan(result.bits_of_interest);
+  result.block_size = plan.block;
   const std::size_t samples = sample_times_.size();
-  sca::MultiByteCpa acc(samples);
-  Xoshiro256 rng(cfg_.seed);
-  crypto::AesDatapathModel::RegisterSnapshot v2_regs{};
+  std::vector<Shard<sca::MultiByteCpa>> shards(
+      shard_count, Shard<sca::MultiByteCpa>(samples));
 
   // Per-byte early-exit bookkeeping (restored verbatim on resume so a
   // resumed run freezes the same bytes at the same checkpoints).
@@ -1169,122 +989,30 @@ FullKeyRunResult CpaCampaign::run_fullkey(const FullKeyConfig& fk) {
     std::size_t prev_best = 256;  // 256 = no previous checkpoint yet
   };
   std::array<ByteState, kBytes> state;
-
-  std::size_t start_t = 1;
-  const bool snapshotting = !cfg_.checkpoint_dir.empty();
-  if (cfg_.resume && snapshotting) {
-    if (auto ck = load_checkpoint(cfg_.checkpoint_dir)) {
-      require_checkpoint_matches(*ck, cfg_, 1, samples,
-                                 static_cast<std::uint32_t>(contract),
-                                 /*fullkey=*/true);
-      const CheckpointShard& sh = ck->shard_state[0];
-      SLM_REQUIRE(sh.has_fence == fence_.has_value(),
-                  "resume: fence configuration differs from snapshot");
-      if (!v2) {
-        rng.set_state(sh.rng);
-        setup_.victim().restore_registers(sh.victim);
-        if (fence_) fence_->set_rng_state(sh.fence_rng);
-      }
-      ByteReader accr(sh.accumulator.data(), sh.accumulator.size());
-      acc.load(accr);
-      SLM_REQUIRE(accr.done(), "resume: trailing accumulator bytes");
-      for (std::size_t j = 0; j < kBytes; ++j) {
-        const FullKeyByteCheckpoint& fb = ck->fullkey_bytes[j];
-        state[j].converged = fb.converged;
-        state[j].stable = static_cast<std::size_t>(fb.stable);
-        state[j].prev_best = static_cast<std::size_t>(fb.prev_best);
-        result.bytes[j].progress = fb.progress;
-        if (fb.converged) {
-          FullKeyByteResult& br = result.bytes[j];
-          br.recovered = fb.recovered;
-          br.traces = static_cast<std::size_t>(fb.frozen_traces);
-          br.final_max_abs_corr = fb.frozen_corr;
-          br.early_exited = true;
-          br.success = br.recovered == br.correct;
-        }
-      }
-      result.resumed_from = static_cast<std::size_t>(ck->traces_done);
-      start_t = result.resumed_from + 1;
-      if (v2 && result.resumed_from > 0) {
-        const std::size_t g = result.resumed_from - 1;
-        Xoshiro256 prev =
-            Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g);
-        crypto::Block prev_pt;
-        for (auto& b : prev_pt) b = static_cast<std::uint8_t>(prev.next());
-        v2_regs = setup_.victim().registers_after(prev_pt, g);
-      }
-      while (next_cp < checkpoints.size() &&
-             checkpoints[next_cp] <= result.resumed_from) {
-        ++next_cp;
-      }
-      log_info() << "fullkey: resumed from "
-                 << checkpoint_file(cfg_.checkpoint_dir) << " at trace "
-                 << result.resumed_from << "/" << cfg_.traces;
-      if (ob != nullptr) {
-        ob->metrics().add("slm.checkpoint.resumes_total");
-        ob->event("resume",
-                  obs::JsonWriter()
-                      .field("traces_done",
-                             static_cast<std::uint64_t>(result.resumed_from))
-                      .field("path", checkpoint_file(cfg_.checkpoint_dir)));
+  if (const auto ck = load_resume(shard_count, true)) {
+    load_shards(*ck, shards);
+    for (std::size_t j = 0; j < kBytes; ++j) {
+      const FullKeyByteCheckpoint& fb = ck->fullkey_bytes[j];
+      state[j].converged = fb.converged;
+      state[j].stable = static_cast<std::size_t>(fb.stable);
+      state[j].prev_best = static_cast<std::size_t>(fb.prev_best);
+      FullKeyByteResult& br = result.bytes[j];
+      br.progress = fb.progress;
+      if (fb.converged) {
+        br.recovered = fb.recovered;
+        br.traces = static_cast<std::size_t>(fb.frozen_traces);
+        br.final_max_abs_corr = fb.frozen_corr;
+        br.early_exited = true;
+        br.success = br.recovered == br.correct;
       }
     }
+    result.resumed_from = static_cast<std::size_t>(ck->traces_done);
   }
+  note_run_start(shard_count, plan.block, true, result.resumed_from);
 
-  const std::size_t block = resolve_block(cfg_.block);
-  const bool simd = resolve_simd(cfg_.simd);
-  result.block_size = block;
-  const bool blocked = block > 1;
-  const bool defer_hw = blocked && fast && plan.batched &&
-                        cfg_.mode == SensorMode::kBenignHw;
-  const std::size_t dps = plan.hw.draws_per_sample;
-  const std::size_t ncyc = response_.cycle_count();
-  const double coupling = setup_.effective_coupling();
-  const double env_noise_v = setup_.calibration().env_noise_v;
-
-  if (ob != nullptr) {
-    ob->metrics().set("slm.campaign.traces_target",
-                      static_cast<double>(cfg_.traces));
-    ob->metrics().set("slm.kernel.block_size", static_cast<double>(block));
-    ob->metrics().set("slm.fullkey.bytes_total",
-                      static_cast<double>(kBytes));
-    ob->event("run_start",
-              obs::JsonWriter()
-                  .field("mode", sensor_mode_name(cfg_.mode))
-                  .field("fullkey", true)
-                  .field("traces", static_cast<std::uint64_t>(cfg_.traces))
-                  .field("seed", static_cast<std::uint64_t>(cfg_.seed))
-                  .field("threads", static_cast<std::uint64_t>(1))
-                  .field("compiled", fast)
-                  .field("block", static_cast<std::uint64_t>(block))
-                  .field("rng_contract", rng_contract_name(contract))
-                  .field("resumed_from",
-                         static_cast<std::uint64_t>(result.resumed_from)));
-  }
-
-  const bool timed = ob != nullptr;
-  double kernel_s = 0.0;
-  double cpa_s = 0.0;
   double ckpt_io_s = 0.0;
-  std::size_t seg_traces = start_t - 1;
+  std::size_t seg_traces = result.resumed_from;
   double seg_time = timed ? obs::monotonic_seconds() : 0.0;
-
-  std::vector<double> v;
-  std::vector<double> y(samples);
-  std::vector<double> vblk;
-  std::vector<double> zblk;
-  std::vector<double> icblk;
-  std::vector<double> zvblk;
-  std::vector<double> yblk(block * samples);
-  std::vector<std::uint8_t> clsv(block * kBytes);
-  std::vector<std::uint8_t> clsb(block * kBytes);
-  if (defer_hw) {
-    vblk.resize(block * samples);
-    zblk.resize(block * samples * dps);
-    icblk.resize(ncyc * block);
-    zvblk.resize(block * samples);
-  }
-
   // Count of converged bytes, for the checkpoint event and so the fold
   // loop can cheaply skip frozen bytes.
   std::size_t converged_count = 0;
@@ -1292,109 +1020,38 @@ FullKeyRunResult CpaCampaign::run_fullkey(const FullKeyConfig& fk) {
     if (s.converged) ++converged_count;
   }
 
-  std::size_t t = start_t;
-  while (t <= cfg_.traces) {
-    while (next_cp < checkpoints.size() && checkpoints[next_cp] < t) {
-      ++next_cp;
-    }
-    std::size_t limit = cfg_.traces;
-    if (next_cp < checkpoints.size() && checkpoints[next_cp] < limit) {
-      limit = checkpoints[next_cp];
-    }
-    const std::size_t bn = std::min(block, limit - t + 1);
+  std::optional<ThreadPool> owned_pool;
+  ThreadPool* const pool = shard_pool(shard_count, cfg_.pool, &owned_pool);
+  const auto fold = [&](Shard<sca::MultiByteCpa>& sh, std::size_t bn) {
+    label_block(models, bn, sh.buf);
+    sh.acc.add_block(sh.buf.cls_v.data(), sh.buf.cls_b.data(),
+                     sh.buf.y.data(), bn);
+  };
+  std::size_t covered = result.resumed_from;
+  for (const std::size_t cp :
+       checkpoint_schedule(cfg_.checkpoints, cfg_.traces)) {
+    if (cp <= result.resumed_from) continue;
+    capture_segment(pool, plan, shards, covered, cp, store_writer.get(), fold);
+    covered = cp;
 
-    const double t0 = timed ? obs::monotonic_seconds() : 0.0;
-    // Generation pass: identical RNG consumption and expression order to
-    // run()'s generation pass — the stream never depends on the model,
-    // only the class labels (16 per trace here instead of 1) do.
-    for (std::size_t b = 0; b < bn; ++b) {
-      std::optional<Xoshiro256> rng_t;
-      std::optional<Xoshiro256> frng;
-      Xoshiro256* r = &rng;
-      Xoshiro256* fr = nullptr;
-      if (v2) {
-        const std::size_t g = t - 1 + b;
-        rng_t.emplace(
-            Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g));
-        r = &*rng_t;
-        if (fence_) {
-          frng.emplace(fence_->trace_rng(g));
-          fr = &*frng;
-        }
-      }
-      crypto::Block pt;
-      for (auto& pb : pt) pb = static_cast<std::uint8_t>(r->next());
-      const auto enc =
-          v2 ? setup_.victim().encrypt_stateless(pt, t - 1 + b, v2_regs)
-             : setup_.victim().encrypt(pt);
-      if (defer_hw) {
-        defense::ActiveFence* fence = fence_ ? &*fence_ : nullptr;
-        for (std::size_t c = 0; c < ncyc; ++c) {
-          double i = enc.cycle_current[c];
-          if (fence != nullptr) {
-            i += fr != nullptr ? fence->cycle_current(*fr)
-                               : fence->next_cycle_current();
-          }
-          i *= coupling;
-          icblk[c * block + b] = i;
-        }
-        FastNormal::instance().fill(*r, zvblk.data() + b * samples, samples);
-        FastNormal::instance().fill(*r, zblk.data() + b * samples * dps,
-                                    samples * dps);
-      } else {
-        make_voltages(enc, *r, v, fence_ ? &*fence_ : nullptr, fr);
-        if (fast) {
-          read_sensor_fast(plan, v, result.bits_of_interest, *r, y);
-        } else {
-          read_sensor(v, result.bits_of_interest, *r, y);
-        }
-        std::copy(y.begin(), y.end(), yblk.begin() + b * samples);
-      }
-      for (std::size_t j = 0; j < kBytes; ++j) {
-        clsv[b * kBytes + j] = models[j].class_value(enc.ciphertext);
-        clsb[b * kBytes + j] = models[j].class_bit(enc.ciphertext);
-      }
-      if (store_writer) {
-        store_writer->record_meta(t - 1 + b, pt, enc.ciphertext);
-      }
-    }
-    // Compute pass: RNG-free block kernels, then one fused accumulate.
-    if (defer_hw) {
-      response_.voltages_block(icblk.data(), bn, block, vblk.data(), simd);
-      for (std::size_t i = 0; i < bn * samples; ++i) {
-        vblk[i] += 0.0 + env_noise_v * zvblk[i];
-      }
-      setup_.sensor().toggle_hw_block(plan.hw, vblk.data(), bn * samples,
-                                      zblk.data(), yblk.data(), simd);
-    }
-    const double t1 = timed ? obs::monotonic_seconds() : 0.0;
-    acc.add_block(clsv.data(), clsb.data(), yblk.data(), bn);
-    if (store_writer) {
-      store_writer->record_readings_block(t - 1, yblk.data(), bn);
-    }
-    if (timed) {
-      const double t2 = obs::monotonic_seconds();
-      kernel_s += t1 - t0;
-      cpa_s += t2 - t1;
-      if (blocked) {
-        ob->metrics().add("slm.kernel.blocks_total");
-        ob->metrics().observe("slm.kernel.block_kernel_seconds", t1 - t0);
-        ob->metrics().observe("slm.kernel.block_cpa_seconds", t2 - t1);
-      }
-    }
-    t += bn;
-    const std::size_t done = t - 1;
-
-    while (next_cp < checkpoints.size() && done == checkpoints[next_cp]) {
-      const double f0 = timed ? obs::monotonic_seconds() : 0.0;
+    // Merge in fixed shard order, then run the per-byte folds and the
+    // early-exit state machine on the coordinator.
+    {
+      std::optional<obs::CampaignObserver::Span> span;
+      if (ob != nullptr) span.emplace(ob->span("merge"));
+      const double m0 = timed ? obs::monotonic_seconds() : 0.0;
+      std::optional<sca::MultiByteCpa> scratch;
+      const sca::MultiByteCpa& merged = merged_acc(shards, scratch, samples);
+      result.traces_run = merged.trace_count();
       for (std::size_t j = 0; j < kBytes; ++j) {
         if (state[j].converged) continue;
-        const sca::CpaEngine folded = acc.fold(j, models[j].pattern().data());
+        const sca::CpaEngine folded =
+            merged.fold(j, models[j].pattern().data());
         sca::CpaProgressPoint p =
             sca::snapshot_progress(folded, result.bytes[j].correct);
         const double margin = sca::winner_margin(p);
         const bool qualify = fk.early_exit &&
-                             done >= fk.early_exit_min_traces &&
+                             cp >= fk.early_exit_min_traces &&
                              state[j].prev_best == p.best_guess &&
                              margin >= fk.early_exit_margin;
         if (qualify) {
@@ -1410,167 +1067,90 @@ FullKeyRunResult CpaCampaign::run_fullkey(const FullKeyConfig& fk) {
           state[j].converged = true;
           ++converged_count;
           br.recovered = static_cast<std::uint8_t>(fp.best_guess);
-          br.traces = done;
+          br.traces = cp;
           br.final_max_abs_corr = fp.max_abs_corr;
           br.early_exited = true;
           br.success = br.recovered == br.correct;
           if (ob != nullptr) {
             ob->metrics().add("slm.fullkey.converged_total");
             ob->metrics().observe("slm.fullkey.convergence_traces",
-                                  static_cast<double>(done));
+                                  static_cast<double>(cp));
             ob->event("fullkey_byte_converged",
                       obs::JsonWriter()
                           .field("byte", static_cast<std::uint64_t>(j))
-                          .field("traces", static_cast<std::uint64_t>(done))
+                          .field("traces", static_cast<std::uint64_t>(cp))
                           .field("guess",
                                  static_cast<std::uint64_t>(br.recovered))
                           .field("margin", margin));
           }
         }
       }
-      if (timed) cpa_s += obs::monotonic_seconds() - f0;
-
-      if (ob != nullptr) {
-        const double now = obs::monotonic_seconds();
-        const double seg_rate =
-            now > seg_time
-                ? static_cast<double>(done - seg_traces) / (now - seg_time)
-                : 0.0;
-        ob->metrics().add("slm.campaign.checkpoints_total");
-        ob->metrics().set("slm.campaign.traces_done",
-                          static_cast<double>(done));
-        ob->metrics().set("slm.fullkey.bytes_converged",
-                          static_cast<double>(converged_count));
-        ob->metrics().observe("slm.campaign.segment_traces_per_sec",
-                              seg_rate);
-        ob->event("fullkey_checkpoint",
-                  obs::JsonWriter()
-                      .field("traces", static_cast<std::uint64_t>(done))
-                      .field("bytes_converged",
-                             static_cast<std::uint64_t>(converged_count))
-                      .field("bytes_active",
-                             static_cast<std::uint64_t>(kBytes -
-                                                        converged_count))
-                      .field("traces_per_sec", seg_rate));
-        seg_traces = done;
-        seg_time = now;
-      }
-
-      if (snapshotting) {
-        const double s0 = obs::monotonic_seconds();
-        CampaignCheckpoint ck;
-        ck.seed = cfg_.seed;
-        ck.total_traces = cfg_.traces;
-        ck.mode = static_cast<std::uint32_t>(cfg_.mode);
-        ck.shards = 1;
-        ck.samples = samples;
-        ck.target_key_byte = cfg_.target_key_byte;
-        ck.target_bit = cfg_.target_bit;
-        ck.single_bit = cfg_.single_bit;
-        ck.compiled = fast;
-        ck.block = block;
-        ck.rng_contract = static_cast<std::uint32_t>(contract);
-        ck.fullkey = true;
-        ck.traces_done = done;
-        CheckpointShard sh;
-        sh.position = done;
-        sh.has_fence = fence_.has_value();
-        if (!v2) {
-          sh.rng = rng.state();
-          sh.victim = setup_.victim().register_snapshot();
-          if (fence_) sh.fence_rng = fence_->rng_state();
-        }
-        ByteWriter accw;
-        acc.save(accw);
-        sh.accumulator = accw.bytes();
-        ck.shard_state.push_back(std::move(sh));
-        ck.fullkey_bytes.reserve(kBytes);
-        for (std::size_t j = 0; j < kBytes; ++j) {
-          FullKeyByteCheckpoint fb;
-          fb.converged = state[j].converged;
-          fb.stable = state[j].stable;
-          fb.prev_best = state[j].prev_best;
-          if (state[j].converged) {
-            fb.frozen_traces = result.bytes[j].traces;
-            fb.recovered = result.bytes[j].recovered;
-            fb.frozen_corr = result.bytes[j].final_max_abs_corr;
-          }
-          fb.progress = result.bytes[j].progress;
-          ck.fullkey_bytes.push_back(std::move(fb));
-        }
-        const std::size_t bytes = save_checkpoint(cfg_.checkpoint_dir, ck);
-        result.snapshot_path = checkpoint_file(cfg_.checkpoint_dir);
-        const double io = obs::monotonic_seconds() - s0;
-        ckpt_io_s += io;
-        if (ob != nullptr) {
-          ob->metrics().add("slm.checkpoint.snapshots_total");
-          ob->metrics().add("slm.checkpoint.bytes_total",
-                            static_cast<double>(bytes));
-          ob->metrics().observe("slm.checkpoint.write_seconds", io);
-          ob->event("snapshot",
-                    obs::JsonWriter()
-                        .field("traces", static_cast<std::uint64_t>(done))
-                        .field("bytes", static_cast<std::uint64_t>(bytes))
-                        .field("seconds", io)
-                        .field("path", result.snapshot_path));
-        }
-      }
-      ++next_cp;
-
-      if (cfg_.halt_after_traces > 0 && done >= cfg_.halt_after_traces) {
-        if (ob != nullptr) {
-          ob->event("halt",
-                    obs::JsonWriter()
-                        .field("traces", static_cast<std::uint64_t>(done))
-                        .field("path", result.snapshot_path));
-        }
-        throw CampaignHalted(done, result.snapshot_path);
-      }
+      if (timed) shards[0].cpa_s += obs::monotonic_seconds() - m0;
     }
+
+    if (ob != nullptr) {
+      const double seg_rate = segment_rate(cp, &seg_traces, &seg_time);
+      ob->metrics().add("slm.campaign.checkpoints_total");
+      ob->metrics().set("slm.campaign.traces_done", static_cast<double>(cp));
+      ob->metrics().set("slm.fullkey.bytes_converged",
+                        static_cast<double>(converged_count));
+      ob->metrics().observe("slm.campaign.segment_traces_per_sec", seg_rate);
+      ob->event("fullkey_checkpoint",
+                obs::JsonWriter()
+                    .field("traces", static_cast<std::uint64_t>(cp))
+                    .field("bytes_converged",
+                           static_cast<std::uint64_t>(converged_count))
+                    .field("bytes_active",
+                           static_cast<std::uint64_t>(kBytes -
+                                                      converged_count))
+                    .field("traces_per_sec", seg_rate)
+                    .raw("shard_traces", shard_positions(shards)));
+    }
+
+    if (!cfg_.checkpoint_dir.empty()) {
+      CampaignCheckpoint ck =
+          checkpoint_header(shard_count, plan.block, cp, true);
+      save_shards(shards, fence_.has_value(), ck);
+      ck.fullkey_bytes.reserve(kBytes);
+      for (std::size_t j = 0; j < kBytes; ++j) {
+        FullKeyByteCheckpoint fb;
+        fb.converged = state[j].converged;
+        fb.stable = state[j].stable;
+        fb.prev_best = state[j].prev_best;
+        if (state[j].converged) {
+          fb.frozen_traces = result.bytes[j].traces;
+          fb.recovered = result.bytes[j].recovered;
+          fb.frozen_corr = result.bytes[j].final_max_abs_corr;
+        }
+        fb.progress = result.bytes[j].progress;
+        ck.fullkey_bytes.push_back(std::move(fb));
+      }
+      write_snapshot(ck, &result.snapshot_path, &ckpt_io_s);
+    }
+    halt_if_due(cp, result.snapshot_path);
   }
 
-  // Final folds for the bytes that never froze.
-  {
-    const double f0 = timed ? obs::monotonic_seconds() : 0.0;
-    for (std::size_t j = 0; j < kBytes; ++j) {
-      if (state[j].converged) continue;
-      const sca::CpaEngine folded = acc.fold(j, models[j].pattern().data());
-      FullKeyByteResult& br = result.bytes[j];
-      if (br.progress.empty() ||
-          br.progress.back().traces != folded.trace_count()) {
-        br.progress.push_back(sca::snapshot_progress(folded, br.correct));
-      }
+  // Every byte that never froze got its final fold at the last
+  // checkpoint (the schedule always ends at cfg_.traces).
+  for (std::size_t j = 0; j < kBytes; ++j) {
+    FullKeyByteResult& br = result.bytes[j];
+    if (!state[j].converged) {
       const sca::CpaProgressPoint& fp = br.progress.back();
       br.recovered = static_cast<std::uint8_t>(fp.best_guess);
-      br.traces = folded.trace_count();
+      br.traces = fp.traces;
       br.final_max_abs_corr = fp.max_abs_corr;
       br.success = br.recovered == br.correct;
     }
-    if (timed) cpa_s += obs::monotonic_seconds() - f0;
-  }
-  for (std::size_t j = 0; j < kBytes; ++j) {
-    result.bytes[j].mtd = sca::estimate_mtd(result.bytes[j].progress);
+    br.mtd = sca::estimate_mtd(br.progress);
   }
 
   if (store_writer) finalize_trace_store(*store_writer, ob);
 
-  result.kernel_seconds = kernel_s;
-  result.cpa_seconds = cpa_s;
   result.checkpoint_io_seconds = ckpt_io_s;
-  if (ob != nullptr) {
-    ob->metrics().set("slm.campaign.kernel_seconds", kernel_s);
-    ob->metrics().set("slm.campaign.cpa_seconds", cpa_s);
-    ob->metrics().set("slm.campaign.checkpoint_io_seconds", ckpt_io_s);
-    ob->metrics().set("slm.campaign.selection_seconds",
-                      result.selection_seconds);
-  }
-
-  result.traces_run = acc.trace_count();
-  result.threads_used = 1;
-  result.capture_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  sum_phase_times(shards, &result.kernel_seconds, &result.cpa_seconds);
+  note_phase_times(ob, result);
+  result.threads_used = shard_count;
+  result.capture_seconds = seconds_since(wall_start);
   return result;
 }
 

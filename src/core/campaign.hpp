@@ -11,10 +11,12 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/setup.hpp"
 #include "defense/active_fence.hpp"
 #include "pdn/cycle_response.hpp"
@@ -48,28 +50,23 @@ enum class SensorMode {
 
 const char* sensor_mode_name(SensorMode m);
 
-/// RNG determinism contract of a campaign (DESIGN.md §7/§12).
-///
-/// v1 — sequential streams: each shard consumes one xoshiro stream in
-/// strict per-trace order, so results depend on (seed, thread count)
-/// and generation is a serial chain.
-///
-/// v2 (default) — counter-keyed per-trace streams: every trace's draws
-/// derive statelessly from (seed, domain, trace_index) via
-/// Xoshiro256::trace_stream, so results depend on the seed ALONE —
-/// bit-identical across any thread count, block size, and SIMD toggle —
-/// and generation parallelizes/pipelines freely.
+/// RNG determinism contract of a campaign (DESIGN.md §7/§12). Every
+/// trace's draws derive statelessly from (seed, domain, trace_index) via
+/// Xoshiro256::trace_stream, so results depend on the seed alone —
+/// bit-identical across any thread count, block size, and SIMD toggle.
+/// That is contract v2, the only one the engines run. The sequential-
+/// stream contract v1 is retired: its golden fixture stays as frozen
+/// data, checked by a test-side reference capture.
 enum class RngContract {
-  kDefault = 0,  ///< resolve via SLM_RNG_CONTRACT, else v2
-  kV1 = 1,
+  kDefault = 0,  ///< resolves to v2
+  kV1 = 1,       ///< retired; refused by resolve_contract
   kV2 = 2,
 };
 
 const char* rng_contract_name(RngContract c);
 
-/// CampaignConfig::rng_contract resolution: an explicit v1/v2 request
-/// wins, else the SLM_RNG_CONTRACT environment variable ("v1"/"1"/
-/// "v2"/"2"; anything else is a loud error), else kV2.
+/// CampaignConfig::rng_contract resolution: kDefault and kV2 resolve to
+/// kV2; kV1 is refused with an error naming its retirement.
 RngContract resolve_contract(RngContract requested);
 
 struct CampaignConfig {
@@ -109,21 +106,13 @@ struct CampaignConfig {
   /// defence; random_current_a = 0 disables it).
   defense::ActiveFenceConfig fence{};
 
-  /// Route capture and CPA accumulation through the compiled fast path
-  /// (timing::CompiledCapture batch kernels + sca::XorClassCpa). Results
-  /// are bit-identical to the reference path (OverclockedCapture +
-  /// CpaEngine::add_trace) — the property suite and the figure benches
-  /// enforce this — so the knob only trades speed; false forces the
-  /// reference implementation.
-  bool compiled_kernels = true;
-
   /// Trace-block size for the block-batched capture pipeline (see
-  /// DESIGN.md §11): traces are generated RNG-sequentially, then the
-  /// RNG-free kernels (PackedToggleSubset::hw_block, XorClassCpa::
-  /// add_block / CpaEngine::add_traces) run over the whole block. 0 =
-  /// auto (SLM_BLOCK env var, else kDefaultBlockTraces); 1 reproduces
-  /// the exact per-trace loop. Blocks clamp at checkpoint edges, so any
-  /// value yields bit-identical results and snapshots.
+  /// DESIGN.md §11): each trace's draws come from its own counter-keyed
+  /// stream, then the RNG-free kernels (CycleResponseMatrix::
+  /// voltages_block, BenignSensorBank::toggle_hw_block, XorClassCpa::
+  /// add_block) run over the whole block. 0 = auto (SLM_BLOCK env var,
+  /// else kDefaultBlockTraces). Blocks clamp at checkpoint edges, so any
+  /// value — 1 included — yields bit-identical results and snapshots.
   std::size_t block = 0;
 
   /// Lane-parallel dispatch for the block kernels. false — or
@@ -137,10 +126,8 @@ struct CampaignConfig {
 
   std::uint64_t seed = 0xc0ffee;
 
-  /// RNG determinism contract (see RngContract above). kDefault resolves
-  /// through SLM_RNG_CONTRACT to v2; `--rng-contract v1` / kV1 reruns
-  /// the sequential-stream physics of the PR 4 era (golden fixtures,
-  /// old checkpoints). Checkpoints refuse cross-contract resume.
+  /// RNG determinism contract (see RngContract above): kDefault and kV2
+  /// run contract v2; the retired kV1 is refused.
   RngContract rng_contract = RngContract::kDefault;
 
   /// Optional observability hook (metrics, spans, JSONL events). Null is
@@ -156,9 +143,9 @@ struct CampaignConfig {
   std::string checkpoint_dir;
 
   /// Resume from `<checkpoint_dir>/campaign.ckpt` when it exists: the
-  /// campaign restores accumulators, RNG stream positions, victim
-  /// register history, and fence streams, then continues bit-exactly as
-  /// if never interrupted. Missing file = fresh start; corrupt file or
+  /// campaign restores the accumulators and progress, re-derives every
+  /// stream from (seed, trace index), and continues bit-exactly as if
+  /// never interrupted. Missing file = fresh start; corrupt file or
   /// mismatched configuration = loud error.
   bool resume = false;
 
@@ -180,8 +167,8 @@ struct CampaignConfig {
   /// ParallelCampaign shards over THIS pool instead of constructing a
   /// private one — the `slm serve` daemon multiplexes every tenant's
   /// campaigns over one shared core::ThreadPool this way. The pool's
-  /// size overrides the `threads` knob; under contract v2 the results
-  /// are bit-identical either way (thread count is repro-irrelevant).
+  /// size overrides the `threads` knob; the results are bit-identical
+  /// either way (thread count is repro-irrelevant).
   ThreadPool* pool = nullptr;
 };
 
@@ -202,9 +189,7 @@ struct CampaignResult {
   std::size_t single_bit = 0;
 
   /// Workers used and campaign wall time (selection pre-pass included),
-  /// for traces/sec reporting in the benches and the CLI. The serial
-  /// CpaCampaign::run fills threads_used = 1; ParallelCampaign overwrites
-  /// with its worker count and its own timer.
+  /// for traces/sec reporting in the benches and the CLI.
   unsigned threads_used = 0;
   double capture_seconds = 0.0;
 
@@ -213,18 +198,13 @@ struct CampaignResult {
   /// checkpoint headers report the block the campaign actually ran with.
   std::size_t block_size = 0;
 
-  /// Effective RNG determinism contract after --rng-contract /
-  /// SLM_RNG_CONTRACT resolution — run metadata like block_size, stamped
-  /// into bench JSON, CLI output, and the checkpoint header.
-  RngContract rng_contract = RngContract::kV2;
-
   /// Phase-time split, filled only when cfg.observer != nullptr (the
   /// per-trace timers are observer-gated to keep the disabled path
   /// untouched). kernel = victim + PDN + sensor capture; cpa =
-  /// accumulate / fold / merge; checkpoint_io = snapshot writes. In
-  /// sharded runs kernel/cpa sum worker-thread time (CPU seconds, not
-  /// wall clock). selection_seconds (the bits-of-interest pre-pass) is
-  /// coarse-grained and always filled.
+  /// accumulate / fold / merge; checkpoint_io = snapshot writes.
+  /// kernel/cpa sum worker-thread time over the shards (CPU seconds, not
+  /// wall clock, once there is more than one shard). selection_seconds
+  /// (the bits-of-interest pre-pass) is coarse-grained and always filled.
   double kernel_seconds = 0.0;
   double cpa_seconds = 0.0;
   double checkpoint_io_seconds = 0.0;
@@ -285,7 +265,6 @@ struct FullKeyRunResult {
   unsigned threads_used = 0;
   double capture_seconds = 0.0;
   std::size_t block_size = 0;
-  RngContract rng_contract = RngContract::kV2;
   double kernel_seconds = 0.0;
   double cpa_seconds = 0.0;
   double checkpoint_io_seconds = 0.0;
@@ -301,12 +280,19 @@ struct FullKeyRunResult {
   }
 };
 
+// Engine internals, defined in core/capture.hpp: the sensor dispatch
+// plan, the resolved per-run capture plan and one shard's block buffers.
+struct SensorPlan;
+struct CapturePlan;
+struct CaptureBuffers;
+
 class CpaCampaign {
  public:
   CpaCampaign(AttackSetup& setup, const CampaignConfig& cfg);
 
-  /// Run the full campaign.
-  CampaignResult run();
+  /// Run the full campaign: the one-shard case of the sharded engine
+  /// (ParallelCampaign), on the calling thread with no pool.
+  CampaignResult run() { return run_shards(1); }
 
   /// Run the fused full-key campaign: ONE capture stream (identical
   /// trace readings to run() under the same config, because generation
@@ -314,11 +300,11 @@ class CpaCampaign {
   /// (sca::MultiByteCpa), per-byte folds at checkpoints with optional
   /// early exit. cfg.target_key_byte is ignored; the sampling window
   /// must bracket every byte's leakage cycle (StealthyAttack::
-  /// fullkey_campaign_config builds such a config). Supports both RNG
-  /// contracts, checkpoints/resume/halt, and the block-batched pipeline;
-  /// the serial generate/compute overlap (SLM_PIPELINE) is not wired
-  /// into this path — use threads for full-key throughput.
-  FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {});
+  /// fullkey_campaign_config builds such a config). One shard on the
+  /// calling thread, like run().
+  FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {}) {
+    return run_fullkey_shards(1, fk);
+  }
 
   /// The sampling instants the campaign will use.
   const std::vector<double>& sample_times_ns() const { return sample_times_; }
@@ -338,44 +324,57 @@ class CpaCampaign {
   sca::WelchTTest run_tvla(std::size_t traces_per_population);
 
   /// The `SLMTRC1` fingerprint this campaign's capture would stamp into
-  /// a store of `traces` traces: (seed, resolved rng contract, trace
-  /// count, CRC-32 of the attack/sensor config). Replay builds the same
+  /// a store of `traces` traces: (seed, rng contract, trace count,
+  /// CRC-32 of the attack/sensor config). Replay builds the same
   /// identity from its own flags and refuses a store that differs.
   store::StoreIdentity store_identity(store::StoreKind kind,
                                       std::size_t traces) const;
 
  private:
-  friend class ParallelCampaign;  // reuses the capture path, shard-wise
-  friend class FabricWorker;      // same capture path over a trace range
+  friend class ParallelCampaign;  // runs the engines over more shards
+  friend class FabricWorker;      // same capture body over a trace range
 
-  void make_voltages(const crypto::AesDatapathModel::Encryption& enc,
-                     Xoshiro256& rng, std::vector<double>& v_out) {
-    make_voltages(enc, rng, v_out, fence_ ? &*fence_ : nullptr);
-  }
+  using Regs = crypto::AesDatapathModel::RegisterSnapshot;
 
-  /// Same physics with an explicit fence instance — sharded campaigns
-  /// give every worker its own stateful fence stream. Under contract v2
-  /// the caller passes `fence_rng`, the trace's counter-keyed fence
-  /// stream, and the fence instance is used statelessly; null keeps the
-  /// v1 sequential fence stream.
+  /// The byte and full-key engines: `shards` workers capture contiguous
+  /// chunks of every checkpoint segment and merge in fixed shard order
+  /// at each checkpoint. One shard runs on the calling thread; more run
+  /// over cfg_.pool, or a private pool of `shards` workers.
+  CampaignResult run_shards(unsigned shards);
+  FullKeyRunResult run_fullkey_shards(unsigned shards,
+                                      const FullKeyConfig& fk);
+
+  /// The capture body every engine runs: traces [g, g + bn) (bn <=
+  /// plan.block) from their counter-keyed streams — plaintext, victim
+  /// encryption, fence and noise draws, PDN voltages, sensor readings —
+  /// into buf.y and buf.ct, plus their rows in `store` when set. `regs`
+  /// carries the victim register chain from trace to trace.
+  void capture_block(const CapturePlan& plan, std::size_t g, std::size_t bn,
+                     Regs& regs, CaptureBuffers& buf,
+                     store::TraceStoreWriter* store) const;
+
+  /// Victim register state entering trace g (zero at g = 0): derivable
+  /// from trace g - 1 alone, because the state register is fully
+  /// overwritten every encryption.
+  Regs registers_before(std::size_t g) const;
+
+  /// Resolve the sensor plan and the block/SIMD knobs for a capture.
+  CapturePlan capture_plan(const std::vector<std::size_t>& bits) const;
+
+  /// Supply voltages at the sample instants for one encryption. Capture
+  /// passes `fence_rng`, the trace's counter-keyed fence stream; the
+  /// sequential pre-passes (selection, TDC stage, TVLA) pass null and
+  /// draw from the fence's own stream.
   void make_voltages(const crypto::AesDatapathModel::Encryption& enc,
                      Xoshiro256& rng, std::vector<double>& v_out,
-                     defense::ActiveFence* fence,
                      Xoshiro256* fence_rng = nullptr) const;
 
   /// Read the configured sensor at every sample voltage into `y`
-  /// (reference path: per-call sampling).
+  /// (per-call sampling).
   void read_sensor(const std::vector<double>& v,
                    const std::vector<std::size_t>& bits, Xoshiro256& rng,
                    std::vector<double>& y) const;
 
-  /// Precompiled dispatch for read_sensor_fast. Benign modes get a batch
-  /// plan; other modes fall back to the reference per-call loop.
-  struct SensorPlan {
-    sensors::BenignSensorBank::CompiledHwPlan hw;
-    sensors::BenignSensorBank::CompiledBitPlan bit;
-    bool batched = false;
-  };
   SensorPlan make_sensor_plan(const std::vector<std::size_t>& bits) const;
 
   /// Compiled read_sensor: bit-exact same readings and RNG consumption,
@@ -387,25 +386,46 @@ class CpaCampaign {
   /// Resolve kAutoBit / bits-of-interest before a capture loop.
   void resolve_sensor_bits(CampaignResult* result);
 
+  // Engine plumbing shared by run_shards and run_fullkey_shards.
+  std::unique_ptr<store::TraceStoreWriter> open_store(store::StoreKind kind,
+                                                      unsigned shards) const;
+  double timed_selection(CampaignResult* result);
+  std::optional<CampaignCheckpoint> load_resume(unsigned shards,
+                                                bool fullkey) const;
+  void note_run_start(unsigned shards, std::size_t block, bool fullkey,
+                      std::size_t resumed_from) const;
+  CampaignCheckpoint checkpoint_header(unsigned shards, std::size_t block,
+                                       std::size_t done, bool fullkey) const;
+  void write_snapshot(const CampaignCheckpoint& ck, std::string* path,
+                      double* io_seconds) const;
+  void halt_if_due(std::size_t done, const std::string& path) const;
+  template <class Shard, class Fold>
+  void capture_segment(ThreadPool* pool, const CapturePlan& plan,
+                       std::vector<Shard>& shards, std::size_t covered,
+                       std::size_t cp, store::TraceStoreWriter* store,
+                       const Fold& fold) const;
+
   AttackSetup& setup_;
   CampaignConfig cfg_;
   std::vector<double> sample_times_;
   pdn::CycleResponseMatrix response_;
-  std::optional<defense::ActiveFence> fence_;
+  /// Mutable: the sequential pre-passes advance the fence's own stream;
+  /// capture only ever uses it statelessly (trace_rng / cycle_current).
+  mutable std::optional<defense::ActiveFence> fence_;
 };
 
 /// Default log-spaced checkpoint schedule up to `traces`.
 std::vector<std::size_t> default_checkpoints(std::size_t traces);
 
-/// The sorted checkpoint schedule the serial engines fold at for this
-/// config: `requested` when non-empty, else default_checkpoints(traces).
-/// Store replay folds at the same counts to stay bit-identical.
+/// The one checkpoint-schedule rule: `requested` when non-empty, else
+/// default_checkpoints(traces); sorted, with 0 and anything above
+/// `traces` dropped, and always ending at `traces`. Every engine, store
+/// replay, the CLI and serve fold at exactly these counts.
 std::vector<std::size_t> checkpoint_schedule(
     const std::vector<std::size_t>& requested, std::size_t traces);
 
 /// Finalize a capture's trace-store writer and emit the slm.store.*
-/// write metrics and the store_write event (shared by the serial and
-/// sharded engines).
+/// write metrics and the store_write event (shared by every engine).
 void finalize_trace_store(store::TraceStoreWriter& writer,
                           obs::CampaignObserver* observer);
 

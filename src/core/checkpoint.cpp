@@ -189,14 +189,11 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& dir) {
 void require_checkpoint_matches(const CampaignCheckpoint& ck,
                                 const CampaignConfig& cfg,
                                 std::uint32_t shards, std::size_t samples,
-                                std::uint32_t rng_contract, bool fullkey) {
-  if (ck.rng_contract != rng_contract) {
-    const auto name = [](std::uint32_t c) {
-      return std::string("v") + std::to_string(c);
-    };
-    throw CheckpointContractMismatch(name(ck.rng_contract),
-                                     name(rng_contract));
-  }
+                                bool fullkey) {
+  if (ck.rng_contract != 2) throw CheckpointContractMismatch(ck.rng_contract);
+  SLM_REQUIRE(ck.compiled,
+              "resume: snapshot holds reference-kernel (compiled = 0) "
+              "accumulators; that capture path is retired — start fresh");
   SLM_REQUIRE(ck.fullkey == fullkey,
               ck.fullkey
                   ? "resume: snapshot is a full-key campaign — resume with "
@@ -220,9 +217,6 @@ void require_checkpoint_matches(const CampaignCheckpoint& ck,
               "resume: snapshot was taken for a different CPA target");
   SLM_REQUIRE(ck.single_bit == cfg.single_bit,
               "resume: snapshot was taken for a different sensor bit");
-  SLM_REQUIRE(ck.compiled == cfg.compiled_kernels,
-              "resume: snapshot was taken on the other kernel path "
-              "(SLM_COMPILED mismatch)");
   // ck.block is deliberately NOT checked: the trace-block size only tiles
   // the capture loop, so resuming under a different --block / SLM_BLOCK
   // still reproduces the uninterrupted run bit-for-bit (resume_test and

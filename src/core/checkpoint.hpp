@@ -1,7 +1,8 @@
 // Crash-safe campaign snapshots: everything a CPA campaign needs to
-// continue bit-exactly after a kill — per-shard CPA accumulator sums,
-// RNG stream positions, the victim model's register history, fence
-// noise-stream positions, and the progress curve so far.
+// continue bit-exactly after a kill — per-shard positions and CPA
+// accumulator sums and the progress curve so far. Every capture stream
+// re-derives from (seed, trace index), so no RNG state is saved; the
+// stream-state fields of the format stay zero.
 //
 // File format (docs/OBSERVABILITY.md documents it for operators):
 //
@@ -68,25 +69,24 @@ class CampaignHalted : public Error {
   std::string snapshot_path_;
 };
 
-/// Thrown on a cross-contract resume attempt: a snapshot written under
-/// one RNG determinism contract cannot continue under the other (the
-/// trace streams differ from the first draw), so this must fail loudly
-/// rather than silently diverge. The CLI maps it to its own exit code
-/// (6) so drills and operators can tell "wrong contract" apart from
-/// "halted" (5) or "key not recovered" (4).
+/// Thrown on resuming a snapshot written under another RNG contract
+/// than v2 — in practice the retired sequential-stream contract v1,
+/// whose trace streams no engine can continue. The CLI maps it to its
+/// own exit code (6) so drills and operators can tell "wrong contract"
+/// apart from "halted" (5) or "key not recovered" (4).
 class CheckpointContractMismatch : public Error {
  public:
-  CheckpointContractMismatch(const std::string& snapshot_contract,
-                             const std::string& run_contract)
-      : Error("resume: snapshot was written under RNG contract " +
-              snapshot_contract + " but this run uses " + run_contract +
-              " — rerun with --rng-contract " + snapshot_contract +
-              " (or start fresh)") {}
+  explicit CheckpointContractMismatch(std::uint32_t snapshot_contract)
+      : Error("resume: snapshot was written under RNG contract v" +
+              std::to_string(snapshot_contract) +
+              "; contract v1 (sequential streams) is retired and only v2 "
+              "snapshots resume — start fresh") {}
 };
 
-/// One shard's mutable capture state. `accumulator` is the opaque
-/// payload of CpaEngine::save (reference path) or XorClassCpa::save
-/// (compiled path) — the `compiled` header flag says which.
+/// One shard's capture state. `accumulator` is the opaque payload of
+/// XorClassCpa::save (MultiByteCpa::save for full-key snapshots); `rng`,
+/// `victim` and `fence_rng` held the retired contract v1's stream state
+/// and stay zero.
 struct CheckpointShard {
   std::uint64_t position = 0;  ///< traces this shard has captured
   std::array<std::uint64_t, 4> rng{};
@@ -127,6 +127,8 @@ struct CampaignCheckpoint {
   std::uint64_t target_key_byte = 0;
   std::uint64_t target_bit = 0;
   std::uint64_t single_bit = 0;
+  /// Always true: `false` marked the retired reference-kernel
+  /// (CpaEngine) accumulators, which resume refuses.
   bool compiled = true;
 
   /// Effective trace-block size of the run that wrote the snapshot —
@@ -135,10 +137,9 @@ struct CampaignCheckpoint {
   /// size never affects results, only how the loop is tiled.
   std::uint64_t block = 0;
 
-  /// RNG determinism contract of the run that wrote the snapshot (1 =
-  /// sequential streams, 2 = counter-keyed per-trace streams; see
-  /// core::RngContract and DESIGN.md §12). Resume REQUIRES a match —
-  /// unlike `block`, the contract changes every trace's draws.
+  /// RNG determinism contract of the run that wrote the snapshot (2 =
+  /// counter-keyed per-trace streams; 1 = the retired sequential
+  /// streams, which resume refuses). See DESIGN.md §12.
   std::uint32_t rng_contract = 2;
 
   /// Fused full-key snapshot (format version 4): the shard accumulators
@@ -170,16 +171,15 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& dir);
 struct CampaignConfig;
 
 /// Refuse to resume under a different configuration: seed, trace budget,
-/// sensor mode, shard count, sample count, CPA target, resolved single
-/// bit, kernel path, and RNG contract must all match the snapshot, or
-/// the resumed run would silently diverge from the uninterrupted one.
-/// `cfg.single_bit` must already be resolved (post resolve_sensor_bits)
-/// and `rng_contract` is the RESOLVED contract of this run (1 or 2) —
-/// a mismatch throws CheckpointContractMismatch.
+/// sensor mode, shard count, sample count, CPA target and resolved single
+/// bit must all match the snapshot, or the resumed run would silently
+/// diverge from the uninterrupted one. `cfg.single_bit` must already be
+/// resolved (post resolve_sensor_bits). A snapshot of a retired path —
+/// contract v1 (CheckpointContractMismatch) or the reference kernels
+/// (compiled = 0) — is refused by name.
 void require_checkpoint_matches(const CampaignCheckpoint& ck,
                                 const CampaignConfig& cfg,
                                 std::uint32_t shards, std::size_t samples,
-                                std::uint32_t rng_contract,
                                 bool fullkey = false);
 
 }  // namespace slm::core

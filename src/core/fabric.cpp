@@ -13,6 +13,7 @@
 #include "common/binio.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "core/capture.hpp"
 #include "core/checkpoint.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/observer.hpp"
@@ -23,13 +24,6 @@ namespace slm::core {
 namespace {
 
 constexpr char kSnapMagic[] = "SLMSNAP1";
-
-enum class AccKind { kEngine, kClass, kMulti };
-
-AccKind kind_of(const SnapshotIdentity& id) {
-  if (id.fullkey != 0) return AccKind::kMulti;
-  return id.compiled != 0 ? AccKind::kClass : AccKind::kEngine;
-}
 
 void put_identity(ByteWriter& out, const SnapshotIdentity& id) {
   out.put_u32(id.circuit);
@@ -187,8 +181,12 @@ AccumulatorSnapshot load_snapshot(const std::string& path) {
     ByteReader in(payload->data(), payload->size());
     snap.id = get_identity(in);
     SLM_REQUIRE(snap.id.rng_contract == 2,
-                "snapshot: fabric snapshots require RNG contract v2, file "
-                "claims v" + std::to_string(snap.id.rng_contract));
+                "snapshot: '" + path + "' was captured under RNG contract v" +
+                    std::to_string(snap.id.rng_contract) +
+                    "; contract v1 (sequential streams) is retired");
+    SLM_REQUIRE(snap.id.compiled != 0,
+                "snapshot: '" + path + "' holds a reference-kernel "
+                "(compiled = 0) accumulator; that capture path is retired");
     const std::uint32_t stored_fp = in.get_u32();
     SLM_REQUIRE(stored_fp == snap.id.fingerprint(),
                 "snapshot: config fingerprint does not match the identity "
@@ -258,7 +256,6 @@ AccumulatorSnapshot merge_snapshots(
       mismatch("CPA target");
     }
     if (o.single_bit != id.single_bit) mismatch("sensor bit");
-    if (o.compiled != id.compiled) mismatch("kernel path");
     if (o.fullkey != id.fullkey) mismatch("campaign kind (full-key flag)");
     if (!(o == id)) mismatch("config (fingerprint)");
   }
@@ -292,78 +289,42 @@ AccumulatorSnapshot merge_snapshots(
   AccumulatorSnapshot out;
   out.id = id;
   out.ranges = ledger.ranges();
-  ByteWriter acc_out;
-  switch (kind_of(id)) {
-    case AccKind::kMulti: {
-      sca::MultiByteCpa merged(samples);
-      sca::MultiByteCpa one(samples);
-      for (const AccumulatorSnapshot& part : parts) {
-        load_acc(one, part);
-        merged.merge(one);
-      }
-      merged.save(acc_out);
-      break;
+  const auto merge_all = [&](auto merged, auto one) {
+    for (const AccumulatorSnapshot& part : parts) {
+      load_acc(one, part);
+      merged.merge(one);
     }
-    case AccKind::kClass: {
-      sca::XorClassCpa merged(samples);
-      sca::XorClassCpa one(samples);
-      for (const AccumulatorSnapshot& part : parts) {
-        load_acc(one, part);
-        merged.merge(one);
-      }
-      merged.save(acc_out);
-      break;
-    }
-    case AccKind::kEngine: {
-      sca::CpaEngine merged(256, samples);
-      sca::CpaEngine one(256, samples);
-      for (const AccumulatorSnapshot& part : parts) {
-        load_acc(one, part);
-        merged.merge(one);
-      }
-      merged.save(acc_out);
-      break;
-    }
-  }
-  out.accumulator = acc_out.bytes();
+    ByteWriter acc_out;
+    merged.save(acc_out);
+    return acc_out.bytes();
+  };
+  out.accumulator =
+      id.fullkey != 0
+          ? merge_all(sca::MultiByteCpa(samples), sca::MultiByteCpa(samples))
+          : merge_all(sca::XorClassCpa(samples), sca::XorClassCpa(samples));
   return out;
 }
 
 sca::CpaEngine fold_snapshot_byte(const AccumulatorSnapshot& snap,
                                   std::size_t key_byte) {
   const std::size_t samples = static_cast<std::size_t>(snap.id.samples);
+  const sca::LastRoundBitModel model(key_byte, snap.id.target_bit);
   ByteReader in(snap.accumulator.data(), snap.accumulator.size());
-  switch (kind_of(snap.id)) {
-    case AccKind::kMulti: {
-      SLM_REQUIRE(key_byte < sca::MultiByteCpa::kBytes,
-                  "fold: key byte out of range");
-      sca::MultiByteCpa mb(samples);
-      mb.load(in);
-      SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
-      sca::LastRoundBitModel model(key_byte, snap.id.target_bit);
-      return mb.fold(key_byte, model.pattern().data());
-    }
-    case AccKind::kClass: {
-      SLM_REQUIRE(key_byte == snap.id.target_key_byte,
-                  "fold: single-byte snapshot targets key byte " +
-                      std::to_string(snap.id.target_key_byte));
-      sca::XorClassCpa cls(samples);
-      cls.load(in);
-      SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
-      sca::LastRoundBitModel model(key_byte, snap.id.target_bit);
-      return cls.fold(model.pattern().data());
-    }
-    case AccKind::kEngine:
-    default: {
-      SLM_REQUIRE(key_byte == snap.id.target_key_byte,
-                  "fold: single-byte snapshot targets key byte " +
-                      std::to_string(snap.id.target_key_byte));
-      sca::CpaEngine engine(256, samples);
-      engine.load(in);
-      SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
-      return engine;
-    }
+  if (snap.id.fullkey != 0) {
+    SLM_REQUIRE(key_byte < sca::MultiByteCpa::kBytes,
+                "fold: key byte out of range");
+    sca::MultiByteCpa mb(samples);
+    mb.load(in);
+    SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
+    return mb.fold(key_byte, model.pattern().data());
   }
+  SLM_REQUIRE(key_byte == snap.id.target_key_byte,
+              "fold: single-byte snapshot targets key byte " +
+                  std::to_string(snap.id.target_key_byte));
+  sca::XorClassCpa cls(samples);
+  cls.load(in);
+  SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
+  return cls.fold(model.pattern().data());
 }
 
 FabricWorker::FabricWorker(AttackSetup& setup, const CampaignConfig& cfg,
@@ -372,12 +333,7 @@ FabricWorker::FabricWorker(AttackSetup& setup, const CampaignConfig& cfg,
 
 const SnapshotIdentity& FabricWorker::identity() {
   if (resolved_) return id_;
-  const RngContract contract =
-      resolve_contract(campaign_.cfg_.rng_contract);
-  SLM_REQUIRE(contract == RngContract::kV2,
-              "fabric: shard workers require RNG contract v2 (counter-keyed "
-              "per-trace streams) — a v1 sequential stream cannot start "
-              "mid-sequence; rerun with --rng-contract v2");
+  (void)resolve_contract(campaign_.cfg_.rng_contract);
   // Selection pre-pass: deterministic from the config seed alone, so
   // every worker of the same campaign resolves identical bits — nothing
   // shard-specific leaks into the identity.
@@ -394,8 +350,8 @@ const SnapshotIdentity& FabricWorker::identity() {
   id_.target_key_byte = cfg.target_key_byte;
   id_.target_bit = cfg.target_bit;
   id_.single_bit = cfg.single_bit;
-  id_.compiled = cfg.compiled_kernels ? 1 : 0;
-  id_.rng_contract = static_cast<std::uint32_t>(contract);
+  id_.compiled = 1;
+  id_.rng_contract = static_cast<std::uint32_t>(RngContract::kV2);
   id_.fullkey = fullkey_ ? 1 : 0;
   resolved_ = true;
   return id_;
@@ -415,77 +371,21 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
   SLM_REQUIRE(!job.snapshot_out.empty(), "fabric: worker needs a snapshot path");
 
   obs::CampaignObserver* const ob = cfg.observer;
-  constexpr std::size_t kBytes = sca::MultiByteCpa::kBytes;
   const std::size_t samples = campaign_.sample_times_.size();
-
-  // Identical capture machinery to the sharded engine's v2 path, run
-  // single-threaded over [a, bEnd) — same streams, same FP expression
-  // order, so the accumulator content per trace index is byte-identical.
-  const std::size_t block = resolve_block(cfg.block);
-  const bool simd = resolve_simd(cfg.simd);
-  const bool blocked = block > 1;
-  const bool fast = cfg.compiled_kernels;
-  const CpaCampaign::SensorPlan plan =
-      fast ? campaign_.make_sensor_plan(bits_) : CpaCampaign::SensorPlan{};
-  const bool defer_hw = blocked && fast && plan.batched &&
-                        cfg.mode == SensorMode::kBenignHw;
-  const std::size_t dps = plan.hw.draws_per_sample;
-  const std::size_t ncyc = campaign_.response_.cycle_count();
-  const double coupling = setup_.effective_coupling();
-  const double env_noise_v = setup_.calibration().env_noise_v;
-
+  // The engines' capture body, single-threaded over [a, bEnd): the
+  // accumulator content per trace index is byte-identical to theirs.
+  const CapturePlan plan = campaign_.capture_plan(bits_);
   std::vector<sca::LastRoundBitModel> models;
   if (fullkey_) {
-    models.reserve(kBytes);
-    for (std::size_t j = 0; j < kBytes; ++j) {
+    for (std::size_t j = 0; j < sca::MultiByteCpa::kBytes; ++j) {
       models.emplace_back(j, cfg.target_bit);
     }
   } else {
     models.emplace_back(cfg.target_key_byte, cfg.target_bit);
   }
-  const auto label = [&](const crypto::Block& ct, std::uint8_t* v16,
-                         std::uint8_t* b16) {
-    for (std::size_t j = 0; j < kBytes; ++j) {
-      v16[j] = models[j].class_value(ct);
-      b16[j] = models[j].class_bit(ct);
-    }
-  };
-
-  sca::CpaEngine engine(256, samples);
   sca::XorClassCpa cls(samples);
   sca::MultiByteCpa mb(samples);
-
-  crypto::AesDatapathModel victim = setup_.victim();
-  std::optional<defense::ActiveFence> fence;
-  if (cfg.fence.random_current_a > 0.0 || cfg.fence.base_current_a > 0.0) {
-    // v2 derives fence draws per trace from the UNPERTURBED fence seed
-    // (ActiveFence::trace_rng) — same as every other v2 engine.
-    fence.emplace(cfg.fence);
-  }
-
-  std::vector<double> v;
-  std::vector<double> y;
-  std::vector<std::uint8_t> h;
-  std::vector<double> vblk;
-  std::vector<double> zblk;
-  std::vector<double> icblk;
-  std::vector<double> zvblk;
-  std::vector<double> yblk;
-  std::vector<std::uint8_t> clsv;
-  std::vector<std::uint8_t> clsb;
-  std::vector<std::uint8_t> hblk;
-  if (blocked) {
-    yblk.resize(block * samples);
-    clsv.resize(block * (fullkey_ ? kBytes : 1));
-    clsb.resize(block * (fullkey_ ? kBytes : 1));
-    if (defer_hw) {
-      vblk.resize(block * samples);
-      zblk.resize(block * samples * dps);
-      icblk.resize(ncyc * block);
-      zvblk.resize(block * samples);
-    }
-    if (!fast && !fullkey_) hblk.resize(block * 256);
-  }
+  CaptureBuffers buf;
 
   // Snapshot boundaries: the snapshot_every grid within the range, the
   // halt point (so the partial snapshot covers exactly [a, a+halt)),
@@ -517,18 +417,6 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
                   .field("snapshot_out", job.snapshot_out));
   }
 
-  // Incoming victim registers at the range start: derivable from the
-  // previous trace alone, exactly as in the sharded engine. The chain
-  // then persists across snapshot boundaries.
-  crypto::AesDatapathModel::RegisterSnapshot regs{};
-  if (a > 0) {
-    Xoshiro256 prev =
-        Xoshiro256::trace_stream(cfg.seed, kTraceDomainCapture, a - 1);
-    crypto::Block prev_pt;
-    for (auto& pb : prev_pt) pb = static_cast<std::uint8_t>(prev.next());
-    regs = victim.registers_after(prev_pt, a - 1);
-  }
-
   const auto write_snapshot = [&](std::uint64_t covered_end) {
     AccumulatorSnapshot snap;
     snap.id = id_;
@@ -536,10 +424,8 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
     ByteWriter acc;
     if (fullkey_) {
       mb.save(acc);
-    } else if (fast) {
-      cls.save(acc);
     } else {
-      engine.save(acc);
+      cls.save(acc);
     }
     snap.accumulator = acc.bytes();
     const double s0 = obs::monotonic_seconds();
@@ -561,101 +447,19 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
     return snap;
   };
 
+  // The victim register chain persists across snapshot boundaries.
+  CpaCampaign::Regs regs = campaign_.registers_before(a);
   AccumulatorSnapshot last_snap;
   std::uint64_t g = a;
   for (const std::uint64_t cp : bounds) {
     while (g < cp) {
-      const std::size_t bn =
-          blocked ? std::min<std::uint64_t>(block, cp - g) : 1;
-      for (std::size_t b = 0; b < bn; ++b) {
-        const std::uint64_t gb = g + b;
-        Xoshiro256 rng_t =
-            Xoshiro256::trace_stream(cfg.seed, kTraceDomainCapture, gb);
-        crypto::Block pt;
-        for (auto& pb : pt) pb = static_cast<std::uint8_t>(rng_t.next());
-        const auto enc = victim.encrypt_stateless(pt, gb, regs);
-        if (defer_hw) {
-          if (fence) {
-            Xoshiro256 frng = fence->trace_rng(gb);
-            for (std::size_t c = 0; c < ncyc; ++c) {
-              double cur = enc.cycle_current[c];
-              cur += fence->cycle_current(frng);
-              cur *= coupling;
-              icblk[c * block + b] = cur;
-            }
-          } else {
-            for (std::size_t c = 0; c < ncyc; ++c) {
-              double cur = enc.cycle_current[c];
-              cur *= coupling;
-              icblk[c * block + b] = cur;
-            }
-          }
-          FastNormal::instance().fill(rng_t, zvblk.data() + b * samples,
-                                      samples);
-          FastNormal::instance().fill(rng_t, zblk.data() + b * samples * dps,
-                                      samples * dps);
-        } else {
-          std::optional<Xoshiro256> frng;
-          Xoshiro256* fr = nullptr;
-          if (fence) {
-            frng.emplace(fence->trace_rng(gb));
-            fr = &*frng;
-          }
-          campaign_.make_voltages(enc, rng_t, v, fence ? &*fence : nullptr,
-                                  fr);
-          if (fast) {
-            campaign_.read_sensor_fast(plan, v, bits_, rng_t, y);
-          } else {
-            campaign_.read_sensor(v, bits_, rng_t, y);
-          }
-          if (!blocked) {
-            if (fullkey_) {
-              std::uint8_t v16[kBytes];
-              std::uint8_t b16[kBytes];
-              label(enc.ciphertext, v16, b16);
-              mb.add_trace(v16, b16, y);
-            } else if (fast) {
-              cls.add_trace(models[0].class_value(enc.ciphertext),
-                            models[0].class_bit(enc.ciphertext), y);
-            } else {
-              models[0].hypotheses(enc.ciphertext, h);
-              engine.add_trace(h, y);
-            }
-          } else {
-            std::copy(y.begin(), y.end(), yblk.begin() + b * samples);
-            if (!fast && !fullkey_) {
-              models[0].hypotheses(enc.ciphertext, h);
-              std::copy(h.begin(), h.end(), hblk.begin() + b * 256);
-            }
-          }
-        }
-        if (blocked) {
-          if (fullkey_) {
-            label(enc.ciphertext, clsv.data() + b * kBytes,
-                  clsb.data() + b * kBytes);
-          } else if (fast) {
-            clsv[b] = models[0].class_value(enc.ciphertext);
-            clsb[b] = models[0].class_bit(enc.ciphertext);
-          }
-        }
-      }
-      if (blocked) {
-        if (defer_hw) {
-          campaign_.response_.voltages_block(icblk.data(), bn, block,
-                                             vblk.data(), simd);
-          for (std::size_t k = 0; k < bn * samples; ++k) {
-            vblk[k] += 0.0 + env_noise_v * zvblk[k];
-          }
-          setup_.sensor().toggle_hw_block(plan.hw, vblk.data(), bn * samples,
-                                          zblk.data(), yblk.data(), simd);
-        }
-        if (fullkey_) {
-          mb.add_block(clsv.data(), clsb.data(), yblk.data(), bn);
-        } else if (fast) {
-          cls.add_block(clsv.data(), clsb.data(), yblk.data(), bn);
-        } else {
-          engine.add_traces(hblk.data(), yblk.data(), bn);
-        }
+      const std::size_t bn = std::min<std::uint64_t>(plan.block, cp - g);
+      campaign_.capture_block(plan, g, bn, regs, buf, nullptr);
+      label_block(models, bn, buf);
+      if (fullkey_) {
+        mb.add_block(buf.cls_v.data(), buf.cls_b.data(), buf.y.data(), bn);
+      } else {
+        cls.add_block(buf.cls_v.data(), buf.cls_b.data(), buf.y.data(), bn);
       }
       g += bn;
     }

@@ -5,8 +5,8 @@
 // snapshot merging, and a local multi-process coordinator that reissues
 // dead or incomplete shards' exact trace ranges. Because contract v2
 // derives every trace from (seed, trace_index) and the CPA accumulators
-// are integer-valued sums, a merged fabric run is byte-identical to the
-// serial engine for every split (tests/core/fabric_test.cpp,
+// are integer-valued sums, a merged fabric run is byte-identical to a
+// one-shard engine run for every split (tests/core/fabric_test.cpp,
 // tools/fabric_smoke.cmake).
 #pragma once
 
@@ -113,8 +113,8 @@ struct SnapshotIdentity {
   std::uint64_t target_key_byte = 0;
   std::uint64_t target_bit = 0;
   std::uint64_t single_bit = 0;    ///< resolved (post-selection) bit
-  std::uint8_t compiled = 0;
-  std::uint32_t rng_contract = 2;  ///< SLMSNAP1 requires v2
+  std::uint8_t compiled = 1;        ///< 0 = retired reference kernels
+  std::uint32_t rng_contract = 2;  ///< 1 = retired sequential streams
   std::uint8_t fullkey = 0;
 
   std::uint32_t fingerprint() const;
@@ -123,8 +123,8 @@ struct SnapshotIdentity {
 
 /// One shard's (or one merge's) worth of campaign state: identity,
 /// covered trace ranges, and the raw accumulator blob (MultiByteCpa for
-/// full-key, XorClassCpa on the compiled path, CpaEngine otherwise —
-/// the existing save/load formats, unchanged).
+/// full-key, XorClassCpa otherwise — the existing save/load formats,
+/// unchanged).
 struct AccumulatorSnapshot {
   SnapshotIdentity id;
   std::vector<TraceRange> ranges;       ///< sorted, disjoint
@@ -152,7 +152,7 @@ AccumulatorSnapshot merge_snapshots(
 
 /// Fold a snapshot's accumulator into per-guess CPA sums for one key
 /// byte (any byte for full-key snapshots; the snapshot's own target byte
-/// otherwise). Bit-identical to the serial engine's checkpoint fold.
+/// otherwise). Bit-identical to the engines' checkpoint fold.
 sca::CpaEngine fold_snapshot_byte(const AccumulatorSnapshot& snap,
                                   std::size_t key_byte);
 
@@ -179,7 +179,7 @@ class FabricWorker {
  public:
   /// `cfg` must be the exact campaign config of the serial run being
   /// distributed (StealthyAttack::byte_campaign_config /
-  /// fullkey_campaign_config build it). Requires contract v2.
+  /// fullkey_campaign_config build it).
   FabricWorker(AttackSetup& setup, const CampaignConfig& cfg, bool fullkey);
 
   /// The campaign identity (selection pre-pass runs on first call).

@@ -1,27 +1,15 @@
 // Sharded, deterministic, multi-threaded CPA campaigns.
 //
-// ParallelCampaign splits a trace budget across worker shards. Every
-// shard owns the mutable half of the capture pipeline — a copy of the
-// AES victim model, its own active-fence stream, an independent RNG
-// stream derived from (seed, shard_index) — and feeds a private
-// CpaEngine. The immutable half (netlists, sensors, the PDN response
-// matrix) is shared read-only. At every checkpoint the shard engines
-// are merged (the running sums are plain sums) and a CpaProgressPoint
-// is snapshotted, so the convergence curves of Figs. 9b-18b survive
-// sharding.
-//
-// Determinism contract (see DESIGN.md §7/§12):
-//   * contract v2 (default)          => bit-identical results for ANY
-//     thread count, block size, and SIMD toggle: every trace's draws
-//     derive statelessly from (seed, trace index), shards own
-//     contiguous chunks of the global trace sequence, and merges happen
-//     in fixed shard order over integer-exact sums;
-//   * contract v1 (--rng-contract v1):
-//       - same seed + same thread count => bit-identical, regardless of
-//         OS scheduling (shard i's traces depend only on (seed, i));
-//       - threads == 1                  => the exact legacy serial path;
-//       - different thread counts       => statistically equivalent but
-//         not bitwise identical (different shard streams).
+// ParallelCampaign splits every checkpoint segment of the global trace
+// sequence into contiguous per-shard chunks. Every trace's draws derive
+// statelessly from (seed, trace index), the capture path itself is
+// shared read-only (netlists, sensors, the PDN response matrix, the
+// victim model), and every shard feeds a private accumulator. At every
+// checkpoint the shard accumulators are merged in fixed shard order
+// over integer-exact sums and a CpaProgressPoint is snapshotted, so the
+// convergence curves of Figs. 9b-18b survive sharding bit for bit: the
+// results are identical for ANY thread count, block size, and SIMD
+// toggle (DESIGN.md §7/§12). One shard is CpaCampaign::run itself.
 #pragma once
 
 #include <cstdint>
@@ -53,35 +41,15 @@ class ThreadPool {
   /// exception (remaining tasks still drain).
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Asynchronous variant for producer/consumer pipelines: start
-  /// fn(0..n-1) on the workers and return immediately. The pool owns a
-  /// copy of `fn`, so the caller's callable may go out of scope; the
-  /// objects the callable references must outlive the batch (the
-  /// destructor joins an in-flight batch before the threads die). One
-  /// batch may be in flight at a time; submitting while busy is an
-  /// error.
-  void submit_indexed(std::size_t n, std::function<void(std::size_t)> fn);
-
-  /// Block until the submitted batch drains (no-op when nothing is in
-  /// flight); rethrows the first worker exception.
-  void wait();
-
  private:
   struct Impl;
   Impl* impl_;
 };
 
-/// Traces shard `shard` (of `shards`) has captured once `total` traces
-/// are done overall: round-robin assignment (trace t goes to shard
-/// t % shards), so per-shard positions grow monotonically through the
-/// checkpoint schedule and always sum to `total`.
-std::size_t shard_quota(std::size_t total, std::size_t shard,
-                        std::size_t shards);
-
 class ParallelCampaign {
  public:
-  /// `threads` = 0 picks hardware_concurrency; 1 runs the exact serial
-  /// CpaCampaign path.
+  /// `threads` = 0 picks hardware_concurrency; 1 runs the one-shard
+  /// engine on the calling thread, exactly CpaCampaign::run.
   ParallelCampaign(AttackSetup& setup, const CampaignConfig& cfg,
                    unsigned threads = 0);
 
@@ -92,19 +60,15 @@ class ParallelCampaign {
   CampaignResult run();
 
   /// Sharded fused full-key campaign: the shared capture stream is split
-  /// across worker shards exactly like run() (contract v2 = contiguous
-  /// per-checkpoint chunks, v1 = round-robin shard streams), each shard
-  /// feeds a private sca::MultiByteCpa, and the coordinator merges in
-  /// fixed shard order and runs the per-byte folds / early-exit logic at
-  /// checkpoints. threads <= 1 delegates to CpaCampaign::run_fullkey.
-  /// Under contract v2 results are bit-identical for any thread count,
-  /// block size, and SIMD toggle — and per byte to the farmed oracle.
+  /// across worker shards exactly like run(), each shard feeds a private
+  /// sca::MultiByteCpa, and the coordinator merges in fixed shard order
+  /// and runs the per-byte folds / early-exit logic at checkpoints.
+  /// Results are bit-identical for any thread count, block size, and
+  /// SIMD toggle — and per byte to 16 single-byte campaigns over the
+  /// same config.
   FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {});
 
  private:
-  CampaignResult run_sharded();
-  FullKeyRunResult run_fullkey_sharded(const FullKeyConfig& fk);
-
   AttackSetup& setup_;
   CampaignConfig cfg_;
   unsigned threads_;

@@ -107,7 +107,7 @@ class AesDatapathModel {
   /// contract v2 (registers start zeroed at trace 0). Because every
   /// register share is fully overwritten during rounds 0..10, the
   /// outgoing snapshot depends only on (plaintext, trace_index) — this
-  /// is what lets sharded/pipelined engines derive a chunk's incoming
+  /// is what lets the sharded engines derive a chunk's incoming
   /// register state from the previous trace alone.
   RegisterSnapshot registers_after(const Block& plaintext,
                                    std::uint64_t trace_index) const;

@@ -30,8 +30,8 @@ class ActiveFence {
  public:
   explicit ActiveFence(const ActiveFenceConfig& cfg);
 
-  /// Fence current for the next victim cycle (stateful RNG; determinism
-  /// contract v1 — consecutive traces share one sequential stream).
+  /// Fence current for the next victim cycle from the fence's own
+  /// sequential stream (the selection, TDC-stage and TVLA pre-passes).
   double next_cycle_current();
 
   /// Counter-indexed fence stream for determinism contract v2: the

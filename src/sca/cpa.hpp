@@ -172,7 +172,7 @@ class XorClassCpa {
 /// standalone XorClassCpa fed the same (v, b, y) stream would hold
 /// (exact int64 addition is order-free), so fold(byte, pattern) is
 /// bit-identical to the standalone engine's fold — the property the
-/// fused-vs-farmed equivalence tests pin.
+/// fused-vs-single-byte equivalence tests pin.
 class MultiByteCpa {
  public:
   static constexpr std::size_t kBytes = 16;

@@ -158,11 +158,10 @@ SliceOutcome run_fabric_slice(const QueuedJob& job,
   co.total_traces = spec.traces;
   co.shards = spec.fabric_shards;
   co.observer = job_ob;
-  co.worker_args = {"--circuit",      circuit_cli_name(spec.circuit),
-                    "--mode",         mode_cli_name(spec.mode),
-                    "--key-byte",     std::to_string(spec.key_byte),
-                    "--rng-contract", "v2",
-                    "--traces",       std::to_string(spec.traces)};
+  co.worker_args = {"--circuit",  circuit_cli_name(spec.circuit),
+                    "--mode",     mode_cli_name(spec.mode),
+                    "--key-byte", std::to_string(spec.key_byte),
+                    "--traces",   std::to_string(spec.traces)};
   const core::CoordinateResult cr = core::coordinate_local(co);
 
   const core::AccumulatorSnapshot merged = core::load_snapshot(cr.merged_path);
@@ -205,13 +204,11 @@ SliceOutcome run_analyze_slice(const QueuedJob& job,
   const std::size_t key_byte = static_cast<std::size_t>(id.target_key_byte);
 
   core::StealthyAttack attack(circuit);
-  core::CampaignConfig cfg =
+  const core::CampaignConfig cfg =
       kind == store::StoreKind::kFullKey
           ? attack.fullkey_campaign_config(n, mode)
           : attack.byte_campaign_config(
                 key_byte, kind == store::StoreKind::kTvla ? n / 2 : n, mode);
-  cfg.rng_contract = id.rng_contract == 1 ? core::RngContract::kV1
-                                          : core::RngContract::kV2;
   core::CpaCampaign campaign(attack.setup(), cfg);
   reader.identity().require_compatible(campaign.store_identity(kind, n),
                                        "serve analyze job " + spec.id);
@@ -266,7 +263,7 @@ std::uint64_t slice_halt_point(const JobSpec& spec, std::uint64_t traces_done,
     return 0;  // non-preemptible: no checkpoint support / own processes
   }
   const std::uint64_t want = traces_done + timeslice;
-  for (const std::size_t cp : core::default_checkpoints(spec.traces)) {
+  for (const std::size_t cp : core::checkpoint_schedule({}, spec.traces)) {
     if (cp >= want) {
       return cp >= spec.traces ? 0 : want;
     }

@@ -82,6 +82,11 @@ bool StoreIdentity::operator==(const StoreIdentity& other) const {
 void StoreIdentity::require_compatible(const StoreIdentity& expected,
                                        const std::string& context) const {
   if (*this == expected) return;
+  if (rng_contract == 1 && expected.rng_contract != 1) {
+    throw StoreMismatch(context + ": store was captured under RNG contract "
+                                  "v1 (sequential streams), which is "
+                                  "retired — recapture it");
+  }
   std::string diff;
   auto field = [&diff](const char* name, std::uint64_t got,
                        std::uint64_t want) {

@@ -57,14 +57,13 @@ enum class StoreKind : std::uint8_t {
 const char* store_kind_name(StoreKind k);
 
 /// The campaign fingerprint stamped into every store header. Two
-/// captures agree on every reading iff their identities agree (under
-/// contract v2; v1 readings additionally depend on the capturing
-/// thread count, which the layout records informationally).
+/// captures agree on every reading iff their identities agree (the
+/// capturing thread count is recorded informationally only).
 struct StoreIdentity {
   std::uint8_t kind = 0;          ///< StoreKind
   std::uint8_t circuit = 0;       ///< core::BenignCircuit value
   std::uint8_t mode = 0;          ///< core::SensorMode value
-  std::uint8_t rng_contract = 0;  ///< resolved contract: 1 or 2
+  std::uint8_t rng_contract = 0;  ///< 2; 1 = retired v1 capture
   std::uint64_t seed = 0;
   std::uint64_t trace_count = 0;
   std::uint64_t samples = 0;
@@ -84,7 +83,8 @@ struct StoreIdentity {
     return !(*this == other);
   }
 
-  /// Throws StoreMismatch naming every differing field.
+  /// Throws StoreMismatch naming every differing field, or naming the
+  /// retirement of contract v1 for a store captured under it.
   void require_compatible(const StoreIdentity& expected,
                           const std::string& context) const;
 };

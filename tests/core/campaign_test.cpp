@@ -4,10 +4,15 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/parallel.hpp"
+#include "reference_capture.hpp"
+#include "store/replay.hpp"
+#include "store/trace_store.hpp"
 
 namespace slm::core {
 namespace {
@@ -126,166 +131,134 @@ TEST(Campaign, AutoBitResolvesToSensitiveEndpoint) {
   EXPECT_LT(campaign.resolved_single_bit(), setup.sensor_bits());
 }
 
+void expect_matches_reference(const CampaignResult& r,
+                              const reference::Result& ref,
+                              const std::string& what) {
+  ASSERT_EQ(r.traces_run, ref.traces_run) << what;
+  EXPECT_EQ(r.recovered_guess, ref.recovered_guess) << what;
+  EXPECT_EQ(r.bits_of_interest, ref.bits_of_interest) << what;
+  EXPECT_EQ(r.single_bit, ref.single_bit) << what;
+  ASSERT_EQ(r.final_max_abs_corr, ref.final_max_abs_corr) << what;
+  ASSERT_EQ(r.progress.size(), ref.progress.size()) << what;
+  for (std::size_t i = 0; i < r.progress.size(); ++i) {
+    EXPECT_EQ(r.progress[i].traces, ref.progress[i].traces) << what;
+    EXPECT_EQ(r.progress[i].max_abs_corr, ref.progress[i].max_abs_corr)
+        << what;
+    EXPECT_EQ(r.progress[i].correct_rank, ref.progress[i].correct_rank)
+        << what;
+  }
+}
+
 // The trace-block size only tiles the capture loop — every block size
-// (including ones that straddle checkpoints and leave ragged tails) and
-// the forced-scalar kernel must reproduce the block=1 per-trace results
-// bit for bit, in both the blockable benign-HW mode and the TDC mode
-// whose reads stay per-trace inside the block loop.
-TEST(Campaign, BlockSizeInvariant) {
+// (block 1, ones that straddle checkpoints and leave ragged tails) and
+// the forced-scalar kernel must reproduce the reference capture's
+// per-trace loop bit for bit, in the blockable benign-HW mode, the TDC
+// mode whose reads stay per-trace inside the block loop, and the
+// batched single-bit benign mode.
+TEST(Campaign, BlockSizeMatchesReferenceCapture) {
   const auto cal = Calibration::paper_defaults();
   for (const SensorMode mode :
-       {SensorMode::kBenignHw, SensorMode::kTdcFull}) {
-    auto run_once = [&](std::size_t block, bool simd) {
-      AttackSetup setup(BenignCircuit::kAlu, cal);
-      CampaignConfig cfg = small_cfg(mode, 700);
-      cfg.checkpoints = {100, 500, 700};  // 64 and 48 straddle both
-      cfg.block = block;
-      cfg.simd = simd;
-      CpaCampaign campaign(setup, cfg);
-      return campaign.run();
-    };
-    const auto ref = run_once(1, true);
-    for (const std::size_t block : {5u, 48u, 64u, 1024u}) {
+       {SensorMode::kBenignHw, SensorMode::kTdcFull,
+        SensorMode::kBenignSingleBit}) {
+    CampaignConfig cfg = small_cfg(mode, 700);
+    cfg.checkpoints = {100, 500, 700};  // 64 and 48 straddle both
+    if (mode == SensorMode::kBenignSingleBit) {
+      cfg.single_bit = CampaignConfig::kAutoBit;
+    }
+    AttackSetup ref_setup(BenignCircuit::kAlu, cal);
+    const reference::Result ref = reference::capture(ref_setup, cfg);
+    for (const std::size_t block : {1u, 5u, 48u, 64u, 1024u}) {
       for (const bool simd : {true, false}) {
-        const auto r = run_once(block, simd);
+        AttackSetup setup(BenignCircuit::kAlu, cal);
+        cfg.block = block;
+        cfg.simd = simd;
+        const CampaignResult r = CpaCampaign(setup, cfg).run();
         EXPECT_EQ(r.block_size, block);
-        ASSERT_EQ(r.traces_run, ref.traces_run);
-        EXPECT_EQ(r.recovered_guess, ref.recovered_guess);
-        ASSERT_EQ(r.final_max_abs_corr, ref.final_max_abs_corr)
-            << sensor_mode_name(mode) << " block " << block << " simd "
-            << simd;
-        ASSERT_EQ(r.progress.size(), ref.progress.size());
-        for (std::size_t i = 0; i < r.progress.size(); ++i) {
-          EXPECT_EQ(r.progress[i].traces, ref.progress[i].traces);
-          EXPECT_EQ(r.progress[i].correct_corr,
-                    ref.progress[i].correct_corr);
-          EXPECT_EQ(r.progress[i].best_wrong_corr,
-                    ref.progress[i].best_wrong_corr);
-        }
+        expect_matches_reference(r, ref,
+                                 std::string(sensor_mode_name(mode)) +
+                                     " block " + std::to_string(block) +
+                                     " simd " + std::to_string(simd));
       }
     }
   }
 }
 
-// The v2 determinism contract: the seed alone pins the campaign.
-// Results must be bit-identical across ANY thread count, block size,
-// and SIMD toggle — including the serial pipelined producer/consumer
-// path (threads=1, blocked benign-HW) and the sharded chunked engine.
+// The determinism contract: the seed alone pins the campaign. Results
+// must match the reference capture bit for bit across ANY thread count,
+// block size, and SIMD toggle, with and without the active fence.
 TEST(Campaign, ThreadAndBlockInvariant) {
   const auto cal = Calibration::paper_defaults();
-  auto run_once = [&](SensorMode mode, unsigned threads, std::size_t block,
-                      bool simd, bool fence = false) {
-    AttackSetup setup(BenignCircuit::kAlu, cal);
+  auto cfg_for = [](SensorMode mode, std::size_t block, bool simd,
+                    bool fence) {
     CampaignConfig cfg = small_cfg(mode, 700);
     cfg.checkpoints = {100, 500, 700};
-    cfg.rng_contract = RngContract::kV2;
     cfg.block = block;
     cfg.simd = simd;
     if (fence) cfg.fence.random_current_a = 0.02;
-    ParallelCampaign campaign(setup, cfg, threads);
+    return cfg;
+  };
+  auto run_once = [&](SensorMode mode, unsigned threads, std::size_t block,
+                      bool simd, bool fence = false) {
+    AttackSetup setup(BenignCircuit::kAlu, cal);
+    ParallelCampaign campaign(setup, cfg_for(mode, block, simd, fence),
+                              threads);
     return campaign.run();
   };
-  auto expect_same = [](const CampaignResult& r, const CampaignResult& ref,
-                        const std::string& what) {
-    ASSERT_EQ(r.traces_run, ref.traces_run) << what;
-    EXPECT_EQ(r.recovered_guess, ref.recovered_guess) << what;
-    ASSERT_EQ(r.final_max_abs_corr, ref.final_max_abs_corr) << what;
-    ASSERT_EQ(r.progress.size(), ref.progress.size()) << what;
-    for (std::size_t i = 0; i < r.progress.size(); ++i) {
-      EXPECT_EQ(r.progress[i].traces, ref.progress[i].traces) << what;
-      EXPECT_EQ(r.progress[i].max_abs_corr, ref.progress[i].max_abs_corr)
-          << what;
-    }
+  auto reference_of = [&](SensorMode mode, bool fence) {
+    AttackSetup setup(BenignCircuit::kAlu, cal);
+    return reference::capture(setup, cfg_for(mode, 0, true, fence));
   };
   {
-    // Force the serial engine's generate/compute overlap on so the
-    // producer/consumer path is inside the grid even on a single-core
-    // CI machine (it normally gates on hardware_concurrency).
-    ::setenv("SLM_PIPELINE", "1", 1);
-    const auto ref = run_once(SensorMode::kBenignHw, 1, 1, true);
-    EXPECT_EQ(ref.rng_contract, RngContract::kV2);
+    const reference::Result ref = reference_of(SensorMode::kBenignHw, false);
     for (const unsigned threads : {1u, 2u, 4u}) {
       for (const std::size_t block : {1u, 48u, 64u}) {
-        const auto r = run_once(SensorMode::kBenignHw, threads, block, true);
-        expect_same(r, ref,
-                    "hw threads " + std::to_string(threads) + " block " +
-                        std::to_string(block));
+        expect_matches_reference(
+            run_once(SensorMode::kBenignHw, threads, block, true), ref,
+            "hw threads " + std::to_string(threads) + " block " +
+                std::to_string(block));
       }
     }
     // The SIMD toggle is also inside the contract.
-    expect_same(run_once(SensorMode::kBenignHw, 3, 64, false), ref,
-                "hw scalar");
-    // The pipeline gate itself must be bit-neutral: overlapped and
-    // non-overlapped serial runs produce the same accumulators.
-    ::setenv("SLM_PIPELINE", "0", 1);
-    expect_same(run_once(SensorMode::kBenignHw, 1, 64, true), ref,
-                "hw pipeline off");
-    ::unsetenv("SLM_PIPELINE");
+    expect_matches_reference(run_once(SensorMode::kBenignHw, 3, 64, false),
+                             ref, "hw scalar");
   }
   {
     // With the active fence on, the fence's per-trace streams are part
-    // of the contract too — across the pipelined producer, the
-    // non-pipelined blocked path, and the sharded engine.
-    ::setenv("SLM_PIPELINE", "1", 1);
-    const auto ref = run_once(SensorMode::kBenignHw, 1, 1, true, true);
-    expect_same(run_once(SensorMode::kBenignHw, 1, 64, true, true), ref,
-                "fenced hw pipelined block 64");
-    expect_same(run_once(SensorMode::kBenignHw, 3, 48, true, true), ref,
-                "fenced hw threads 3 block 48");
-    ::setenv("SLM_PIPELINE", "0", 1);
-    expect_same(run_once(SensorMode::kBenignHw, 1, 64, true, true), ref,
-                "fenced hw pipeline off");
-    ::unsetenv("SLM_PIPELINE");
+    // of the contract too.
+    const reference::Result ref = reference_of(SensorMode::kBenignHw, true);
+    expect_matches_reference(run_once(SensorMode::kBenignHw, 1, 64, true, true),
+                             ref, "fenced hw block 64");
+    expect_matches_reference(run_once(SensorMode::kBenignHw, 3, 48, true, true),
+                             ref, "fenced hw threads 3 block 48");
   }
   {
-    const auto ref = run_once(SensorMode::kTdcFull, 1, 1, true);
-    for (const unsigned threads : {2u, 4u}) {
-      expect_same(run_once(SensorMode::kTdcFull, threads, 64, true), ref,
-                  "tdc threads " + std::to_string(threads));
+    const reference::Result ref = reference_of(SensorMode::kTdcFull, false);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      expect_matches_reference(
+          run_once(SensorMode::kTdcFull, threads, 64, true), ref,
+          "tdc threads " + std::to_string(threads));
     }
   }
 }
 
 TEST(Campaign, ContractResolution) {
-  // Explicit requests win unconditionally.
-  EXPECT_EQ(resolve_contract(RngContract::kV1), RngContract::kV1);
-  EXPECT_EQ(resolve_contract(RngContract::kV2), RngContract::kV2);
-  // kDefault consults SLM_RNG_CONTRACT, else picks v2.
-  const char* saved = std::getenv("SLM_RNG_CONTRACT");
-  const std::string saved_s = saved != nullptr ? saved : "";
-  ::setenv("SLM_RNG_CONTRACT", "v1", 1);
-  EXPECT_EQ(resolve_contract(RngContract::kDefault), RngContract::kV1);
-  EXPECT_EQ(resolve_contract(RngContract::kV2), RngContract::kV2);
-  ::setenv("SLM_RNG_CONTRACT", "2", 1);
   EXPECT_EQ(resolve_contract(RngContract::kDefault), RngContract::kV2);
-  ::setenv("SLM_RNG_CONTRACT", "bogus", 1);
-  EXPECT_THROW((void)resolve_contract(RngContract::kDefault), slm::Error);
-  ::unsetenv("SLM_RNG_CONTRACT");
-  EXPECT_EQ(resolve_contract(RngContract::kDefault), RngContract::kV2);
-  if (saved != nullptr) ::setenv("SLM_RNG_CONTRACT", saved_s.c_str(), 1);
+  EXPECT_EQ(resolve_contract(RngContract::kV2), RngContract::kV2);
+  // The retired sequential-stream contract is refused, by name.
+  try {
+    (void)resolve_contract(RngContract::kV1);
+    FAIL() << "expected contract v1 to be refused";
+  } catch (const slm::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("v1"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("retired"), std::string::npos);
+  }
   EXPECT_STREQ(rng_contract_name(RngContract::kV1), "v1");
   EXPECT_STREQ(rng_contract_name(RngContract::kV2), "v2");
-}
 
-// v1 and v2 draw different randomness for the same seed, so their
-// results must differ bitwise while agreeing on the recovered byte.
-TEST(Campaign, ContractsDifferBitwiseAgreePhysically) {
-  const auto cal = Calibration::paper_defaults();
-  auto run_once = [&](RngContract contract) {
-    AttackSetup setup(BenignCircuit::kAlu, cal);
-    CampaignConfig cfg = small_cfg(SensorMode::kTdcFull, 4000);
-    cfg.rng_contract = contract;
-    CpaCampaign campaign(setup, cfg);
-    return campaign.run();
-  };
-  const auto v1 = run_once(RngContract::kV1);
-  const auto v2 = run_once(RngContract::kV2);
-  EXPECT_EQ(v1.rng_contract, RngContract::kV1);
-  EXPECT_EQ(v2.rng_contract, RngContract::kV2);
-  EXPECT_NE(v1.final_max_abs_corr, v2.final_max_abs_corr);
-  EXPECT_TRUE(v1.key_recovered);
-  EXPECT_TRUE(v2.key_recovered);
-  EXPECT_EQ(v1.recovered_guess, v2.recovered_guess);
+  AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
+  CampaignConfig cfg = small_cfg(SensorMode::kTdcFull, 100);
+  cfg.rng_contract = RngContract::kV1;
+  EXPECT_THROW((void)CpaCampaign(setup, cfg).run(), slm::Error);
 }
 
 TEST(Campaign, BlockResolutionPrecedence) {
@@ -328,6 +301,83 @@ TEST(DefaultCheckpoints, CoverAndTerminate) {
   EXPECT_TRUE(std::is_sorted(cps.begin(), cps.end()));
   const auto small = default_checkpoints(50);
   ASSERT_EQ(small.back(), 50u);
+}
+
+// checkpoint_schedule is the one schedule rule: sort, drop 0 and
+// anything above the budget, always end at the budget.
+TEST(CheckpointSchedule, NormalizesEveryRequest) {
+  struct Case {
+    std::vector<std::size_t> requested;
+    std::size_t traces;
+    std::vector<std::size_t> want;
+  };
+  const Case cases[] = {
+      {{100, 200, 300}, 300, {100, 200, 300}},
+      {{300, 100, 200}, 300, {100, 200, 300}},
+      {{100}, 300, {100, 300}},
+      {{0, 100}, 300, {100, 300}},
+      {{100, 500}, 300, {100, 300}},
+      {{500}, 300, {300}},
+      {{100, 100, 300}, 300, {100, 100, 300}},
+      {{}, 150, {100, 150}},
+      {{}, 50, {50}},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(checkpoint_schedule(c.requested, c.traces), c.want)
+        << "traces " << c.traces;
+  }
+}
+
+// A schedule that leaves out the budget: one shard, three shards and
+// store replay fold at the same points to the same values, and a halt
+// between checkpoints lands on the next one — the budget — with a
+// snapshot there.
+TEST(CheckpointSchedule, EnginesAgreeOnAScheduleWithoutTheBudget) {
+  const auto cal = Calibration::paper_defaults();
+  CampaignConfig cfg = small_cfg(SensorMode::kTdcFull, 300);
+  cfg.checkpoints = {100};
+  const std::string store_path = ::testing::TempDir() + "schedule.trc";
+  std::filesystem::remove(store_path);
+  std::vector<std::vector<sca::CpaProgressPoint>> runs;
+  for (const unsigned threads : {1u, 3u}) {
+    CampaignConfig c = cfg;
+    if (threads == 1) c.store_out = store_path;
+    AttackSetup setup(BenignCircuit::kAlu, cal);
+    runs.push_back(ParallelCampaign(setup, c, threads).run().progress);
+  }
+  {
+    const store::TraceStoreReader reader(store_path);
+    const sca::LastRoundBitModel model(cfg.target_key_byte, cfg.target_bit);
+    AttackSetup setup(BenignCircuit::kAlu, cal);
+    runs.push_back(
+        store::replay_attack(
+            reader, checkpoint_schedule(cfg.checkpoints, cfg.traces),
+            model.correct_guess(setup.victim().cipher().last_round_key()))
+            .progress);
+  }
+  std::filesystem::remove(store_path);
+  for (const auto& progress : runs) {
+    ASSERT_EQ(progress.size(), 2u);
+    EXPECT_EQ(progress[0].traces, 100u);
+    EXPECT_EQ(progress[1].traces, 300u);
+    for (std::size_t i = 0; i < progress.size(); ++i) {
+      EXPECT_EQ(progress[i].max_abs_corr, runs[0][i].max_abs_corr);
+    }
+  }
+
+  for (const unsigned threads : {1u, 3u}) {
+    CampaignConfig halting = cfg;
+    halting.checkpoint_dir = ::testing::TempDir() + "schedule_halt_" +
+                             std::to_string(threads);
+    halting.halt_after_traces = 250;
+    AttackSetup setup(BenignCircuit::kAlu, cal);
+    try {
+      (void)ParallelCampaign(setup, halting, threads).run();
+      ADD_FAILURE() << "expected CampaignHalted";
+    } catch (const CampaignHalted& halted) {
+      EXPECT_EQ(halted.traces(), 300u) << threads << " thread(s)";
+    }
+  }
 }
 
 TEST(SensorModeNames, AllDistinct) {

@@ -369,7 +369,7 @@ TEST(FabricWorkerTest, RejectsContractV1AndBadRanges) {
   FabricWorker v1(setup, cfg, false);
   EXPECT_THROW(v1.identity(), Error);
 
-  cfg.rng_contract = RngContract::kV2;
+  cfg.rng_contract = RngContract::kDefault;
   AttackSetup setup2(BenignCircuit::kAlu, Calibration::paper_defaults());
   FabricWorker worker(setup2, cfg, false);
   FabricJob job;

@@ -1,11 +1,11 @@
 // The fused full-key engine's acceptance bar: one shared capture pass
-// feeding all 16 byte folds must be bit-identical (a) per byte to the
-// farmed oracle — 16 independent single-byte campaigns over the SAME
-// shared config on fresh platform replicas — and (b) to itself for any
-// thread count, block size, and SIMD toggle under contract v2, and
-// (c) across a kill/resume pair on a full-key snapshot. Early exit may
-// only ever change WHEN a byte's answer is frozen, never what the
-// accumulators contain. See docs/FULLKEY.md.
+// feeding all 16 byte folds must be bit-identical (a) per byte to 16
+// independent single-byte campaigns over the SAME shared config on fresh
+// platform replicas, and to the reference capture; (b) to itself for any
+// thread count, block size, and SIMD toggle; and (c) across a kill/resume
+// pair on a full-key snapshot. Early exit may only ever change WHEN a
+// byte's answer is frozen, never what the accumulators contain. See
+// docs/FULLKEY.md.
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -18,6 +18,7 @@
 #include "core/checkpoint.hpp"
 #include "core/parallel.hpp"
 #include "core/setup.hpp"
+#include "reference_capture.hpp"
 
 namespace slm::core {
 namespace {
@@ -44,6 +45,20 @@ FullKeyRunResult run_fused(const CampaignConfig& cfg, unsigned threads,
   return campaign.run_fullkey(fk);
 }
 
+// The 16-campaign oracle: one single-byte campaign per key byte over the
+// shared config, each on a fresh, identically-seeded platform replica.
+std::vector<CampaignResult> single_byte_campaigns(
+    const CampaignConfig& shared) {
+  std::vector<CampaignResult> out;
+  for (std::size_t b = 0; b < 16; ++b) {
+    CampaignConfig cfg = shared;
+    cfg.target_key_byte = b;
+    AttackSetup replica(BenignCircuit::kAlu, Calibration::paper_defaults());
+    out.push_back(CpaCampaign(replica, cfg).run());
+  }
+  return out;
+}
+
 void expect_byte_results_identical(const FullKeyRunResult& a,
                                    const FullKeyRunResult& b) {
   EXPECT_EQ(a.traces_run, b.traces_run);
@@ -65,34 +80,30 @@ void expect_byte_results_identical(const FullKeyRunResult& a,
   }
 }
 
-// (a) Farmed oracle: each byte's fused fold must equal, bit for bit, a
-// standalone single-byte campaign over the same shared config on a
-// fresh platform replica — the capture stream is model-independent
-// under contract v2, so regrouping it per byte changes nothing.
-TEST(FullKeyFused, MatchesFarmedOracleBitForBit) {
+// (a) Each byte's fused fold must equal, bit for bit, a standalone
+// single-byte campaign over the same shared config on a fresh platform
+// replica — the capture stream is model-independent, so regrouping it
+// per byte changes nothing.
+TEST(FullKeyFused, MatchesSingleByteCampaignsBitForBit) {
   const CampaignConfig shared = fullkey_cfg(1200);
   FullKeyConfig fk;
   fk.early_exit = false;  // compare full-budget folds on every byte
   const FullKeyRunResult fused = run_fused(shared, 2, fk);
+  const std::vector<CampaignResult> singles = single_byte_campaigns(shared);
 
   for (std::size_t b = 0; b < 16; ++b) {
-    CampaignConfig cfg = shared;
-    cfg.target_key_byte = b;
-    AttackSetup replica(BenignCircuit::kAlu, Calibration::paper_defaults());
-    CpaCampaign campaign(replica, cfg);
-    const CampaignResult farmed = campaign.run();
-
+    const CampaignResult& single = singles[b];
     const FullKeyByteResult& fb = fused.bytes[b];
-    EXPECT_EQ(fb.correct, farmed.correct_guess) << "byte " << b;
-    EXPECT_EQ(fb.recovered, farmed.recovered_guess) << "byte " << b;
-    EXPECT_EQ(fb.final_max_abs_corr, farmed.final_max_abs_corr)
+    EXPECT_EQ(fb.correct, single.correct_guess) << "byte " << b;
+    EXPECT_EQ(fb.recovered, single.recovered_guess) << "byte " << b;
+    EXPECT_EQ(fb.final_max_abs_corr, single.final_max_abs_corr)
         << "byte " << b;
-    ASSERT_EQ(fb.progress.size(), farmed.progress.size()) << "byte " << b;
+    ASSERT_EQ(fb.progress.size(), single.progress.size()) << "byte " << b;
     for (std::size_t i = 0; i < fb.progress.size(); ++i) {
-      EXPECT_EQ(fb.progress[i].traces, farmed.progress[i].traces);
-      EXPECT_EQ(fb.progress[i].max_abs_corr, farmed.progress[i].max_abs_corr);
-      EXPECT_EQ(fb.progress[i].correct_corr, farmed.progress[i].correct_corr);
-      EXPECT_EQ(fb.progress[i].correct_rank, farmed.progress[i].correct_rank);
+      EXPECT_EQ(fb.progress[i].traces, single.progress[i].traces);
+      EXPECT_EQ(fb.progress[i].max_abs_corr, single.progress[i].max_abs_corr);
+      EXPECT_EQ(fb.progress[i].correct_corr, single.progress[i].correct_corr);
+      EXPECT_EQ(fb.progress[i].correct_rank, single.progress[i].correct_rank);
     }
   }
 }
@@ -113,13 +124,26 @@ TEST(FullKeyFused, InvariantUnderThreadsBlockSimd) {
   expect_byte_results_identical(serial, simd4);
 }
 
-// The reference (uncompiled) sensor path feeds the same accumulator.
-TEST(FullKeyFused, ReferencePathMatchesCompiledKernels) {
-  CampaignConfig cfg = fullkey_cfg(700);
-  const FullKeyRunResult compiled = run_fused(cfg, 1);
-  cfg.compiled_kernels = false;
-  const FullKeyRunResult reference = run_fused(cfg, 1);
-  expect_byte_results_identical(compiled, reference);
+// Every byte's fused fold matches the reference capture's per-trace
+// loop over the shared config (per-call sensor reads, CpaEngine sums).
+TEST(FullKeyFused, MatchesReferenceCapture) {
+  const CampaignConfig shared = fullkey_cfg(700);
+  FullKeyConfig fk;
+  fk.early_exit = false;
+  const FullKeyRunResult fused = run_fused(shared, 1, fk);
+  for (std::size_t b = 0; b < 16; ++b) {
+    CampaignConfig cfg = shared;
+    cfg.target_key_byte = b;
+    AttackSetup replica(BenignCircuit::kAlu, Calibration::paper_defaults());
+    const reference::Result ref = reference::capture(replica, cfg);
+    const FullKeyByteResult& fb = fused.bytes[b];
+    EXPECT_EQ(fb.recovered, ref.recovered_guess) << "byte " << b;
+    EXPECT_EQ(fb.final_max_abs_corr, ref.final_max_abs_corr) << "byte " << b;
+    ASSERT_EQ(fb.progress.size(), ref.progress.size()) << "byte " << b;
+    for (std::size_t i = 0; i < fb.progress.size(); ++i) {
+      EXPECT_EQ(fb.progress[i].max_abs_corr, ref.progress[i].max_abs_corr);
+    }
+  }
 }
 
 // Early exit freezes answers, never accumulators: the recovered key must
@@ -166,9 +190,7 @@ TEST(FullKeyFused, HaltResumeBitForBit) {
   }
 }
 
-// A full-key snapshot must refuse to resume as a single-byte campaign
-// and vice versa, and cross-contract resumes must throw the typed
-// mismatch, exactly like the single-byte engine.
+// A full-key snapshot must refuse to resume as a single-byte campaign.
 TEST(FullKeyFused, SnapshotIdentityChecks) {
   CampaignConfig cfg = fullkey_cfg(900);
   const std::string dir = fresh_dir("fullkey_identity");
@@ -184,37 +206,21 @@ TEST(FullKeyFused, SnapshotIdentityChecks) {
     ParallelCampaign campaign(setup, cfg, 2);
     EXPECT_THROW(campaign.run(), slm::Error);
   }
-  // Cross-contract resume: typed mismatch, exit-code-6 path in the CLI.
-  {
-    CampaignConfig v1 = cfg;
-    v1.rng_contract = RngContract::kV1;
-    AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-    ParallelCampaign campaign(setup, v1, 2);
-    EXPECT_THROW(campaign.run_fullkey(), CheckpointContractMismatch);
-  }
 }
 
-// The facade wires the fused engine by default and the farmed oracle on
-// request; both must hand back the same master key.
-TEST(StealthyAttackFullKey, FusedAndFarmedRecoverTheSameKey) {
-  StealthyAttack fused_attack(BenignCircuit::kAlu);
-  const auto fused =
-      fused_attack.recover_full_key(3000, SensorMode::kTdcFull, 2);
-  EXPECT_EQ(fused.mode_used, FullKeyMode::kFused);
+// The facade's fused engine and the 16-campaign oracle over its shared
+// config hand back the same key.
+TEST(StealthyAttackFullKey, FusedAndSingleByteCampaignsRecoverTheSameKey) {
+  StealthyAttack attack(BenignCircuit::kAlu);
+  const auto fused = attack.recover_full_key(3000, SensorMode::kTdcFull, 2);
   EXPECT_TRUE(fused.success);
   EXPECT_EQ(fused.traces_captured, 3000u);
 
-  StealthyAttack farmed_attack(BenignCircuit::kAlu);
-  FullKeyOptions opts;
-  opts.mode = FullKeyMode::kFarmed;
-  const auto farmed = farmed_attack.recover_full_key(
-      3000, SensorMode::kTdcFull, 2, opts);
-  EXPECT_EQ(farmed.mode_used, FullKeyMode::kFarmed);
-  EXPECT_TRUE(farmed.success);
-  EXPECT_EQ(farmed.traces_captured, 16u * 3000u);
-
-  EXPECT_EQ(fused.last_round_key, farmed.last_round_key);
-  EXPECT_EQ(fused.master_key, farmed.master_key);
+  const std::vector<CampaignResult> singles = single_byte_campaigns(
+      attack.fullkey_campaign_config(3000, SensorMode::kTdcFull));
+  crypto::Block lrk{};
+  for (std::size_t b = 0; b < 16; ++b) lrk[b] = singles[b].recovered_guess;
+  EXPECT_EQ(fused.last_round_key, lrk);
 }
 
 }  // namespace

@@ -19,23 +19,6 @@ CampaignConfig small_cfg(SensorMode mode, std::size_t traces) {
   return cfg;
 }
 
-TEST(ShardQuota, SumsToTotalAndMonotone) {
-  for (std::size_t shards : {1u, 3u, 4u, 7u}) {
-    std::vector<std::size_t> prev(shards, 0);
-    for (std::size_t total : {0u, 1u, 5u, 99u, 100u, 1234u}) {
-      std::size_t sum = 0;
-      for (std::size_t i = 0; i < shards; ++i) {
-        const std::size_t q = shard_quota(total, i, shards);
-        EXPECT_GE(q, prev[i]) << "shard " << i << " total " << total;
-        prev[i] = q;
-        sum += q;
-      }
-      EXPECT_EQ(sum, total) << "shards " << shards;
-    }
-  }
-  EXPECT_THROW((void)shard_quota(10, 2, 2), slm::Error);
-}
-
 TEST(ThreadPoolTest, RunsEveryIndexAcrossWorkers) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
@@ -57,50 +40,6 @@ TEST(ThreadPoolTest, RethrowsWorkerException) {
   std::atomic<int> n{0};
   pool.run_indexed(4, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 4);
-}
-
-TEST(ThreadPoolTest, SubmitAndWaitRunsBatchAsynchronously) {
-  ThreadPool pool(2);
-  // wait() with nothing in flight is a no-op, not a deadlock.
-  pool.wait();
-  std::vector<std::atomic<int>> hits(64);
-  for (int round = 0; round < 3; ++round) {
-    pool.submit_indexed(64, [&](std::size_t i) { ++hits[i]; });
-    pool.wait();
-  }
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 3);
-  // The pool still runs synchronous batches afterwards.
-  std::atomic<int> n{0};
-  pool.run_indexed(8, [&](std::size_t) { ++n; });
-  EXPECT_EQ(n.load(), 8);
-}
-
-TEST(ThreadPoolTest, WaitRethrowsSubmittedBatchException) {
-  ThreadPool pool(2);
-  pool.submit_indexed(8, [](std::size_t i) {
-    if (i == 3) throw slm::Error("boom");
-  });
-  EXPECT_THROW(pool.wait(), slm::Error);
-  // A second wait() is a no-op (error already consumed) and the pool
-  // stays usable.
-  pool.wait();
-  std::atomic<int> n{0};
-  pool.submit_indexed(4, [&](std::size_t) { ++n; });
-  pool.wait();
-  EXPECT_EQ(n.load(), 4);
-}
-
-TEST(ThreadPoolTest, DestructorJoinsInFlightBatch) {
-  // The campaign's CampaignHalted unwind destroys the pool while a
-  // producer batch may still be running: the destructor must join it
-  // (the lambda's captures outlive the pool here by declaration order,
-  // mirroring the engine).
-  std::atomic<int> n{0};
-  {
-    ThreadPool pool(1);
-    pool.submit_indexed(32, [&](std::size_t) { ++n; });
-  }
-  EXPECT_EQ(n.load(), 32);
 }
 
 TEST(ParallelCampaignTest, ThreadsOneIsBitIdenticalToSerial) {
@@ -167,29 +106,6 @@ TEST(ParallelCampaignTest, SameSeedSameThreadsIsDeterministic) {
   }
 }
 
-// Pinned legacy behaviour: under contract v1 the shard streams differ
-// per thread count, so results are statistically equivalent but NOT
-// bitwise equal. (Contract v2 removes exactly this caveat — see
-// Campaign.ThreadAndBlockInvariant in campaign_test.cpp.)
-TEST(ParallelCampaignTest, V1ThreadCountsAreStatisticallyNotBitwiseEqual) {
-  const auto cal = Calibration::paper_defaults();
-  auto run_with = [&](unsigned threads) {
-    AttackSetup setup(BenignCircuit::kAlu, cal);
-    auto cfg = small_cfg(SensorMode::kTdcFull, 2000);
-    cfg.rng_contract = RngContract::kV1;
-    ParallelCampaign campaign(setup, cfg, threads);
-    return campaign.run();
-  };
-  const auto two = run_with(2);
-  const auto three = run_with(3);
-  // Different shard streams: bitwise different...
-  EXPECT_NE(two.final_max_abs_corr, three.final_max_abs_corr);
-  // ...but the physics is the same: both disclose the same key byte.
-  EXPECT_TRUE(two.key_recovered);
-  EXPECT_TRUE(three.key_recovered);
-  EXPECT_EQ(two.recovered_guess, three.recovered_guess);
-}
-
 TEST(ParallelCampaignTest, MoreShardsThanTracesClamps) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
   ParallelCampaign campaign(setup, small_cfg(SensorMode::kTdcFull, 3), 8);
@@ -221,9 +137,9 @@ TEST(StealthyAttackThreads, ShardedKeyByteRecovery) {
   EXPECT_EQ(r.threads_used, 4u);
 }
 
-TEST(StealthyAttackThreads, FarmedFullKeyMatchesItself) {
-  // The farmed path gives every byte an independent platform replica, so
-  // the result is identical for any thread count >= 2 and any schedule.
+TEST(StealthyAttackThreads, FullKeyMatchesAcrossThreadCounts) {
+  // The shared capture stream depends on the seed alone, so the key is
+  // identical for any thread count.
   auto run_with = [](unsigned threads) {
     StealthyAttack attack(BenignCircuit::kAlu);
     return attack.recover_full_key(600, SensorMode::kTdcFull, threads);

@@ -2,15 +2,19 @@
 //
 // Fixed-seed campaign snapshots (kBenignHw / kBenignSingleBit / kTdcFull)
 // and raw sensor toggle words over a deterministic voltage ramp, stored
-// as hexfloat text in tests/regression/fixtures/golden_traces.txt. Any
-// change to the capture physics, the RNG stream accounting, the compiled
-// kernels or the CPA accumulation shifts these doubles and fails the
-// diff — run with SLM_REGEN_GOLDEN=1 to regenerate after an intentional
-// change, and justify the new fixture in the commit.
+// as hexfloat text under tests/regression/fixtures/. Any change to the
+// capture physics, the RNG stream accounting, the compiled kernels or
+// the CPA accumulation shifts these doubles and fails the diff.
+//
+// golden_traces_v2.txt pins the engines (contract v2). Run with
+// SLM_REGEN_GOLDEN=1 to regenerate it after an intentional change, and
+// justify the new fixture in the commit. golden_traces.txt is frozen
+// data from the retired contract v1: it is never regenerated, and the
+// test-side reference capture in its sequential-stream mode must keep
+// reproducing it byte for byte.
 //
 // Doubles are serialized with printf %a (hexfloat): round-trip exact, so
-// the comparison is bit-for-bit, matching the repo's bit-exactness
-// contract between the compiled and reference capture paths.
+// the comparison is bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,17 +25,19 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "reference_capture.hpp"
 #include "core/setup.hpp"
 
 namespace slm {
 namespace {
 
-// One fixture file per RNG determinism contract: golden_traces.txt pins
-// the legacy v1 draws byte-identically to the pre-v2 releases, and
-// golden_traces_v2.txt pins the counter-keyed v2 draws (DESIGN.md §12).
-std::string fixture_path(core::RngContract contract) {
+// Which capture produces a snapshot: the engine, or the reference
+// capture in one of its stream modes.
+enum class Source { kEngine, kReferenceV2, kReferenceV1 };
+
+std::string fixture_path(Source source) {
   return std::string(SLM_REPO_ROOT) +
-         (contract == core::RngContract::kV1
+         (source == Source::kReferenceV1
               ? "/tests/regression/fixtures/golden_traces.txt"
               : "/tests/regression/fixtures/golden_traces_v2.txt");
 }
@@ -49,33 +55,56 @@ void append_u64(std::string& out, const char* key, std::uint64_t v) {
   out += buf;
 }
 
-core::CampaignConfig golden_cfg(core::SensorMode mode,
-                                core::RngContract contract) {
+core::CampaignConfig golden_cfg(core::SensorMode mode) {
   core::CampaignConfig cfg;
   cfg.mode = mode;
   cfg.traces = 200;
   cfg.checkpoints = {100, 200};
   cfg.selection_traces = 400;
-  cfg.rng_contract = contract;
   if (mode == core::SensorMode::kBenignSingleBit) {
     cfg.single_bit = core::CampaignConfig::kAutoBit;
   }
   return cfg;
 }
 
-void append_campaign(std::string& out, core::SensorMode mode,
-                     core::RngContract contract, const char* tag) {
+// The fields the fixture pins, from either capture.
+struct Snapshot {
+  std::size_t traces_run = 0;
+  std::size_t recovered_guess = 0;
+  std::size_t single_bit = 0;
+  std::size_t bits_of_interest = 0;
+  std::vector<sca::CpaProgressPoint> progress;
+  std::vector<double> final_max_abs_corr;
+};
+
+template <class R>
+Snapshot snapshot_of(const R& r) {
+  return Snapshot{r.traces_run,          r.recovered_guess,
+                  r.single_bit,          r.bits_of_interest.size(),
+                  r.progress,            r.final_max_abs_corr};
+}
+
+void append_campaign(std::string& out, core::SensorMode mode, Source source,
+                     const char* tag) {
   core::AttackSetup setup(core::BenignCircuit::kAlu,
                           core::Calibration::paper_defaults());
-  core::CpaCampaign campaign(setup, golden_cfg(mode, contract));
-  const core::CampaignResult r = campaign.run();
+  const core::CampaignConfig cfg = golden_cfg(mode);
+  Snapshot r;
+  if (source == Source::kEngine) {
+    r = snapshot_of(core::CpaCampaign(setup, cfg).run());
+  } else {
+    r = snapshot_of(reference::capture(setup, cfg,
+                                       source == Source::kReferenceV1
+                                           ? reference::Streams::kSequential
+                                           : reference::Streams::kPerTrace));
+  }
   out += "[campaign ";
   out += tag;
   out += "]\n";
   append_u64(out, "traces_run", r.traces_run);
   append_u64(out, "recovered_guess", r.recovered_guess);
   append_u64(out, "single_bit", r.single_bit);
-  append_u64(out, "bits_of_interest", r.bits_of_interest.size());
+  append_u64(out, "bits_of_interest", r.bits_of_interest);
   // The first two checkpoints pin the whole accumulation path: any
   // change in a sensor reading or hypothesis value moves them.
   for (std::size_t p = 0; p < 2 && p < r.progress.size(); ++p) {
@@ -123,21 +152,22 @@ void append_sensor_words(std::string& out) {
   }
 }
 
-std::string current_snapshot(core::RngContract contract) {
+std::string current_snapshot(Source source) {
   std::string out;
   out += "# Golden trace fixtures - regenerate with SLM_REGEN_GOLDEN=1\n";
-  append_campaign(out, core::SensorMode::kBenignHw, contract, "benign_hw");
-  append_campaign(out, core::SensorMode::kBenignSingleBit, contract,
+  append_campaign(out, core::SensorMode::kBenignHw, source, "benign_hw");
+  append_campaign(out, core::SensorMode::kBenignSingleBit, source,
                   "benign_single_bit");
-  append_campaign(out, core::SensorMode::kTdcFull, contract, "tdc_full");
+  append_campaign(out, core::SensorMode::kTdcFull, source, "tdc_full");
   append_sensor_words(out);
   return out;
 }
 
-void check_fixture(core::RngContract contract) {
-  const std::string path = fixture_path(contract);
-  const std::string now = current_snapshot(contract);
-  if (std::getenv("SLM_REGEN_GOLDEN") != nullptr) {
+void check_fixture(Source source) {
+  const std::string path = fixture_path(source);
+  const std::string now = current_snapshot(source);
+  if (source == Source::kEngine &&
+      std::getenv("SLM_REGEN_GOLDEN") != nullptr) {
     std::ofstream f(path, std::ios::trunc);
     ASSERT_TRUE(f.good()) << "cannot write " << path;
     f << now;
@@ -168,14 +198,19 @@ void check_fixture(core::RngContract contract) {
   }
 }
 
-// The v1 fixture is byte-identical to the pre-v2 releases: the legacy
-// contract replays the exact historical RNG consumption order.
+// The frozen v1 fixture: the reference capture replays the retired
+// contract's exact sequential RNG consumption order.
 TEST(GoldenTrace, V1SnapshotsMatchCheckedInFixtures) {
-  check_fixture(core::RngContract::kV1);
+  check_fixture(Source::kReferenceV1);
 }
 
 TEST(GoldenTrace, SnapshotsMatchCheckedInFixtures) {
-  check_fixture(core::RngContract::kV2);
+  check_fixture(Source::kEngine);
+}
+
+// The reference capture's per-trace mode reproduces the engine fixture.
+TEST(GoldenTrace, ReferenceCaptureMatchesV2Fixture) {
+  check_fixture(Source::kReferenceV2);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // bit-identical engine state, add_block bit-identical to add_trace for
 // ragged block sizes, merge exact for integer readings, and save/load a
 // faithful round trip that can keep accumulating. These are the
-// invariants the fused full-key engine's farmed-oracle equivalence
-// stands on (docs/FULLKEY.md, DESIGN.md).
+// invariants the fused full-key engine's equivalence to 16 single-byte
+// campaigns stands on (docs/FULLKEY.md, DESIGN.md).
 #include <cstring>
 #include <vector>
 

@@ -3,12 +3,15 @@
 # Fails when README.md / docs/BENCHMARKS.md / docs/OBSERVABILITY.md /
 # docs/ARCHITECTURE.md / docs/FULLKEY.md / EXPERIMENTS.md reference a
 # bench binary that no longer has a source file, when a documented
-# command-line flag or SLM_* knob is gone from the sources, or when
-# OBSERVABILITY.md catalogs an `slm.` metric name that no source emits —
+# command-line flag or SLM_* knob is gone from the sources, when
+# OBSERVABILITY.md catalogs an `slm.` metric name that no source emits,
+# or when a retired flag, knob or metric is still documented as live —
 # so renaming a bench, dropping a flag, or renaming a metric without
 # updating the docs breaks the build, not the reader.
 #
 # Usage: cmake -DREPO=<source root> -P check_docs.cmake
+
+cmake_policy(SET CMP0057 NEW)  # if(IN_LIST)
 
 file(READ ${REPO}/README.md readme)
 file(READ ${REPO}/docs/BENCHMARKS.md benchdoc)
@@ -23,6 +26,15 @@ file(READ ${REPO}/EXPERIMENTS.md experiments)
 set(docs "${readme}\n${benchdoc}\n${obsdoc}\n${archdoc}\n${fullkeydoc}\n${distdoc}\n${servedoc}\n${storedoc}\n${clidoc}\n${experiments}")
 
 set(errors "")
+
+# Surfaces retired from the product: the RNG contract v1 switch, the
+# reference-kernel switch, the serial generate/compute pipeline and its
+# metrics, and the farmed full-key mode. The docs may still name them,
+# but only on a line that says they are retired (section 6); the
+# forward checks below skip them, since no source mentions them.
+set(retired_flags "--rng-contract" "--fullkey-mode")
+set(retired_knobs "SLM_RNG_CONTRACT" "SLM_COMPILED" "SLM_PIPELINE")
+set(retired_metric_prefix "slm.pipeline.")
 
 # 1. Every `bench_*` name in the docs must exist as a source file under
 #    bench/ or be wired up in bench/CMakeLists.txt (ctest-only entries
@@ -52,6 +64,9 @@ string(REGEX MATCHALL "--[a-z][a-z0-9-]+" doc_flags
        "${benchdoc}\n${obsdoc}\n${fullkeydoc}\n${distdoc}\n${servedoc}\n${storedoc}\n${clidoc}")
 list(REMOVE_DUPLICATES doc_flags)
 foreach(f ${doc_flags})
+  if(f IN_LIST retired_flags)
+    continue()
+  endif()
   string(FIND "${flag_sources}" "${f}" pos)
   if(pos EQUAL -1)
     string(APPEND errors "docs document flag '${f}' but no source mentions it\n")
@@ -69,6 +84,9 @@ string(REGEX MATCHALL "SLM_[A-Z_]+" doc_knobs
        "${readme}\n${benchdoc}\n${obsdoc}\n${archdoc}\n${fullkeydoc}\n${distdoc}\n${servedoc}\n${storedoc}\n${clidoc}")
 list(REMOVE_DUPLICATES doc_knobs)
 foreach(k ${doc_knobs})
+  if(k IN_LIST retired_knobs)
+    continue()
+  endif()
   string(FIND "${flag_sources}" "${k}" pos)
   if(pos EQUAL -1)
     string(APPEND errors "docs document knob '${k}' but neither the sources nor CMake mention it\n")
@@ -90,6 +108,10 @@ string(REGEX MATCHALL "slm\\.[a-z0-9_]+\\.[a-z0-9_.]*[a-z0-9_]" doc_metrics
        "${obsdoc}\n${distdoc}\n${servedoc}\n${storedoc}")
 list(REMOVE_DUPLICATES doc_metrics)
 foreach(m ${doc_metrics})
+  string(FIND "${m}" "${retired_metric_prefix}" retired_pos)
+  if(retired_pos EQUAL 0)
+    continue()
+  endif()
   # Family entries are documented as slm.span.<name>_seconds; match on
   # the emitting prefix instead of the placeholder.
   string(REGEX REPLACE "<[a-z]+>.*$" "" m_literal "${m}")
@@ -121,31 +143,26 @@ foreach(v ${doc_versions})
   endif()
 endforeach()
 
-# 6. The RNG determinism contract must stay documented: the CLI exposes
-#    --rng-contract and the engines read SLM_RNG_CONTRACT, so both
-#    BENCHMARKS.md (tuning knob) and OBSERVABILITY.md (repro surface)
-#    must mention the flag, the env knob, and the slm.pipeline metric
-#    family the v2 overlap emits. Forward checks (documented-but-gone)
-#    are sections 2-4; this is the reverse direction.
-foreach(needed "--rng-contract" "SLM_RNG_CONTRACT")
-  if(NOT benchdoc MATCHES "${needed}")
-    string(APPEND errors "BENCHMARKS.md no longer documents '${needed}'\n")
-  endif()
-  if(NOT obsdoc MATCHES "${needed}")
-    string(APPEND errors "OBSERVABILITY.md no longer documents '${needed}'\n")
-  endif()
+# 6. Retired surfaces must not be documented as live: every line of
+#    the docs that names a retired flag, knob or slm.pipeline.* metric
+#    must say, on that same line, that it is retired.
+string(REPLACE ";" "," docs_lines "${docs}")
+foreach(name ${retired_flags} ${retired_knobs} "slm\\.pipeline\\.")
+  string(REGEX MATCHALL "[^\n]*${name}[^\n]*" hits "${docs_lines}")
+  foreach(line ${hits})
+    if(NOT line MATCHES "retired")
+      string(APPEND errors "docs still document retired '${name}' as live: ${line}\n")
+    endif()
+  endforeach()
 endforeach()
-if(NOT obsdoc MATCHES "slm\\.pipeline\\.")
-  string(APPEND errors "OBSERVABILITY.md no longer documents the slm.pipeline.* metrics\n")
-endif()
 
 # 7. The full-key pipeline story must stay documented: FULLKEY.md has
-#    to cover the CLI surface (--full-key, --fullkey-mode, --early-exit)
+#    to cover the CLI surface (--full-key, --early-exit)
 #    and the bench (bench_fullkey + its fullkey_speedup JSON field), and
 #    OBSERVABILITY.md must keep the slm.fullkey.* metric family and the
 #    per-byte convergence event in its catalogs.
-foreach(needed "--full-key" "--fullkey-mode" "--early-exit"
-        "bench_fullkey" "fullkey_speedup")
+foreach(needed "--full-key" "--early-exit" "bench_fullkey"
+        "fullkey_speedup")
   if(NOT fullkeydoc MATCHES "${needed}")
     string(APPEND errors "FULLKEY.md no longer documents '${needed}'\n")
   endif()

@@ -15,8 +15,7 @@ set(dir ${WORKDIR}/fabric_smoke)
 file(REMOVE_RECURSE ${dir})
 file(MAKE_DIRECTORY ${dir})
 
-set(common --circuit alu --mode tdc --traces 6000 --key-byte 3
-    --rng-contract v2)
+set(common --circuit alu --mode tdc --traces 6000 --key-byte 3)
 
 function(run_slm out_var expect_rc)
   execute_process(COMMAND ${SLM} ${ARGN}
@@ -121,7 +120,7 @@ endif()
 # rc 8: a shard of a DIFFERENT campaign (other trace budget) refuses to
 # merge with ours — the fingerprint mismatch path.
 run_slm(alien_out 0 attack --circuit alu --mode tdc --traces 5000
-        --key-byte 3 --rng-contract v2 --range 0:1000
+        --key-byte 3 --range 0:1000
         --snapshot-out ${dir}/alien.snap)
 run_slm(mismatch_out 8 merge ${dir}/all.snap ${dir}/alien.snap)
 if(NOT mismatch_out MATCHES "different trace budget")
@@ -142,7 +141,7 @@ endif()
 
 # --- 7. The same battery on the fused --full-key engine (3000 traces):
 #        serial reference worker vs kill-and-reissue coordinate run.
-set(fk --circuit alu --mode tdc --traces 3000 --rng-contract v2 --full-key)
+set(fk --circuit alu --mode tdc --traces 3000 --full-key)
 run_slm(fk_whole 0 attack ${fk} --snapshot-out ${dir}/fk_all.snap)
 run_slm(fk_kill 0 coordinate ${fk} --shards 4
         --kill-shard 2 --kill-after 300

@@ -50,7 +50,7 @@ set(ENV{TSAN_OPTIONS} "halt_on_error=1 exitcode=66")
 set(workdir ${scratch}/coord)
 file(REMOVE_RECURSE ${workdir})
 execute_process(COMMAND ${slm} coordinate --circuit alu --mode tdc
-                        --rng-contract v2 --key-byte 3 --traces 1200
+                        --key-byte 3 --traces 1200
                         --shards 3 --snapshot-every 100
                         --kill-shard 1 --kill-after 200
                         --work-dir ${workdir}

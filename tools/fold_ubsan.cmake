@@ -67,8 +67,7 @@ endforeach()
 # from the replay as well (bit-identity is the store suite's job — here
 # only UBSan's verdict matters).
 set(slm ${scratch}/build/tools/slm)
-set(common --circuit alu --mode tdc --traces 1500 --key-byte 3
-    --rng-contract v2)
+set(common --circuit alu --mode tdc --traces 1500 --key-byte 3)
 set(store ${scratch}/ubsan.trc)
 file(REMOVE ${store})
 

@@ -4,13 +4,13 @@
 # with snapshots and a deterministic kill (--halt-after -> rc 5), then
 # resumed; the resumed run must print the exact same per-byte table and
 # master-key line, and the JSONL event stream must close with a run_end
-# manifest. A cross-contract resume and a single-byte resume of the
-# full-key snapshot must both be refused.
+# manifest. A single-byte resume of the full-key snapshot must be
+# refused, and the retired --fullkey-mode flag is a usage error.
 #
 # Usage: cmake -DSLM=<slm binary> -DWORKDIR=<scratch dir> -P fullkey_resume_smoke.cmake
 
 set(common attack --circuit alu --mode tdc --traces 4000 --full-key
-    --threads 2 --rng-contract v2)
+    --threads 2)
 set(ckpt_dir ${WORKDIR}/fullkey_resume_smoke_ckpt)
 set(events ${WORKDIR}/fullkey_resume_smoke_events.jsonl)
 file(REMOVE_RECURSE ${ckpt_dir})
@@ -53,18 +53,17 @@ if(NOT EXISTS ${ckpt_dir}/campaign.ckpt)
   message(FATAL_ERROR "halt left no snapshot at ${ckpt_dir}/campaign.ckpt")
 endif()
 
-# 3. Cross-contract resume must be refused with the documented rc 6.
-run_slm(mismatch_out 6 attack --circuit alu --mode tdc --traces 4000
-        --full-key --threads 2 --rng-contract v1 --block 48
-        --resume ${ckpt_dir})
-if(NOT mismatch_out MATCHES "RNG contract")
-  message(FATAL_ERROR "cross-contract resume did not explain the refusal:\n${mismatch_out}")
+# 3. The retired full-key mode flag is a usage error (rc 64): there is
+#    one full-key engine.
+run_slm(retired_out 64 ${common} --fullkey-mode fused --resume ${ckpt_dir})
+if(NOT retired_out MATCHES "unknown option --fullkey-mode")
+  message(FATAL_ERROR "the retired --fullkey-mode flag was not refused:\n${retired_out}")
 endif()
 
 # 4. A single-byte resume of a full-key snapshot must be refused too
 #    (generic error, rc 1): the snapshot stamps its full-key flag.
 run_slm(single_out 1 attack --circuit alu --mode tdc --traces 4000
-        --key-byte 3 --threads 2 --rng-contract v2 --resume ${ckpt_dir})
+        --key-byte 3 --threads 2 --resume ${ckpt_dir})
 if(NOT single_out MATCHES "full-key")
   message(FATAL_ERROR "single-byte resume of a full-key snapshot was not refused:\n${single_out}")
 endif()

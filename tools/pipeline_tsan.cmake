@@ -1,14 +1,13 @@
-# ThreadSanitizer drill for the contract-v2 parallel capture paths, run
-# as a ctest entry (pipeline_tsan). Configures a scratch build of the
-# CLI with -fsanitize=thread and drives two short v2 campaigns through
-# it: the serial engine's pipelined generate/compute overlap (--threads
-# 1, benign-HW compiled kernels, where a producer thread fills the next
-# generation slab while the consumer computes the current one) and the
-# sharded engine's lane-parallel generation (--threads 4). Both runs
-# halt at a checkpoint (rc 5) so the drill is deterministic and also
-# covers snapshot writing under the sanitizer. Any data race aborts the
-# process (halt_on_error=1, exitcode=66) and fails the test. Skips
-# gracefully when the toolchain cannot link TSan.
+# ThreadSanitizer drill for the capture engine, run as a ctest entry
+# (pipeline_tsan). Configures a scratch build of the CLI with
+# -fsanitize=thread and drives two short benign-HW campaigns through it:
+# one shard on the calling thread (--threads 1) and four shards over the
+# worker pool (--threads 4), whose lane-parallel capture shares the
+# read-only setup, sensor plan and store writer. Both runs halt at a
+# checkpoint (rc 5) so the drill is deterministic and also covers
+# snapshot writing under the sanitizer. Any data race aborts the process
+# (halt_on_error=1, exitcode=66) and fails the test. Skips gracefully
+# when the toolchain cannot link TSan.
 #
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P pipeline_tsan.cmake
@@ -45,17 +44,12 @@ endif()
 
 set(slm ${scratch}/build/tools/slm)
 set(ENV{TSAN_OPTIONS} "halt_on_error=1 exitcode=66")
-# The generate/compute overlap normally gates on hardware_concurrency;
-# force it on so the producer/consumer handoff is exercised even on a
-# single-core CI box (bit-identical either way, and TSan cares about
-# the interleaving, not the throughput).
-set(ENV{SLM_PIPELINE} "1")
 
 function(run_tsan label)
   set(ckpt ${scratch}/ckpt_${label})
   file(REMOVE_RECURSE ${ckpt})
   execute_process(COMMAND ${slm} attack --circuit alu --mode hw
-                          --rng-contract v2 --key-byte 3 --traces 4000
+                          --key-byte 3 --traces 4000
                           --halt-after 1000 --checkpoint-dir ${ckpt}
                           ${ARGN}
                   WORKING_DIRECTORY ${scratch}
@@ -69,10 +63,9 @@ function(run_tsan label)
   file(REMOVE_RECURSE ${ckpt})
 endfunction()
 
-# Serial engine, pipelined generate/compute overlap (producer thread +
-# consumer thread share the slab ring).
-run_tsan(pipelined --threads 1 --block 64)
-# Sharded engine, contiguous-chunk lane-parallel generation.
+# One shard on the calling thread.
+run_tsan(one_shard --threads 1 --block 64)
+# Four shards, contiguous-chunk lane-parallel capture.
 run_tsan(sharded --threads 4 --block 64)
 
-message(STATUS "pipeline tsan: pipelined and sharded v2 capture paths are race-clean")
+message(STATUS "pipeline tsan: one-shard and sharded capture are race-clean")

@@ -7,11 +7,7 @@
 #
 # Usage: cmake -DSLM=<slm binary> -DWORKDIR=<scratch dir> -P resume_smoke.cmake
 
-# Pinned to RNG contract v2 (the default, but explicit here so the
-# drill keeps covering the counter-keyed path even if the default ever
-# moves); a cross-contract resume attempt below must be refused.
-set(common attack --circuit alu --mode tdc --traces 6000 --key-byte 3
-    --rng-contract v2)
+set(common attack --circuit alu --mode tdc --traces 6000 --key-byte 3)
 set(ckpt_dir ${WORKDIR}/resume_smoke_ckpt)
 set(events ${WORKDIR}/resume_smoke_events.jsonl)
 file(REMOVE_RECURSE ${ckpt_dir})
@@ -26,8 +22,8 @@ function(run_slm out_var expect_rc)
   if(NOT rc EQUAL ${expect_rc})
     message(FATAL_ERROR "slm ${ARGN} -> rc=${rc} (expected ${expect_rc})\n${out}\n${err}")
   endif()
-  # stderr included so refusal diagnostics (e.g. the rc 6 contract
-  # mismatch) can be asserted on too.
+  # stderr included so refusal diagnostics (e.g. the rc 64 usage
+  # error) can be asserted on too.
   set(${out_var} "${out}${err}" PARENT_SCOPE)
 endfunction()
 
@@ -53,14 +49,11 @@ if(NOT EXISTS ${ckpt_dir}/campaign.ckpt)
   message(FATAL_ERROR "halt left no snapshot at ${ckpt_dir}/campaign.ckpt")
 endif()
 
-# 3. Cross-contract resume must be refused: the snapshot stamps its
-#    RNG contract (header version 3), and replaying a v2 snapshot's
-#    remaining traces under v1 draws would silently change the physics.
-#    rc 6 is the documented "checkpoint contract mismatch" exit code.
-run_slm(mismatch_out 6 attack --circuit alu --mode tdc --traces 6000
-        --key-byte 3 --rng-contract v1 --block 48 --resume ${ckpt_dir})
-if(NOT mismatch_out MATCHES "RNG contract")
-  message(FATAL_ERROR "cross-contract resume did not explain the refusal:\n${mismatch_out}")
+# 3. The retired RNG-contract flag is a usage error (rc 64), not a
+#    silently ignored option.
+run_slm(retired_out 64 ${common} --rng-contract v2 --resume ${ckpt_dir})
+if(NOT retired_out MATCHES "unknown option --rng-contract")
+  message(FATAL_ERROR "the retired --rng-contract flag was not refused:\n${retired_out}")
 endif()
 
 # 4. Resume and run to completion (still under the odd block size).

@@ -6,9 +6,7 @@
 //   slm atpg  FILE.bench [--band LO HI]
 //   slm attack [--circuit alu|c6288] [--mode tdc|tdc-bit|hw|bit|ro]
 //              [--traces N] [--key-byte B] [--threads N]
-//              [--full-key] [--fullkey-mode fused|farmed]
-//              [--early-exit on|off] [--early-exit-margin F]
-//              [--rng-contract v1|v2]
+//              [--full-key] [--early-exit on|off] [--early-exit-margin F]
 //              [--checkpoint-dir D] [--resume D] [--halt-after N]
 //              [--trace-out F.jsonl]
 //              [--store-out F.trc | --from-store F.trc [--fused-tvla]]
@@ -207,19 +205,20 @@ core::SensorMode parse_mode(const Args& args, const char* dflt) {
   throw Error("unknown --mode '" + mode_s + "'");
 }
 
-core::RngContract parse_rng_contract(const Args& args) {
-  // RNG determinism contract (DESIGN.md §12): v2 (the default) derives
-  // every trace's randomness from (seed, trace index) — bit-identical
-  // for any --threads/--block; v1 is the legacy sequential-stream
-  // contract that reproduces the pre-v2 fixtures.
-  const std::string contract_s = args.get("rng-contract", "");
-  if (contract_s == "v1" || contract_s == "1") return core::RngContract::kV1;
-  if (contract_s == "v2" || contract_s == "2") return core::RngContract::kV2;
-  if (!contract_s.empty()) {
-    throw Error("unknown --rng-contract '" + contract_s +
-                "' (expected v1 or v2)");
+// The options `attack`, `capture` and `tvla` accept. Anything else —
+// a typo, or a retired flag — is a usage error, not silently ignored.
+bool known_campaign_option(const std::string& key) {
+  static const char* const kKnown[] = {
+      "circuit",        "mode",           "traces",     "key-byte",
+      "threads",        "block",          "trace-out",  "tvla",
+      "checkpoint-dir", "resume",         "halt-after", "store-out",
+      "from-store",     "fused-tvla",     "full-key",   "early-exit",
+      "early-exit-margin", "snapshot-out", "snapshot-every", "range",
+      "shard",          "dry-run"};
+  for (const char* k : kKnown) {
+    if (key == k) return true;
   }
-  return core::RngContract::kDefault;
+  return false;
 }
 
 // Observability: --trace-out wins over the SLM_TRACE environment knob;
@@ -238,7 +237,7 @@ int cmd_attack(const Args& args) {
 
   const std::size_t traces = args.get_n("traces", 150000);
   const std::size_t key_byte = args.get_n("key-byte", 3);
-  // 0 = all hardware threads; 1 = the exact legacy serial path.
+  // 0 = all hardware threads; 1 = one shard on the calling thread.
   const unsigned threads =
       static_cast<unsigned>(args.get_n("threads", 0));
 
@@ -266,7 +265,6 @@ int cmd_attack(const Args& args) {
   // any value is bit-identical, including across a kill/resume pair).
   // SLM_SIMD=0 in the environment selects the scalar block kernels.
   opts.block = args.get_n("block", 0);
-  opts.rng_contract = parse_rng_contract(args);
 
   std::unique_ptr<obs::CampaignObserver> observer = make_observer(args);
   opts.observer = observer.get();
@@ -303,18 +301,10 @@ int cmd_attack(const Args& args) {
   }
 
   // --full-key: one shared capture pass attacks all 16 last-round key
-  // bytes at once (docs/FULLKEY.md). --fullkey-mode farmed runs the
-  // 16-campaign oracle instead (same shared config, 16x the captures).
+  // bytes at once (docs/FULLKEY.md).
   const bool full_key = args.options.count("full-key") > 0;
   core::FullKeyOptions fk_opts;
   if (full_key) {
-    const std::string fk_mode_s = args.get("fullkey-mode", "fused");
-    if (fk_mode_s == "farmed") {
-      fk_opts.mode = core::FullKeyMode::kFarmed;
-    } else if (fk_mode_s != "fused") {
-      throw Error("unknown --fullkey-mode '" + fk_mode_s +
-                  "' (expected fused or farmed)");
-    }
     const std::string ee = args.get("early-exit", "on");
     if (ee == "off" || ee == "0") {
       fk_opts.fused.early_exit = false;
@@ -323,13 +313,6 @@ int cmd_attack(const Args& args) {
     }
     fk_opts.fused.early_exit_margin =
         args.get_d("early-exit-margin", fk_opts.fused.early_exit_margin);
-    if (fk_opts.mode == core::FullKeyMode::kFarmed &&
-        (!opts.checkpoint_dir.empty() || opts.resume ||
-         opts.halt_after_traces > 0)) {
-      throw Error("attack --fullkey-mode farmed: the farmed oracle cannot "
-                  "checkpoint — drop --checkpoint-dir/--resume/--halt-after "
-                  "or use --fullkey-mode fused");
-    }
   }
 
   // Distributed fabric (docs/DISTRIBUTED.md): --range/--shard turn this
@@ -354,10 +337,6 @@ int cmd_attack(const Args& args) {
       throw Error("attack: the fabric worker flags cannot combine with "
                   "--store-out/--from-store — shard snapshots already "
                   "persist the accumulators (slm merge folds them)");
-    }
-    if (full_key && fk_opts.mode == core::FullKeyMode::kFarmed) {
-      throw Error("attack: fabric workers run the fused full-key engine; "
-                  "drop --fullkey-mode farmed");
     }
     core::TraceRange range{0, traces};
     if (!range_s.empty()) {
@@ -387,7 +366,6 @@ int cmd_attack(const Args& args) {
         full_key ? fabric_attack.fullkey_campaign_config(traces, mode)
                  : fabric_attack.byte_campaign_config(key_byte, traces, mode);
     cfg.block = opts.block;
-    cfg.rng_contract = opts.rng_contract;
     cfg.observer = observer.get();
     core::FabricWorker worker(fabric_attack.setup(), cfg, full_key);
     const core::SnapshotIdentity& id = worker.identity();
@@ -440,16 +418,11 @@ int cmd_attack(const Args& args) {
   // without regenerating a single trace. The store's fingerprint must
   // match the campaign these flags resolve to (exit 14 otherwise).
   if (!from_store.empty()) {
-    if (full_key && fk_opts.mode == core::FullKeyMode::kFarmed) {
-      throw Error("attack --from-store: replay folds the fused full-key "
-                  "store; drop --fullkey-mode farmed");
-    }
     store::TraceStoreReader reader(from_store);
     const std::size_t rtraces = reader.trace_count();
     core::CampaignConfig cfg =
         full_key ? attack.fullkey_campaign_config(rtraces, mode)
                  : attack.byte_campaign_config(key_byte, rtraces, mode);
-    cfg.rng_contract = opts.rng_contract;
     cfg.observer = observer.get();
     core::CpaCampaign campaign(attack.setup(), cfg);
     const store::StoreKind kind = full_key ? store::StoreKind::kFullKey
@@ -546,10 +519,8 @@ int cmd_attack(const Args& args) {
   if (full_key) {
     std::cout << "circuit " << core::benign_circuit_name(circuit)
               << ", mode " << core::sensor_mode_name(mode) << ", " << traces
-              << " traces, full key ("
-              << (fk_opts.mode == core::FullKeyMode::kFused ? "fused"
-                                                            : "farmed")
-              << "), threads " << core::resolve_threads(threads) << "\n";
+              << " traces, full key (fused), threads "
+              << core::resolve_threads(threads) << "\n";
   } else {
     std::cout << "circuit " << core::benign_circuit_name(circuit)
               << ", mode " << core::sensor_mode_name(mode) << ", " << traces
@@ -579,9 +550,8 @@ int cmd_attack(const Args& args) {
       std::cout << "resumed from trace " << fr.resumed_from << "\n";
     }
     std::printf("fullkey: %zu traces captured, %u thread(s), block %zu, "
-                "contract %s, %.2f s\n",
+                "%.2f s\n",
                 fr.traces_captured, fr.threads_used, fr.block_size,
-                core::rng_contract_name(fr.rng_contract),
                 fr.capture_seconds);
     std::printf("byte  true  recovered  ok   converged\n");
     for (const auto& b : fr.bytes) {
@@ -606,9 +576,6 @@ int cmd_attack(const Args& args) {
               .field("circuit", core::benign_circuit_name(circuit))
               .field("mode", core::sensor_mode_name(mode))
               .field("fullkey", true)
-              .field("fullkey_mode",
-                     fk_opts.mode == core::FullKeyMode::kFused ? "fused"
-                                                               : "farmed")
               .field("traces_captured",
                      static_cast<std::uint64_t>(fr.traces_captured))
               .field("bytes_early_exited",
@@ -617,8 +584,6 @@ int cmd_attack(const Args& args) {
               .field("success", fr.success)
               .field("threads", static_cast<std::uint64_t>(fr.threads_used))
               .field("block", static_cast<std::uint64_t>(fr.block_size))
-              .field("rng_contract",
-                     core::rng_contract_name(fr.rng_contract))
               .field("capture_seconds", fr.capture_seconds));
     }
     return fr.success ? 0 : 4;
@@ -642,10 +607,9 @@ int cmd_attack(const Args& args) {
     std::cout << "resumed from trace " << r.resumed_from << "\n";
   }
   if (r.capture_seconds > 0.0) {
-    std::printf("campaign: %u thread(s), block %zu, contract %s, %.2f s, "
+    std::printf("campaign: %u thread(s), block %zu, %.2f s, "
                 "%.0f traces/sec\n",
-                r.threads_used, r.block_size,
-                core::rng_contract_name(r.rng_contract), r.capture_seconds,
+                r.threads_used, r.block_size, r.capture_seconds,
                 static_cast<double>(r.traces) / r.capture_seconds);
   }
   if (observer != nullptr && r.kernel_seconds > 0.0) {
@@ -670,7 +634,6 @@ int cmd_attack(const Args& args) {
             .field("success", r.success)
             .field("threads", static_cast<std::uint64_t>(r.threads_used))
             .field("block", static_cast<std::uint64_t>(r.block_size))
-            .field("rng_contract", core::rng_contract_name(r.rng_contract))
             .field("capture_seconds", r.capture_seconds));
   }
   return r.success ? 0 : 4;
@@ -687,7 +650,6 @@ int cmd_tvla(const Args& args) {
   const core::SensorMode mode = parse_mode(args, "tdc");
   const std::size_t tpp = args.get_n("traces", 2000);  // per population
   const std::size_t key_byte = args.get_n("key-byte", 3);
-  const core::RngContract contract = parse_rng_contract(args);
   std::unique_ptr<obs::CampaignObserver> observer = make_observer(args);
 
   const std::string store_out = args.get("store-out", "");
@@ -707,7 +669,6 @@ int cmd_tvla(const Args& args) {
     // (kind is a fingerprinted field).
     core::CampaignConfig cfg =
         attack.byte_campaign_config(key_byte, total / 2, mode);
-    cfg.rng_contract = contract;
     cfg.observer = observer.get();
     core::CpaCampaign campaign(attack.setup(), cfg);
     reader.identity().require_compatible(
@@ -724,7 +685,6 @@ int cmd_tvla(const Args& args) {
   }
 
   core::CampaignConfig cfg = attack.byte_campaign_config(key_byte, tpp, mode);
-  cfg.rng_contract = contract;
   cfg.observer = observer.get();
   cfg.store_out = store_out;
   core::CpaCampaign campaign(attack.setup(), cfg);
@@ -760,7 +720,7 @@ int cmd_capture(const Args& args) {
 // the same cache-resident column blocks — target-byte attack, all-16-
 // bytes full key, and the Welch t-test — instead of one replay pass per
 // analysis. The campaign is inferred from the store identity (circuit,
-// mode, target byte, contract); the reconstructed fingerprint must
+// mode, target byte); the reconstructed fingerprint must
 // still match (exit 14), so analyze never mislabels a store captured
 // under non-default config. Exit 0 = full key recovered (attack-kind
 // stores) / leakage evidence (tvla stores), 4 otherwise.
@@ -786,8 +746,6 @@ int cmd_analyze(const Args& args) {
           ? attack.fullkey_campaign_config(n, mode)
           : attack.byte_campaign_config(
                 key_byte, kind == store::StoreKind::kTvla ? n / 2 : n, mode);
-  cfg.rng_contract = id.rng_contract == 1 ? core::RngContract::kV1
-                                          : core::RngContract::kV2;
   cfg.observer = observer.get();
   core::CpaCampaign campaign(attack.setup(), cfg);
   reader.identity().require_compatible(campaign.store_identity(kind, n),
@@ -979,7 +937,7 @@ int cmd_coordinate(const Args& args) {
   // forwarded verbatim so every worker resolves the identical campaign
   // (the snapshot fingerprint enforces it at merge time).
   for (const char* k :
-       {"circuit", "mode", "key-byte", "rng-contract", "block"}) {
+       {"circuit", "mode", "key-byte", "block"}) {
     const auto it = args.options.find(k);
     if (it != args.options.end()) {
       opt.worker_args.push_back("--" + std::string(k));
@@ -1235,9 +1193,8 @@ int usage() {
          "  atpg   FILE.bench [--band-lo NS] [--band-hi NS]\n"
          "  attack [--circuit alu|c6288] [--mode tdc|tdc-bit|hw|bit|ro]\n"
          "         [--traces N] [--key-byte B] [--threads N] [--block N]\n"
-         "         [--full-key] [--fullkey-mode fused|farmed]\n"
-         "         [--early-exit on|off] [--early-exit-margin F]\n"
-         "         [--rng-contract v1|v2]\n"
+         "         [--full-key] [--early-exit on|off] "
+         "[--early-exit-margin F]\n"
          "         [--checkpoint-dir D] [--resume D] [--halt-after N]\n"
          "         [--trace-out F.jsonl]\n"
          "         [--store-out F.trc | --from-store F.trc [--fused-tvla]]\n"
@@ -1247,7 +1204,7 @@ int usage() {
          "  analyze --from-store F.trc [--trace-out F.jsonl]\n"
          "  tvla   [--circuit alu|c6288] [--mode tdc|tdc-bit|hw|bit|ro]\n"
          "         [--traces N-per-population] [--key-byte B]\n"
-         "         [--rng-contract v1|v2] [--trace-out F.jsonl]\n"
+         "         [--trace-out F.jsonl]\n"
          "         [--store-out F.trc | --from-store F.trc]\n"
          "  merge  SNAP... [--out F.snap] [--report]\n"
          "  coordinate --work-dir D [--shards N] [--traces N]\n"
@@ -1272,6 +1229,15 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   const Args args = parse_args(argc, argv, 2);
+  if (cmd == "attack" || cmd == "capture" || cmd == "tvla") {
+    for (const auto& option : args.options) {
+      if (!known_campaign_option(option.first)) {
+        std::cerr << "slm: " << cmd << ": unknown option --" << option.first
+                  << "\n";
+        return usage();
+      }
+    }
+  }
   try {
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "check") return cmd_check(args);

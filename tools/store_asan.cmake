@@ -70,8 +70,7 @@ function(run_slm expect_rc)
   endif()
 endfunction()
 
-set(common --circuit alu --mode tdc --traces 1500 --key-byte 3
-    --rng-contract v2)
+set(common --circuit alu --mode tdc --traces 1500 --key-byte 3)
 set(store ${scratch}/asan.trc)
 file(REMOVE ${store})
 
@@ -111,7 +110,7 @@ endif()
 run_slm(13 attack --from-store ${short} ${common})
 
 run_slm(14 attack --from-store ${store} --circuit alu --mode tdc
-        --key-byte 5 --rng-contract v2)
+        --key-byte 5)
 
 file(REMOVE ${store} ${bad} ${short})
 message(STATUS "store asan: CRC kernels, store tests, mmap replay and refusal paths are clean under AddressSanitizer")

@@ -9,8 +9,7 @@
 #
 # Usage: cmake -DSLM=<slm binary> -DWORKDIR=<scratch dir> -P store_smoke.cmake
 
-set(common --circuit alu --mode tdc --traces 6000 --key-byte 3
-    --rng-contract v2)
+set(common --circuit alu --mode tdc --traces 6000 --key-byte 3)
 set(store ${WORKDIR}/store_smoke.trc)
 set(bad_store ${WORKDIR}/store_smoke_bad.trc)
 set(short_store ${WORKDIR}/store_smoke_short.trc)
@@ -55,7 +54,7 @@ endif()
 #    byte resolves a different campaign (seed, window, config hash) and
 #    must be refused with the documented exit code 14.
 run_slm(mismatch_out 14 attack --from-store ${store} --circuit alu
-        --mode tdc --key-byte 5 --rng-contract v2)
+        --mode tdc --key-byte 5)
 if(NOT mismatch_out MATCHES "fingerprint mismatch")
   message(FATAL_ERROR "mismatched replay did not explain the refusal:\n${mismatch_out}")
 endif()
@@ -87,10 +86,10 @@ run_slm(short_out 13 attack --from-store ${short_store} ${common})
 # 6. TVLA round trip: identical max |t| verdict line from capture and
 #    replay (the t statistics are streamed in stored order, so the
 #    online moments match bit for bit).
-run_slm(tvla_cap_out 0 tvla --mode tdc --traces 400 --rng-contract v2
+run_slm(tvla_cap_out 0 tvla --mode tdc --traces 400
         --store-out ${tvla_store})
 string(REGEX MATCH "max \\|t\\|[^\n]*" tvla_cap_line "${tvla_cap_out}")
-run_slm(tvla_rep_out 0 tvla --mode tdc --rng-contract v2
+run_slm(tvla_rep_out 0 tvla --mode tdc
         --from-store ${tvla_store})
 string(REGEX MATCH "max \\|t\\|[^\n]*" tvla_rep_line "${tvla_rep_out}")
 if(NOT tvla_cap_line STREQUAL tvla_rep_line)
@@ -103,13 +102,13 @@ endif()
 #    replay re-evaluates the same margin/stability gates at the same
 #    checkpoints).
 run_slm(fk_cap_out 0 capture --store-out ${fk_store} --full-key
-        --circuit alu --mode tdc --traces 2500 --rng-contract v2)
+        --circuit alu --mode tdc --traces 2500)
 string(REGEX MATCH "master key:[^\n]*" fk_cap_line "${fk_cap_out}")
 if(NOT fk_cap_line MATCHES "RECOVERED")
   message(FATAL_ERROR "full-key capture did not recover the key:\n${fk_cap_out}")
 endif()
 run_slm(fk_rep_out 0 attack --full-key --from-store ${fk_store}
-        --circuit alu --mode tdc --rng-contract v2)
+        --circuit alu --mode tdc)
 string(REGEX MATCH "master key:[^\n]*" fk_rep_line "${fk_rep_out}")
 if(NOT fk_cap_line STREQUAL fk_rep_line)
   message(FATAL_ERROR "full-key replay diverged:\n"
