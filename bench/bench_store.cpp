@@ -75,16 +75,19 @@ int main() {
   // live schedule. Best-of-N damps scheduler noise.
   const std::vector<std::size_t> checkpoints =
       core::checkpoint_schedule(cfg.checkpoints, traces);
-  const std::uint8_t correct_guess =
-      sca::LastRoundBitModel(kKeyByte, cfg.target_bit)
-          .correct_guess(attack.setup().victim().cipher().last_round_key());
+  const crypto::Block true_key =
+      attack.setup().victim().cipher().last_round_key();
+  store::ReplayAllOptions attack_only;
+  attack_only.fullkey = false;
+  attack_only.tvla = false;
   store::ReplayAttackResult replay;
   double best_replay = 0.0;
   std::uintmax_t store_bytes = 0;
   for (int i = 0; i < kReplays; ++i) {
     const double r0 = obs::monotonic_seconds();
     store::TraceStoreReader reader(store_path);
-    replay = store::replay_attack(reader, checkpoints, correct_guess);
+    replay = store::replay_all(reader, checkpoints, true_key, attack_only)
+                 .attack;
     const double secs = obs::monotonic_seconds() - r0;
     if (i == 0 || secs < best_replay) best_replay = secs;
     store_bytes = reader.file_bytes();
@@ -105,8 +108,6 @@ int main() {
   // replay_all call: one open, one sweep, all three folds fed from the
   // same cache-resident blocks. The fold work is identical on both
   // sides, so the ratio isolates what the fusion buys.
-  const crypto::Block true_key =
-      attack.setup().victim().cipher().last_round_key();
   store::ReplayAllResult fused;
   double best_seq = 0.0, best_fused = 0.0;
   for (int i = 0; i < kReplays; ++i) {

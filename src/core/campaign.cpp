@@ -1,7 +1,6 @@
 #include "core/campaign.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -35,33 +34,6 @@ const char* sensor_mode_name(SensorMode m) {
       return "ro-counter";
   }
   return "?";
-}
-
-std::vector<std::size_t> default_checkpoints(std::size_t traces) {
-  static constexpr std::size_t kSchedule[] = {
-      100,    200,    500,    1000,   2000,   5000,   10000,
-      20000,  50000,  75000,  100000, 150000, 200000, 250000,
-      300000, 350000, 400000, 450000, 500000, 750000, 1000000};
-  std::vector<std::size_t> out;
-  for (std::size_t c : kSchedule) {
-    if (c < traces) out.push_back(c);
-  }
-  out.push_back(traces);
-  return out;
-}
-
-std::vector<std::size_t> checkpoint_schedule(
-    const std::vector<std::size_t>& requested, std::size_t traces) {
-  std::vector<std::size_t> checkpoints;
-  for (const std::size_t c :
-       requested.empty() ? default_checkpoints(traces) : requested) {
-    if (c > 0 && c <= traces) checkpoints.push_back(c);
-  }
-  std::sort(checkpoints.begin(), checkpoints.end());
-  if (checkpoints.empty() || checkpoints.back() != traces) {
-    checkpoints.push_back(traces);
-  }
-  return checkpoints;
 }
 
 std::size_t resolve_block(std::size_t requested) {
@@ -291,14 +263,14 @@ void CpaCampaign::read_sensor_fast(const SensorPlan& plan,
   }
 }
 
-void CpaCampaign::resolve_sensor_bits(CampaignResult* result) {
+std::vector<std::size_t> CpaCampaign::resolve_sensor_bits() {
+  std::vector<std::size_t> bits;
   if (cfg_.mode == SensorMode::kBenignHw) {
-    auto bits = select_bits_of_interest();
+    bits = select_bits_of_interest();
     log_info() << "campaign: " << bits.size() << " bits of interest selected";
     SLM_REQUIRE(!bits.empty(),
                 "CpaCampaign: no bits of interest — sensor not sensitive "
                 "at this operating point");
-    if (result != nullptr) result->bits_of_interest = std::move(bits);
   }
   if (cfg_.mode == SensorMode::kBenignSingleBit) {
     if (cfg_.single_bit == CampaignConfig::kAutoBit) {
@@ -353,6 +325,7 @@ void CpaCampaign::resolve_sensor_bits(CampaignResult* result) {
     SLM_REQUIRE(cfg_.single_bit < setup_.calibration().tdc.stages,
                 "CpaCampaign: TDC bit out of range");
   }
+  return bits;
 }
 
 sca::WelchTTest CpaCampaign::run_tvla(std::size_t traces_per_population) {
@@ -364,8 +337,7 @@ sca::WelchTTest CpaCampaign::run_tvla(std::size_t traces_per_population) {
         cfg_.store_out,
         store_identity(store::StoreKind::kTvla, 2 * traces_per_population));
   }
-  CampaignResult scratch;
-  resolve_sensor_bits(&scratch);
+  const std::vector<std::size_t> bits = resolve_sensor_bits();
   if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
 
   sca::WelchTTest ttest(sample_times_.size());
@@ -382,7 +354,7 @@ sca::WelchTTest CpaCampaign::run_tvla(std::size_t traces_per_population) {
     }
     const auto enc = setup_.victim().encrypt(pt);
     make_voltages(enc, rng, v);
-    read_sensor(v, scratch.bits_of_interest, rng, y);
+    read_sensor(v, bits, rng, y);
     ttest.add(fixed, y);
     if (store_writer) {
       store_writer->record_meta(t, pt, enc.ciphertext);
@@ -425,19 +397,6 @@ std::vector<std::size_t> CpaCampaign::select_bits_of_interest() {
     std::sort(bits.begin(), bits.end());
   }
   return bits;
-}
-
-void label_block(const std::vector<sca::LastRoundBitModel>& models,
-                 std::size_t n, CaptureBuffers& buf) {
-  const std::size_t m = models.size();
-  buf.cls_v.resize(n * m);
-  buf.cls_b.resize(n * m);
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t j = 0; j < m; ++j) {
-      buf.cls_v[b * m + j] = models[j].class_value(buf.ct[b]);
-      buf.cls_b[b * m + j] = models[j].class_bit(buf.ct[b]);
-    }
-  }
 }
 
 CpaCampaign::Regs CpaCampaign::registers_before(std::size_t g) const {
@@ -555,41 +514,6 @@ const Acc& merged_acc(const std::vector<Shard<Acc>>& shards,
 }
 
 template <class Acc>
-void save_shards(const std::vector<Shard<Acc>>& shards, bool fenced,
-                 CampaignCheckpoint& ck) {
-  for (const Shard<Acc>& sh : shards) {
-    CheckpointShard cs;
-    cs.position = sh.position;
-    cs.has_fence = fenced;
-    ByteWriter acc;
-    sh.acc.save(acc);
-    cs.accumulator = acc.bytes();
-    ck.shard_state.push_back(std::move(cs));
-  }
-}
-
-template <class Acc>
-void load_shards(const CampaignCheckpoint& ck,
-                 std::vector<Shard<Acc>>& shards) {
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const CheckpointShard& cs = ck.shard_state[i];
-    shards[i].position = static_cast<std::size_t>(cs.position);
-    ByteReader acc(cs.accumulator.data(), cs.accumulator.size());
-    shards[i].acc.load(acc);
-    SLM_REQUIRE(acc.done(), "resume: trailing accumulator bytes");
-  }
-}
-
-template <class Acc>
-void sum_phase_times(const std::vector<Shard<Acc>>& shards, double* kernel_s,
-                     double* cpa_s) {
-  for (const Shard<Acc>& sh : shards) {
-    *kernel_s += sh.kernel_s;
-    *cpa_s += sh.cpa_s;
-  }
-}
-
-template <class Acc>
 std::string shard_positions(const std::vector<Shard<Acc>>& shards) {
   std::string out = "[";
   for (std::size_t i = 0; i < shards.size(); ++i) {
@@ -599,52 +523,150 @@ std::string shard_positions(const std::vector<Shard<Acc>>& shards) {
   return out + ']';
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+// The byte analysis: one model over XorClassCpa shards; a progress point
+// and a `checkpoint` event at every checkpoint.
+struct ByteAnalysis {
+  using Acc = sca::XorClassCpa;
+  static constexpr bool kFullKey = false;
 
-// Where the shards run: one shard on the calling thread (null), more on
-// the borrowed pool or a private one of `shards` workers.
-ThreadPool* shard_pool(unsigned shards, ThreadPool* borrowed,
-                       std::optional<ThreadPool>* owned) {
-  if (shards == 1) return nullptr;
-  return borrowed != nullptr ? borrowed : &owned->emplace(shards);
-}
+  ByteAnalysis(const CampaignConfig& cfg, const crypto::Block& lrk)
+      : models{sca::LastRoundBitModel(cfg.target_key_byte, cfg.target_bit)} {
+    result.correct_guess = models[0].correct_guess(lrk);
+  }
 
-// Capture rate since the previous checkpoint event, which this one
-// becomes.
-double segment_rate(std::size_t done, std::size_t* seg_traces,
-                    double* seg_time) {
-  const double now = obs::monotonic_seconds();
-  const double rate =
-      now > *seg_time
-          ? static_cast<double>(done - *seg_traces) / (now - *seg_time)
-          : 0.0;
-  *seg_traces = done;
-  *seg_time = now;
-  return rate;
-}
+  void resume(const CampaignCheckpoint& ck) { result.progress = ck.progress; }
 
-// The run's phase-time split as end-of-run gauges.
-template <class Result>
-void note_phase_times(obs::CampaignObserver* ob, const Result& r) {
-  if (ob == nullptr) return;
-  ob->metrics().set("slm.campaign.kernel_seconds", r.kernel_seconds);
-  ob->metrics().set("slm.campaign.cpa_seconds", r.cpa_seconds);
-  ob->metrics().set("slm.campaign.checkpoint_io_seconds",
-                    r.checkpoint_io_seconds);
-  ob->metrics().set("slm.campaign.selection_seconds", r.selection_seconds);
-}
+  void fold(const Acc& acc, std::size_t /*cp*/, obs::CampaignObserver*) {
+    result.progress.push_back(sca::snapshot_progress(
+        acc.fold(models[0].pattern().data()), result.correct_guess));
+  }
+
+  void note(obs::CampaignObserver& ob, std::size_t /*cp*/, double seg_rate,
+            const std::string& shard_traces) const {
+    const sca::CpaProgressPoint& p = result.progress.back();
+    ob.metrics().set("slm.cpa.best_guess", static_cast<double>(p.best_guess));
+    ob.metrics().set("slm.cpa.correct_corr", p.correct_corr);
+    ob.metrics().set("slm.cpa.corr_margin", p.correct_corr - p.best_wrong_corr);
+    ob.event("checkpoint",
+             obs::JsonWriter()
+                 .field("traces", static_cast<std::uint64_t>(p.traces))
+                 .field("best_guess", static_cast<std::uint64_t>(p.best_guess))
+                 .field("correct_rank",
+                        static_cast<std::uint64_t>(p.correct_rank))
+                 .field("correct_corr", p.correct_corr)
+                 .field("best_wrong_corr", p.best_wrong_corr)
+                 .field("corr_margin", p.correct_corr - p.best_wrong_corr)
+                 .field("traces_per_sec", seg_rate)
+                 .raw("shard_traces", shard_traces));
+  }
+
+  void save(CampaignCheckpoint& ck) const { ck.progress = result.progress; }
+
+  // The winner is the last progress point's, as for every full-key byte.
+  void finish() {
+    const sca::CpaProgressPoint& p = result.progress.back();
+    result.final_max_abs_corr = p.max_abs_corr;
+    result.recovered_guess = static_cast<std::uint8_t>(p.best_guess);
+    result.key_recovered = result.recovered_guess == result.correct_guess;
+    result.mtd = sca::estimate_mtd(result.progress);
+  }
+
+  CampaignResult result;
+  const std::vector<sca::LastRoundBitModel> models;
+};
+
+// The full-key analysis: sixteen models over MultiByteCpa shards, the
+// shared early-exit tracker and `fullkey_*` events. Only the labels
+// consult a model, so the capture stream is the byte analysis's.
+struct FullKeyAnalysis {
+  using Acc = sca::MultiByteCpa;
+  static constexpr bool kFullKey = true;
+
+  FullKeyAnalysis(const CampaignConfig& cfg, const FullKeyConfig& fk,
+                  const crypto::Block& lrk)
+      : tracker(fk, cfg.target_bit, lrk, result.bytes),
+        models(tracker.models()) {}
+
+  void resume(const CampaignCheckpoint& ck) {
+    for (std::size_t j = 0; j < sca::MultiByteCpa::kBytes; ++j) {
+      const FullKeyByteCheckpoint& fb = ck.fullkey_bytes[j];
+      tracker.state()[j] = {fb.converged, static_cast<std::size_t>(fb.stable),
+                            static_cast<std::size_t>(fb.prev_best)};
+      result.bytes[j].progress = fb.progress;
+      if (fb.converged) {
+        tracker.freeze(j, fb.recovered,
+                       static_cast<std::size_t>(fb.frozen_traces),
+                       fb.frozen_corr);
+      }
+    }
+  }
+
+  void fold(const Acc& acc, std::size_t cp, obs::CampaignObserver* ob) {
+    for (const sca::EarlyExitTracker::Freeze& f : tracker.fold_at(acc, cp)) {
+      if (ob == nullptr) continue;
+      ob->metrics().add("slm.fullkey.converged_total");
+      ob->metrics().observe("slm.fullkey.convergence_traces",
+                            static_cast<double>(cp));
+      ob->event("fullkey_byte_converged",
+                obs::JsonWriter()
+                    .field("byte", static_cast<std::uint64_t>(f.byte))
+                    .field("traces", static_cast<std::uint64_t>(cp))
+                    .field("guess", static_cast<std::uint64_t>(
+                                        result.bytes[f.byte].recovered))
+                    .field("margin", f.margin));
+    }
+  }
+
+  void note(obs::CampaignObserver& ob, std::size_t cp, double seg_rate,
+            const std::string& shard_traces) const {
+    const std::size_t converged = tracker.converged();
+    ob.metrics().set("slm.fullkey.bytes_converged",
+                     static_cast<double>(converged));
+    ob.event("fullkey_checkpoint",
+             obs::JsonWriter()
+                 .field("traces", static_cast<std::uint64_t>(cp))
+                 .field("bytes_converged",
+                        static_cast<std::uint64_t>(converged))
+                 .field("bytes_active",
+                        static_cast<std::uint64_t>(sca::MultiByteCpa::kBytes -
+                                                   converged))
+                 .field("traces_per_sec", seg_rate)
+                 .raw("shard_traces", shard_traces));
+  }
+
+  void save(CampaignCheckpoint& ck) {
+    for (std::size_t j = 0; j < sca::MultiByteCpa::kBytes; ++j) {
+      const sca::EarlyExitTracker::ByteState& s = tracker.state()[j];
+      const FullKeyByteResult& br = result.bytes[j];
+      FullKeyByteCheckpoint fb;
+      fb.converged = s.converged;
+      fb.stable = s.stable;
+      fb.prev_best = s.prev_best;
+      if (s.converged) {
+        fb.frozen_traces = br.traces;
+        fb.recovered = br.recovered;
+        fb.frozen_corr = br.final_max_abs_corr;
+      }
+      fb.progress = br.progress;
+      ck.fullkey_bytes.push_back(std::move(fb));
+    }
+  }
+
+  void finish() { tracker.finish(); }
+
+  FullKeyRunResult result;
+  sca::EarlyExitTracker tracker;
+  const std::vector<sca::LastRoundBitModel>& models;
+};
 
 }  // namespace
 
-template <class ShardT, class Fold>
-void CpaCampaign::capture_segment(ThreadPool* pool, const CapturePlan& plan,
-                                  std::vector<ShardT>& shards,
-                                  std::size_t covered, std::size_t cp,
-                                  store::TraceStoreWriter* store,
-                                  const Fold& fold) const {
+template <class ShardT>
+void CpaCampaign::capture_segment(
+    ThreadPool* pool, const CapturePlan& plan,
+    const std::vector<sca::LastRoundBitModel>& models,
+    std::vector<ShardT>& shards, std::size_t covered, std::size_t cp,
+    store::TraceStoreWriter* store) const {
   obs::CampaignObserver* const ob = cfg_.observer;
   const bool timed = ob != nullptr;
   const std::size_t n = cp - covered;
@@ -661,7 +683,7 @@ void CpaCampaign::capture_segment(ThreadPool* pool, const CapturePlan& plan,
       const double t0 = timed ? obs::monotonic_seconds() : 0.0;
       capture_block(plan, g, bn, regs, sh.buf, store);
       const double t1 = timed ? obs::monotonic_seconds() : 0.0;
-      fold(sh, bn);
+      fold_block(models, bn, sh.buf, sh.acc);
       if (timed) {
         sh.kernel_s += t1 - t0;
         sh.cpa_s += obs::monotonic_seconds() - t1;
@@ -692,28 +714,6 @@ void CpaCampaign::capture_segment(ThreadPool* pool, const CapturePlan& plan,
   }
 }
 
-std::unique_ptr<store::TraceStoreWriter> CpaCampaign::open_store(
-    store::StoreKind kind, unsigned shards) const {
-  if (cfg_.store_out.empty()) return nullptr;
-  // A resumed run never regenerates the traces captured before the
-  // snapshot, so its store would be silently short.
-  SLM_REQUIRE(!cfg_.resume,
-              "store_out: cannot combine with resume — traces captured "
-              "before the snapshot would be missing from the store");
-  auto writer = std::make_unique<store::TraceStoreWriter>(
-      cfg_.store_out, store_identity(kind, cfg_.traces));
-  writer->set_capture_threads(shards);
-  return writer;
-}
-
-double CpaCampaign::timed_selection(CampaignResult* result) {
-  const auto t0 = std::chrono::steady_clock::now();
-  std::optional<obs::CampaignObserver::Span> span;
-  if (cfg_.observer != nullptr) span.emplace(cfg_.observer->span("selection"));
-  resolve_sensor_bits(result);
-  return seconds_since(t0);
-}
-
 std::optional<CampaignCheckpoint> CpaCampaign::load_resume(unsigned shards,
                                                            bool fullkey) const {
   if (!cfg_.resume || cfg_.checkpoint_dir.empty()) return std::nullopt;
@@ -740,53 +740,6 @@ std::optional<CampaignCheckpoint> CpaCampaign::load_resume(unsigned shards,
                   .field("shards", static_cast<std::uint64_t>(shards))
                   .field("path", path));
   }
-  return ck;
-}
-
-void CpaCampaign::note_run_start(unsigned shards, std::size_t block,
-                                 bool fullkey, std::size_t resumed_from) const {
-  obs::CampaignObserver* const ob = cfg_.observer;
-  if (ob == nullptr) return;
-  ob->metrics().set("slm.campaign.traces_target",
-                    static_cast<double>(cfg_.traces));
-  ob->metrics().set("slm.kernel.block_size", static_cast<double>(block));
-  obs::JsonWriter w;
-  w.field("mode", sensor_mode_name(cfg_.mode));
-  if (fullkey) {
-    ob->metrics().set("slm.fullkey.bytes_total",
-                      static_cast<double>(sca::MultiByteCpa::kBytes));
-    w.field("fullkey", true);
-  }
-  ob->event("run_start",
-            w.field("traces", static_cast<std::uint64_t>(cfg_.traces))
-                .field("seed", static_cast<std::uint64_t>(cfg_.seed))
-                .field("threads", static_cast<std::uint64_t>(shards))
-                .field("compiled", true)
-                .field("block", static_cast<std::uint64_t>(block))
-                .field("rng_contract", rng_contract_name(RngContract::kV2))
-                .field("resumed_from",
-                       static_cast<std::uint64_t>(resumed_from)));
-}
-
-CampaignCheckpoint CpaCampaign::checkpoint_header(unsigned shards,
-                                                  std::size_t block,
-                                                  std::size_t done,
-                                                  bool fullkey) const {
-  CampaignCheckpoint ck;
-  ck.seed = cfg_.seed;
-  ck.total_traces = cfg_.traces;
-  ck.mode = static_cast<std::uint32_t>(cfg_.mode);
-  ck.shards = shards;
-  ck.samples = sample_times_.size();
-  ck.target_key_byte = cfg_.target_key_byte;
-  ck.target_bit = cfg_.target_bit;
-  ck.single_bit = cfg_.single_bit;
-  ck.compiled = true;
-  ck.block = block;
-  ck.rng_contract = static_cast<std::uint32_t>(RngContract::kV2);
-  ck.fullkey = fullkey;
-  ck.traces_done = done;
-  ck.shard_state.reserve(shards);
   return ck;
 }
 
@@ -825,26 +778,42 @@ void CpaCampaign::halt_if_due(std::size_t done, const std::string& path) const {
   throw CampaignHalted(done, path);
 }
 
-CampaignResult CpaCampaign::run_shards(unsigned shard_count) {
-  const auto wall_start = std::chrono::steady_clock::now();
+template <class Analysis>
+void CpaCampaign::run_engine(unsigned shard_count, Analysis& an) {
+  using Acc = typename Analysis::Acc;
+  constexpr bool fullkey = Analysis::kFullKey;
+  const double wall_start = obs::monotonic_seconds();
   obs::CampaignObserver* const ob = cfg_.observer;
   const bool timed = ob != nullptr;
   (void)resolve_contract(cfg_.rng_contract);
-  CampaignResult result;
+  CampaignRun& result = an.result;
   result.mode = cfg_.mode;
   result.sample_times_ns = sample_times_;
-  const std::vector<sca::LastRoundBitModel> models{
-      sca::LastRoundBitModel(cfg_.target_key_byte, cfg_.target_bit)};
-  const sca::LastRoundBitModel& model = models[0];
-  result.correct_guess =
-      model.correct_guess(setup_.victim().cipher().last_round_key());
 
   // The store fingerprint hashes the *requested* endpoint bit, so the
   // writer is created before bit resolution mutates cfg_.single_bit — a
   // replay-side CpaCampaign never resolves and must hash the same value.
-  const auto store_writer =
-      open_store(store::StoreKind::kByteCampaign, shard_count);
-  result.selection_seconds = timed_selection(&result);
+  std::unique_ptr<store::TraceStoreWriter> store_writer;
+  if (!cfg_.store_out.empty()) {
+    // A resumed run never regenerates the traces captured before the
+    // snapshot, so its store would be silently short.
+    SLM_REQUIRE(!cfg_.resume,
+                "store_out: cannot combine with resume — traces captured "
+                "before the snapshot would be missing from the store");
+    store_writer = std::make_unique<store::TraceStoreWriter>(
+        cfg_.store_out,
+        store_identity(fullkey ? store::StoreKind::kFullKey
+                               : store::StoreKind::kByteCampaign,
+                       cfg_.traces));
+    store_writer->set_capture_threads(shard_count);
+  }
+  {
+    const double t0 = obs::monotonic_seconds();
+    std::optional<obs::CampaignObserver::Span> span;
+    if (ob != nullptr) span.emplace(ob->span("selection"));
+    result.bits_of_interest = resolve_sensor_bits();
+    result.selection_seconds = obs::monotonic_seconds() - t0;
+  }
   result.single_bit = cfg_.single_bit;
   if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
 
@@ -854,304 +823,143 @@ CampaignResult CpaCampaign::run_shards(unsigned shard_count) {
   // Each shard bins its traces into (ciphertext-class, base-bit) cells;
   // the merge folds them into full per-guess CPA sums at checkpoints only
   // (see sca::XorClassCpa).
-  std::vector<Shard<sca::XorClassCpa>> shards(
-      shard_count, Shard<sca::XorClassCpa>(samples));
-  if (const auto ck = load_resume(shard_count, false)) {
-    load_shards(*ck, shards);
-    result.progress = ck->progress;
+  std::vector<Shard<Acc>> shards(shard_count, Shard<Acc>(samples));
+  if (const auto ck = load_resume(shard_count, fullkey)) {
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      const CheckpointShard& cs = ck->shard_state[i];
+      shards[i].position = static_cast<std::size_t>(cs.position);
+      ByteReader acc(cs.accumulator.data(), cs.accumulator.size());
+      shards[i].acc.load(acc);
+      SLM_REQUIRE(acc.done(), "resume: trailing accumulator bytes");
+    }
+    an.resume(*ck);
     result.resumed_from = static_cast<std::size_t>(ck->traces_done);
+    result.traces_run = result.resumed_from;
   }
-  note_run_start(shard_count, plan.block, false, result.resumed_from);
+  if (ob != nullptr) {
+    ob->metrics().set("slm.campaign.traces_target",
+                      static_cast<double>(cfg_.traces));
+    ob->metrics().set("slm.kernel.block_size", static_cast<double>(plan.block));
+    obs::JsonWriter w;
+    w.field("mode", sensor_mode_name(cfg_.mode));
+    if (fullkey) {
+      ob->metrics().set("slm.fullkey.bytes_total",
+                        static_cast<double>(sca::MultiByteCpa::kBytes));
+      w.field("fullkey", true);
+    }
+    ob->event("run_start",
+              w.field("traces", static_cast<std::uint64_t>(cfg_.traces))
+                  .field("seed", static_cast<std::uint64_t>(cfg_.seed))
+                  .field("threads", static_cast<std::uint64_t>(shard_count))
+                  .field("compiled", true)
+                  .field("block", static_cast<std::uint64_t>(plan.block))
+                  .field("rng_contract", rng_contract_name(RngContract::kV2))
+                  .field("resumed_from",
+                         static_cast<std::uint64_t>(result.resumed_from)));
+  }
 
   double ckpt_io_s = 0.0;
   std::size_t seg_traces = result.resumed_from;
   double seg_time = timed ? obs::monotonic_seconds() : 0.0;
+  // One shard runs on the calling thread; more on the borrowed pool or a
+  // private one of `shard_count` workers.
   std::optional<ThreadPool> owned_pool;
-  ThreadPool* const pool = shard_pool(shard_count, cfg_.pool, &owned_pool);
-  const auto fold = [&](Shard<sca::XorClassCpa>& sh, std::size_t bn) {
-    label_block(models, bn, sh.buf);
-    sh.acc.add_block(sh.buf.cls_v.data(), sh.buf.cls_b.data(),
-                     sh.buf.y.data(), bn);
-  };
-  sca::CpaEngine merged(256, samples);
+  ThreadPool* pool = shard_count == 1 ? nullptr : cfg_.pool;
+  if (shard_count > 1 && pool == nullptr) {
+    pool = &owned_pool.emplace(shard_count);
+  }
   std::size_t covered = result.resumed_from;
   for (const std::size_t cp :
        checkpoint_schedule(cfg_.checkpoints, cfg_.traces)) {
     if (cp <= result.resumed_from) continue;
-    capture_segment(pool, plan, shards, covered, cp, store_writer.get(), fold);
+    capture_segment(pool, plan, an.models, shards, covered, cp,
+                    store_writer.get());
     covered = cp;
+    result.traces_run = cp;
     {
+      // Merge in fixed shard order, then fold on the coordinator.
       std::optional<obs::CampaignObserver::Span> span;
       if (ob != nullptr) span.emplace(ob->span("merge"));
       const double m0 = timed ? obs::monotonic_seconds() : 0.0;
-      std::optional<sca::XorClassCpa> scratch;
-      merged =
-          merged_acc(shards, scratch, samples).fold(model.pattern().data());
+      std::optional<Acc> scratch;
+      an.fold(merged_acc(shards, scratch, samples), cp, ob);
       // Booked against shard 0 so the sum over shards counts it once.
       if (timed) shards[0].cpa_s += obs::monotonic_seconds() - m0;
     }
-    result.progress.push_back(
-        sca::snapshot_progress(merged, result.correct_guess));
-
     if (ob != nullptr) {
-      const sca::CpaProgressPoint& p = result.progress.back();
-      const double seg_rate = segment_rate(cp, &seg_traces, &seg_time);
+      // Capture rate since the previous checkpoint event.
+      const double now = obs::monotonic_seconds();
+      const double seg_rate =
+          now > seg_time
+              ? static_cast<double>(cp - seg_traces) / (now - seg_time)
+              : 0.0;
+      seg_traces = cp;
+      seg_time = now;
       ob->metrics().add("slm.campaign.checkpoints_total");
       ob->metrics().set("slm.campaign.traces_done", static_cast<double>(cp));
-      ob->metrics().set("slm.cpa.best_guess",
-                        static_cast<double>(p.best_guess));
-      ob->metrics().set("slm.cpa.correct_corr", p.correct_corr);
-      ob->metrics().set("slm.cpa.corr_margin",
-                        p.correct_corr - p.best_wrong_corr);
       ob->metrics().observe("slm.campaign.segment_traces_per_sec", seg_rate);
-      ob->event("checkpoint",
-                obs::JsonWriter()
-                    .field("traces", static_cast<std::uint64_t>(p.traces))
-                    .field("best_guess",
-                           static_cast<std::uint64_t>(p.best_guess))
-                    .field("correct_rank",
-                           static_cast<std::uint64_t>(p.correct_rank))
-                    .field("correct_corr", p.correct_corr)
-                    .field("best_wrong_corr", p.best_wrong_corr)
-                    .field("corr_margin", p.correct_corr - p.best_wrong_corr)
-                    .field("traces_per_sec", seg_rate)
-                    .raw("shard_traces", shard_positions(shards)));
+      an.note(*ob, cp, seg_rate, shard_positions(shards));
     }
-
     if (!cfg_.checkpoint_dir.empty()) {
-      CampaignCheckpoint ck =
-          checkpoint_header(shard_count, plan.block, cp, false);
-      save_shards(shards, fence_.has_value(), ck);
-      ck.progress = result.progress;
+      CampaignCheckpoint ck;
+      ck.seed = cfg_.seed;
+      ck.total_traces = cfg_.traces;
+      ck.mode = static_cast<std::uint32_t>(cfg_.mode);
+      ck.shards = shard_count;
+      ck.samples = samples;
+      ck.target_key_byte = cfg_.target_key_byte;
+      ck.target_bit = cfg_.target_bit;
+      ck.single_bit = cfg_.single_bit;
+      ck.compiled = true;
+      ck.block = plan.block;
+      ck.rng_contract = static_cast<std::uint32_t>(RngContract::kV2);
+      ck.fullkey = fullkey;
+      ck.traces_done = cp;
+      for (const Shard<Acc>& sh : shards) {
+        CheckpointShard cs;
+        cs.position = sh.position;
+        cs.has_fence = fence_.has_value();
+        ByteWriter acc;
+        sh.acc.save(acc);
+        cs.accumulator = acc.bytes();
+        ck.shard_state.push_back(std::move(cs));
+      }
+      an.save(ck);
       write_snapshot(ck, &result.snapshot_path, &ckpt_io_s);
     }
     halt_if_due(cp, result.snapshot_path);
   }
 
+  an.finish();
   if (store_writer) finalize_trace_store(*store_writer, ob);
-
-  result.traces_run = merged.trace_count();
-  result.final_max_abs_corr = merged.max_abs_correlation();
-  result.recovered_guess = static_cast<std::uint8_t>(merged.best_guess());
-  result.key_recovered = result.recovered_guess == result.correct_guess;
-  result.mtd = sca::estimate_mtd(result.progress);
   result.checkpoint_io_seconds = ckpt_io_s;
-  sum_phase_times(shards, &result.kernel_seconds, &result.cpa_seconds);
-  note_phase_times(ob, result);
+  for (const Shard<Acc>& sh : shards) {
+    result.kernel_seconds += sh.kernel_s;
+    result.cpa_seconds += sh.cpa_s;
+  }
+  if (ob != nullptr) {
+    ob->metrics().set("slm.campaign.kernel_seconds", result.kernel_seconds);
+    ob->metrics().set("slm.campaign.cpa_seconds", result.cpa_seconds);
+    ob->metrics().set("slm.campaign.checkpoint_io_seconds",
+                      result.checkpoint_io_seconds);
+    ob->metrics().set("slm.campaign.selection_seconds",
+                      result.selection_seconds);
+  }
   result.threads_used = shard_count;
-  result.capture_seconds = seconds_since(wall_start);
-  return result;
+  result.capture_seconds = obs::monotonic_seconds() - wall_start;
 }
 
-FullKeyRunResult CpaCampaign::run_fullkey_shards(unsigned shard_count,
+CampaignResult CpaCampaign::run_shards(unsigned shards) {
+  ByteAnalysis an(cfg_, setup_.victim().cipher().last_round_key());
+  run_engine(shards, an);
+  return std::move(an.result);
+}
+
+FullKeyRunResult CpaCampaign::run_fullkey_shards(unsigned shards,
                                                  const FullKeyConfig& fk) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  obs::CampaignObserver* const ob = cfg_.observer;
-  const bool timed = ob != nullptr;
-  constexpr std::size_t kBytes = sca::MultiByteCpa::kBytes;
-  (void)resolve_contract(cfg_.rng_contract);
-  FullKeyRunResult result;
-  result.mode = cfg_.mode;
-  result.sample_times_ns = sample_times_;
-
-  // One model per last-round key byte. Capture never consults a model —
-  // only the class labels do — so the stream is the byte-independent
-  // stream run() produces under the same config.
-  std::vector<sca::LastRoundBitModel> models;
-  models.reserve(kBytes);
-  const crypto::Block lrk = setup_.victim().cipher().last_round_key();
-  for (std::size_t j = 0; j < kBytes; ++j) {
-    models.emplace_back(j, cfg_.target_bit);
-    result.bytes[j].correct = models[j].correct_guess(lrk);
-  }
-
-  // Created before bit resolution (see run_shards).
-  const auto store_writer = open_store(store::StoreKind::kFullKey, shard_count);
-  {
-    CampaignResult scratch;
-    result.selection_seconds = timed_selection(&scratch);
-    result.bits_of_interest = std::move(scratch.bits_of_interest);
-  }
-  result.single_bit = cfg_.single_bit;
-  if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
-
-  const CapturePlan plan = capture_plan(result.bits_of_interest);
-  result.block_size = plan.block;
-  const std::size_t samples = sample_times_.size();
-  std::vector<Shard<sca::MultiByteCpa>> shards(
-      shard_count, Shard<sca::MultiByteCpa>(samples));
-
-  // Per-byte early-exit bookkeeping (restored verbatim on resume so a
-  // resumed run freezes the same bytes at the same checkpoints).
-  struct ByteState {
-    bool converged = false;
-    std::size_t stable = 0;
-    std::size_t prev_best = 256;  // 256 = no previous checkpoint yet
-  };
-  std::array<ByteState, kBytes> state;
-  if (const auto ck = load_resume(shard_count, true)) {
-    load_shards(*ck, shards);
-    for (std::size_t j = 0; j < kBytes; ++j) {
-      const FullKeyByteCheckpoint& fb = ck->fullkey_bytes[j];
-      state[j].converged = fb.converged;
-      state[j].stable = static_cast<std::size_t>(fb.stable);
-      state[j].prev_best = static_cast<std::size_t>(fb.prev_best);
-      FullKeyByteResult& br = result.bytes[j];
-      br.progress = fb.progress;
-      if (fb.converged) {
-        br.recovered = fb.recovered;
-        br.traces = static_cast<std::size_t>(fb.frozen_traces);
-        br.final_max_abs_corr = fb.frozen_corr;
-        br.early_exited = true;
-        br.success = br.recovered == br.correct;
-      }
-    }
-    result.resumed_from = static_cast<std::size_t>(ck->traces_done);
-  }
-  note_run_start(shard_count, plan.block, true, result.resumed_from);
-
-  double ckpt_io_s = 0.0;
-  std::size_t seg_traces = result.resumed_from;
-  double seg_time = timed ? obs::monotonic_seconds() : 0.0;
-  // Count of converged bytes, for the checkpoint event and so the fold
-  // loop can cheaply skip frozen bytes.
-  std::size_t converged_count = 0;
-  for (const ByteState& s : state) {
-    if (s.converged) ++converged_count;
-  }
-
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* const pool = shard_pool(shard_count, cfg_.pool, &owned_pool);
-  const auto fold = [&](Shard<sca::MultiByteCpa>& sh, std::size_t bn) {
-    label_block(models, bn, sh.buf);
-    sh.acc.add_block(sh.buf.cls_v.data(), sh.buf.cls_b.data(),
-                     sh.buf.y.data(), bn);
-  };
-  std::size_t covered = result.resumed_from;
-  for (const std::size_t cp :
-       checkpoint_schedule(cfg_.checkpoints, cfg_.traces)) {
-    if (cp <= result.resumed_from) continue;
-    capture_segment(pool, plan, shards, covered, cp, store_writer.get(), fold);
-    covered = cp;
-
-    // Merge in fixed shard order, then run the per-byte folds and the
-    // early-exit state machine on the coordinator.
-    {
-      std::optional<obs::CampaignObserver::Span> span;
-      if (ob != nullptr) span.emplace(ob->span("merge"));
-      const double m0 = timed ? obs::monotonic_seconds() : 0.0;
-      std::optional<sca::MultiByteCpa> scratch;
-      const sca::MultiByteCpa& merged = merged_acc(shards, scratch, samples);
-      result.traces_run = merged.trace_count();
-      for (std::size_t j = 0; j < kBytes; ++j) {
-        if (state[j].converged) continue;
-        const sca::CpaEngine folded =
-            merged.fold(j, models[j].pattern().data());
-        sca::CpaProgressPoint p =
-            sca::snapshot_progress(folded, result.bytes[j].correct);
-        const double margin = sca::winner_margin(p);
-        const bool qualify = fk.early_exit &&
-                             cp >= fk.early_exit_min_traces &&
-                             state[j].prev_best == p.best_guess &&
-                             margin >= fk.early_exit_margin;
-        if (qualify) {
-          ++state[j].stable;
-        } else {
-          state[j].stable = 0;
-        }
-        state[j].prev_best = p.best_guess;
-        result.bytes[j].progress.push_back(std::move(p));
-        if (qualify && state[j].stable >= fk.early_exit_stable) {
-          const sca::CpaProgressPoint& fp = result.bytes[j].progress.back();
-          FullKeyByteResult& br = result.bytes[j];
-          state[j].converged = true;
-          ++converged_count;
-          br.recovered = static_cast<std::uint8_t>(fp.best_guess);
-          br.traces = cp;
-          br.final_max_abs_corr = fp.max_abs_corr;
-          br.early_exited = true;
-          br.success = br.recovered == br.correct;
-          if (ob != nullptr) {
-            ob->metrics().add("slm.fullkey.converged_total");
-            ob->metrics().observe("slm.fullkey.convergence_traces",
-                                  static_cast<double>(cp));
-            ob->event("fullkey_byte_converged",
-                      obs::JsonWriter()
-                          .field("byte", static_cast<std::uint64_t>(j))
-                          .field("traces", static_cast<std::uint64_t>(cp))
-                          .field("guess",
-                                 static_cast<std::uint64_t>(br.recovered))
-                          .field("margin", margin));
-          }
-        }
-      }
-      if (timed) shards[0].cpa_s += obs::monotonic_seconds() - m0;
-    }
-
-    if (ob != nullptr) {
-      const double seg_rate = segment_rate(cp, &seg_traces, &seg_time);
-      ob->metrics().add("slm.campaign.checkpoints_total");
-      ob->metrics().set("slm.campaign.traces_done", static_cast<double>(cp));
-      ob->metrics().set("slm.fullkey.bytes_converged",
-                        static_cast<double>(converged_count));
-      ob->metrics().observe("slm.campaign.segment_traces_per_sec", seg_rate);
-      ob->event("fullkey_checkpoint",
-                obs::JsonWriter()
-                    .field("traces", static_cast<std::uint64_t>(cp))
-                    .field("bytes_converged",
-                           static_cast<std::uint64_t>(converged_count))
-                    .field("bytes_active",
-                           static_cast<std::uint64_t>(kBytes -
-                                                      converged_count))
-                    .field("traces_per_sec", seg_rate)
-                    .raw("shard_traces", shard_positions(shards)));
-    }
-
-    if (!cfg_.checkpoint_dir.empty()) {
-      CampaignCheckpoint ck =
-          checkpoint_header(shard_count, plan.block, cp, true);
-      save_shards(shards, fence_.has_value(), ck);
-      ck.fullkey_bytes.reserve(kBytes);
-      for (std::size_t j = 0; j < kBytes; ++j) {
-        FullKeyByteCheckpoint fb;
-        fb.converged = state[j].converged;
-        fb.stable = state[j].stable;
-        fb.prev_best = state[j].prev_best;
-        if (state[j].converged) {
-          fb.frozen_traces = result.bytes[j].traces;
-          fb.recovered = result.bytes[j].recovered;
-          fb.frozen_corr = result.bytes[j].final_max_abs_corr;
-        }
-        fb.progress = result.bytes[j].progress;
-        ck.fullkey_bytes.push_back(std::move(fb));
-      }
-      write_snapshot(ck, &result.snapshot_path, &ckpt_io_s);
-    }
-    halt_if_due(cp, result.snapshot_path);
-  }
-
-  // Every byte that never froze got its final fold at the last
-  // checkpoint (the schedule always ends at cfg_.traces).
-  for (std::size_t j = 0; j < kBytes; ++j) {
-    FullKeyByteResult& br = result.bytes[j];
-    if (!state[j].converged) {
-      const sca::CpaProgressPoint& fp = br.progress.back();
-      br.recovered = static_cast<std::uint8_t>(fp.best_guess);
-      br.traces = fp.traces;
-      br.final_max_abs_corr = fp.max_abs_corr;
-      br.success = br.recovered == br.correct;
-    }
-    br.mtd = sca::estimate_mtd(br.progress);
-  }
-
-  if (store_writer) finalize_trace_store(*store_writer, ob);
-
-  result.checkpoint_io_seconds = ckpt_io_s;
-  sum_phase_times(shards, &result.kernel_seconds, &result.cpa_seconds);
-  note_phase_times(ob, result);
-  result.threads_used = shard_count;
-  result.capture_seconds = seconds_since(wall_start);
-  return result;
+  FullKeyAnalysis an(cfg_, fk, setup_.victim().cipher().last_round_key());
+  run_engine(shards, an);
+  return std::move(an.result);
 }
 
 }  // namespace slm::core

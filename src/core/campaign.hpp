@@ -21,6 +21,7 @@
 #include "defense/active_fence.hpp"
 #include "pdn/cycle_response.hpp"
 #include "sca/cpa.hpp"
+#include "sca/fold.hpp"
 #include "sca/selection.hpp"
 #include "sca/tvla.hpp"
 #include "sca/model.hpp"
@@ -172,15 +173,11 @@ struct CampaignConfig {
   ThreadPool* pool = nullptr;
 };
 
-struct CampaignResult {
+/// What every engine run reports besides its analysis, filled by the one
+/// engine loop for CampaignResult and FullKeyRunResult alike.
+struct CampaignRun {
   SensorMode mode = SensorMode::kBenignHw;
-  std::size_t traces_run = 0;
-  std::uint8_t correct_guess = 0;   ///< true last-round key byte
-  std::uint8_t recovered_guess = 0; ///< CPA winner at the end
-  bool key_recovered = false;
-  sca::MtdResult mtd;
-  std::vector<sca::CpaProgressPoint> progress;
-  std::vector<double> final_max_abs_corr;    ///< per key candidate
+  std::size_t traces_run = 0;  ///< shared capture traces
   std::vector<std::size_t> bits_of_interest; ///< kBenignHw only
   std::vector<double> sample_times_ns;
 
@@ -216,61 +213,24 @@ struct CampaignResult {
   std::string snapshot_path;
 };
 
-/// Knobs of the fused full-key campaign (docs/FULLKEY.md). Early exit is
-/// attacker-observable: a byte "converges" when its CPA winner has been
-/// stable with a sufficient correlation margin over `stable` consecutive
-/// checkpoints. Converged bytes freeze their reported result and stop
-/// paying the per-checkpoint 256 x 512 x S fold; the shared capture keeps
-/// feeding their accumulator slice, so turning early exit off only adds
-/// fold work — the accumulators (and therefore any later fold) are
-/// unchanged.
-struct FullKeyConfig {
-  bool early_exit = true;
-
-  /// Margin |r_best| - |r_second| a byte's winner must hold.
-  double early_exit_margin = 0.08;
-
-  /// Consecutive qualifying checkpoints (same winner as the previous
-  /// checkpoint, margin met) before the byte freezes.
-  std::size_t early_exit_stable = 2;
-
-  /// Never freeze before this many traces (the margin estimate is noise
-  /// at the head of the log-spaced schedule).
-  std::size_t early_exit_min_traces = 1000;
-};
-
-/// Per-byte outcome of a fused full-key campaign. `traces` is the trace
-/// count this byte's reported result was folded at: the shared budget,
-/// or the freeze point when early exit fired.
-struct FullKeyByteResult {
-  std::uint8_t correct = 0;     ///< true last-round key byte
-  std::uint8_t recovered = 0;   ///< CPA winner
-  bool success = false;
-  bool early_exited = false;
-  std::size_t traces = 0;
+struct CampaignResult : CampaignRun {
+  std::uint8_t correct_guess = 0;   ///< true last-round key byte
+  std::uint8_t recovered_guess = 0; ///< CPA winner at the end
+  bool key_recovered = false;
   sca::MtdResult mtd;
   std::vector<sca::CpaProgressPoint> progress;
-  std::vector<double> final_max_abs_corr;  ///< per key candidate
+  std::vector<double> final_max_abs_corr;    ///< per key candidate
 };
 
+// The full-key early-exit knobs and per-byte outcome are the shared
+// fold layer's (sca/fold.hpp), so store replay uses the same types.
+using FullKeyConfig = sca::FullKeyConfig;
+using FullKeyByteResult = sca::FullKeyByteResult;
+
 /// Outcome of a fused full-key campaign: one shared capture stream, 16
-/// per-byte CPA results. The shared metadata mirrors CampaignResult.
-struct FullKeyRunResult {
-  SensorMode mode = SensorMode::kBenignHw;
-  std::size_t traces_run = 0;  ///< shared capture traces (not x16)
+/// per-byte CPA results.
+struct FullKeyRunResult : CampaignRun {
   std::array<FullKeyByteResult, 16> bytes;
-  std::vector<std::size_t> bits_of_interest;
-  std::vector<double> sample_times_ns;
-  std::size_t single_bit = 0;
-  unsigned threads_used = 0;
-  double capture_seconds = 0.0;
-  std::size_t block_size = 0;
-  double kernel_seconds = 0.0;
-  double cpa_seconds = 0.0;
-  double checkpoint_io_seconds = 0.0;
-  double selection_seconds = 0.0;
-  std::size_t resumed_from = 0;
-  std::string snapshot_path;
 
   bool all_recovered() const {
     for (const auto& b : bytes) {
@@ -336,13 +296,17 @@ class CpaCampaign {
 
   using Regs = crypto::AesDatapathModel::RegisterSnapshot;
 
-  /// The byte and full-key engines: `shards` workers capture contiguous
-  /// chunks of every checkpoint segment and merge in fixed shard order
-  /// at each checkpoint. One shard runs on the calling thread; more run
-  /// over cfg_.pool, or a private pool of `shards` workers.
+  /// The byte and full-key engines: run_engine over their analysis.
   CampaignResult run_shards(unsigned shards);
   FullKeyRunResult run_fullkey_shards(unsigned shards,
                                       const FullKeyConfig& fk);
+
+  /// The one engine loop: `shards` workers capture contiguous chunks of
+  /// every checkpoint segment and merge in fixed shard order at each
+  /// checkpoint, where `an` (the byte or full-key analysis in
+  /// core/campaign.cpp) folds, reports and saves its state.
+  template <class Analysis>
+  void run_engine(unsigned shards, Analysis& an);
 
   /// The capture body every engine runs: traces [g, g + bn) (bn <=
   /// plan.block) from their counter-keyed streams — plaintext, victim
@@ -383,27 +347,21 @@ class CpaCampaign {
                         const std::vector<std::size_t>& bits, Xoshiro256& rng,
                         std::vector<double>& y) const;
 
-  /// Resolve kAutoBit / bits-of-interest before a capture loop.
-  void resolve_sensor_bits(CampaignResult* result);
+  /// Resolve kAutoBit / bits-of-interest before a capture loop; returns
+  /// the bits of interest (benign HW only, empty otherwise).
+  std::vector<std::size_t> resolve_sensor_bits();
 
-  // Engine plumbing shared by run_shards and run_fullkey_shards.
-  std::unique_ptr<store::TraceStoreWriter> open_store(store::StoreKind kind,
-                                                      unsigned shards) const;
-  double timed_selection(CampaignResult* result);
+  // run_engine's steps.
   std::optional<CampaignCheckpoint> load_resume(unsigned shards,
                                                 bool fullkey) const;
-  void note_run_start(unsigned shards, std::size_t block, bool fullkey,
-                      std::size_t resumed_from) const;
-  CampaignCheckpoint checkpoint_header(unsigned shards, std::size_t block,
-                                       std::size_t done, bool fullkey) const;
   void write_snapshot(const CampaignCheckpoint& ck, std::string* path,
                       double* io_seconds) const;
   void halt_if_due(std::size_t done, const std::string& path) const;
-  template <class Shard, class Fold>
+  template <class Shard>
   void capture_segment(ThreadPool* pool, const CapturePlan& plan,
+                       const std::vector<sca::LastRoundBitModel>& models,
                        std::vector<Shard>& shards, std::size_t covered,
-                       std::size_t cp, store::TraceStoreWriter* store,
-                       const Fold& fold) const;
+                       std::size_t cp, store::TraceStoreWriter* store) const;
 
   AttackSetup& setup_;
   CampaignConfig cfg_;
@@ -414,15 +372,10 @@ class CpaCampaign {
   mutable std::optional<defense::ActiveFence> fence_;
 };
 
-/// Default log-spaced checkpoint schedule up to `traces`.
-std::vector<std::size_t> default_checkpoints(std::size_t traces);
-
-/// The one checkpoint-schedule rule: `requested` when non-empty, else
-/// default_checkpoints(traces); sorted, with 0 and anything above
-/// `traces` dropped, and always ending at `traces`. Every engine, store
-/// replay, the CLI and serve fold at exactly these counts.
-std::vector<std::size_t> checkpoint_schedule(
-    const std::vector<std::size_t>& requested, std::size_t traces);
+// The checkpoint schedule rule lives in the shared fold layer; every
+// engine, store replay, the CLI and serve fold at its counts.
+using sca::checkpoint_schedule;
+using sca::default_checkpoints;
 
 /// Finalize a capture's trace-store writer and emit the slm.store.*
 /// write metrics and the store_write event (shared by every engine).

@@ -1,14 +1,14 @@
 // Engine internals shared by the capture engines (core/campaign.cpp)
 // and the fabric worker (core/fabric.cpp): the resolved capture plan,
-// one shard's block buffers, and the label step that turns a block's
-// ciphertexts into class labels for the accumulators.
+// one shard's block buffers, and the fold step that labels a block's
+// ciphertexts and adds the block to an accumulator.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "crypto/aes128.hpp"
-#include "sca/model.hpp"
+#include "sca/fold.hpp"
 #include "sensors/benign_sensor.hpp"
 
 namespace slm::core {
@@ -31,7 +31,7 @@ struct CapturePlan {
 };
 
 /// One shard's block buffers. capture_block fills `y` (readings, trace-
-/// major) and `ct` (ciphertexts); label_block fills the class labels.
+/// major) and `ct` (ciphertexts); fold_block fills the class labels.
 struct CaptureBuffers {
   std::vector<double> y;
   std::vector<crypto::Block> ct;
@@ -46,11 +46,19 @@ struct CaptureBuffers {
   std::vector<double> yt;
 };
 
-/// The engines' label step: the class value and bit of ciphertexts
-/// buf.ct[0, n) under every model, trace-major (models.size() labels per
-/// trace) — the layout XorClassCpa::add_block (one model) and
-/// MultiByteCpa::add_block (sixteen) take.
-void label_block(const std::vector<sca::LastRoundBitModel>& models,
-                 std::size_t n, CaptureBuffers& buf);
+/// The engines' fold step: label ciphertexts buf.ct[0, n) under every
+/// model (sca::label_classes) and add the block's readings to `acc` — an
+/// XorClassCpa for one model, a MultiByteCpa for sixteen.
+template <class Acc>
+void fold_block(const std::vector<sca::LastRoundBitModel>& models,
+                std::size_t n, CaptureBuffers& buf, Acc& acc) {
+  static_assert(sizeof(crypto::Block) == 16);
+  buf.cls_v.resize(n * models.size());
+  buf.cls_b.resize(n * models.size());
+  sca::label_classes(models,
+                     reinterpret_cast<const std::uint8_t*>(buf.ct.data()), n,
+                     buf.cls_v.data(), buf.cls_b.data());
+  acc.add_block(buf.cls_v.data(), buf.cls_b.data(), buf.y.data(), n);
+}
 
 }  // namespace slm::core

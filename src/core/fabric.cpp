@@ -17,7 +17,6 @@
 #include "core/checkpoint.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/observer.hpp"
-#include "sca/model.hpp"
 
 namespace slm::core {
 
@@ -337,9 +336,7 @@ const SnapshotIdentity& FabricWorker::identity() {
   // Selection pre-pass: deterministic from the config seed alone, so
   // every worker of the same campaign resolves identical bits — nothing
   // shard-specific leaks into the identity.
-  CampaignResult scratch;
-  campaign_.resolve_sensor_bits(&scratch);
-  bits_ = std::move(scratch.bits_of_interest);
+  bits_ = campaign_.resolve_sensor_bits();
 
   const CampaignConfig& cfg = campaign_.cfg_;
   id_.circuit = static_cast<std::uint32_t>(setup_.circuit_kind());
@@ -375,16 +372,10 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
   // The engines' capture body, single-threaded over [a, bEnd): the
   // accumulator content per trace index is byte-identical to theirs.
   const CapturePlan plan = campaign_.capture_plan(bits_);
-  std::vector<sca::LastRoundBitModel> models;
-  if (fullkey_) {
-    for (std::size_t j = 0; j < sca::MultiByteCpa::kBytes; ++j) {
-      models.emplace_back(j, cfg.target_bit);
-    }
-  } else {
-    models.emplace_back(cfg.target_key_byte, cfg.target_bit);
-  }
-  sca::XorClassCpa cls(samples);
-  sca::MultiByteCpa mb(samples);
+  const std::vector<sca::LastRoundBitModel> models =
+      fullkey_ ? sca::key_byte_models(cfg.target_bit)
+               : std::vector<sca::LastRoundBitModel>{sca::LastRoundBitModel(
+                     cfg.target_key_byte, cfg.target_bit)};
   CaptureBuffers buf;
 
   // Snapshot boundaries: the snapshot_every grid within the range, the
@@ -417,17 +408,14 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
                   .field("snapshot_out", job.snapshot_out));
   }
 
-  const auto write_snapshot = [&](std::uint64_t covered_end) {
+  const auto write_snapshot = [&](std::uint64_t covered_end,
+                                  const auto& acc) {
     AccumulatorSnapshot snap;
     snap.id = id_;
     snap.ranges = {TraceRange{a, covered_end}};
-    ByteWriter acc;
-    if (fullkey_) {
-      mb.save(acc);
-    } else {
-      cls.save(acc);
-    }
-    snap.accumulator = acc.bytes();
+    ByteWriter w;
+    acc.save(w);
+    snap.accumulator = w.bytes();
     const double s0 = obs::monotonic_seconds();
     const std::size_t bytes = save_snapshot(job.snapshot_out, snap);
     if (ob != nullptr) {
@@ -447,33 +435,33 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
     return snap;
   };
 
-  // The victim register chain persists across snapshot boundaries.
-  CpaCampaign::Regs regs = campaign_.registers_before(a);
-  AccumulatorSnapshot last_snap;
-  std::uint64_t g = a;
-  for (const std::uint64_t cp : bounds) {
-    while (g < cp) {
-      const std::size_t bn = std::min<std::uint64_t>(plan.block, cp - g);
-      campaign_.capture_block(plan, g, bn, regs, buf, nullptr);
-      label_block(models, bn, buf);
-      if (fullkey_) {
-        mb.add_block(buf.cls_v.data(), buf.cls_b.data(), buf.y.data(), bn);
-      } else {
-        cls.add_block(buf.cls_v.data(), buf.cls_b.data(), buf.y.data(), bn);
+  // The engines' fold step over the accumulator this worker's analysis
+  // uses. The victim register chain persists across snapshot boundaries.
+  const auto run_range = [&](auto acc) {
+    CpaCampaign::Regs regs = campaign_.registers_before(a);
+    AccumulatorSnapshot last_snap;
+    std::uint64_t g = a;
+    for (const std::uint64_t cp : bounds) {
+      while (g < cp) {
+        const std::size_t bn = std::min<std::uint64_t>(plan.block, cp - g);
+        campaign_.capture_block(plan, g, bn, regs, buf, nullptr);
+        fold_block(models, bn, buf, acc);
+        g += bn;
       }
-      g += bn;
-    }
-    last_snap = write_snapshot(cp);
-    if (job.halt_after > 0 && cp - a >= job.halt_after) {
-      if (ob != nullptr) {
-        ob->event("halt", obs::JsonWriter()
-                              .field("traces", cp)
-                              .field("path", job.snapshot_out));
+      last_snap = write_snapshot(cp, acc);
+      if (job.halt_after > 0 && cp - a >= job.halt_after) {
+        if (ob != nullptr) {
+          ob->event("halt", obs::JsonWriter()
+                                .field("traces", cp)
+                                .field("path", job.snapshot_out));
+        }
+        throw CampaignHalted(static_cast<std::size_t>(cp), job.snapshot_out);
       }
-      throw CampaignHalted(static_cast<std::size_t>(cp), job.snapshot_out);
     }
-  }
-  return last_snap;
+    return last_snap;
+  };
+  return fullkey_ ? run_range(sca::MultiByteCpa(samples))
+                  : run_range(sca::XorClassCpa(samples));
 }
 
 void FabricProgress::reset(std::size_t workers) {

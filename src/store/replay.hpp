@@ -15,6 +15,7 @@
 
 #include "crypto/aes128.hpp"
 #include "sca/cpa.hpp"
+#include "sca/fold.hpp"
 #include "sca/mtd.hpp"
 #include "store/trace_store.hpp"
 
@@ -24,7 +25,7 @@ class CampaignObserver;
 
 namespace slm::store {
 
-/// Replay of a single-byte campaign store — mirrors the fields of
+/// The target-byte CPA section — mirrors the fields of
 /// core::CampaignResult that replay can reproduce.
 struct ReplayAttackResult {
   std::vector<sca::CpaProgressPoint> progress;
@@ -33,55 +34,17 @@ struct ReplayAttackResult {
   std::uint8_t recovered_guess = 0;
   bool key_recovered = false;
   std::size_t traces = 0;
-  double replay_seconds = 0.0;
 };
 
-/// Fold a byte-campaign store at the given checkpoint trace counts.
-/// `checkpoints` must be the schedule the live campaign used
-/// (core::checkpoint_schedule); entries past the store's trace count
-/// are ignored, exactly as the live loop never reaches them.
-ReplayAttackResult replay_attack(const TraceStoreReader& store,
-                                 const std::vector<std::size_t>& checkpoints,
-                                 std::uint8_t correct_guess,
-                                 obs::CampaignObserver* observer = nullptr);
-
-/// Early-exit knobs, defaults matching core::FullKeyConfig.
-struct ReplayFullKeyOptions {
-  bool early_exit = true;
-  double early_exit_margin = 0.08;
-  std::size_t early_exit_stable = 2;
-  std::size_t early_exit_min_traces = 1000;
-};
-
-/// Per-byte replay outcome — mirrors core::FullKeyByteResult.
-struct ReplayFullKeyByte {
-  std::uint8_t correct = 0;
-  std::uint8_t recovered = 0;
-  bool success = false;
-  bool early_exited = false;
-  std::size_t traces = 0;
-  std::vector<double> final_max_abs_corr;
-  std::vector<sca::CpaProgressPoint> progress;
-  sca::MtdResult mtd;
-};
-
+/// The full-key section: sixteen bytes under the live engines' early-
+/// exit tracker (sca::EarlyExitTracker), plus the assembled key.
 struct ReplayFullKeyResult {
-  std::array<ReplayFullKeyByte, sca::MultiByteCpa::kBytes> bytes;
+  std::array<sca::FullKeyByteResult, sca::MultiByteCpa::kBytes> bytes;
   crypto::Block recovered_last_round_key{};
   bool success = false;  ///< all sixteen bytes recovered
   std::size_t bytes_early_exited = 0;
   std::size_t traces = 0;
-  double replay_seconds = 0.0;
 };
-
-/// Replay a fused full-key store, reproducing the live engines'
-/// per-byte early-exit decisions (same margin, stability and minimum-
-/// trace gates, evaluated at the same checkpoints).
-ReplayFullKeyResult replay_fullkey(const TraceStoreReader& store,
-                                   const std::vector<std::size_t>& checkpoints,
-                                   const crypto::Block& true_last_round_key,
-                                   const ReplayFullKeyOptions& opts = {},
-                                   obs::CampaignObserver* observer = nullptr);
 
 struct ReplayTvlaResult {
   double max_abs_t = 0.0;
@@ -89,35 +52,27 @@ struct ReplayTvlaResult {
   std::size_t fixed_traces = 0;
   std::size_t random_traces = 0;
   std::size_t traces = 0;
-  double replay_seconds = 0.0;
 };
 
-/// Replay a TVLA store: trace 2k is the fixed population, 2k+1 the
-/// random one (the interleaving run_tvla captures), streamed through
-/// Welch's t-test in stored order so the online moments match the live
-/// pass bit for bit.
-ReplayTvlaResult replay_tvla(const TraceStoreReader& store,
-                             obs::CampaignObserver* observer = nullptr);
-
-/// Which analyses the fused one-pass sweep feeds. The defaults run
-/// everything the store kind supports.
+/// Which analyses the one-pass sweep feeds. The defaults run everything
+/// the store kind supports; `fullkey_opts` are the early-exit knobs.
 struct ReplayAllOptions {
   bool attack = true;   ///< target-byte CPA progress + MTD
   bool fullkey = true;  ///< all sixteen last-round bytes, early exit
   bool tvla = true;     ///< Welch t-test (see ReplayAllResult::tvla)
-  ReplayFullKeyOptions fullkey_opts;
+  sca::FullKeyConfig fullkey_opts;
 };
 
-/// Results of one fused sweep. Only the sections whose `has_*` flag is
-/// set are populated; each is bit-identical to what the corresponding
-/// single-analysis replay_* computes for the same store (the attack
-/// fold comes from MultiByteCpa::fold(target_byte), which the
-/// multibyte_cpa_test equivalence property pins to a standalone
-/// XorClassCpa). For attack-kind stores the TVLA section is a
-/// *specific* t-test: populations partitioned by the target leakage
-/// model's predicted class bit (fixed_traces = bit 0, random_traces =
-/// bit 1) instead of the capture-interleaved fixed/random split a
-/// kTvla store holds.
+/// Results of one sweep. Only the sections whose `has_*` flag is set are
+/// populated. The attack section is the target-byte fold of a standalone
+/// XorClassCpa, or of the fused 16-byte tile when fullkey rides along
+/// (the multibyte_cpa_test equivalence property pins the two equal). For
+/// attack-kind stores the TVLA section is a *specific* t-test:
+/// populations partitioned by the target leakage model's predicted class
+/// bit (fixed_traces = bit 0, random_traces = bit 1). For a kTvla store
+/// it is the capture-interleaved fixed/random split (trace 2k fixed,
+/// 2k+1 random), streamed in stored order so the online moments match
+/// the live run_tvla pass bit for bit.
 struct ReplayAllResult {
   bool has_attack = false;
   bool has_fullkey = false;
@@ -129,14 +84,15 @@ struct ReplayAllResult {
   double replay_seconds = 0.0;  ///< the whole one-pass sweep
 };
 
-/// Fused one-pass replay (docs/STORE.md): sweep the mmap'd store ONCE
-/// and feed every requested fold from the same cache-resident column
-/// blocks, instead of one sweep per analysis. Attack-kind stores
+/// The one replay entry point (docs/STORE.md): sweep the mmap'd store
+/// ONCE and feed every requested analysis from the same cache-resident
+/// column blocks. `checkpoints` is normalized by sca::checkpoint_schedule
+/// — the rule the live engines fold by — so any request the live run
+/// took replays to the same progress points. Attack-kind stores
 /// (kByteCampaign and kFullKey — the labels derive from the stored
 /// ciphertexts alone) support all three analyses; kTvla stores support
-/// only the tvla section (parity-partitioned, exactly replay_tvla) and
-/// throw StoreMismatch if attack or fullkey is requested. `checkpoints`
-/// is only consulted by the attack/fullkey sections.
+/// only the tvla section and throw StoreMismatch if attack or fullkey is
+/// requested.
 ReplayAllResult replay_all(const TraceStoreReader& store,
                            const std::vector<std::size_t>& checkpoints,
                            const crypto::Block& true_last_round_key,

@@ -347,13 +347,16 @@ TEST(CheckpointSchedule, EnginesAgreeOnAScheduleWithoutTheBudget) {
   }
   {
     const store::TraceStoreReader reader(store_path);
-    const sca::LastRoundBitModel model(cfg.target_key_byte, cfg.target_bit);
     AttackSetup setup(BenignCircuit::kAlu, cal);
-    runs.push_back(
-        store::replay_attack(
-            reader, checkpoint_schedule(cfg.checkpoints, cfg.traces),
-            model.correct_guess(setup.victim().cipher().last_round_key()))
-            .progress);
+    store::ReplayAllOptions attack_only;
+    attack_only.fullkey = false;
+    attack_only.tvla = false;
+    runs.push_back(store::replay_all(reader,
+                                     checkpoint_schedule(cfg.checkpoints,
+                                                         cfg.traces),
+                                     setup.victim().cipher().last_round_key(),
+                                     attack_only)
+                       .attack.progress);
   }
   std::filesystem::remove(store_path);
   for (const auto& progress : runs) {

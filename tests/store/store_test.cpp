@@ -66,58 +66,148 @@ void spit(const std::string& path, const std::vector<std::uint8_t>& bytes) {
            static_cast<std::streamsize>(bytes.size()));
 }
 
-// ---------------------------------------------------------------------
-// Replay bit-exactness against the live serial engine.
-
-TEST(StoreReplayTest, SerialCampaignReplaysBitIdentically) {
-  const std::string path = temp_path("store_serial.trc");
-  std::remove(path.c_str());
-
-  core::CampaignConfig cfg = small_config(500);
-  cfg.checkpoints = {100, 250, 500};
-  cfg.store_out = path;
-  core::AttackSetup setup(core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults());
-  core::CpaCampaign campaign(setup, cfg);
-  const core::CampaignResult live = campaign.run();
-  ASSERT_TRUE(std::filesystem::exists(path));
-
-  TraceStoreReader reader(path);
-  EXPECT_EQ(reader.kind(), StoreKind::kByteCampaign);
-  EXPECT_EQ(reader.trace_count(), 500u);
-  EXPECT_EQ(reader.samples(), live.sample_times_ns.size());
-
-  const ReplayAttackResult replay = replay_attack(
-      reader, core::checkpoint_schedule(cfg.checkpoints, cfg.traces),
-      live.correct_guess);
-
-  expect_progress_equal(replay.progress, live.progress);
-  EXPECT_EQ(replay.recovered_guess, live.recovered_guess);
-  EXPECT_EQ(replay.key_recovered, live.key_recovered);
-  EXPECT_EQ(replay.traces, live.traces_run);
-  EXPECT_EQ(replay.mtd.traces, live.mtd.traces);
-  EXPECT_EQ(replay.mtd.final_margin, live.mtd.final_margin);
-  std::remove(path.c_str());
+ReplayAllOptions sections(bool attack, bool fullkey, bool tvla) {
+  ReplayAllOptions o;
+  o.attack = attack;
+  o.fullkey = fullkey;
+  o.tvla = tvla;
+  return o;
 }
 
-TEST(StoreReplayTest, DefaultCheckpointScheduleReplaysBitIdentically) {
-  // No explicit checkpoints: the live engine folds at the default
-  // log-spaced schedule, and replay must resolve the SAME schedule.
-  const std::string path = temp_path("store_defaultcp.trc");
-  std::remove(path.c_str());
+void expect_mtd_equal(const sca::MtdResult& a, const sca::MtdResult& b) {
+  EXPECT_EQ(a.traces, b.traces);
+  EXPECT_EQ(a.final_margin, b.final_margin);
+}
 
-  core::CampaignConfig cfg = small_config(400);
-  cfg.store_out = path;
-  core::AttackSetup setup(core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults());
-  const core::CampaignResult live = core::CpaCampaign(setup, cfg).run();
+// ---------------------------------------------------------------------
+// Live vs replay: one table over analysis x shard count x sections.
+// Each row captures a store with the live engine, replays it through
+// replay_all and requires the same progress vectors, winners, MTD and
+// freeze points. The checkpoint requests are unsorted, default, or
+// missing the budget; replay normalizes each with the engines' own rule.
 
-  TraceStoreReader reader(path);
-  const ReplayAttackResult replay = replay_attack(
-      reader, core::checkpoint_schedule({}, reader.trace_count()),
-      live.correct_guess);
-  expect_progress_equal(replay.progress, live.progress);
-  EXPECT_EQ(replay.recovered_guess, live.recovered_guess);
+TEST(StoreReplayTest, LiveAndReplayFoldAlike) {
+  enum class Analysis { kByte, kFullKeyEarlyExit, kFullKeyNoEarlyExit };
+  struct Row {
+    Analysis analysis;
+    std::vector<std::size_t> checkpoints;
+  };
+  const Row rows[] = {
+      {Analysis::kByte, {500, 100, 250}},
+      {Analysis::kFullKeyEarlyExit, {}},
+      {Analysis::kFullKeyNoEarlyExit, {250, 100}},
+  };
+  const std::string path = temp_path("store_differential.trc");
+  for (const Row& row : rows) {
+    const bool byte = row.analysis == Analysis::kByte;
+    sca::FullKeyConfig fk;
+    fk.early_exit = row.analysis == Analysis::kFullKeyEarlyExit;
+    // Gates loose enough that bytes freeze mid-run at 600 traces.
+    fk.early_exit_margin = 0.02;
+    fk.early_exit_stable = 1;
+    fk.early_exit_min_traces = 100;
+    for (const unsigned shards : {1u, 3u}) {
+      std::remove(path.c_str());
+      core::CampaignConfig cfg = small_config(600);
+      if (!byte) {
+        cfg.window_start_ns = 370.0;  // bracket every byte's leakage cycle
+        cfg.window_end_ns = 470.0;
+      }
+      cfg.checkpoints = row.checkpoints;
+      cfg.store_out = path;
+      core::AttackSetup setup(core::BenignCircuit::kAlu,
+                              core::Calibration::paper_defaults());
+      core::ParallelCampaign live(setup, cfg, shards);
+      core::CampaignResult live_byte;
+      core::FullKeyRunResult live_fk;
+      if (byte) {
+        live_byte = live.run();
+      } else {
+        live_fk = live.run_fullkey(fk);
+      }
+      const crypto::Block lrk = setup.victim().cipher().last_round_key();
+
+      const TraceStoreReader reader(path);
+      EXPECT_EQ(reader.kind(),
+                byte ? StoreKind::kByteCampaign : StoreKind::kFullKey);
+      EXPECT_EQ(reader.trace_count(), 600u);
+      const std::size_t target =
+          static_cast<std::size_t>(reader.identity().target_key_byte);
+      // The section alone, then fused with the others (for a byte store
+      // also attack + t-test alone, whose attack fold stays on the
+      // standalone XorClassCpa rather than the 16-byte tile).
+      std::vector<ReplayAllOptions> mixes{sections(byte, !byte, false)};
+      if (byte) mixes.push_back(sections(true, false, true));
+      mixes.push_back(sections(true, true, true));
+      for (ReplayAllOptions opts : mixes) {
+        SCOPED_TRACE(std::string(byte ? "byte" : "full key") +
+                     (fk.early_exit ? "" : ", no early exit") + ", " +
+                     std::to_string(shards) + " shard(s), sections " +
+                     (opts.attack ? "a" : "") + (opts.fullkey ? "f" : "") +
+                     (opts.tvla ? "t" : ""));
+        opts.fullkey_opts = fk;
+        const ReplayAllResult r =
+            replay_all(reader, row.checkpoints, lrk, opts);
+        ASSERT_EQ(r.has_attack, opts.attack);
+        ASSERT_EQ(r.has_fullkey, opts.fullkey);
+        ASSERT_EQ(r.has_tvla, opts.tvla);
+        if (byte) {
+          expect_progress_equal(r.attack.progress, live_byte.progress);
+          EXPECT_EQ(r.attack.correct_guess, live_byte.correct_guess);
+          EXPECT_EQ(r.attack.recovered_guess, live_byte.recovered_guess);
+          EXPECT_EQ(r.attack.key_recovered, live_byte.key_recovered);
+          EXPECT_EQ(r.attack.traces, live_byte.traces_run);
+          expect_mtd_equal(r.attack.mtd, live_byte.mtd);
+        } else {
+          std::size_t early = 0;
+          for (std::size_t b = 0; b < 16; ++b) {
+            const sca::FullKeyByteResult& lb = live_fk.bytes[b];
+            const sca::FullKeyByteResult& rb = r.fullkey.bytes[b];
+            SCOPED_TRACE("byte " + std::to_string(b));
+            EXPECT_EQ(rb.correct, lb.correct);
+            EXPECT_EQ(rb.recovered, lb.recovered);
+            EXPECT_EQ(rb.success, lb.success);
+            EXPECT_EQ(rb.early_exited, lb.early_exited);
+            EXPECT_EQ(rb.traces, lb.traces);  // the freeze point
+            EXPECT_EQ(rb.final_max_abs_corr, lb.final_max_abs_corr);
+            expect_progress_equal(rb.progress, lb.progress);
+            expect_mtd_equal(rb.mtd, lb.mtd);
+            EXPECT_EQ(r.fullkey.recovered_last_round_key[b], lb.recovered);
+            if (lb.early_exited) ++early;
+          }
+          EXPECT_EQ(r.fullkey.success, live_fk.all_recovered());
+          EXPECT_EQ(r.fullkey.bytes_early_exited, early);
+          EXPECT_EQ(early > 0, fk.early_exit);
+          if (opts.attack) {
+            // Up to its freeze point the target byte's progress is the
+            // attack section's.
+            const auto& lp = live_fk.bytes[target].progress;
+            ASSERT_GE(r.attack.progress.size(), lp.size());
+            expect_progress_equal(
+                {r.attack.progress.begin(),
+                 r.attack.progress.begin() +
+                     static_cast<std::ptrdiff_t>(lp.size())},
+                lp);
+          }
+        }
+        if (opts.tvla) {
+          // The specific t-test against a per-trace oracle: populations
+          // partitioned by the target model's predicted class bit.
+          const sca::LastRoundBitModel model(target,
+                                             reader.identity().target_bit);
+          sca::WelchTTest oracle(reader.samples());
+          for (std::size_t t = 0; t < reader.trace_count(); ++t) {
+            oracle.add(model.class_bit(reader.ciphertext(t)) == 0,
+                       reader.readings(t));
+          }
+          EXPECT_EQ(r.tvla.max_abs_t, oracle.max_abs_t());
+          EXPECT_EQ(r.tvla.fixed_traces, oracle.fixed_traces());
+          EXPECT_EQ(r.tvla.random_traces, oracle.random_traces());
+          EXPECT_EQ(r.tvla.leakage_detected, oracle.leakage_detected());
+        }
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -198,55 +288,16 @@ TEST(StoreReplayTest, ChunkBoundaryInvariance) {
                         src.trace_count() * src.samples() * sizeof(double)),
             0);
 
-  const auto checkpoints = core::checkpoint_schedule({}, cfg.traces);
+  const crypto::Block lrk = setup.victim().cipher().last_round_key();
   const ReplayAttackResult a =
-      replay_attack(src, checkpoints, live.correct_guess);
+      replay_all(src, {}, lrk, sections(true, false, false)).attack;
   const ReplayAttackResult b =
-      replay_attack(re, checkpoints, live.correct_guess);
+      replay_all(re, {}, lrk, sections(true, false, false)).attack;
   expect_progress_equal(a.progress, b.progress);
+  expect_progress_equal(a.progress, live.progress);
   EXPECT_EQ(a.recovered_guess, b.recovered_guess);
   std::remove(src_path.c_str());
   std::remove(odd_path.c_str());
-}
-
-TEST(StoreReplayTest, FullKeyReplaysBitIdentically) {
-  const std::string path = temp_path("store_fullkey.trc");
-  std::remove(path.c_str());
-
-  core::CampaignConfig cfg = small_config(600);
-  cfg.window_start_ns = 370.0;  // bracket every byte's leakage cycle
-  cfg.window_end_ns = 470.0;
-  cfg.store_out = path;
-  core::AttackSetup setup(core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults());
-  core::CpaCampaign campaign(setup, cfg);
-  const core::FullKeyConfig fk;  // defaults: early exit on
-  const core::FullKeyRunResult live = campaign.run_fullkey(fk);
-
-  TraceStoreReader reader(path);
-  EXPECT_EQ(reader.kind(), StoreKind::kFullKey);
-  ReplayFullKeyOptions ropts;
-  ropts.early_exit = fk.early_exit;
-  ropts.early_exit_margin = fk.early_exit_margin;
-  ropts.early_exit_stable = fk.early_exit_stable;
-  ropts.early_exit_min_traces = fk.early_exit_min_traces;
-  const ReplayFullKeyResult replay = replay_fullkey(
-      reader, core::checkpoint_schedule(cfg.checkpoints, cfg.traces),
-      setup.victim().cipher().last_round_key(), ropts);
-
-  for (std::size_t b = 0; b < 16; ++b) {
-    const core::FullKeyByteResult& lb = live.bytes[b];
-    const ReplayFullKeyByte& rb = replay.bytes[b];
-    EXPECT_EQ(rb.correct, lb.correct) << "byte " << b;
-    EXPECT_EQ(rb.recovered, lb.recovered) << "byte " << b;
-    EXPECT_EQ(rb.success, lb.success) << "byte " << b;
-    EXPECT_EQ(rb.early_exited, lb.early_exited) << "byte " << b;
-    EXPECT_EQ(rb.traces, lb.traces) << "byte " << b;
-    EXPECT_EQ(rb.final_max_abs_corr, lb.final_max_abs_corr) << "byte " << b;
-    expect_progress_equal(rb.progress, lb.progress);
-  }
-  EXPECT_EQ(replay.success, live.all_recovered());
-  std::remove(path.c_str());
 }
 
 TEST(StoreReplayTest, TvlaReplaysBitIdentically) {
@@ -264,146 +315,20 @@ TEST(StoreReplayTest, TvlaReplaysBitIdentically) {
   EXPECT_EQ(reader.kind(), StoreKind::kTvla);
   EXPECT_EQ(reader.trace_count(), 300u);  // both populations interleaved
 
-  const ReplayTvlaResult replay = replay_tvla(reader);
-  EXPECT_EQ(replay.fixed_traces, live.fixed_traces());
-  EXPECT_EQ(replay.random_traces, live.random_traces());
-  EXPECT_EQ(replay.max_abs_t, live.max_abs_t());  // bit-exact double
-  EXPECT_EQ(replay.leakage_detected, live.leakage_detected());
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------
-// Fused one-pass replay: replay_all must reproduce each single-analysis
-// replay bit for bit from ONE sweep of the store.
-
-TEST(StoreReplayTest, FusedReplayMatchesSingleAnalysisBitIdentically) {
-  const std::string path = temp_path("store_fused_byte.trc");
-  std::remove(path.c_str());
-
-  core::CampaignConfig cfg = small_config(500);
-  cfg.checkpoints = {100, 250, 500};
-  cfg.store_out = path;
-  core::AttackSetup setup(core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults());
-  const core::CampaignResult live = core::CpaCampaign(setup, cfg).run();
   const crypto::Block lrk = setup.victim().cipher().last_round_key();
-
-  TraceStoreReader reader(path);
-  const auto checkpoints =
-      core::checkpoint_schedule(cfg.checkpoints, cfg.traces);
-  const ReplayAttackResult single =
-      replay_attack(reader, checkpoints, live.correct_guess);
-
-  // Attack + specific TVLA, no full key: the attack fold takes the
-  // XorClassCpa path and must equal the single-analysis replay exactly.
-  ReplayAllOptions opts;
-  opts.fullkey = false;
-  const ReplayAllResult fused = replay_all(reader, checkpoints, lrk, opts);
-  ASSERT_TRUE(fused.has_attack);
-  ASSERT_FALSE(fused.has_fullkey);
-  ASSERT_TRUE(fused.has_tvla);
-  expect_progress_equal(fused.attack.progress, single.progress);
-  EXPECT_EQ(fused.attack.correct_guess, single.correct_guess);
-  EXPECT_EQ(fused.attack.recovered_guess, single.recovered_guess);
-  EXPECT_EQ(fused.attack.key_recovered, single.key_recovered);
-  EXPECT_EQ(fused.attack.mtd.traces, single.mtd.traces);
-
-  // The specific t-test section against an independent per-trace oracle:
-  // populations partitioned by the target model's predicted class bit.
-  const StoreIdentity& id = reader.identity();
-  sca::LastRoundBitModel model(id.target_key_byte, id.target_bit);
-  sca::WelchTTest oracle(reader.samples());
-  for (std::size_t t = 0; t < reader.trace_count(); ++t) {
-    oracle.add(model.class_bit(reader.ciphertext(t)) == 0,
-               reader.readings(t));
-  }
-  EXPECT_EQ(fused.tvla.max_abs_t, oracle.max_abs_t());
-  EXPECT_EQ(fused.tvla.fixed_traces, oracle.fixed_traces());
-  EXPECT_EQ(fused.tvla.random_traces, oracle.random_traces());
-  EXPECT_EQ(fused.tvla.leakage_detected, oracle.leakage_detected());
-
-  // With full key riding along, the attack fold comes from the fused
-  // 16-byte tile instead — still bit-identical (multibyte equivalence).
-  const ReplayAllResult everything = replay_all(reader, checkpoints, lrk);
-  ASSERT_TRUE(everything.has_attack && everything.has_fullkey &&
-              everything.has_tvla);
-  expect_progress_equal(everything.attack.progress, single.progress);
-  EXPECT_EQ(everything.tvla.max_abs_t, fused.tvla.max_abs_t);
-  const std::size_t target = static_cast<std::size_t>(id.target_key_byte);
-  EXPECT_EQ(everything.fullkey.bytes[target].recovered,
-            everything.attack.recovered_guess);
-  std::remove(path.c_str());
-}
-
-TEST(StoreReplayTest, FusedReplayMatchesFullKeyReplayBitIdentically) {
-  const std::string path = temp_path("store_fused_fullkey.trc");
-  std::remove(path.c_str());
-
-  core::CampaignConfig cfg = small_config(600);
-  cfg.window_start_ns = 370.0;
-  cfg.window_end_ns = 470.0;
-  cfg.store_out = path;
-  core::AttackSetup setup(core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults());
-  core::CpaCampaign campaign(setup, cfg);
-  (void)campaign.run_fullkey(core::FullKeyConfig{});
-  const crypto::Block lrk = setup.victim().cipher().last_round_key();
-
-  TraceStoreReader reader(path);
-  const auto checkpoints =
-      core::checkpoint_schedule(cfg.checkpoints, cfg.traces);
-  const ReplayFullKeyResult single =
-      replay_fullkey(reader, checkpoints, lrk);
-  const ReplayAllResult fused = replay_all(reader, checkpoints, lrk);
-  ASSERT_TRUE(fused.has_fullkey);
-  for (std::size_t b = 0; b < 16; ++b) {
-    const ReplayFullKeyByte& sb = single.bytes[b];
-    const ReplayFullKeyByte& fb = fused.fullkey.bytes[b];
-    EXPECT_EQ(fb.correct, sb.correct) << "byte " << b;
-    EXPECT_EQ(fb.recovered, sb.recovered) << "byte " << b;
-    EXPECT_EQ(fb.success, sb.success) << "byte " << b;
-    EXPECT_EQ(fb.early_exited, sb.early_exited) << "byte " << b;
-    EXPECT_EQ(fb.traces, sb.traces) << "byte " << b;
-    EXPECT_EQ(fb.final_max_abs_corr, sb.final_max_abs_corr) << "byte " << b;
-    expect_progress_equal(fb.progress, sb.progress);
-  }
-  EXPECT_EQ(fused.fullkey.success, single.success);
-  EXPECT_EQ(fused.fullkey.recovered_last_round_key,
-            single.recovered_last_round_key);
-  EXPECT_EQ(fused.fullkey.bytes_early_exited, single.bytes_early_exited);
-  std::remove(path.c_str());
-}
-
-TEST(StoreReplayTest, FusedReplayOnTvlaStore) {
-  const std::string path = temp_path("store_fused_tvla.trc");
-  std::remove(path.c_str());
-
-  core::CampaignConfig cfg = small_config(200);
-  cfg.store_out = path;
-  core::AttackSetup setup(core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults());
-  core::CpaCampaign campaign(setup, cfg);
-  (void)campaign.run_tvla(150);
-  const crypto::Block lrk = setup.victim().cipher().last_round_key();
-
-  TraceStoreReader reader(path);
-  const ReplayTvlaResult single = replay_tvla(reader);
+  const ReplayAllResult replay =
+      replay_all(reader, {}, lrk, sections(false, false, true));
+  ASSERT_TRUE(replay.has_tvla);
+  EXPECT_FALSE(replay.has_attack);
+  EXPECT_FALSE(replay.has_fullkey);
+  EXPECT_EQ(replay.tvla.fixed_traces, live.fixed_traces());
+  EXPECT_EQ(replay.tvla.random_traces, live.random_traces());
+  EXPECT_EQ(replay.tvla.max_abs_t, live.max_abs_t());  // bit-exact double
+  EXPECT_EQ(replay.tvla.leakage_detected, live.leakage_detected());
 
   // Key-hypothesis analyses need ciphertext labels a TVLA capture has
   // no campaign contract for — asking is a mismatch, not a silent skip.
   EXPECT_THROW(replay_all(reader, {}, lrk), StoreMismatch);
-
-  ReplayAllOptions opts;
-  opts.attack = false;
-  opts.fullkey = false;
-  const ReplayAllResult fused = replay_all(reader, {}, lrk, opts);
-  ASSERT_TRUE(fused.has_tvla);
-  EXPECT_FALSE(fused.has_attack);
-  EXPECT_FALSE(fused.has_fullkey);
-  EXPECT_EQ(fused.tvla.max_abs_t, single.max_abs_t);
-  EXPECT_EQ(fused.tvla.fixed_traces, single.fixed_traces);
-  EXPECT_EQ(fused.tvla.random_traces, single.random_traces);
-  EXPECT_EQ(fused.tvla.leakage_detected, single.leakage_detected);
   std::remove(path.c_str());
 }
 

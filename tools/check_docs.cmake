@@ -35,6 +35,10 @@ set(errors "")
 set(retired_flags "--rng-contract" "--fullkey-mode")
 set(retired_knobs "SLM_RNG_CONTRACT" "SLM_COMPILED" "SLM_PIPELINE")
 set(retired_metric_prefix "slm.pipeline.")
+# The single-analysis replay functions and their options struct, folded
+# into store::replay_all. Section 6 also scans DESIGN.md for these.
+set(retired_api "replay_attack" "replay_fullkey" "replay_tvla"
+    "ReplayFullKeyOptions")
 
 # 1. Every `bench_*` name in the docs must exist as a source file under
 #    bench/ or be wired up in bench/CMakeLists.txt (ctest-only entries
@@ -144,11 +148,18 @@ foreach(v ${doc_versions})
 endforeach()
 
 # 6. Retired surfaces must not be documented as live: every line of
-#    the docs that names a retired flag, knob or slm.pipeline.* metric
-#    must say, on that same line, that it is retired.
+#    the docs that names a retired flag, knob, slm.pipeline.* metric or
+#    replay function must say, on that same line, that it is retired.
+file(READ ${REPO}/DESIGN.md design)
 string(REPLACE ";" "," docs_lines "${docs}")
-foreach(name ${retired_flags} ${retired_knobs} "slm\\.pipeline\\.")
-  string(REGEX MATCHALL "[^\n]*${name}[^\n]*" hits "${docs_lines}")
+string(REPLACE ";" "," design_lines "${design}")
+foreach(name ${retired_flags} ${retired_knobs} "slm\\.pipeline\\."
+        ${retired_api})
+  set(scanned "${docs_lines}")
+  if(name IN_LIST retired_api)
+    string(APPEND scanned "\n${design_lines}")
+  endif()
+  string(REGEX MATCHALL "[^\n]*${name}[^\n]*" hits "${scanned}")
   foreach(line ${hits})
     if(NOT line MATCHES "retired")
       string(APPEND errors "docs still document retired '${name}' as live: ${line}\n")

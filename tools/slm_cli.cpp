@@ -231,6 +231,25 @@ std::unique_ptr<obs::CampaignObserver> make_observer(const Args& args) {
   return obs::observer_from_env();
 }
 
+// The verdict line of a Welch t-test section; `prefix` names a specific
+// (key-model partitioned) t-test where one rides along an attack.
+void print_tvla_verdict(const char* prefix, double max_abs_t, bool leakage) {
+  std::printf("%smax |t| = %.2f (threshold %.1f) -> %s\n", prefix, max_abs_t,
+              sca::WelchTTest::kThreshold,
+              leakage ? "LEAKAGE" : "no leakage evidence");
+}
+
+// The per-byte table of a replayed full-key section.
+void print_byte_table(const store::ReplayFullKeyResult& fr) {
+  std::printf("byte  true  recovered  ok   converged\n");
+  for (std::size_t b = 0; b < fr.bytes.size(); ++b) {
+    const sca::FullKeyByteResult& br = fr.bytes[b];
+    std::printf("%4zu  0x%02x       0x%02x  %s  %7zu%s\n", b, br.correct,
+                br.recovered, br.success ? "yes" : "NO ", br.traces,
+                br.early_exited ? " (early exit)" : "");
+  }
+}
+
 int cmd_attack(const Args& args) {
   const core::BenignCircuit circuit = parse_circuit(args);
   const core::SensorMode mode = parse_mode(args, "hw");
@@ -438,35 +457,19 @@ int cmd_attack(const Args& args) {
               << reader.samples() << " sample(s), " << reader.chunk_count()
               << " chunk(s)\n";
 
+    store::ReplayAllOptions aopts;
+    aopts.attack = !full_key;
+    aopts.fullkey = full_key;
+    aopts.tvla = fused_tvla;
+    aopts.fullkey_opts = fk_opts.fused;
+    const store::ReplayAllResult ar = store::replay_all(
+        reader, checkpoints, true_lrk, aopts, observer.get());
+    const char* const fused_note = fused_tvla ? " (fused tvla)" : "";
     if (full_key) {
-      store::ReplayFullKeyOptions ropts;
-      ropts.early_exit = fk_opts.fused.early_exit;
-      ropts.early_exit_margin = fk_opts.fused.early_exit_margin;
-      ropts.early_exit_stable = fk_opts.fused.early_exit_stable;
-      ropts.early_exit_min_traces = fk_opts.fused.early_exit_min_traces;
-      store::ReplayFullKeyResult fr;
-      std::optional<store::ReplayTvlaResult> tv;
-      if (fused_tvla) {
-        store::ReplayAllOptions aopts;
-        aopts.attack = false;
-        aopts.fullkey_opts = ropts;
-        const store::ReplayAllResult ar = store::replay_all(
-            reader, checkpoints, true_lrk, aopts, observer.get());
-        fr = ar.fullkey;
-        tv = ar.tvla;
-      } else {
-        fr = store::replay_fullkey(reader, checkpoints, true_lrk, ropts,
-                                   observer.get());
-      }
+      const store::ReplayFullKeyResult& fr = ar.fullkey;
       std::printf("fullkey replay: %zu traces folded, %.2f s%s\n", fr.traces,
-                  fr.replay_seconds, fused_tvla ? " (fused tvla)" : "");
-      std::printf("byte  true  recovered  ok   converged\n");
-      for (std::size_t b = 0; b < fr.bytes.size(); ++b) {
-        const store::ReplayFullKeyByte& br = fr.bytes[b];
-        std::printf("%4zu  0x%02x       0x%02x  %s  %7zu%s\n", b, br.correct,
-                    br.recovered, br.success ? "yes" : "NO ", br.traces,
-                    br.early_exited ? " (early exit)" : "");
-      }
+                  ar.replay_seconds, fused_note);
+      print_byte_table(fr);
       std::printf("last-round key: true %s recovered %s\n",
                   crypto::block_to_hex(true_lrk).c_str(),
                   crypto::block_to_hex(fr.recovered_last_round_key).c_str());
@@ -477,43 +480,21 @@ int cmd_attack(const Args& args) {
                   crypto::block_to_hex(true_master).c_str(),
                   crypto::block_to_hex(recovered_master).c_str(),
                   fr.success ? "RECOVERED" : "not recovered");
-      if (tv) {
-        std::printf("specific tvla: max |t| = %.2f (threshold %.1f) -> %s\n",
-                    tv->max_abs_t, sca::WelchTTest::kThreshold,
-                    tv->leakage_detected ? "LEAKAGE"
-                                         : "no leakage evidence");
-      }
-      return fr.success ? 0 : 4;
-    }
-
-    sca::LastRoundBitModel model(key_byte, cfg.target_bit);
-    store::ReplayAttackResult r;
-    std::optional<store::ReplayTvlaResult> tv;
-    if (fused_tvla) {
-      store::ReplayAllOptions aopts;
-      aopts.fullkey = false;
-      const store::ReplayAllResult ar = store::replay_all(
-          reader, checkpoints, true_lrk, aopts, observer.get());
-      r = ar.attack;
-      tv = ar.tvla;
     } else {
-      r = store::replay_attack(reader, checkpoints,
-                               model.correct_guess(true_lrk),
-                               observer.get());
+      const store::ReplayAttackResult& r = ar.attack;
+      std::printf("replay: %zu traces folded, %.2f s%s\n", r.traces,
+                  ar.replay_seconds, fused_note);
+      std::printf("true 0x%02x recovered 0x%02x -> %s", r.correct_guess,
+                  r.recovered_guess,
+                  r.key_recovered ? "RECOVERED" : "not recovered");
+      if (r.mtd.disclosed()) std::printf(" (~%zu traces)", *r.mtd.traces);
+      std::printf("\n");
     }
-    std::printf("replay: %zu traces folded, %.2f s%s\n", r.traces,
-                r.replay_seconds, fused_tvla ? " (fused tvla)" : "");
-    std::printf("true 0x%02x recovered 0x%02x -> %s", r.correct_guess,
-                r.recovered_guess,
-                r.key_recovered ? "RECOVERED" : "not recovered");
-    if (r.mtd.disclosed()) std::printf(" (~%zu traces)", *r.mtd.traces);
-    std::printf("\n");
-    if (tv) {
-      std::printf("specific tvla: max |t| = %.2f (threshold %.1f) -> %s\n",
-                  tv->max_abs_t, sca::WelchTTest::kThreshold,
-                  tv->leakage_detected ? "LEAKAGE" : "no leakage evidence");
+    if (ar.has_tvla) {
+      print_tvla_verdict("specific tvla: ", ar.tvla.max_abs_t,
+                         ar.tvla.leakage_detected);
     }
-    return r.key_recovered ? 0 : 4;
+    return (full_key ? ar.fullkey.success : ar.attack.key_recovered) ? 0 : 4;
   }
 
   if (full_key) {
@@ -674,14 +655,16 @@ int cmd_tvla(const Args& args) {
     reader.identity().require_compatible(
         campaign.store_identity(store::StoreKind::kTvla, total),
         "tvla --from-store");
-    const store::ReplayTvlaResult r =
-        store::replay_tvla(reader, observer.get());
+    store::ReplayAllOptions aopts;
+    aopts.attack = false;
+    aopts.fullkey = false;
+    const store::ReplayAllResult ar = store::replay_all(
+        reader, {}, crypto::Block{}, aopts, observer.get());
     std::printf("tvla replay: %zu fixed + %zu random traces, %.2f s\n",
-                r.fixed_traces, r.random_traces, r.replay_seconds);
-    std::printf("max |t| = %.2f (threshold %.1f) -> %s\n", r.max_abs_t,
-                sca::WelchTTest::kThreshold,
-                r.leakage_detected ? "LEAKAGE" : "no leakage evidence");
-    return r.leakage_detected ? 0 : 4;
+                ar.tvla.fixed_traces, ar.tvla.random_traces,
+                ar.replay_seconds);
+    print_tvla_verdict("", ar.tvla.max_abs_t, ar.tvla.leakage_detected);
+    return ar.tvla.leakage_detected ? 0 : 4;
   }
 
   core::CampaignConfig cfg = attack.byte_campaign_config(key_byte, tpp, mode);
@@ -692,9 +675,7 @@ int cmd_tvla(const Args& args) {
             << core::sensor_mode_name(mode) << ", " << tpp
             << " traces per population\n";
   const sca::WelchTTest tt = campaign.run_tvla(tpp);
-  std::printf("max |t| = %.2f (threshold %.1f) -> %s\n", tt.max_abs_t(),
-              sca::WelchTTest::kThreshold,
-              tt.leakage_detected() ? "LEAKAGE" : "no leakage evidence");
+  print_tvla_verdict("", tt.max_abs_t(), tt.leakage_detected());
   return tt.leakage_detected() ? 0 : 4;
 }
 
@@ -780,13 +761,7 @@ int cmd_analyze(const Args& args) {
   }
   if (ar.has_fullkey) {
     const store::ReplayFullKeyResult& fr = ar.fullkey;
-    std::printf("byte  true  recovered  ok   converged\n");
-    for (std::size_t b = 0; b < fr.bytes.size(); ++b) {
-      const store::ReplayFullKeyByte& br = fr.bytes[b];
-      std::printf("%4zu  0x%02x       0x%02x  %s  %7zu%s\n", b, br.correct,
-                  br.recovered, br.success ? "yes" : "NO ", br.traces,
-                  br.early_exited ? " (early exit)" : "");
-    }
+    print_byte_table(fr);
     const crypto::Block true_master = crypto::recover_master_key(true_lrk);
     const crypto::Block recovered_master =
         crypto::recover_master_key(fr.recovered_last_round_key);
@@ -796,11 +771,9 @@ int cmd_analyze(const Args& args) {
                 fr.success ? "RECOVERED" : "not recovered");
   }
   if (ar.has_tvla) {
-    std::printf("%stvla: max |t| = %.2f (threshold %.1f) -> %s\n",
-                kind == store::StoreKind::kTvla ? "" : "specific ",
-                ar.tvla.max_abs_t, sca::WelchTTest::kThreshold,
-                ar.tvla.leakage_detected ? "LEAKAGE"
-                                         : "no leakage evidence");
+    print_tvla_verdict(
+        kind == store::StoreKind::kTvla ? "tvla: " : "specific tvla: ",
+        ar.tvla.max_abs_t, ar.tvla.leakage_detected);
   }
   if (kind == store::StoreKind::kTvla) {
     return ar.tvla.leakage_detected ? 0 : 4;
