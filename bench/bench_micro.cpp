@@ -3,8 +3,9 @@
 // event-driven timing simulation, PDN stepping and response lookup, the
 // overclocked capture, the CPA trace update, and the block-batched
 // capture/CPA kernels against their per-trace baselines (ns/sample and
-// ns/trace; see items_per_second in the JSON), and the CRC-32 kernels
-// behind store I/O (bytes_per_second). Unless --benchmark_out is
+// ns/trace; see items_per_second in the JSON), the checkpoint class
+// fold against its direct-loop reference (ns per fold), and the CRC-32
+// kernels behind store I/O (bytes_per_second). Unless --benchmark_out is
 // given, results are also written to BENCH_micro.json.
 #include <benchmark/benchmark.h>
 
@@ -28,6 +29,7 @@
 #include "sca/model.hpp"
 #include "timing/timed_sim.hpp"
 #include "crc32_bytewise.hpp"
+#include "fold_reference.hpp"
 
 using namespace slm;
 
@@ -452,6 +454,59 @@ void BM_ClassFoldI64Avx2(benchmark::State& state) {
   class_fold_i64_bench(state, sca::DispatchLevel::kAvx2);
 }
 BENCHMARK(BM_ClassFoldI64Avx2);
+
+// --- Checkpoint class fold ----------------------------------------------
+//
+// Every checkpoint expands the 512 (v, b) class sums into 256 guesses.
+// BM_CheckpointFoldReference times the direct 256 x 256 row-add loop
+// (tests/sca/fold_reference.hpp) into freshly zeroed output rows;
+// BM_CheckpointFoldWht times XorClassCpa::fold, the Walsh-Hadamard
+// transform, which also allocates its CpaEngine. Time is ns per fold.
+// Args are the sample counts of the byte-campaign store replay_analyze
+// replays (8) and of the fused full-key TDC window (13). 20 000 traces
+// fill every class.
+
+sca::XorClassCpa checkpoint_classes(std::size_t samples) {
+  constexpr std::size_t kTraces = 20000;
+  Xoshiro256 rng(4);
+  std::vector<std::uint8_t> v(kTraces), b(kTraces);
+  std::vector<double> y(kTraces * samples);
+  for (std::size_t t = 0; t < kTraces; ++t) {
+    v[t] = static_cast<std::uint8_t>(rng.next());
+    b[t] = static_cast<std::uint8_t>(rng.next() & 1u);
+  }
+  for (auto& s : y) s = static_cast<double>(rng.next() & 0xffu);
+  sca::XorClassCpa cls(samples);
+  cls.add_block(v.data(), b.data(), y.data(), kTraces);
+  return cls;
+}
+
+void BM_CheckpointFoldReference(benchmark::State& state) {
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  const reference::ClassState st =
+      reference::class_state(checkpoint_classes(samples));
+  const sca::LastRoundBitModel model(3, 0);
+  for (auto _ : state) {
+    std::vector<std::int64_t> sum_h(256, 0);
+    std::vector<std::int64_t> sum_hy(256 * samples, 0);
+    reference::fold_direct(model.pattern().data(), st.class_n.data(),
+                           st.class_y.data(), samples, sum_h.data(),
+                           sum_hy.data());
+    benchmark::DoNotOptimize(sum_hy.data());
+  }
+}
+BENCHMARK(BM_CheckpointFoldReference)->Arg(8)->Arg(13);
+
+void BM_CheckpointFoldWht(benchmark::State& state) {
+  const auto samples = static_cast<std::size_t>(state.range(0));
+  const sca::XorClassCpa cls = checkpoint_classes(samples);
+  const sca::LastRoundBitModel model(3, 0);
+  for (auto _ : state) {
+    const sca::CpaEngine e = cls.fold(model.pattern().data());
+    benchmark::DoNotOptimize(e.trace_count());
+  }
+}
+BENCHMARK(BM_CheckpointFoldWht)->Arg(8)->Arg(13);
 
 // --- CRC-32 kernels ------------------------------------------------------
 //

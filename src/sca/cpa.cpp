@@ -1,6 +1,7 @@
 #include "sca/cpa.hpp"
 
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -28,6 +29,134 @@ StagedBlock stage_block(const FoldKernels& k, const double* y,
   }
   k.stage_i64(y, n, yi.data(), yyi.data());
   return {yi.data(), yyi.data()};
+}
+
+// --- Class fold -------------------------------------------------------
+//
+// fold() expands the 512 (v, b) class sums into 256 guesses. Under
+// h_k = pattern[v ^ k] ^ b, class (v, 0) counts for guess k when
+// pattern[v ^ k] == 1 and class (v, 1) when it is 0. With Y0[v], Y1[v]
+// the b = 0 / b = 1 rows and D = Y0 - Y1:
+//
+//   sum_hy[k] = sum_v Y1[v] + sum_v pattern[v ^ k] * D[v]
+//
+// The second term is an XOR convolution. With W the unnormalized
+// 256-point Walsh-Hadamard transform (W(W(x)) = 256 x) and the constant
+// as the spectrum's DC term:
+//
+//   256 * sum_hy = W(W(pattern) * W(D) + 256 * sum_v Y1[v] * delta_0)
+//
+// That is 16 butterfly stages and one multiply per (guess, sample)
+// instead of 256 x 256 row adds. sum_h is the same transform of the
+// class counts.
+//
+// Exactness: all of it is int64 arithmetic, so the result is the
+// direct loop's, bit for bit, as long as nothing wraps.
+//   - Every class row holds at most class_n readings of magnitude
+//     <= kMaxAbsReading and sum class_n = n <= kMaxFoldTraces (enforced
+//     on add, merge and load), so each forward stage, a signed subset
+//     sum of D, is <= sum_v |D[v]| <= kMaxFoldTraces * kMaxAbsReading
+//     = 2^42.
+//   - |W(pattern)| <= 256, and the DC entry P0 * (sum Y0 - sum Y1) +
+//     256 * sum Y1 = P0 * sum Y0 + (256 - P0) * sum Y1 is <= 256 * 2^42
+//     as well (its running sum stays below 2^51), so every spectrum
+//     entry is <= 2^50.
+//   - Inverse stage t sums 2^t spectrum entries: <= 2^58 < 2^63.
+//   - The result is exactly 256x the convolution, so / 256 is exact.
+constexpr std::uint64_t kMaxClassMass =
+    static_cast<std::uint64_t>(kMaxFoldTraces) *
+    static_cast<std::uint64_t>(kMaxAbsReading);
+// 2^42 in, times 256 (spectrum) times 256 (inverse) = 2^58 out.
+static_assert(kMaxClassMass <= (std::uint64_t{1} << 42),
+              "fold budget outgrew the WHT class-fold bound: re-derive it");
+
+// In-place unnormalized Walsh-Hadamard transform across 256 rows of
+// `width` contiguous int64s (row v at x + v * width). At stage h the
+// partners of rows i..i+h-1 are the next h rows, so every butterfly run
+// is one contiguous h * width span. Stages go in pairs (radix 4,
+// 256 = 4^4): each element is loaded and stored once per two stages.
+void wht256(std::int64_t* x, std::size_t width) {
+  const std::size_t total = 256 * width;
+  for (std::size_t span = width; span < total; span <<= 2) {
+    for (std::size_t i = 0; i < total; i += 4 * span) {
+      std::int64_t* __restrict a = x + i;
+      std::int64_t* __restrict b = a + span;
+      std::int64_t* __restrict c = b + span;
+      std::int64_t* __restrict d = c + span;
+      for (std::size_t s = 0; s < span; ++s) {
+        const std::int64_t ab = a[s] + b[s];
+        const std::int64_t amb = a[s] - b[s];
+        const std::int64_t cd = c[s] + d[s];
+        const std::int64_t cmd = c[s] - d[s];
+        a[s] = ab + cd;
+        b[s] = amb + cmd;
+        c[s] = ab - cd;
+        d[s] = amb - cmd;
+      }
+    }
+  }
+}
+
+// The fold of one class table: `cls` holds 512 class rows of `width`
+// values (row (v << 1) | b), `out` receives the 256 guess rows. Width 1
+// folds the counts into sum_h, width S the sums into sum_hy.
+void fold_class_rows(const std::int64_t* spectrum, const std::int64_t* cls,
+                     std::size_t width, std::int64_t* out) {
+  for (std::size_t v = 0; v < 256; ++v) {
+    const std::int64_t* y0 = cls + (2 * v) * width;
+    const std::int64_t* y1 = y0 + width;
+    std::int64_t* d = out + v * width;
+    for (std::size_t s = 0; s < width; ++s) d[s] = y0[s] - y1[s];
+  }
+  wht256(out, width);
+  for (std::size_t j = 0; j < 256; ++j) {
+    std::int64_t* row = out + j * width;
+    const std::int64_t p = spectrum[j];
+    for (std::size_t s = 0; s < width; ++s) row[s] *= p;
+  }
+  for (std::size_t v = 0; v < 256; ++v) {
+    const std::int64_t* y1 = cls + (2 * v + 1) * width;
+    for (std::size_t s = 0; s < width; ++s) out[s] += 256 * y1[s];
+  }
+  wht256(out, width);
+  for (std::size_t i = 0; i < 256 * width; ++i) out[i] /= 256;
+}
+
+// The fold of XorClassCpa and of each MultiByteCpa byte: class counts
+// `cn` (512) and class sums `cy` (512 x samples) into a 256-guess
+// engine's sum_h (256) and sum_hy (256 x samples).
+void fold_classes(const std::uint8_t* pattern256, const std::int64_t* cn,
+                  const std::int64_t* cy, std::size_t samples,
+                  std::int64_t* sum_h, std::int64_t* sum_hy) {
+  std::int64_t spectrum[256];
+  for (std::size_t v = 0; v < 256; ++v) spectrum[v] = pattern256[v] ? 1 : 0;
+  wht256(spectrum, 1);
+  fold_class_rows(spectrum, cn, 1, sum_h);
+  fold_class_rows(spectrum, cy, samples, sum_hy);
+}
+
+// The load() side of the class fold's exactness bound: refuses class
+// state that no sequence of in-budget adds could produce, so a crafted
+// checkpoint cannot push the transform past 2^63.
+void require_class_state(std::size_t n, const std::int64_t* cn,
+                         const std::int64_t* cy, std::size_t samples,
+                         const char* who) {
+  require_fold_budget(n, who);
+  const auto traces = static_cast<std::int64_t>(n);
+  std::int64_t total = 0;
+  for (std::size_t c = 0; c < 512; ++c) {
+    SLM_REQUIRE(cn[c] >= 0 && cn[c] <= traces,
+                std::string(who) + ": class count out of range");
+    total += cn[c];
+    const std::int64_t limit = cn[c] * kMaxAbsReading;
+    for (std::size_t s = 0; s < samples; ++s) {
+      const std::int64_t y = cy[c * samples + s];
+      SLM_REQUIRE(y >= -limit && y <= limit,
+                  std::string(who) + ": class sum exceeds its count's budget");
+    }
+  }
+  SLM_REQUIRE(total == traces,
+              std::string(who) + ": class counts do not sum to the trace count");
 }
 
 }  // namespace
@@ -227,24 +356,12 @@ void XorClassCpa::merge(const XorClassCpa& other) {
 }
 
 CpaEngine XorClassCpa::fold(const std::uint8_t* pattern256) const {
-  const FoldKernels& kn = active_kernels();
   CpaEngine e(256, samples_);
   e.n_ = n_;
   e.sum_y_ = sum_y_;
   e.sum_yy_ = sum_yy_;
-  for (std::size_t k = 0; k < 256; ++k) {
-    std::int64_t sh = 0;
-    std::int64_t* row = &e.sum_hy_[k * samples_];
-    for (std::size_t v = 0; v < 256; ++v) {
-      // h = pattern[v ^ k] ^ b: only the b that makes h == 1 contributes.
-      const std::size_t b = pattern256[v ^ k] ? 0u : 1u;
-      const std::size_t cls = (v << 1) | b;
-      if (class_n_[cls] == 0) continue;
-      sh += class_n_[cls];
-      kn.add_i64(row, &class_y_[cls * samples_], samples_);
-    }
-    e.sum_h_[k] = sh;
-  }
+  fold_classes(pattern256, class_n_.data(), class_y_.data(), samples_,
+               e.sum_h_.data(), e.sum_hy_.data());
   return e;
 }
 
@@ -269,6 +386,8 @@ void XorClassCpa::load(ByteReader& in) {
                   class_n_.size() == kClasses &&
                   class_y_.size() == kClasses * samples_,
               "XorClassCpa::load: corrupt payload");
+  require_class_state(n_, class_n_.data(), class_y_.data(), samples_,
+                      "XorClassCpa::load");
 }
 
 MultiByteCpa::MultiByteCpa(std::size_t sample_count)
@@ -346,26 +465,13 @@ void MultiByteCpa::merge(const MultiByteCpa& other) {
 CpaEngine MultiByteCpa::fold(std::size_t byte,
                              const std::uint8_t* pattern256) const {
   SLM_REQUIRE(byte < kBytes, "MultiByteCpa::fold: byte out of range");
-  const FoldKernels& kn = active_kernels();
   CpaEngine e(256, samples_);
   e.n_ = n_;
   e.sum_y_ = sum_y_;
   e.sum_yy_ = sum_yy_;
-  const std::int64_t* cn = &class_n_[byte * kClasses];
-  const std::int64_t* cy = &class_y_[byte * kClasses * samples_];
-  for (std::size_t k = 0; k < 256; ++k) {
-    std::int64_t sh = 0;
-    std::int64_t* row = &e.sum_hy_[k * samples_];
-    for (std::size_t v = 0; v < 256; ++v) {
-      // h = pattern[v ^ k] ^ b: only the b that makes h == 1 contributes.
-      const std::size_t b = pattern256[v ^ k] ? 0u : 1u;
-      const std::size_t cls = (v << 1) | b;
-      if (cn[cls] == 0) continue;
-      sh += cn[cls];
-      kn.add_i64(row, cy + cls * samples_, samples_);
-    }
-    e.sum_h_[k] = sh;
-  }
+  fold_classes(pattern256, &class_n_[byte * kClasses],
+               &class_y_[byte * kClasses * samples_], samples_,
+               e.sum_h_.data(), e.sum_hy_.data());
   return e;
 }
 
@@ -390,6 +496,11 @@ void MultiByteCpa::load(ByteReader& in) {
                   class_n_.size() == kBytes * kClasses &&
                   class_y_.size() == kBytes * kClasses * samples_,
               "MultiByteCpa::load: corrupt payload");
+  for (std::size_t j = 0; j < kBytes; ++j) {
+    require_class_state(n_, &class_n_[j * kClasses],
+                        &class_y_[j * kClasses * samples_], samples_,
+                        "MultiByteCpa::load");
+  }
 }
 
 CpaProgressPoint snapshot_progress(const CpaEngine& engine,

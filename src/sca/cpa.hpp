@@ -105,14 +105,18 @@ class CpaEngine {
 /// one S-box output bit). Instead of updating ~128 of 256 guess rows per
 /// trace like CpaEngine::add_trace, a trace lands in one of 512 (v, b)
 /// classes: per-class trace counts and per-sample reading sums. fold()
-/// reconstructs the full CpaEngine sums from the class sums in one
-/// 256 x 512 pass per checkpoint.
+/// reconstructs the full CpaEngine sums from the class sums per
+/// checkpoint. The guess expansion is an XOR convolution of the pattern
+/// with the class rows, so fold() runs it as an exact integer
+/// Walsh-Hadamard transform: ~16 x 256 x S adds and 256 x S multiplies,
+/// instead of the direct loop's 256 x 256 x S adds (DESIGN.md §13).
 ///
 /// Exactness: the accumulators are exact int64 sums of integer readings
-/// (see the contract at the top of this header), so the regrouped
-/// summation is identical to the trace-order sums CpaEngine would have
-/// produced — not merely close, the same bits, at every dispatch level.
-/// fold() output is indistinguishable from the reference path.
+/// (see the contract at the top of this header), and every transform
+/// intermediate stays below 2^58 under the fold budget, so fold() yields
+/// the trace-order sums CpaEngine would have produced — not merely
+/// close, the same bits, at every dispatch level.
+/// tests/sca/fold_reference.hpp keeps the direct loop as the oracle.
 class XorClassCpa {
  public:
   explicit XorClassCpa(std::size_t sample_count);
@@ -142,6 +146,9 @@ class XorClassCpa {
   CpaEngine fold(const std::uint8_t* pattern256) const;
 
   /// Bit-exact checkpoint serialization, mirror of CpaEngine::save/load.
+  /// load() also refuses class state outside the fold budget (a class
+  /// sum beyond its count's reading bound, counts that do not sum to
+  /// the trace count), which fold()'s exactness relies on.
   void save(ByteWriter& out) const;
   void load(ByteReader& in);
 
@@ -205,7 +212,8 @@ class MultiByteCpa {
   /// standalone XorClassCpa fed the same per-byte stream.
   CpaEngine fold(std::size_t byte, const std::uint8_t* pattern256) const;
 
-  /// Bit-exact checkpoint serialization, mirror of XorClassCpa::save/load.
+  /// Bit-exact checkpoint serialization, mirror of XorClassCpa::save/load
+  /// (load() checks every byte slice's class state the same way).
   void save(ByteWriter& out) const;
   void load(ByteReader& in);
 

@@ -43,7 +43,8 @@ void label_classes(const std::vector<LastRoundBitModel>& models,
 /// attacker-observable: a byte "converges" when its CPA winner has been
 /// stable with a sufficient correlation margin over `stable` consecutive
 /// checkpoints. Converged bytes freeze their reported result and stop
-/// paying the per-checkpoint 256 x 512 x S fold; the shared capture keeps
+/// paying the per-checkpoint class fold (a 256-point Walsh-Hadamard
+/// transform per sample, sca/cpa.hpp); the shared capture keeps
 /// feeding their accumulator slice, so turning early exit off only adds
 /// fold work — the accumulators (and therefore any later fold) are
 /// unchanged.

@@ -41,7 +41,9 @@ const char* dispatch_level_name(DispatchLevel level);
 // budget at kMaxFoldTraces keeps that worst case at 2^62 < 2^63, so the
 // int64 accumulators can never overflow (overflow would be UB, not a
 // wrong number). Campaigns beyond the budget are refused up front, and
-// the engines enforce the same bound incrementally.
+// the engines enforce the same bound incrementally. The class fold's
+// Walsh-Hadamard transform relies on the same budget: it needs
+// kMaxFoldTraces * kMaxAbsReading <= 2^42 (static_assert in cpa.cpp).
 inline constexpr std::int64_t kMaxAbsReading = std::int64_t{1} << 20;
 inline constexpr std::size_t kMaxFoldTraces =
     static_cast<std::size_t>((std::uint64_t{1} << 62) /

@@ -5,6 +5,8 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "fold_reference.hpp"
+#include "sca/model.hpp"
 
 namespace slm::sca {
 namespace {
@@ -238,6 +240,36 @@ TEST(XorClassCpa, ShardsMergeThenFoldBitForBit) {
   for (std::size_t k = 0; k < 256; ++k) {
     for (std::size_t s = 0; s < kSamples; ++s) {
       ASSERT_EQ(a.correlation(k, s), b.correlation(k, s));
+    }
+  }
+}
+
+// fold() (a Walsh-Hadamard transform) against the direct 256 x 256 loop
+// of tests/sca/fold_reference.hpp, byte for byte, under every bit
+// model's pattern. The budgets span an empty accumulator (every class
+// empty), a sparse one (most classes empty) and a dense one; readings
+// include negatives.
+TEST(XorClassCpa, FoldMatchesDirectReferenceForEveryBitModel) {
+  constexpr std::size_t kSamples = 5;
+  for (const int traces : {0, 1, 40, 3000}) {
+    Xoshiro256 rng(23 + static_cast<std::uint64_t>(traces));
+    XorClassCpa classes(kSamples);
+    for (int t = 0; t < traces; ++t) {
+      std::vector<double> y(kSamples);
+      for (auto& s : y) s = static_cast<double>(rng.uniform_int(200)) - 90.0;
+      classes.add_trace(static_cast<std::uint8_t>(rng.uniform_int(256)),
+                        static_cast<std::uint8_t>(rng.coin() ? 1 : 0), y);
+    }
+    for (std::size_t bit = 0; bit < 8; ++bit) {
+      const LastRoundBitModel model(3, bit);
+      const CpaEngine folded = classes.fold(model.pattern().data());
+      const CpaEngine want =
+          reference::fold_reference(classes, model.pattern().data());
+      ByteWriter got_bytes, want_bytes;
+      folded.save(got_bytes);
+      want.save(want_bytes);
+      ASSERT_EQ(got_bytes.bytes(), want_bytes.bytes())
+          << "traces " << traces << " bit " << bit;
     }
   }
 }

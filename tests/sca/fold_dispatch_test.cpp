@@ -3,9 +3,12 @@
 // SSE2, AVX2 — must produce byte-identical accumulator state and
 // identical correlation/t-statistic read-outs over randomized readings
 // and block sizes. The scalar level is the oracle; the wider levels are
-// only allowed to be faster. Also pins the overflow-budget guard: adds
-// that could push the int64 sums past 2^62 are refused before any
-// accumulator (or input buffer) is touched.
+// only allowed to be faster. The class fold (a Walsh-Hadamard
+// transform) must match the direct loop of fold_reference.hpp at every
+// level, including at the edge of the overflow budget. Also pins the
+// overflow-budget guard: adds that could push the int64 sums past 2^62
+// are refused before any accumulator (or input buffer) is touched, and
+// load() refuses class state outside the budget.
 #include "sca/fold_kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -15,7 +18,9 @@
 #include "common/binio.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fold_reference.hpp"
 #include "sca/cpa.hpp"
+#include "sca/model.hpp"
 #include "sca/tvla.hpp"
 
 namespace slm::sca {
@@ -248,6 +253,225 @@ TEST(FoldDispatch, EngineBlocksIdenticalAcrossLevels) {
           << "level " << dispatch_level_name(l) << " block " << block;
     }
   }
+}
+
+// The eight bit models' patterns plus shapes no S-box bit has: all
+// zero, all one (the largest DC spectrum entry, 256) and a linear
+// pattern (one non-DC spectrum entry of magnitude 128).
+std::vector<std::vector<std::uint8_t>> fold_patterns(std::size_t byte) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (std::size_t bit = 0; bit < 8; ++bit) {
+    const LastRoundBitModel model(byte, bit);
+    out.emplace_back(model.pattern().begin(), model.pattern().end());
+  }
+  out.emplace_back(256, 0);
+  out.emplace_back(256, 1);
+  std::vector<std::uint8_t> linear(256);
+  for (std::size_t v = 0; v < 256; ++v) {
+    linear[v] = static_cast<std::uint8_t>(__builtin_popcount(v & 0xa5u) & 1);
+  }
+  out.push_back(linear);
+  return out;
+}
+
+template <typename Fold, typename Reference>
+void expect_folds_match(const Fold& fold, const Reference& reference,
+                        std::size_t byte, const std::string& where) {
+  for (const auto& pattern : fold_patterns(byte)) {
+    ASSERT_EQ(state_bytes(fold(pattern.data())),
+              state_bytes(reference(pattern.data())))
+        << where << " pattern[1..3] " << int(pattern[1]) << int(pattern[2])
+        << int(pattern[3]);
+  }
+}
+
+// The class fold at every dispatch level, for the standalone and the
+// fused accumulator, against the direct loop. 300 traces leave most
+// classes empty.
+TEST(FoldDispatch, ClassFoldMatchesDirectReferenceAtEveryLevel) {
+  constexpr std::size_t kSamples = 8;
+  constexpr std::size_t kTraces = 300;
+  constexpr std::size_t kBytes = MultiByteCpa::kBytes;
+  Xoshiro256 rng(107);
+  std::vector<std::uint8_t> v(kTraces * kBytes), b(kTraces * kBytes);
+  std::vector<double> y(kTraces * kSamples);
+  for (auto& x : v) x = static_cast<std::uint8_t>(rng.uniform_int(256));
+  for (auto& x : b) x = rng.coin() ? 1 : 0;
+  for (auto& s : y) s = static_cast<double>(rng.uniform_int(1 << 12)) - 2000.0;
+
+  for (const DispatchLevel l : runnable_levels()) {
+    ForcedLevel forced(l);
+    const std::string level = dispatch_level_name(l);
+    XorClassCpa cls(kSamples);
+    cls.add_block(v.data(), b.data(), y.data(), kTraces);
+    expect_folds_match(
+        [&](const std::uint8_t* p) { return cls.fold(p); },
+        [&](const std::uint8_t* p) {
+          return reference::fold_reference(cls, p);
+        },
+        3, "XorClassCpa level " + level);
+    MultiByteCpa mb(kSamples);
+    mb.add_block(v.data(), b.data(), y.data(), kTraces);
+    for (std::size_t j = 0; j < kBytes; ++j) {
+      const reference::ClassState st = reference::class_state(mb, j);
+      expect_folds_match(
+          [&](const std::uint8_t* p) { return mb.fold(j, p); },
+          [&](const std::uint8_t* p) {
+            return reference::fold_reference(st, p);
+          },
+          j, "MultiByteCpa level " + level + " byte " + std::to_string(j));
+    }
+  }
+}
+
+// Class state as save() writes it: samples, n, sum_y, sum_yy, then
+// `tables` class tables of 512 counts and 512 x samples sums. sum_y is
+// the column sum of every table's rows (each trace lands in one class
+// per table); sum_yy is n * 2^40, every reading being +-2^20.
+std::vector<std::uint8_t> class_stream(
+    std::size_t samples, std::size_t n, std::size_t tables,
+    const std::vector<std::int64_t>& counts,
+    const std::vector<std::int64_t>& sums) {
+  std::vector<double> sum_y(samples, 0.0);
+  for (std::size_t c = 0; c < 512; ++c) {
+    for (std::size_t s = 0; s < samples; ++s) {
+      sum_y[s] += static_cast<double>(sums[c * samples + s]);
+    }
+  }
+  const double yy = static_cast<double>(n) *
+                    static_cast<double>(kMaxAbsReading * kMaxAbsReading);
+  ByteWriter w;
+  w.put_u64(samples);
+  w.put_u64(n);
+  w.put_f64_vector(sum_y);
+  w.put_f64_vector(std::vector<double>(samples, yy));
+  std::vector<double> cn, cy;
+  for (std::size_t t = 0; t < tables; ++t) {
+    cn.insert(cn.end(), counts.begin(), counts.end());
+    cy.insert(cy.end(), sums.begin(), sums.end());
+  }
+  w.put_f64_vector(cn);
+  w.put_f64_vector(cy);
+  return w.bytes();
+}
+
+template <typename Engine>
+void load_stream(Engine& e, const std::vector<std::uint8_t>& bytes) {
+  ByteReader r(bytes.data(), bytes.size());
+  e.load(r);
+}
+
+// Exactness at the overflow budget, run under UBSan by the fold_ubsan
+// drill: n = kMaxFoldTraces traces, every reading +-2^20, concentrated
+// so that sum_v |D[v]| = kMaxFoldTraces * kMaxAbsReading = 2^42, the
+// bound DESIGN.md §13 derives, with Y0 and Y1 of opposite signs. The
+// all-one pattern puts 256 * 2^42 into the spectrum's DC entry. The
+// WHT fold must still equal the direct loop.
+TEST(FoldDispatch, ClassFoldExactAtBudgetEdge) {
+  constexpr std::size_t kSamples = 4;
+  constexpr std::size_t n = kMaxFoldTraces;
+  static_assert(kMaxFoldTraces * static_cast<std::uint64_t>(kMaxAbsReading) ==
+                std::uint64_t{1} << 42);
+  // Sum of `count` readings of +-2^20, `plus` of them positive.
+  const auto mass = [](std::size_t count, std::size_t plus) {
+    return (static_cast<std::int64_t>(plus) -
+            static_cast<std::int64_t>(count - plus)) *
+           kMaxAbsReading;
+  };
+  struct Layout {
+    std::vector<std::int64_t> counts = std::vector<std::int64_t>(512, 0);
+    std::vector<std::int64_t> sums = std::vector<std::int64_t>(512 * kSamples);
+  };
+  // One class value: classes (0, 0) and (0, 1) hold n / 2 traces each.
+  // Per sample: opposite signs both ways (|D[0]| = 2^42), equal signs
+  // (D = 0, |sum Y1| = 2^41), and the b = 1 readings cancelling.
+  Layout one;
+  one.counts[0] = one.counts[1] = static_cast<std::int64_t>(n / 2);
+  const std::size_t h = n / 2;
+  const std::size_t y0_plus[kSamples] = {h, 0, h, h};
+  const std::size_t y1_plus[kSamples] = {0, h, h, h / 2};
+  for (std::size_t s = 0; s < kSamples; ++s) {
+    one.sums[0 * kSamples + s] = mass(h, y0_plus[s]);
+    one.sums[1 * kSamples + s] = mass(h, y1_plus[s]);
+  }
+  // Two class values, 0x00 and 0xff, n / 4 traces per class: W(D)
+  // reaches 2^42 on every even-parity frequency.
+  Layout two;
+  for (const std::size_t c : {0ul, 1ul, 510ul, 511ul}) {
+    two.counts[c] = static_cast<std::int64_t>(n / 4);
+    const bool b0 = (c % 2) == 0;
+    for (std::size_t s = 0; s < kSamples; ++s) {
+      const bool positive = b0 != ((s % 2) == 1);
+      two.sums[c * kSamples + s] = mass(n / 4, positive ? n / 4 : 0);
+    }
+  }
+
+  for (const DispatchLevel l : runnable_levels()) {
+    ForcedLevel forced(l);
+    const std::string level = dispatch_level_name(l);
+    for (const Layout* layout : {&one, &two}) {
+      XorClassCpa cls(kSamples);
+      load_stream(cls, class_stream(kSamples, n, 1, layout->counts,
+                                    layout->sums));
+      ASSERT_EQ(cls.trace_count(), n);
+      expect_folds_match(
+          [&](const std::uint8_t* p) { return cls.fold(p); },
+          [&](const std::uint8_t* p) {
+            return reference::fold_reference(cls, p);
+          },
+          3, "XorClassCpa budget edge level " + level);
+    }
+    // The fused accumulator, every byte slice carrying layout one.
+    MultiByteCpa mb(kSamples);
+    load_stream(mb, class_stream(kSamples, n, MultiByteCpa::kBytes,
+                                 one.counts, one.sums));
+    for (const std::size_t j : {0ul, 7ul, 15ul}) {
+      const reference::ClassState st = reference::class_state(mb, j);
+      expect_folds_match(
+          [&](const std::uint8_t* p) { return mb.fold(j, p); },
+          [&](const std::uint8_t* p) {
+            return reference::fold_reference(st, p);
+          },
+          j, "MultiByteCpa budget edge level " + level);
+    }
+  }
+}
+
+// load() refuses class state that no in-budget sequence of adds could
+// produce, so a crafted checkpoint cannot push the fold past int64.
+TEST(FoldDispatch, LoadRefusesClassStateOutsideTheBudget) {
+  constexpr std::size_t kSamples = 2;
+  std::vector<std::int64_t> counts(512, 0), sums(512 * kSamples, 0);
+  counts[6] = 3;
+  sums[6 * kSamples] = 3 * kMaxAbsReading;
+  XorClassCpa ok(kSamples);
+  EXPECT_NO_THROW(load_stream(ok, class_stream(kSamples, 3, 1, counts, sums)));
+
+  XorClassCpa c(kSamples);
+  // A class sum beyond its count's reading budget.
+  auto big = sums;
+  big[6 * kSamples + 1] = -(3 * kMaxAbsReading + 1);
+  EXPECT_THROW(load_stream(c, class_stream(kSamples, 3, 1, counts, big)),
+               slm::Error);
+  // Class counts that do not add up to n, or a negative count.
+  EXPECT_THROW(load_stream(c, class_stream(kSamples, 4, 1, counts, sums)),
+               slm::Error);
+  auto negative = counts;
+  negative[7] = -1;
+  negative[8] = 1;
+  EXPECT_THROW(load_stream(c, class_stream(kSamples, 3, 1, negative, sums)),
+               slm::Error);
+  // A trace count beyond the budget.
+  auto over = counts;
+  over[6] = static_cast<std::int64_t>(kMaxFoldTraces) + 1;
+  EXPECT_THROW(load_stream(c, class_stream(kSamples, kMaxFoldTraces + 1, 1,
+                                           over, sums)),
+               slm::Error);
+  MultiByteCpa m(kSamples);
+  EXPECT_THROW(
+      load_stream(m, class_stream(kSamples, 3, MultiByteCpa::kBytes, counts,
+                                  big)),
+      slm::Error);
 }
 
 // Welch t read-outs never move with the dispatch level either.

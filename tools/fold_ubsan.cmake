@@ -5,8 +5,11 @@
 # drill configures a scratch -fsanitize=undefined build and drives the
 # arithmetic that has to be overflow-free:
 #   1. fold_dispatch_test at every runnable SLM_SIMD level — the block
-#      kernels (stage / sum_cols2 / scatter), budget guards, and the
-#      property oracles all execute under UBSan;
+#      kernels (stage / sum_cols2 / scatter), budget guards, the
+#      property oracles, and the Walsh-Hadamard class fold against its
+#      direct-loop oracle, including a loaded accumulator at
+#      n = kMaxFoldTraces whose class difference reaches 2^42
+#      (ClassFoldExactAtBudgetEdge), all execute under UBSan;
 #   2. a capture plus the fused one-pass replay (`slm attack
 #      --from-store --fused-tvla` and `slm analyze`) — the end-to-end
 #      path from mmap'd store columns through every fold.
