@@ -89,6 +89,7 @@ KeyByteReport StealthyAttack::recover_key_byte(std::size_t key_byte,
   cfg.block = opts.block;
   cfg.simd = opts.simd;
   cfg.pool = opts.pool;
+  cfg.setup_memo = opts.setup_memo;
   cfg.store_out = opts.store_out;
   ParallelCampaign campaign(setup_, cfg, threads);
   return report_from(key_byte, campaign.run());
@@ -163,6 +164,7 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
   cfg.block = opts.run.block;
   cfg.simd = opts.run.simd;
   cfg.pool = opts.run.pool;
+  cfg.setup_memo = opts.run.setup_memo;
   cfg.store_out = opts.run.store_out;
   ParallelCampaign campaign(setup_, cfg, threads);
   const FullKeyRunResult r = campaign.run_fullkey(opts.fused);

@@ -52,6 +52,10 @@ struct RunOptions {
   /// `threads` knob. How `slm serve` multiplexes many tenants' jobs
   /// over one shared core::ThreadPool (see CampaignConfig::pool).
   ThreadPool* pool = nullptr;
+  /// Borrowed set-up memo (may be null): reuse the PDN response matrix
+  /// and the sensor pre-pass across campaigns that share their inputs
+  /// (see CampaignConfig::setup_memo). `slm serve` lends its own.
+  SetupMemo* setup_memo = nullptr;
   /// Non-empty: also persist every captured trace to an SLMTRC1 store
   /// at this path (`slm capture --store-out`; see docs/STORE.md).
   /// Incompatible with resume.

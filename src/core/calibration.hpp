@@ -72,6 +72,10 @@ struct Calibration {
 
   /// The calibrated configuration used by every figure bench.
   static Calibration paper_defaults();
+
+  /// Field-for-field equality (every nested config struct defaults its
+  /// own), so a field added here joins core::SetupMemo's keys unasked.
+  bool operator==(const Calibration&) const = default;
 };
 
 }  // namespace slm::core

@@ -13,6 +13,7 @@
 #include "core/capture.hpp"
 #include "core/checkpoint.hpp"
 #include "core/parallel.hpp"
+#include "core/setup_memo.hpp"
 #include "obs/observer.hpp"
 #include "sca/fold_kernels.hpp"
 #include "sca/selection.hpp"
@@ -102,8 +103,26 @@ CpaCampaign::CpaCampaign(AttackSetup& setup, const CampaignConfig& cfg)
     cycle_starts.push_back(static_cast<double>(c) * cyc);
   }
 
+  SetupMemo* const memo = cfg_.setup_memo;
+  std::optional<ResponseKey> key;
+  if (memo != nullptr) {
+    key.emplace(ResponseKey{cal.pdn, sample_times_, cycle_starts, cyc});
+    if (std::optional<pdn::CycleResponseMatrix> hit = memo->find(*key)) {
+      count_memo_lookup(true);
+      response_ = std::move(*hit);
+      return;
+    }
+    count_memo_lookup(false);
+  }
   response_ = pdn::CycleResponseMatrix::build(cal.pdn, sample_times_,
                                               cycle_starts, cyc);
+  if (memo != nullptr) memo->insert(std::move(*key), response_);
+}
+
+void CpaCampaign::count_memo_lookup(bool hit) const {
+  if (cfg_.observer == nullptr) return;
+  cfg_.observer->metrics().add(hit ? "slm.campaign.setup_memo_hits_total"
+                                   : "slm.campaign.setup_memo_misses_total");
 }
 
 store::StoreIdentity CpaCampaign::store_identity(store::StoreKind kind,
@@ -264,6 +283,59 @@ void CpaCampaign::read_sensor_fast(const SensorPlan& plan,
 }
 
 std::vector<std::size_t> CpaCampaign::resolve_sensor_bits() {
+  const bool auto_bit = cfg_.single_bit == CampaignConfig::kAutoBit &&
+                        (cfg_.mode == SensorMode::kBenignSingleBit ||
+                         cfg_.mode == SensorMode::kTdcSingleBit);
+  if (cfg_.mode != SensorMode::kBenignHw && !auto_bit) {
+    prepass_ = "none";  // only the range checks run
+    return run_sensor_prepass();
+  }
+  prepass_ = "ran";
+  SetupMemo* const memo = cfg_.setup_memo;
+  if (memo == nullptr) return run_sensor_prepass();
+  SensorBitsKey key = sensor_bits_key();
+  if (std::optional<SensorBits> hit = memo->find(key)) {
+    count_memo_lookup(true);
+    prepass_ = "reused";
+    // Leave the setup exactly as the pass would have: a later stateful
+    // pass (TVLA's loop, the next campaign on this setup) reads it.
+    setup_.victim().restore_registers(hit->registers);
+    if (fence_) fence_->set_rng_state(*hit->fence_state);
+    cfg_.single_bit = hit->single_bit;
+    log_info() << "campaign: sensor pre-pass reused from the set-up memo ("
+               << hit->bits.size() << " bits of interest, bit "
+               << cfg_.single_bit << ")";
+    return std::move(hit->bits);
+  }
+  count_memo_lookup(false);
+  std::vector<std::size_t> bits = run_sensor_prepass();
+  memo->insert(std::move(key),
+               SensorBits{bits, cfg_.single_bit,
+                          setup_.victim().register_snapshot(),
+                          fence_ ? std::optional(fence_->rng_state())
+                                 : std::nullopt});
+  return bits;
+}
+
+SensorBitsKey CpaCampaign::sensor_bits_key() const {
+  SensorBitsKey key;
+  key.circuit = setup_.circuit_kind();
+  key.cal = setup_.calibration();
+  key.platform_seed = setup_.seed();
+  key.mode = cfg_.mode;
+  key.single_bit = cfg_.single_bit;
+  key.seed = cfg_.seed;
+  key.selection_traces = cfg_.selection_traces;
+  key.selection_min_variance = cfg_.selection_min_variance;
+  key.selection_top_k = cfg_.selection_top_k;
+  key.sample_times_ns = sample_times_;
+  key.fence = cfg_.fence;
+  if (fence_) key.fence_state = fence_->rng_state();
+  key.registers = setup_.victim().register_snapshot();
+  return key;
+}
+
+std::vector<std::size_t> CpaCampaign::run_sensor_prepass() {
   std::vector<std::size_t> bits;
   if (cfg_.mode == SensorMode::kBenignHw) {
     bits = select_bits_of_interest();
@@ -815,6 +887,7 @@ void CpaCampaign::run_engine(unsigned shard_count, Analysis& an) {
     result.selection_seconds = obs::monotonic_seconds() - t0;
   }
   result.single_bit = cfg_.single_bit;
+  result.prepass = prepass_;
   if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
 
   const CapturePlan plan = capture_plan(result.bits_of_interest);
@@ -854,6 +927,7 @@ void CpaCampaign::run_engine(unsigned shard_count, Analysis& an) {
                   .field("compiled", true)
                   .field("block", static_cast<std::uint64_t>(plan.block))
                   .field("rng_contract", rng_contract_name(RngContract::kV2))
+                  .field("prepass", prepass_)
                   .field("resumed_from",
                          static_cast<std::uint64_t>(result.resumed_from)));
   }

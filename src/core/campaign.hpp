@@ -39,6 +39,7 @@ class TraceStoreWriter;
 
 namespace slm::core {
 
+class SetupMemo;
 class ThreadPool;
 
 enum class SensorMode {
@@ -171,6 +172,14 @@ struct CampaignConfig {
   /// size overrides the `threads` knob; the results are bit-identical
   /// either way (thread count is repro-irrelevant).
   ThreadPool* pool = nullptr;
+
+  /// Externally-owned set-up memo (borrowed, may be null; see
+  /// core/setup_memo.hpp). When set, the constructor looks the PDN
+  /// response matrix up before building it, and the run looks the
+  /// sensor pre-pass up before running it. A hit restores exactly the
+  /// state a rerun would leave, so results are byte-identical either
+  /// way. `slm serve` lends one memo to every campaign it runs.
+  SetupMemo* setup_memo = nullptr;
 };
 
 /// What every engine run reports besides its analysis, filled by the one
@@ -184,6 +193,10 @@ struct CampaignRun {
   /// Single-bit index actually used after kAutoBit resolution (single-
   /// bit modes only; 0 otherwise).
   std::size_t single_bit = 0;
+
+  /// How the sensor pre-pass was resolved: "ran", "reused" (a
+  /// CampaignConfig::setup_memo hit) or "none" (the mode needs none).
+  std::string prepass;
 
   /// Workers used and campaign wall time (selection pre-pass included),
   /// for traces/sec reporting in the benches and the CLI.
@@ -245,6 +258,7 @@ struct FullKeyRunResult : CampaignRun {
 struct SensorPlan;
 struct CapturePlan;
 struct CaptureBuffers;
+struct SensorBitsKey;
 
 class CpaCampaign {
  public:
@@ -348,8 +362,18 @@ class CpaCampaign {
                         std::vector<double>& y) const;
 
   /// Resolve kAutoBit / bits-of-interest before a capture loop; returns
-  /// the bits of interest (benign HW only, empty otherwise).
+  /// the bits of interest (benign HW only, empty otherwise). Consults
+  /// cfg.setup_memo when the resolution needs a pre-pass.
   std::vector<std::size_t> resolve_sensor_bits();
+
+  /// resolve_sensor_bits without the memo: the pre-pass itself.
+  std::vector<std::size_t> run_sensor_prepass();
+
+  /// The set-up memo key of the sensor pre-pass, taken at pass start.
+  SensorBitsKey sensor_bits_key() const;
+
+  /// Count one set-up memo lookup on the observer, when attached.
+  void count_memo_lookup(bool hit) const;
 
   // run_engine's steps.
   std::optional<CampaignCheckpoint> load_resume(unsigned shards,
@@ -370,6 +394,9 @@ class CpaCampaign {
   /// Mutable: the sequential pre-passes advance the fence's own stream;
   /// capture only ever uses it statelessly (trace_rng / cycle_current).
   mutable std::optional<defense::ActiveFence> fence_;
+  /// How the last resolve_sensor_bits got its answer: "ran" the
+  /// pre-pass, "reused" a memo entry, or "none" needed (run_start).
+  const char* prepass_ = "none";
 };
 
 // The checkpoint schedule rule lives in the shared fold layer; every

@@ -18,7 +18,7 @@ const char* benign_circuit_name(BenignCircuit c) {
 
 AttackSetup::AttackSetup(BenignCircuit circuit, const Calibration& cal,
                          std::uint64_t seed)
-    : circuit_(circuit), cal_(cal) {
+    : circuit_(circuit), cal_(cal), seed_(seed) {
   sensors::BenignSensorConfig scfg;
   scfg.capture = cal_.capture;
 

@@ -34,6 +34,8 @@ class AttackSetup {
 
   const Calibration& calibration() const { return cal_; }
   BenignCircuit circuit_kind() const { return circuit_; }
+  /// Platform seed the benign sensors' static skews were drawn from.
+  std::uint64_t seed() const { return seed_; }
 
   /// Victim->attacker PDN coupling for this experiment's floorplan.
   double effective_coupling() const {
@@ -67,6 +69,7 @@ class AttackSetup {
  private:
   BenignCircuit circuit_;
   Calibration cal_;
+  std::uint64_t seed_;
   std::vector<std::shared_ptr<netlist::Netlist>> netlists_;
   sensors::BenignSensorBank bank_;
   std::unique_ptr<sensors::TdcSensor> tdc_;

@@ -38,6 +38,8 @@ struct DatapathConfig {
   /// Register state at the start of an encryption. Real hardware keeps
   /// the previous ciphertext; the model defaults to that behaviour.
   bool carry_previous_state = true;
+
+  bool operator==(const DatapathConfig&) const = default;
 };
 
 class AesDatapathModel {
@@ -79,6 +81,8 @@ class AesDatapathModel {
     Block register_state{};
     Block register_mask{};
     std::array<std::uint64_t, 4> mask_rng_state{};
+
+    bool operator==(const RegisterSnapshot&) const = default;
   };
   RegisterSnapshot register_snapshot() const {
     return RegisterSnapshot{register_state_, register_mask_,

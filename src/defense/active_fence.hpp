@@ -24,6 +24,8 @@ struct ActiveFenceConfig {
   double random_current_a = 0.0;
 
   std::uint64_t seed = 0xfe9ce;
+
+  bool operator==(const ActiveFenceConfig&) const = default;
 };
 
 class ActiveFence {

@@ -31,6 +31,8 @@ struct AdderOptions {
 
   bool with_carry_in = true;
   bool with_carry_out = true;
+
+  bool operator==(const AdderOptions&) const = default;
 };
 
 /// Build an adder netlist. Inputs (declaration order): a[0..w-1],

@@ -20,6 +20,8 @@ struct AluOptions {
   AdderOptions adder;  ///< width is overridden by `width`
   double mux_delay_ns = 0.070;
   double logic_delay_ns = 0.060;
+
+  bool operator==(const AluOptions&) const = default;
 };
 
 /// Build the ALU. Inputs: a[0..w-1], b[0..w-1], op0, op1.

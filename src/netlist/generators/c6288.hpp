@@ -26,6 +26,8 @@ struct C6288Options {
 
   /// Input routing delay (ns).
   double input_routing_delay_ns = 0.30;
+
+  bool operator==(const C6288Options&) const = default;
 };
 
 /// Build the multiplier. Inputs: a[0..n-1], b[0..n-1].

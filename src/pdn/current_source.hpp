@@ -17,6 +17,8 @@ struct RoGridConfig {
   double current_per_ro_a = 0.35e-3;  ///< average draw of one toggling RO
   double toggle_freq_mhz = 4.0;
   double ramp_fraction = 0.85;  ///< fraction of the period spent ramping up
+
+  bool operator==(const RoGridConfig&) const = default;
 };
 
 class RoGridAggressor {

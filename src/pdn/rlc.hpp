@@ -28,6 +28,8 @@ struct PdnConfig {
   /// Standing current of the rest of the design (A); defines the DC
   /// operating point the droops ride on.
   double idle_current_a = 0.5;
+
+  bool operator==(const PdnConfig&) const = default;
 };
 
 /// Fourth-order Runge-Kutta integrator over the two-state RLC system.

@@ -20,6 +20,8 @@ struct RoSensorConfig {
   double count_window_ns = 1000.0;  ///< 1 us counting window (low rate)
   timing::VoltageDelayModel delay;
   double phase_noise_counts = 0.6;  ///< sigma of the counter reading
+
+  bool operator==(const RoSensorConfig&) const = default;
 };
 
 class RoCounterSensor {

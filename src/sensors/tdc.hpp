@@ -30,6 +30,8 @@ struct TdcConfig {
   /// Analog noise on the propagation depth (LSB sigma): launch jitter,
   /// stage mismatch. Applied to the continuous depth before quantising.
   double noise_lsb = 0.25;
+
+  bool operator==(const TdcConfig&) const = default;
 };
 
 class TdcSensor {

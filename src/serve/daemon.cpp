@@ -16,6 +16,7 @@
 #include "core/checkpoint.hpp"
 #include "core/fabric.hpp"
 #include "core/parallel.hpp"
+#include "core/setup_memo.hpp"
 #include "crypto/aes128.hpp"
 #include "obs/jsonl.hpp"
 #include "store/replay.hpp"
@@ -77,7 +78,7 @@ obs::JsonWriter result_header(const JobSpec& spec) {
 }
 
 SliceOutcome run_attack_slice(const QueuedJob& job, std::uint64_t halt_after,
-                              core::ThreadPool* pool,
+                              core::ThreadPool* pool, core::SetupMemo* memo,
                               obs::CampaignObserver* job_ob) {
   const JobSpec& spec = job.spec;
   core::StealthyAttack attack(spec.circuit);
@@ -87,6 +88,7 @@ SliceOutcome run_attack_slice(const QueuedJob& job, std::uint64_t halt_after,
   ro.resume = true;  // missing snapshot = fresh start
   ro.halt_after_traces = halt_after;
   ro.pool = pool;
+  ro.setup_memo = memo;
   SliceOutcome out;
   try {
     if (spec.kind == JobKind::kFullKey) {
@@ -127,13 +129,14 @@ SliceOutcome run_attack_slice(const QueuedJob& job, std::uint64_t halt_after,
   return out;
 }
 
-SliceOutcome run_tvla_slice(const QueuedJob& job,
+SliceOutcome run_tvla_slice(const QueuedJob& job, core::SetupMemo* memo,
                             obs::CampaignObserver* job_ob) {
   const JobSpec& spec = job.spec;
   core::StealthyAttack attack(spec.circuit);
   core::CampaignConfig cfg =
       attack.byte_campaign_config(spec.key_byte, spec.traces, spec.mode);
   cfg.observer = job_ob;
+  cfg.setup_memo = memo;
   core::CpaCampaign campaign(attack.setup(), cfg);
   const sca::WelchTTest t = campaign.run_tvla(spec.traces);
   SliceOutcome out;
@@ -192,7 +195,7 @@ SliceOutcome run_fabric_slice(const QueuedJob& job,
 /// (store::replay_all), campaign inferred from the store identity the
 /// same way `slm analyze` does. No capture, no checkpoints — the sweep
 /// runs at fold speed, so the slice is non-preemptible by construction.
-SliceOutcome run_analyze_slice(const QueuedJob& job,
+SliceOutcome run_analyze_slice(const QueuedJob& job, core::SetupMemo* memo,
                                obs::CampaignObserver* job_ob) {
   const JobSpec& spec = job.spec;
   store::TraceStoreReader reader(spec.store);
@@ -204,11 +207,15 @@ SliceOutcome run_analyze_slice(const QueuedJob& job,
   const std::size_t key_byte = static_cast<std::size_t>(id.target_key_byte);
 
   core::StealthyAttack attack(circuit);
-  const core::CampaignConfig cfg =
+  core::CampaignConfig cfg =
       kind == store::StoreKind::kFullKey
           ? attack.fullkey_campaign_config(n, mode)
           : attack.byte_campaign_config(
                 key_byte, kind == store::StoreKind::kTvla ? n / 2 : n, mode);
+  // The campaign only fingerprints the store; the memo spares it the
+  // response-matrix build, and the observer counts that lookup.
+  cfg.observer = job_ob;
+  cfg.setup_memo = memo;
   core::CpaCampaign campaign(attack.setup(), cfg);
   reader.identity().require_compatible(campaign.store_identity(kind, n),
                                        "serve analyze job " + spec.id);
@@ -311,6 +318,9 @@ ServeReport serve(const ServeOptions& opt) {
 
   const unsigned threads = core::resolve_threads(opt.threads);
   core::ThreadPool pool(threads);
+  // Set up each job once, not once per slice: every in-process campaign
+  // borrows this memo for the daemon's lifetime.
+  core::SetupMemo memo;
 
   ob.event("serve_start", obs::JsonWriter()
                               .field("spool", opt.spool_dir)
@@ -382,6 +392,7 @@ ServeReport serve(const ServeOptions& opt) {
       }
       qj.dir = d.string();
       qj.seq = seq++;
+      qj.admitted_at = qj.ready_at = obs::monotonic_seconds();
       if (const auto ck = core::load_checkpoint((d / "ckpt").string())) {
         qj.traces_done = ck->traces_done;
       }
@@ -438,6 +449,7 @@ ServeReport serve(const ServeOptions& opt) {
           QueuedJob qj;
           qj.spec = spec;
           qj.dir = (results / spec.id).string();
+          qj.admitted_at = qj.ready_at = obs::monotonic_seconds();
           if (fs::exists(qj.dir)) {
             reject("duplicate_id");
             continue;
@@ -510,6 +522,8 @@ ServeReport serve(const ServeOptions& opt) {
     const JobSpec& spec = job->spec;
     const std::uint64_t halt_after = slice_halt_point(
         spec, job->traces_done, opt.timeslice_traces, !sched.empty());
+    m.observe("slm.serve.queue_wait_seconds",
+              obs::monotonic_seconds() - job->ready_at);
     ob.event("job_slice_start", obs::JsonWriter()
                                     .field("job", spec.id)
                                     .field("tenant", spec.tenant)
@@ -521,21 +535,32 @@ ServeReport serve(const ServeOptions& opt) {
     SliceOutcome out;
     bool failed = false;
     std::string error;
+    std::optional<obs::CampaignObserver> job_ob;
     try {
-      obs::CampaignObserver job_ob(job->dir + "/events.jsonl");
+      job_ob.emplace(job->dir + "/events.jsonl");
       if (spec.kind == JobKind::kTvla) {
-        out = run_tvla_slice(*job, &job_ob);
+        out = run_tvla_slice(*job, &memo, &*job_ob);
       } else if (spec.kind == JobKind::kAnalyze) {
-        out = run_analyze_slice(*job, &job_ob);
+        out = run_analyze_slice(*job, &memo, &*job_ob);
       } else if (spec.fabric_shards > 0) {
         m.add("slm.serve.fabric_jobs_total");
-        out = run_fabric_slice(*job, opt.slm_binary, &job_ob);
+        out = run_fabric_slice(*job, opt.slm_binary, &*job_ob);
       } else {
-        out = run_attack_slice(*job, halt_after, &pool, &job_ob);
+        out = run_attack_slice(*job, halt_after, &pool, &memo, &*job_ob);
       }
     } catch (const std::exception& e) {
       failed = true;
       error = e.what();
+    }
+    if (job_ob) {
+      // The slice's memo lookups, summed into the daemon's registry.
+      for (const char* name : {"slm.campaign.setup_memo_hits_total",
+                               "slm.campaign.setup_memo_misses_total"}) {
+        if (const double n = job_ob->metrics().counter(name); n > 0.0) {
+          m.add(name, n);
+        }
+      }
+      job_ob.reset();  // close the job's stream before its result lands
     }
     m.observe("slm.serve.slice_seconds", obs::monotonic_seconds() - t0);
     {
@@ -562,6 +587,8 @@ ServeReport serve(const ServeOptions& opt) {
       m.add("slm.serve.jobs_completed_total");
       m.add("slm.serve.job_traces_total",
             static_cast<double>(out.traces_done - job->traces_done));
+      m.observe("slm.serve.turnaround_seconds",
+                obs::monotonic_seconds() - job->admitted_at);
       ob.event("job_done", obs::JsonWriter()
                                .field("job", spec.id)
                                .field("tenant", spec.tenant)
@@ -579,6 +606,7 @@ ServeReport serve(const ServeOptions& opt) {
                                     .field("tenant", spec.tenant)
                                     .field("at", out.traces_done));
       job->traces_done = out.traces_done;
+      job->ready_at = obs::monotonic_seconds();
       {
         std::lock_guard<std::mutex> g(rep_m);
         ++rep.preemptions;

@@ -28,6 +28,11 @@ struct QueuedJob {
   std::string dir;               ///< per-job results directory
   std::uint64_t traces_done = 0;
   std::uint64_t seq = 0;  ///< admission order; assigned by the scheduler
+  /// Monotonic seconds (obs::monotonic_seconds) of admission and of the
+  /// last time the job became runnable (admission or requeue), for the
+  /// daemon's turnaround and queue-wait histograms.
+  double admitted_at = 0.0;
+  double ready_at = 0.0;
 };
 
 /// One tenant's standing for `slm status`: service received so far (in

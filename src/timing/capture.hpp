@@ -40,6 +40,8 @@ struct CaptureConfig {
 
   /// Setup time subtracted from the clock period (ns).
   double setup_ns = 0.05;
+
+  bool operator==(const CaptureConfig&) const = default;
 };
 
 class OverclockedCapture {

@@ -28,6 +28,8 @@ struct VoltageDelayModel {
   double voltage_for_factor(double f) const {
     return vnom - (f - 1.0) / sensitivity_per_volt;
   }
+
+  bool operator==(const VoltageDelayModel&) const = default;
 };
 
 }  // namespace slm::timing

@@ -444,6 +444,69 @@ TEST(ServeDaemonTest, KilledDaemonResumesBitExactlyOnRestart) {
   }
 }
 
+// The last value the daemon's run_end manifest reports for a counter.
+double manifest_counter(const std::string& feed, const std::string& name) {
+  const std::size_t at = feed.rfind("\"" + name + "\":");
+  if (at == std::string::npos) return 0.0;
+  return std::stod(feed.substr(at + name.size() + 3));
+}
+
+TEST(ServeDaemonTest, PreemptedBenignHwJobRunsItsPrepassOnce) {
+  // A benign-HW job sliced at every checkpoint next to a TDC job: every
+  // slice rebuilds the campaign, but only the first runs the 4000-trace
+  // bits-of-interest pre-pass; the later ones reuse it from the
+  // daemon's set-up memo, and the result is byte-identical to an
+  // uninterrupted run's.
+  JobSpec hw = attack_spec("job_hw", "alice", kAttackTraces, 3);
+  hw.mode = core::SensorMode::kBenignHw;
+  const auto submit = [&](const std::string& spool) {
+    write_job_file(spool, hw);
+    write_job_file(spool, attack_spec("job_tdc", "bob", kAttackTraces, 5));
+  };
+  const std::string spool_ref = fresh_dir("serve_memo_ref_spool");
+  const std::string results_ref = fresh_dir("serve_memo_ref_results");
+  submit(spool_ref);
+  serve(base_options(spool_ref, results_ref));
+
+  const std::string spool = fresh_dir("serve_memo_spool");
+  const std::string results = fresh_dir("serve_memo_results");
+  submit(spool);
+  ServeOptions opt = base_options(spool, results);
+  opt.timeslice_traces = 100;
+  const ServeReport rep = serve(opt);
+  EXPECT_EQ(rep.jobs_completed, 2u);
+  EXPECT_EQ(slurp(results + "/job_hw/result.json"),
+            slurp(results_ref + "/job_hw/result.json"));
+
+  std::vector<std::string> prepass;
+  std::istringstream events(slurp(results + "/job_hw/events.jsonl"));
+  for (std::string line; std::getline(events, line);) {
+    const obs::FlatJson ev = obs::FlatJson::parse(line);
+    if (ev.string_field("ev") == "run_start") {
+      prepass.push_back(ev.string_field("prepass").value_or("?"));
+    }
+  }
+  ASSERT_GE(prepass.size(), 3u);  // preempted at least twice
+  EXPECT_EQ(prepass[0], "ran");
+  for (std::size_t i = 1; i < prepass.size(); ++i) {
+    EXPECT_EQ(prepass[i], "reused") << "slice " << i;
+  }
+
+  // Every later slice hit both the response matrix and the pre-pass.
+  const std::string feed = slurp(results + "/serve.jsonl");
+  const double later = static_cast<double>(prepass.size() - 1);
+  EXPECT_GE(manifest_counter(feed, "slm.campaign.setup_memo_hits_total"),
+            2.0 * later);
+  EXPECT_GE(manifest_counter(feed, "slm.campaign.setup_memo_misses_total"),
+            2.0);
+  // One queue wait per slice, one turnaround per finished job.
+  EXPECT_NE(feed.find("\"slm.serve.queue_wait_seconds\":{\"count\":" +
+                      std::to_string(rep.slices) + ","),
+            std::string::npos);
+  EXPECT_NE(feed.find("\"slm.serve.turnaround_seconds\":{\"count\":2,"),
+            std::string::npos);
+}
+
 TEST(ServeDaemonTest, MalformedSpoolFileIsRejectedNotFatal) {
   const std::string spool = fresh_dir("serve_rej_spool");
   const std::string results = fresh_dir("serve_rej_results");

@@ -1,5 +1,8 @@
 # Aggregate every BENCH_*.json a bench run left behind into a single
-# BENCH_summary.json, keyed by bench file stem. Each bench binary writes
+# BENCH_summary.json, keyed by bench file stem. A smoke that reruns a
+# bench under other settings writes from its own subdirectory (e.g.
+# scalar_block/), and its record is keyed <stem>_<subdirectory>, so no
+# smoke overwrites another's. Each bench binary writes
 # its own machine-readable record (bench_util's contract); this script
 # only collates — it never re-runs anything, so it is cheap enough for
 # every ctest invocation and safe when no bench has run yet (empty glob
@@ -12,7 +15,8 @@ if(NOT DEFINED BENCH_DIR)
   message(FATAL_ERROR "bench_report: pass -DBENCH_DIR=<dir>")
 endif()
 
-file(GLOB bench_files "${BENCH_DIR}/BENCH_*.json")
+get_filename_component(BENCH_DIR "${BENCH_DIR}" ABSOLUTE)
+file(GLOB bench_files "${BENCH_DIR}/BENCH_*.json" "${BENCH_DIR}/*/BENCH_*.json")
 list(REMOVE_ITEM bench_files "${BENCH_DIR}/BENCH_summary.json")
 list(SORT bench_files)
 
@@ -20,6 +24,11 @@ set(entries "")
 set(count 0)
 foreach(path IN LISTS bench_files)
   get_filename_component(stem "${path}" NAME_WE)
+  get_filename_component(dir "${path}" DIRECTORY)
+  if(NOT dir STREQUAL BENCH_DIR)
+    get_filename_component(subdir "${dir}" NAME)
+    set(stem "${stem}_${subdir}")
+  endif()
   file(READ "${path}" body)
   string(STRIP "${body}" body)
   if(body STREQUAL "")
