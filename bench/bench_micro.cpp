@@ -329,6 +329,35 @@ void BM_XorClassAddBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_XorClassAddBlock);
 
+// MultiByteCpa::add_block at S = 8 on both sides of its size rule: 64
+// traces (a live capture block, int64 scatter) and 4096 (a store replay
+// chunk, int32 class tiles). Readings 0-4 like a benign-HW store. Time
+// is per call; items are traces.
+void BM_ClassAddBlock(benchmark::State& state) {
+  constexpr std::size_t kSamples = 8;
+  constexpr std::size_t kBytes = sca::MultiByteCpa::kBytes;
+  const auto count = static_cast<std::size_t>(state.range(0));
+  sca::MultiByteCpa acc(kSamples);
+  Xoshiro256 rng(5);
+  std::vector<std::uint8_t> v(count * kBytes), b(count * kBytes);
+  std::vector<double> y(count * kSamples);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<std::uint8_t>(rng.next());
+    b[i] = static_cast<std::uint8_t>(rng.next() & 1u);
+  }
+  for (auto& s : y) s = static_cast<double>(rng.uniform_int(5));
+  for (auto _ : state) {
+    if (acc.trace_count() + count > sca::kMaxFoldTraces) {
+      acc = sca::MultiByteCpa(kSamples);
+    }
+    acc.add_block(v.data(), b.data(), y.data(), count);
+  }
+  benchmark::DoNotOptimize(acc.trace_count());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_ClassAddBlock)->Arg(64)->Arg(4096);
+
 // --- Integer fold engine: dispatch levels vs the retired FP floor ------
 //
 // The headline perf claim of the int64 conversion (DESIGN.md §11): the

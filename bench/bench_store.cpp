@@ -18,6 +18,7 @@
 #include "bench_util.hpp"
 #include "core/attack.hpp"
 #include "obs/metrics.hpp"
+#include "obs/observer.hpp"
 #include "sca/model.hpp"
 #include "store/replay.hpp"
 #include "store/trace_store.hpp"
@@ -111,27 +112,51 @@ int main() {
   // target-byte point at each checkpoint instead of folding that class
   // tile a second time. The ratio is what fusion buys: the two saved
   // opens and sweeps plus that one saved fold per checkpoint.
+  //
+  // The same property is also counted, which no scheduler can perturb:
+  // each side tallies its store opens, and an observer per side counts
+  // its sweeps (slm.store.replay_seconds observations) and the traces
+  // they fed (slm.store.traces_replayed).
   store::ReplayAllResult fused;
   double best_seq = 0.0, best_fused = 0.0;
+  obs::CampaignObserver seq_obs, fused_obs;
+  int seq_opens = 0, fused_opens = 0;
   for (int i = 0; i < kReplays; ++i) {
     double s0 = obs::monotonic_seconds();
     for (int section = 0; section < 3; ++section) {
       store::TraceStoreReader reader(store_path);
+      ++seq_opens;
       store::ReplayAllOptions one;
       one.attack = section == 0;
       one.fullkey = section == 1;
       one.tvla = section == 2;
-      store::replay_all(reader, checkpoints, true_key, one);
+      store::replay_all(reader, checkpoints, true_key, one, &seq_obs);
     }
     const double seq_secs = obs::monotonic_seconds() - s0;
     if (i == 0 || seq_secs < best_seq) best_seq = seq_secs;
 
     s0 = obs::monotonic_seconds();
     store::TraceStoreReader reader(store_path);
-    fused = store::replay_all(reader, checkpoints, true_key);
+    ++fused_opens;
+    fused = store::replay_all(reader, checkpoints, true_key, {}, &fused_obs);
     const double fused_secs = obs::monotonic_seconds() - s0;
     if (i == 0 || fused_secs < best_fused) best_fused = fused_secs;
   }
+  // Per repetition: sweeps, traces replayed, opens.
+  const auto per_rep = [](double total) { return total / kReplays; };
+  const double seq_sweeps = per_rep(static_cast<double>(
+      seq_obs.metrics().histogram("slm.store.replay_seconds").count));
+  const double fused_sweeps = per_rep(static_cast<double>(
+      fused_obs.metrics().histogram("slm.store.replay_seconds").count));
+  const double seq_traces =
+      per_rep(seq_obs.metrics().counter("slm.store.traces_replayed"));
+  const double fused_traces =
+      per_rep(fused_obs.metrics().counter("slm.store.traces_replayed"));
+  std::printf(
+      "per repetition: fused %.0f open(s), %.0f sweep(s), %.0f traces; "
+      "sequential %.0f opens, %.0f sweeps, %.0f traces\n",
+      per_rep(fused_opens), fused_sweeps, fused_traces, per_rep(seq_opens),
+      seq_sweeps, seq_traces);
   const double fused_replay_speedup =
       best_fused > 0.0 ? best_seq / best_fused : 0.0;
   std::printf(
@@ -157,6 +182,13 @@ int main() {
   checks.expect("replay_speedup >= 3x", replay_speedup >= 3.0);
   checks.expect("fused sweep beats three sequential sweeps",
                 fused_replay_speedup > 1.0);
+  const auto n = static_cast<double>(live.traces_run);
+  checks.expect("fused pass: one open, one sweep of n traces",
+                per_rep(fused_opens) == 1.0 && fused_sweeps == 1.0 &&
+                    fused_traces == n);
+  checks.expect("sequential passes: three opens, three sweeps, 3n traces",
+                per_rep(seq_opens) == 3.0 && seq_sweeps == 3.0 &&
+                    seq_traces == 3.0 * n);
   checks.expect("fused attack section bit-identical",
                 fused.has_attack &&
                     fused.attack.recovered_guess == live.recovered_guess &&

@@ -1,5 +1,6 @@
 #include "sca/cpa.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -29,6 +30,97 @@ StagedBlock stage_block(const FoldKernels& k, const double* y,
   }
   k.stage_i64(y, n, yi.data(), yyi.data());
   return {yi.data(), yyi.data()};
+}
+
+// --- Class blocks -----------------------------------------------------
+//
+// add_block of XorClassCpa (one class table) and MultiByteCpa (sixteen)
+// is one routine: `tables` class tables fed from count x tables
+// trace-major labels (v[t * tables + j], b likewise) and count x samples
+// readings. The class bits and the readings are all checked before the
+// first accumulator write, so a refused block changes nothing.
+//
+// Blocks of fewer than kClassRows traces (the live engines' capture
+// blocks) stage to int64 and scatter straight into each int64 class
+// table. Chunk-sized blocks (store replay's) stage once to int32 rows,
+// and each table takes one class_tile_i32 pass: the kernel reads that
+// table's labels in place and scatters through a kClassRows x width
+// int32 tile that stays in L1, widened into the table once per
+// kClassTileSubBlock traces (exact: fold_kernels.hpp). The int64 path
+// would stream the whole staged int64 block, and an int32 class index
+// per trace, once per table. On a 64-trace block the tile's widen of
+// all kClassRows rows would cost several times the scatter it saves.
+
+// The chunk-sized path's staging: int32 rows padded to `width` lanes
+// (pad lanes zero) and the block's int64 column sums. It goes through
+// the dispatched int64 stager in L1-sized slices, so the validation and
+// its errors are the small path's.
+const std::int32_t* stage_rows_i32(const FoldKernels& k, const double* y,
+                                   std::size_t count, std::size_t samples,
+                                   std::size_t width, std::int64_t* col_y,
+                                   std::int64_t* col_yy) {
+  constexpr std::size_t kSlice = 256;
+  thread_local std::vector<std::int32_t> rows;
+  if (rows.size() < count * width) rows.resize(count * width);
+  for (std::size_t t0 = 0; t0 < count; t0 += kSlice) {
+    const std::size_t m = std::min(kSlice, count - t0);
+    const StagedBlock st = stage_block(k, y + t0 * samples, m * samples);
+    k.sum_cols2_i64(col_y, col_yy, st.y, st.yy, m, samples);
+    for (std::size_t t = 0; t < m; ++t) {
+      std::int32_t* row = rows.data() + (t0 + t) * width;
+      const std::int64_t* yt = st.y + t * samples;
+      for (std::size_t s = 0; s < samples; ++s) {
+        row[s] = static_cast<std::int32_t>(yt[s]);
+      }
+      for (std::size_t s = samples; s < width; ++s) row[s] = 0;
+    }
+  }
+  return rows.data();
+}
+
+void add_class_block(const char* who, const std::uint8_t* v,
+                     const std::uint8_t* b, std::size_t tables,
+                     const double* y, std::size_t count, std::size_t samples,
+                     std::int64_t* sum_y, std::int64_t* sum_yy,
+                     std::int64_t* class_n, std::int64_t* class_y) {
+  std::uint8_t bits = 0;
+  for (std::size_t i = 0; i < count * tables; ++i) bits |= b[i];
+  SLM_REQUIRE(bits <= 1, std::string(who) + ": class bit must be 0/1");
+  const FoldKernels& k = active_kernels();
+  if (count < kClassRows) {
+    const StagedBlock st = stage_block(k, y, count * samples);
+    k.sum_cols2_i64(sum_y, sum_yy, st.y, st.yy, count, samples);
+    thread_local std::vector<std::uint32_t> cls;
+    cls.resize(count);
+    for (std::size_t j = 0; j < tables; ++j) {
+      std::int64_t* cn = class_n + j * kClassRows;
+      for (std::size_t t = 0; t < count; ++t) {
+        const std::size_t i = t * tables + j;
+        cls[t] = static_cast<std::uint32_t>(
+            (static_cast<std::size_t>(v[i]) << 1) | b[i]);
+        cn[cls[t]] += 1;
+      }
+      k.scatter_rows_i64(class_y + j * kClassRows * samples, st.y,
+                         cls.data(), count, samples);
+    }
+    return;
+  }
+  const std::size_t width =
+      (samples + kClassTileLanes - 1) / kClassTileLanes * kClassTileLanes;
+  thread_local std::vector<std::int64_t> col;
+  col.assign(2 * samples, 0);
+  const std::int32_t* rows = stage_rows_i32(k, y, count, samples, width,
+                                            col.data(), col.data() + samples);
+  k.add2_i64(sum_y, sum_yy, col.data(), col.data() + samples, samples);
+  thread_local std::vector<std::int32_t> tile;
+  if (tile.size() < kClassRows * width) {
+    tile.assign(kClassRows * width, 0);  // the kernels leave it zeroed
+  }
+  for (std::size_t j = 0; j < tables; ++j) {
+    k.class_tile_i32(class_n + j * kClassRows,
+                     class_y + j * kClassRows * samples, v + j, b + j, tables,
+                     rows, count, samples, width, tile.data());
+  }
 }
 
 // --- Class fold -------------------------------------------------------
@@ -319,29 +411,12 @@ void XorClassCpa::add_trace(std::uint8_t v, std::uint8_t b,
 
 void XorClassCpa::add_block(const std::uint8_t* v, const std::uint8_t* b,
                             const double* y, std::size_t count) {
-  // Budget and class bits before any accumulator mutation: an
-  // over-budget count is refused without touching the (possibly
-  // smaller) input arrays, and a bad class bit leaves the sums intact.
+  // The budget first: an over-budget count is refused without touching
+  // the (possibly smaller) input arrays.
   require_fold_budget(n_ + count, "XorClassCpa");
-  thread_local std::vector<std::uint32_t> cls_idx;
-  cls_idx.resize(count);
-  for (std::size_t t = 0; t < count; ++t) {
-    SLM_REQUIRE(b[t] <= 1, "XorClassCpa: class bit must be 0/1");
-    cls_idx[t] =
-        static_cast<std::uint32_t>((static_cast<std::size_t>(v[t]) << 1) |
-                                   b[t]);
-  }
-  const FoldKernels& k = active_kernels();
-  const StagedBlock st = stage_block(k, y, count * samples_);
+  add_class_block("XorClassCpa", v, b, 1, y, count, samples_, sum_y_.data(),
+                  sum_yy_.data(), class_n_.data(), class_y_.data());
   n_ += count;
-  // Column sums once per block (the running sums stay in registers
-  // across all `count` traces), then one scatter call for the class
-  // rank-K update — exact integer addition makes any per-trace scatter
-  // order produce the same accumulator bits, so no bucketing is needed.
-  k.sum_cols2_i64(sum_y_.data(), sum_yy_.data(), st.y, st.yy, count,
-                  samples_);
-  for (std::size_t t = 0; t < count; ++t) class_n_[cls_idx[t]] += 1;
-  k.scatter_rows_i64(class_y_.data(), st.y, cls_idx.data(), count, samples_);
 }
 
 void XorClassCpa::merge(const XorClassCpa& other) {
@@ -420,35 +495,10 @@ void MultiByteCpa::add_trace(const std::uint8_t* v16, const std::uint8_t* b16,
 void MultiByteCpa::add_block(const std::uint8_t* v, const std::uint8_t* b,
                              const double* y, std::size_t count) {
   require_fold_budget(n_ + count, "MultiByteCpa");
-  // Class indices for all 16 bytes up front, byte-major — the pass
-  // doubles as the class-bit validation, completed before any
-  // accumulator is touched.
-  thread_local std::vector<std::uint32_t> cls_idx;
-  cls_idx.resize(kBytes * count);
-  for (std::size_t t = 0; t < count; ++t) {
-    for (std::size_t j = 0; j < kBytes; ++j) {
-      SLM_REQUIRE(b[t * kBytes + j] <= 1,
-                  "MultiByteCpa: class bit must be 0/1");
-      cls_idx[j * count + t] = static_cast<std::uint32_t>(
-          (static_cast<std::size_t>(v[t * kBytes + j]) << 1) |
-          b[t * kBytes + j]);
-    }
-  }
-  const FoldKernels& k = active_kernels();
-  const StagedBlock st = stage_block(k, y, count * samples_);
+  add_class_block("MultiByteCpa", v, b, kBytes, y, count, samples_,
+                  sum_y_.data(), sum_yy_.data(), class_n_.data(),
+                  class_y_.data());
   n_ += count;
-  k.sum_cols2_i64(sum_y_.data(), sum_yy_.data(), st.y, st.yy, count,
-                  samples_);
-  // Per byte, one scatter call over that byte's 512 x S class tile —
-  // the tile stays cache-resident for the whole block, and exact
-  // integer addition makes the scatter order irrelevant to the bits.
-  for (std::size_t j = 0; j < kBytes; ++j) {
-    const std::uint32_t* cj = &cls_idx[j * count];
-    std::int64_t* cn = &class_n_[j * kClasses];
-    for (std::size_t t = 0; t < count; ++t) cn[cj[t]] += 1;
-    k.scatter_rows_i64(&class_y_[j * kClasses * samples_], st.y, cj, count,
-                       samples_);
-  }
 }
 
 void MultiByteCpa::merge(const MultiByteCpa& other) {

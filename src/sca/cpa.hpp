@@ -129,12 +129,14 @@ class XorClassCpa {
                  const std::vector<double>& y);
 
   /// A block of `count` traces at once: per-trace class values/bits and
-  /// trace-major count x sample_count readings. The readings are staged
-  /// to int64 once, the unclassed sums fold in one column sweep, and
-  /// each trace's staged row is scattered into its class row through
-  /// the dispatched kernels — exact integer addition makes the scatter
-  /// order irrelevant (no bucketing pass needed), and the class rows
-  /// stay cache-resident.
+  /// trace-major count x sample_count readings. Every class bit and
+  /// reading is checked before any accumulator changes. Blocks of fewer
+  /// than 512 traces (capture blocks) stage to int64 and scatter each
+  /// trace's row into its int64 class row. Larger blocks (store replay
+  /// chunks) stage once to int32 and scatter through an L1-resident
+  /// int32 class tile, widened into the int64 rows every 2047 traces
+  /// (DESIGN.md §13). Exact integer addition makes both paths, and any
+  /// block partition, land on the same sums.
   void add_block(const std::uint8_t* v, const std::uint8_t* b,
                  const double* y, std::size_t count);
 
@@ -172,8 +174,8 @@ class XorClassCpa {
 ///
 /// Layout: the per-byte class tables are tiled byte-major —
 /// class_n_[byte][class] and class_y_[byte][class][sample] — so
-/// fold(byte, ...) reads one contiguous 512 x S tile, the same shape the
-/// cache-blocked XorClassCpa::add_block pass was tuned for.
+/// fold(byte, ...) reads one contiguous 512 x S tile, the shape
+/// add_block scatters into.
 ///
 /// Exactness: each byte's slice holds exactly the integer sums a
 /// standalone XorClassCpa fed the same (v, b, y) stream would hold
@@ -196,11 +198,11 @@ class MultiByteCpa {
 
   /// A block of `count` traces: v and b are count x 16 trace-major label
   /// rows (v[t * 16 + byte]), y is count x sample_count trace-major
-  /// readings. The readings are staged to int64 once and each byte's
-  /// class rows take one dispatched scatter pass over the staged block
-  /// (same kernels as XorClassCpa::add_block), so each byte slice holds
-  /// the same exact sums as `count` add_trace calls while the
-  /// (class, sample) scatter stays cache-blocked.
+  /// readings. The same routine as XorClassCpa::add_block, run over
+  /// sixteen class tables: the readings are staged once, then each
+  /// byte's table takes one scatter pass (int64 rows below 512 traces,
+  /// the int32 class tile from 512 up). Each byte slice ends with the
+  /// same exact sums as `count` add_trace calls.
   void add_block(const std::uint8_t* v, const std::uint8_t* b,
                  const double* y, std::size_t count);
 

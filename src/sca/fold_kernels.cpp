@@ -1,5 +1,6 @@
 #include "sca/fold_kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -68,6 +69,45 @@ void scatter_rows_i64_scalar(std::int64_t* dst, const std::int64_t* src,
     std::int64_t* row = dst + static_cast<std::size_t>(cls[r]) * n;
     const std::int64_t* s = src + r * n;
     for (std::size_t i = 0; i < n; ++i) row[i] += s[i];
+  }
+}
+
+// Class tiles: every level scatters a sub-block of rows into the int32
+// tile, then widens the tile into the int64 class table
+// (widen_tile_<level>) and clears it, once per kClassTileSubBlock rows.
+// The clear is one memset of the whole tile: a per-row clear loop
+// compiles to one memset call per row.
+void clear_tile(std::int32_t* tile, std::size_t n_pad) {
+  std::memset(tile, 0, kClassRows * n_pad * sizeof(std::int32_t));
+}
+
+SLM_NO_VECTORIZE
+void widen_tile_scalar(std::int64_t* dst, const std::int32_t* tile,
+                       std::size_t n, std::size_t n_pad) {
+  for (std::size_t c = 0; c < kClassRows; ++c) {
+    const std::int32_t* t = tile + c * n_pad;
+    std::int64_t* d = dst + c * n;
+    for (std::size_t i = 0; i < n; ++i) d[i] += t[i];
+  }
+}
+
+SLM_NO_VECTORIZE
+void class_tile_i32_scalar(std::int64_t* class_n, std::int64_t* class_y,
+                           const std::uint8_t* v, const std::uint8_t* b,
+                           std::size_t stride, const std::int32_t* src,
+                           std::size_t rows, std::size_t n, std::size_t n_pad,
+                           std::int32_t* tile) {
+  for (std::size_t lo = 0; lo < rows; lo += kClassTileSubBlock) {
+    const std::size_t hi = std::min(rows, lo + kClassTileSubBlock);
+    for (std::size_t r = lo; r < hi; ++r) {
+      const std::size_t c = (std::size_t{v[r * stride]} << 1) | b[r * stride];
+      class_n[c] += 1;
+      std::int32_t* row = tile + c * n_pad;
+      const std::int32_t* s = src + r * n_pad;
+      for (std::size_t i = 0; i < n; ++i) row[i] += s[i];
+    }
+    widen_tile_scalar(class_y, tile, n, n_pad);
+    clear_tile(tile, n_pad);
   }
 }
 
@@ -203,6 +243,57 @@ void scatter_rows_i64_sse2(std::int64_t* dst, const std::int64_t* src,
   }
 }
 
+// SSE2 has no 32 -> 64 sign extension (pmovsxdq is SSE4.1): the high
+// halves come from an arithmetic shift, interleaved with the low ones.
+void widen_tile_sse2(std::int64_t* dst, const std::int32_t* tile,
+                     std::size_t n, std::size_t n_pad) {
+  for (std::size_t c = 0; c < kClassRows; ++c) {
+    const std::int32_t* t = tile + c * n_pad;
+    std::int64_t* d = dst + c * n;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + i));
+      const __m128i sign = _mm_srai_epi32(v, 31);
+      const __m128i d0 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i));
+      const __m128i d1 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + i + 2));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i),
+                       _mm_add_epi64(d0, _mm_unpacklo_epi32(v, sign)));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(d + i + 2),
+                       _mm_add_epi64(d1, _mm_unpackhi_epi32(v, sign)));
+    }
+    for (; i < n; ++i) d[i] += t[i];
+  }
+}
+
+void class_tile_i32_sse2(std::int64_t* class_n, std::int64_t* class_y,
+                         const std::uint8_t* v, const std::uint8_t* b,
+                         std::size_t stride, const std::int32_t* src,
+                         std::size_t rows, std::size_t n, std::size_t n_pad,
+                         std::int32_t* tile) {
+  for (std::size_t lo = 0; lo < rows; lo += kClassTileSubBlock) {
+    const std::size_t hi = std::min(rows, lo + kClassTileSubBlock);
+    for (std::size_t r = lo; r < hi; ++r) {
+      const std::size_t c = (std::size_t{v[r * stride]} << 1) | b[r * stride];
+      class_n[c] += 1;
+      std::int32_t* row = tile + c * n_pad;
+      const std::int32_t* s = src + r * n_pad;
+      for (std::size_t i = 0; i < n_pad; i += 4) {
+        const __m128i d =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i));
+        const __m128i x =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + i));
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(row + i),
+                         _mm_add_epi32(d, x));
+      }
+    }
+    widen_tile_sse2(class_y, tile, n, n_pad);
+    clear_tile(tile, n_pad);
+  }
+}
+
 __attribute__((target("avx2"))) void sum_cols2_i64_avx2(
     std::int64_t* dst_y, std::int64_t* dst_yy, const std::int64_t* y,
     const std::int64_t* yy, std::size_t count, std::size_t n) {
@@ -319,6 +410,52 @@ __attribute__((target("avx2"))) void scatter_rows_i64_avx2(
   }
 }
 
+// One sub-block's widen for the AVX2 tile kernel: each 4-lane int32
+// slice of a tile row sign-extends into one int64 vector.
+__attribute__((target("avx2"))) void widen_tile_avx2(
+    std::int64_t* dst, const std::int32_t* tile, std::size_t n,
+    std::size_t n_pad) {
+  for (std::size_t c = 0; c < kClassRows; ++c) {
+    const std::int32_t* t = tile + c * n_pad;
+    std::int64_t* d = dst + c * n;
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+      const __m256i v = _mm256_cvtepi32_epi64(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(t + i)));
+      const __m256i dv =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(d + i),
+                          _mm256_add_epi64(dv, v));
+    }
+    for (; i < n; ++i) d[i] += t[i];
+  }
+}
+
+__attribute__((target("avx2"))) void class_tile_i32_avx2(
+    std::int64_t* class_n, std::int64_t* class_y, const std::uint8_t* v,
+    const std::uint8_t* b, std::size_t stride, const std::int32_t* src,
+    std::size_t rows, std::size_t n, std::size_t n_pad, std::int32_t* tile) {
+  for (std::size_t lo = 0; lo < rows; lo += kClassTileSubBlock) {
+    const std::size_t hi = std::min(rows, lo + kClassTileSubBlock);
+    for (std::size_t r = lo; r < hi; ++r) {
+      const std::size_t c = (std::size_t{v[r * stride]} << 1) | b[r * stride];
+      class_n[c] += 1;
+      std::int32_t* row = tile + c * n_pad;
+      const std::int32_t* s = src + r * n_pad;
+      for (std::size_t i = 0; i < n_pad; i += 8) {
+        const __m256i d =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
+        const __m256i x =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + i));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + i),
+                            _mm256_add_epi32(d, x));
+      }
+    }
+    widen_tile_avx2(class_y, tile, n, n_pad);
+    clear_tile(tile, n_pad);
+  }
+}
+
 // AVX2 staging: 4 doubles -> 4 int64 + squares per step. The readings
 // fit int32 by contract (|y| <= 2^20), so the lane pipeline is
 // cvttpd -> int32, back-convert + compare to validate exactness, widen
@@ -391,15 +528,18 @@ __attribute__((target("avx2"))) void stage_i64_avx2(const double* y,
 #endif  // SLM_FOLD_X86
 
 constexpr FoldKernels kScalarKernels{
-    DispatchLevel::kScalar, add_i64_scalar,       add2_i64_scalar,
-    stage_readings_i64,     sum_cols2_i64_scalar, scatter_rows_i64_scalar};
+    DispatchLevel::kScalar,  add_i64_scalar,          add2_i64_scalar,
+    stage_readings_i64,      sum_cols2_i64_scalar,    scatter_rows_i64_scalar,
+    class_tile_i32_scalar};
 #if SLM_FOLD_X86
 constexpr FoldKernels kSse2Kernels{
     DispatchLevel::kSse2, add_i64_sse2,       add2_i64_sse2,
-    stage_readings_i64,   sum_cols2_i64_sse2, scatter_rows_i64_sse2};
+    stage_readings_i64,   sum_cols2_i64_sse2, scatter_rows_i64_sse2,
+    class_tile_i32_sse2};
 constexpr FoldKernels kAvx2Kernels{
     DispatchLevel::kAvx2, add_i64_avx2,       add2_i64_avx2,
-    stage_i64_avx2,       sum_cols2_i64_avx2, scatter_rows_i64_avx2};
+    stage_i64_avx2,       sum_cols2_i64_avx2, scatter_rows_i64_avx2,
+    class_tile_i32_avx2};
 #endif
 
 // SLM_SIMD parse, shared with core::resolve_simd. Unset or "auto"

@@ -50,6 +50,25 @@ inline constexpr std::size_t kMaxFoldTraces =
                              static_cast<std::uint64_t>(kMaxAbsReading *
                                                         kMaxAbsReading));
 
+// --- Class tiles ------------------------------------------------------
+//
+// Chunk-sized class blocks (XorClassCpa / MultiByteCpa add_block calls
+// of at least kClassRows traces) accumulate in a kClassRows x n_pad
+// int32 tile instead of the int64 class table, and the tile is widened
+// into the table once per kClassTileSubBlock traces. A tile cell takes
+// at most one reading per trace, so inside a sub-block
+// |cell| <= kClassTileSubBlock * kMaxAbsReading < 2^31: the int32 sums
+// are exact by construction, whatever the data (DESIGN.md §13).
+inline constexpr std::size_t kClassRows = 512;  // (v << 1) | b
+// The largest sub-block whose worst case fits: 2047 * 2^20 = 2^31 - 2^20.
+inline constexpr std::size_t kClassTileSubBlock = 2047;
+/// Staged int32 rows are padded to a multiple of this many lanes (one
+/// AVX2 vector), so the tile kernels never run a scalar tail.
+inline constexpr std::size_t kClassTileLanes = 8;
+static_assert(static_cast<std::int64_t>(kClassTileSubBlock) * kMaxAbsReading <
+                  (std::int64_t{1} << 31),
+              "a class-tile sub-block could overflow its int32 cells");
+
 /// Throws slm::Error when `traces` exceeds the integer-accumulator
 /// overflow budget. `who` names the refusing subsystem in the message.
 void require_fold_budget(std::size_t traces, const char* who);
@@ -83,10 +102,26 @@ struct FoldKernels {
                         std::size_t count, std::size_t n);
   /// Row scatter over a trace-major block: for r in [0, rows),
   /// dst[cls[r]*n + i] += src[r*n + i] for i in [0, n). The class-row
-  /// rank-K update of XorClassCpa / MultiByteCpa as one call per block.
+  /// update of XorClassCpa / MultiByteCpa for blocks of fewer than
+  /// kClassRows traces (the live engines' capture blocks).
   void (*scatter_rows_i64)(std::int64_t* dst, const std::int64_t* src,
                            const std::uint32_t* cls, std::size_t rows,
                            std::size_t n);
+  /// The class-row update for blocks of at least kClassRows traces,
+  /// through an int32 tile. Row r of the block has class value
+  /// v[r*stride] and class bit b[r*stride] (0 or 1, checked by the
+  /// caller), so class c = (v << 1) | b; for r in [0, rows) it does
+  /// class_n[c] += 1 and class_y[c*n + i] += src[r*n_pad + i] for i in
+  /// [0, n). `src` holds int32 rows of n_pad lanes (n_pad a multiple of
+  /// kClassTileLanes, pad lanes zero). `tile` is kClassRows x n_pad
+  /// int32 scratch, zero on entry and on return: rows add into it, and
+  /// it is widened into class_y after every kClassTileSubBlock rows and
+  /// after the last.
+  void (*class_tile_i32)(std::int64_t* class_n, std::int64_t* class_y,
+                         const std::uint8_t* v, const std::uint8_t* b,
+                         std::size_t stride, const std::int32_t* src,
+                         std::size_t rows, std::size_t n, std::size_t n_pad,
+                         std::int32_t* tile);
 };
 
 /// Best level the running CPU supports.

@@ -97,6 +97,17 @@ TEST(CpaEngineBlock, BlockOneAndEmptyAreDegenerate) {
   EXPECT_EQ(state_bytes(one), state_bytes(ref));
 }
 
+// Random rounds draw blocks of at most 70 traces. The table adds block
+// sizes on both sides of add_block's 512-trace switch from int64 rows to
+// int32 class tiles and around the tile's 2047-trace sub-block
+// (sca/fold_kernels.hpp), at widths with and without tile padding:
+// kTableTraces traces per block size, a ragged tail included.
+constexpr std::size_t kTableBlocks[] = {1,    64,   511,  512,  513,
+                                        1023, 1024, 1025, 2047, 2048,
+                                        2049, 4096, 5000};
+constexpr std::size_t kTableSamples[] = {1, 7, 8, 13};
+constexpr std::size_t kTableTraces = 10007;
+
 TEST(XorClassCpaBlock, AddBlockMatchesAddTraceBitForBit) {
   Xoshiro256 rng(33);
   for (int round = 0; round < 12; ++round) {
@@ -129,6 +140,34 @@ TEST(XorClassCpaBlock, AddBlockMatchesAddTraceBitForBit) {
     ASSERT_EQ(state_bytes(blocked), state_bytes(ref))
         << "round " << round << " samples " << samples << " traces "
         << traces << " block " << block;
+  }
+
+  for (const std::size_t samples : kTableSamples) {
+    std::vector<std::uint8_t> v(kTableTraces), b(kTableTraces);
+    std::vector<double> y(kTableTraces * samples);
+    for (auto& x : v) x = static_cast<std::uint8_t>(rng.uniform_int(256));
+    for (auto& x : b) x = rng.coin() ? 1 : 0;
+    for (auto& s : y) s = static_cast<double>(rng.uniform_int(2001)) - 1000.0;
+
+    XorClassCpa ref(samples);
+    std::vector<double> yt(samples);
+    for (std::size_t t = 0; t < kTableTraces; ++t) {
+      std::memcpy(yt.data(), y.data() + t * samples,
+                  samples * sizeof(double));
+      ref.add_trace(v[t], b[t], yt);
+    }
+    const auto want = state_bytes(ref);
+
+    for (const std::size_t block : kTableBlocks) {
+      XorClassCpa blocked(samples);
+      for (std::size_t t = 0; t < kTableTraces; t += block) {
+        const std::size_t bn = std::min(block, kTableTraces - t);
+        blocked.add_block(v.data() + t, b.data() + t, y.data() + t * samples,
+                          bn);
+      }
+      ASSERT_EQ(state_bytes(blocked), want)
+          << "samples " << samples << " block " << block;
+    }
   }
 }
 

@@ -5,7 +5,9 @@
 // and block sizes. The scalar level is the oracle; the wider levels are
 // only allowed to be faster. The class fold (a Walsh-Hadamard
 // transform) must match the direct loop of fold_reference.hpp at every
-// level, including at the edge of the overflow budget. Also pins the
+// level, including at the edge of the overflow budget, and the int32
+// class-tile path of add_block must match the int64 class-sum oracle
+// there, including at the tile's sub-block bound. Also pins the
 // overflow-budget guard: adds that could push the int64 sums past 2^62
 // are refused before any accumulator (or input buffer) is touched, and
 // load() refuses class state outside the budget.
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/binio.hpp"
@@ -472,6 +475,157 @@ TEST(FoldDispatch, LoadRefusesClassStateOutsideTheBudget) {
       load_stream(m, class_stream(kSamples, 3, MultiByteCpa::kBytes, counts,
                                   big)),
       slm::Error);
+}
+
+// Every table of `acc` holds exactly the oracle's int64 class sums.
+template <typename Accumulator>
+void expect_oracle_state(const Accumulator& acc, std::size_t tables,
+                         const std::vector<reference::ClassState>& want,
+                         const std::string& where) {
+  for (std::size_t j = 0; j < tables; ++j) {
+    ASSERT_TRUE(reference::class_state_of(acc, j) == want[j])
+        << where << " table " << j;
+  }
+}
+
+// The class-tile kernel at every level against the int64 oracle, called
+// directly on staged int32 rows: row counts around the sub-block edge,
+// pad and no-pad widths, one table (stride 1) and a fused one (stride
+// 16, table 5).
+TEST(FoldDispatch, ClassTileKernelMatchesOracleAtEveryLevel) {
+  Xoshiro256 rng(108);
+  constexpr std::size_t kStride = 16;
+  const std::size_t edge = kClassTileSubBlock;
+  for (const std::size_t n : {1ul, 7ul, 8ul, 13ul}) {
+    const std::size_t n_pad =
+        (n + kClassTileLanes - 1) / kClassTileLanes * kClassTileLanes;
+    for (const std::size_t rows : {1ul, 512ul, edge, edge + 1, 2 * edge + 3}) {
+      std::vector<std::uint8_t> v(rows * kStride), b(rows * kStride);
+      for (auto& x : v) x = static_cast<std::uint8_t>(rng.uniform_int(256));
+      for (auto& x : b) x = rng.coin() ? 1 : 0;
+      std::vector<double> y(rows * n);
+      std::vector<std::int32_t> src(rows * n_pad, 0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t s = 0; s < n; ++s) {
+          const auto x = static_cast<std::int32_t>(rng.uniform_int(1 << 21)) -
+                         (1 << 20);
+          y[r * n + s] = x;
+          src[r * n_pad + s] = x;
+        }
+      }
+      const auto want =
+          reference::class_sums_reference(v.data(), b.data(), kStride,
+                                          y.data(), rows, n)[5];
+      for (const DispatchLevel l : runnable_levels()) {
+        std::vector<std::int64_t> cn(kClassRows, 0), cy(kClassRows * n, 0);
+        std::vector<std::int32_t> tile(kClassRows * n_pad, 0);
+        kernels(l).class_tile_i32(cn.data(), cy.data(), v.data() + 5,
+                                  b.data() + 5, kStride, src.data(), rows, n,
+                                  n_pad, tile.data());
+        ASSERT_EQ(cn, want.class_n) << dispatch_level_name(l) << " n " << n
+                                    << " rows " << rows;
+        ASSERT_EQ(cy, want.class_y) << dispatch_level_name(l) << " n " << n
+                                    << " rows " << rows;
+        ASSERT_EQ(tile, std::vector<std::int32_t>(kClassRows * n_pad, 0))
+            << "tile not left zeroed at " << dispatch_level_name(l);
+      }
+    }
+  }
+}
+
+// Exactness at the int32 tile's bound, run under UBSan by the fold_ubsan
+// drill: a whole sub-block of traces in one class, every reading
+// +2^20 or -2^20, so each tile cell reaches +-kClassTileSubBlock * 2^20
+// just before its widen. The calls of one sub-block, of one plus a
+// trace and of two plus a trace (three widens) must match the int64
+// oracle at every level, for XorClassCpa and MultiByteCpa alike.
+TEST(FoldDispatch, ClassTileExactAtSubBlockEdge) {
+  constexpr std::size_t kSamples = 9;  // a padded tile row: 16 lanes
+  constexpr std::size_t kBytes = MultiByteCpa::kBytes;
+  const std::size_t edge = kClassTileSubBlock;
+  static_assert(static_cast<std::int64_t>(kClassTileSubBlock) *
+                    kMaxAbsReading <= std::numeric_limits<std::int32_t>::max());
+  for (const std::size_t count : {edge, edge + 1, 2 * edge + 1}) {
+    std::vector<std::uint8_t> v(count * kBytes, 0x5a), b(count * kBytes, 1);
+    std::vector<double> y(count * kSamples);
+    for (std::size_t t = 0; t < count; ++t) {
+      for (std::size_t s = 0; s < kSamples; ++s) {
+        y[t * kSamples + s] = static_cast<double>(
+            (s % 2) == 0 ? kMaxAbsReading : -kMaxAbsReading);
+      }
+    }
+    const auto want1 = reference::class_sums_reference(
+        v.data(), b.data(), 1, y.data(), count, kSamples);
+    const auto want16 = reference::class_sums_reference(
+        v.data(), b.data(), kBytes, y.data(), count, kSamples);
+    ASSERT_EQ(want1[0].class_y[(0x5a * 2 + 1) * kSamples],
+              static_cast<std::int64_t>(count) * kMaxAbsReading);
+    for (const DispatchLevel l : runnable_levels()) {
+      ForcedLevel forced(l);
+      const std::string where = std::string(dispatch_level_name(l)) +
+                                " count " + std::to_string(count);
+      XorClassCpa cls(kSamples);
+      cls.add_block(v.data(), b.data(), y.data(), count);
+      expect_oracle_state(cls, 1, want1, "XorClassCpa " + where);
+      MultiByteCpa mb(kSamples);
+      mb.add_block(v.data(), b.data(), y.data(), count);
+      expect_oracle_state(mb, kBytes, want16, "MultiByteCpa " + where);
+    }
+  }
+}
+
+// A chunk-sized block whose only fault sits in its last sub-block (the
+// last trace of 4096) is refused before any accumulator changes: a
+// class bit of 2, a fractional reading and an out-of-range reading
+// each leave the saved state byte-identical, at every level.
+TEST(FoldDispatch, TiledBlockRefusedInLastSubBlockLeavesStateUntouched) {
+  constexpr std::size_t kSamples = 8;
+  constexpr std::size_t kCount = 4096;
+  constexpr std::size_t kBytes = MultiByteCpa::kBytes;
+  static_assert(kCount > 2 * kClassTileSubBlock);
+  Xoshiro256 rng(109);
+  std::vector<std::uint8_t> v(kCount * kBytes), b(kCount * kBytes);
+  std::vector<double> y(kCount * kSamples);
+  for (auto& x : v) x = static_cast<std::uint8_t>(rng.uniform_int(256));
+  for (auto& x : b) x = rng.coin() ? 1 : 0;
+  for (auto& s : y) s = static_cast<double>(rng.uniform_int(9)) - 4.0;
+  const std::size_t last = kCount - 1;
+
+  for (const DispatchLevel l : runnable_levels()) {
+    ForcedLevel forced(l);
+    const std::string level = dispatch_level_name(l);
+    XorClassCpa cls(kSamples);
+    MultiByteCpa mb(kSamples);
+    cls.add_block(v.data(), b.data(), y.data(), 600);  // prior state
+    mb.add_block(v.data(), b.data(), y.data(), 600);
+    const auto cls_before = state_bytes(cls);
+    const auto mb_before = state_bytes(mb);
+    // XorClassCpa reads one label per trace, MultiByteCpa sixteen.
+    const auto refuse = [&](const std::vector<std::uint8_t>& cls_b,
+                            const std::vector<std::uint8_t>& mb_b,
+                            const std::vector<double>& vy,
+                            const std::string& what) {
+      EXPECT_THROW(cls.add_block(v.data(), cls_b.data(), vy.data(), kCount),
+                   slm::Error)
+          << level << " " << what;
+      EXPECT_THROW(mb.add_block(v.data(), mb_b.data(), vy.data(), kCount),
+                   slm::Error)
+          << level << " " << what;
+      EXPECT_EQ(state_bytes(cls), cls_before) << level << " " << what;
+      EXPECT_EQ(state_bytes(mb), mb_before) << level << " " << what;
+    };
+    auto cls_bad = b;
+    cls_bad[last] = 2;
+    auto mb_bad = b;
+    mb_bad[last * kBytes + kBytes - 1] = 2;
+    refuse(cls_bad, mb_bad, y, "class bit 2");
+    auto fractional = y;
+    fractional[last * kSamples + kSamples - 1] = 0.5;
+    refuse(b, b, fractional, "fractional reading");
+    auto out_of_range = y;
+    out_of_range[last * kSamples] = static_cast<double>(kMaxAbsReading + 1);
+    refuse(b, b, out_of_range, "reading beyond 2^20");
+  }
 }
 
 // Welch t read-outs never move with the dispatch level either.

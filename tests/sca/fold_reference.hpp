@@ -8,6 +8,11 @@
 //
 // It reads the accumulators through save() and builds its engine
 // through CpaEngine::load(), so it needs no access to engine internals.
+//
+// class_sums_reference is the oracle for the add side: the int64 class
+// sums one trace at a time, which both add_block paths (int64 rows and
+// int32 class tiles, sca/cpa.cpp) must reproduce byte for byte
+// (fold_dispatch_test).
 #pragma once
 
 #include <cstddef>
@@ -29,6 +34,7 @@ struct ClassState {
   std::vector<double> sum_y, sum_yy;
   std::vector<std::int64_t> class_n;  // [class]
   std::vector<std::int64_t> class_y;  // [class * samples + s]
+  friend bool operator==(const ClassState&, const ClassState&) = default;
 };
 
 /// Table `byte`'s class state out of an accumulator's save() stream
@@ -51,6 +57,45 @@ ClassState class_state_of(const Accumulator& acc, std::size_t byte) {
   st.class_n.assign(cn.begin() + at * rows, cn.begin() + (at + 1) * rows);
   st.class_y.assign(cy.begin() + at * cells, cy.begin() + (at + 1) * cells);
   return st;
+}
+
+/// The class sums of `count` traces in plain int64 arithmetic, one
+/// trace at a time: `tables` class tables fed from count x tables
+/// trace-major labels (v[t * tables + j], b likewise, b in {0, 1}) and
+/// count x samples integer-valued readings. Element j is table j's
+/// state, laid out as class_state_of reads it.
+inline std::vector<ClassState> class_sums_reference(
+    const std::uint8_t* v, const std::uint8_t* b, std::size_t tables,
+    const double* y, std::size_t count, std::size_t samples) {
+  std::vector<std::int64_t> sum_y(samples, 0), sum_yy(samples, 0);
+  std::vector<ClassState> out(tables);
+  for (ClassState& st : out) {
+    st.samples = samples;
+    st.n = count;
+    st.class_n.assign(kFoldClasses, 0);
+    st.class_y.assign(kFoldClasses * samples, 0);
+  }
+  for (std::size_t t = 0; t < count; ++t) {
+    for (std::size_t s = 0; s < samples; ++s) {
+      const auto r = static_cast<std::int64_t>(y[t * samples + s]);
+      sum_y[s] += r;
+      sum_yy[s] += r * r;
+    }
+    for (std::size_t j = 0; j < tables; ++j) {
+      const std::size_t cls =
+          (std::size_t{v[t * tables + j]} << 1) | b[t * tables + j];
+      out[j].class_n[cls] += 1;
+      for (std::size_t s = 0; s < samples; ++s) {
+        out[j].class_y[cls * samples + s] +=
+            static_cast<std::int64_t>(y[t * samples + s]);
+      }
+    }
+  }
+  for (ClassState& st : out) {
+    st.sum_y.assign(sum_y.begin(), sum_y.end());
+    st.sum_yy.assign(sum_yy.begin(), sum_yy.end());
+  }
+  return out;
 }
 
 inline ClassState class_state(const sca::XorClassCpa& c) {

@@ -9,7 +9,14 @@
 #      property oracles, and the Walsh-Hadamard class fold against its
 #      direct-loop oracle, including a loaded accumulator at
 #      n = kMaxFoldTraces whose class difference reaches 2^42
-#      (ClassFoldExactAtBudgetEdge), all execute under UBSan;
+#      (ClassFoldExactAtBudgetEdge); the int32 class-tile kernel
+#      against the int64 class-sum oracle
+#      (ClassTileKernelMatchesOracleAtEveryLevel), including a whole
+#      sub-block of +-2^20 readings in one class, whose tile cells reach
+#      +-2047 * 2^20 just below 2^31 (ClassTileExactAtSubBlockEdge); and
+#      chunk-sized blocks refused in their last sub-block
+#      (TiledBlockRefusedInLastSubBlockLeavesStateUntouched) — all
+#      execute under UBSan;
 #   2. a capture plus the fused one-pass replay (`slm attack
 #      --from-store --fused-tvla` and `slm analyze`) — the end-to-end
 #      path from mmap'd store columns through every fold.
