@@ -12,7 +12,9 @@
 #include <cstring>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/binio.hpp"
+#include "common/dispatch.hpp"
 #include "common/rng.hpp"
 #include "core/calibration.hpp"
 #include "core/parallel.hpp"
@@ -59,6 +61,33 @@ void BM_AesDatapathEncrypt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AesDatapathEncrypt);
+
+// The capture engine's victim step: one encrypt_block call over a block
+// of traces, currents written cycle-major (items = traces).
+void BM_VictimBlock(benchmark::State& state) {
+  const crypto::AesDatapathModel model(key(), crypto::DatapathConfig{});
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  Xoshiro256 rng(5);
+  std::vector<crypto::Block> pts(lanes);
+  std::vector<crypto::Block> cts(lanes);
+  for (auto& pt : pts) {
+    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
+  }
+  std::vector<double> ic(crypto::AesDatapathModel::kCycles * lanes);
+  crypto::AesDatapathModel::RegisterSnapshot regs{};
+  std::uint64_t g = 0;
+  for (auto _ : state) {
+    model.encrypt_block(pts.data(), lanes, g, regs, ic.data(), lanes,
+                        cts.data());
+    g += lanes;
+    benchmark::DoNotOptimize(ic.data());
+    benchmark::DoNotOptimize(cts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_VictimBlock)->Arg(64);
 
 void BM_AluNetlistEval(benchmark::State& state) {
   const auto cal = core::Calibration::paper_defaults();
@@ -116,34 +145,45 @@ BENCHMARK(BM_CycleResponseLookup);
 // Blocked PDN matvec vs the per-trace voltages() above (items = traces).
 // The scalar voltages() chain accumulates one FP add per cycle into a
 // single running sum, so it is latency-bound; the lane-parallel form
-// pipelines the adds across traces.
-void cycle_response_block_bench(benchmark::State& state, bool simd) {
+// pipelines the adds across traces. BM_CycleResponseBlock runs the
+// active dispatch level (the 32-lane AVX2 tile where the CPU has AVX2),
+// the Sse2 row the 8-lane tile, the Scalar row the per-lane loop.
+template <class Level>
+void cycle_response_block_bench(benchmark::State& state, Level level,
+                                std::size_t lanes) {
   const auto cal = core::Calibration::paper_defaults();
   std::vector<double> samples, cycles;
   for (int s = 60; s < 70; ++s) samples.push_back(s * (20.0 / 3.0));
   for (int c = 0; c < 44; ++c) cycles.push_back(c * 10.0);
   const auto crm =
       pdn::CycleResponseMatrix::build(cal.pdn, samples, cycles, 10.0);
-  constexpr std::size_t kBlock = 64;
   Xoshiro256 rng(9);
-  std::vector<double> ic(cycles.size() * kBlock);
+  AlignedVector<double> ic(cycles.size() * lanes);
   for (auto& x : ic) x = 0.05 + 0.1 * rng.uniform();
-  std::vector<double> out(kBlock * samples.size());
+  std::vector<double> out(lanes * samples.size());
   for (auto _ : state) {
-    crm.voltages_block(ic.data(), kBlock, kBlock, out.data(), simd);
-    benchmark::DoNotOptimize(out[0]);
+    crm.voltages_block(ic.data(), lanes, lanes, out.data(), level);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBlock));
+                          static_cast<std::int64_t>(lanes));
 }
 
 void BM_CycleResponseBlock(benchmark::State& state) {
-  cycle_response_block_bench(state, true);
+  cycle_response_block_bench(state, true,
+                             static_cast<std::size_t>(state.range(0)));
 }
-BENCHMARK(BM_CycleResponseBlock);
+BENCHMARK(BM_CycleResponseBlock)->Arg(64);
+
+void BM_CycleResponseBlockSse2(benchmark::State& state) {
+  cycle_response_block_bench(state, DispatchLevel::kSse2,
+                             static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_CycleResponseBlockSse2)->Arg(64);
 
 void BM_CycleResponseBlockScalar(benchmark::State& state) {
-  cycle_response_block_bench(state, false);
+  cycle_response_block_bench(state, false, 64);
 }
 BENCHMARK(BM_CycleResponseBlockScalar);
 

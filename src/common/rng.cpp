@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 // Acklam's rational approximation of the standard normal quantile.
 // Used only once, to fill the lookup table.
 double inverse_normal_cdf(double p) {
@@ -59,18 +55,6 @@ double inverse_normal_cdf(double p) {
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& word : s_) word = splitmix64(x);
-}
-
-std::uint64_t Xoshiro256::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 double Xoshiro256::uniform() {

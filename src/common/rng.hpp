@@ -27,7 +27,18 @@ class Xoshiro256 {
  public:
   explicit Xoshiro256(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  std::uint64_t next();
+  /// Inline: capture draws plaintext bytes one call at a time.
+  std::uint64_t next() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double uniform();
@@ -77,6 +88,10 @@ class Xoshiro256 {
   result_type operator()() { return next(); }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> s_{};
 };
 

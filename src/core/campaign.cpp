@@ -185,7 +185,7 @@ void finalize_trace_store(store::TraceStoreWriter& writer,
 
 void CpaCampaign::make_voltages(
     const crypto::AesDatapathModel::Encryption& enc, Xoshiro256& rng,
-    std::vector<double>& v_out, Xoshiro256* fence_rng) const {
+    std::vector<double>& v_out) const {
   const Calibration& cal = setup_.calibration();
   // Victim current as seen by the attacker region (coupling-attenuated).
   static thread_local std::vector<double> i_cycles;
@@ -193,11 +193,7 @@ void CpaCampaign::make_voltages(
   if (fence_) {
     // The active fence sits in the victim region: its randomised draw
     // rides on the same coupling path and masks the victim's signal.
-    if (fence_rng != nullptr) {
-      for (double& i : i_cycles) i += fence_->cycle_current(*fence_rng);
-    } else {
-      for (double& i : i_cycles) i += fence_->next_cycle_current();
-    }
+    for (double& i : i_cycles) i += fence_->next_cycle_current();
   }
   const double coupling = setup_.effective_coupling();
   for (double& i : i_cycles) i *= coupling;
@@ -213,37 +209,36 @@ void CpaCampaign::make_voltages(
   }
 }
 
-void CpaCampaign::read_sensor(const std::vector<double>& v,
+void CpaCampaign::read_sensor(const double* v, std::size_t n,
                               const std::vector<std::size_t>& bits,
-                              Xoshiro256& rng, std::vector<double>& y) const {
-  y.resize(v.size());
+                              Xoshiro256& rng, double* y) const {
   switch (cfg_.mode) {
     case SensorMode::kTdcFull:
-      for (std::size_t s = 0; s < v.size(); ++s) {
+      for (std::size_t s = 0; s < n; ++s) {
         y[s] = static_cast<double>(setup_.tdc().sample(v[s], rng));
       }
       break;
     case SensorMode::kTdcSingleBit:
-      for (std::size_t s = 0; s < v.size(); ++s) {
+      for (std::size_t s = 0; s < n; ++s) {
         y[s] =
             setup_.tdc().sample_bit(cfg_.single_bit, v[s], rng) ? 1.0 : 0.0;
       }
       break;
     case SensorMode::kBenignHw:
-      for (std::size_t s = 0; s < v.size(); ++s) {
+      for (std::size_t s = 0; s < n; ++s) {
         y[s] = static_cast<double>(
             setup_.sensor().sample_toggle_hw(bits, v[s], rng));
       }
       break;
     case SensorMode::kBenignSingleBit:
-      for (std::size_t s = 0; s < v.size(); ++s) {
+      for (std::size_t s = 0; s < n; ++s) {
         y[s] = setup_.sensor().sample_toggle_bit(cfg_.single_bit, v[s], rng)
                    ? 1.0
                    : 0.0;
       }
       break;
     case SensorMode::kRoCounter:
-      for (std::size_t s = 0; s < v.size(); ++s) {
+      for (std::size_t s = 0; s < n; ++s) {
         y[s] = static_cast<double>(setup_.ro_sensor().sample(v[s], rng));
       }
       break;
@@ -263,22 +258,16 @@ SensorPlan CpaCampaign::make_sensor_plan(
   return plan;
 }
 
-void CpaCampaign::read_sensor_fast(const SensorPlan& plan,
-                                   const std::vector<double>& v,
+void CpaCampaign::read_sensor_fast(const SensorPlan& plan, const double* v,
+                                   std::size_t n,
                                    const std::vector<std::size_t>& bits,
-                                   Xoshiro256& rng,
-                                   std::vector<double>& y) const {
+                                   Xoshiro256& rng, double* y) const {
   if (!plan.batched) {
-    read_sensor(v, bits, rng, y);
-    return;
-  }
-  y.resize(v.size());
-  if (cfg_.mode == SensorMode::kBenignHw) {
-    setup_.sensor().toggle_hw_batch(plan.hw, v.data(), v.size(), rng,
-                                    y.data());
+    read_sensor(v, n, bits, rng, y);
+  } else if (cfg_.mode == SensorMode::kBenignHw) {
+    setup_.sensor().toggle_hw_batch(plan.hw, v, n, rng, y);
   } else {
-    setup_.sensor().toggle_bit_batch(plan.bit, v.data(), v.size(), rng,
-                                     y.data());
+    setup_.sensor().toggle_bit_batch(plan.bit, v, n, rng, y);
   }
 }
 
@@ -426,7 +415,8 @@ sca::WelchTTest CpaCampaign::run_tvla(std::size_t traces_per_population) {
     }
     const auto enc = setup_.victim().encrypt(pt);
     make_voltages(enc, rng, v);
-    read_sensor(v, bits, rng, y);
+    y.resize(v.size());
+    read_sensor(v.data(), v.size(), bits, rng, y.data());
     ttest.add(fixed, y);
     if (store_writer) {
       store_writer->record_meta(t, pt, enc.ciphertext);
@@ -497,63 +487,82 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   const std::size_t block = plan.block;
   const std::size_t samples = sample_times_.size();
   const std::size_t ncyc = response_.cycle_count();
-  const std::size_t dps = plan.sensor.hw.draws_per_sample;
-  // Only the benign-HW batch plan separates its draws from the compute:
-  // that mode stages each trace's coupling-scaled per-cycle currents
-  // (cycle-major, so the lane-inner kernel is unit-stride) and its draws,
-  // then runs the PDN matvec and the sensor kernel over the whole block.
-  // Every other sensor consumes its stream inside the read, per trace.
-  const bool hw = cfg_.mode == SensorMode::kBenignHw;
-  const double coupling = setup_.effective_coupling();
   buf.y.resize(block * samples);
   buf.ct.resize(block);
-  if (hw) {
-    buf.v.resize(block * samples);
-    buf.ic.resize(ncyc * block);
+  buf.pt.resize(block);
+  buf.rng.resize(block);
+  buf.ic.resize(ncyc * block);
+  buf.v.resize(block * samples);
+  // Plaintexts: the first draws of each trace's counter-keyed stream,
+  // which the lane keeps for its noise and sensor draws below.
+  for (std::size_t b = 0; b < bn; ++b) {
+    Xoshiro256& rng = buf.rng[b] =
+        Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g + b);
+    for (auto& pb : buf.pt[b]) pb = static_cast<std::uint8_t>(rng.next());
+  }
+  // The victim writes each trace's per-cycle currents cycle-major
+  // (ic[c * block + b]), so the lane-inner PDN kernel is unit-stride.
+  setup_.victim().encrypt_block(buf.pt.data(), bn, g, regs, buf.ic.data(),
+                                block, buf.ct.data());
+  if (store != nullptr) {
+    for (std::size_t b = 0; b < bn; ++b) {
+      store->record_meta(g + b, buf.pt[b], buf.ct[b]);
+    }
+  }
+  // make_voltages' per-element arithmetic: the fence draw (from the
+  // trace's fence stream, cycle-ascending) rides on the coupling path.
+  const double coupling = setup_.effective_coupling();
+  if (fence_) {
+    for (std::size_t b = 0; b < bn; ++b) {
+      Xoshiro256 frng = fence_->trace_rng(g + b);
+      for (std::size_t c = 0; c < ncyc; ++c) {
+        double& i = buf.ic[c * block + b];
+        i += fence_->cycle_current(frng);
+        i *= coupling;
+      }
+    }
+  } else {
+    for (std::size_t c = 0; c < ncyc; ++c) {
+      double* ic = buf.ic.data() + c * block;
+      for (std::size_t b = 0; b < bn; ++b) ic[b] *= coupling;
+    }
+  }
+  // The scalar matvec is a latency-bound FP-add chain, so this is where
+  // blocking pays most.
+  response_.voltages_block(buf.ic.data(), bn, block, buf.v.data(),
+                           plan.simd);
+  const double env_noise_v = setup_.calibration().env_noise_v;
+  const FastNormal& normal = FastNormal::instance();
+  if (cfg_.mode == SensorMode::kBenignHw) {
+    // The benign-HW kernel separates its draws from the compute: each
+    // trace's env noise, then its sensor draws, for the whole block.
+    const std::size_t dps = plan.sensor.hw.draws_per_sample;
     buf.zv.resize(block * samples);
     buf.z.resize(block * samples * dps);
-  }
-  for (std::size_t b = 0; b < bn; ++b) {
-    const std::size_t gb = g + b;
-    Xoshiro256 rng =
-        Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, gb);
-    crypto::Block pt;
-    for (auto& pb : pt) pb = static_cast<std::uint8_t>(rng.next());
-    const auto enc = setup_.victim().encrypt_stateless(pt, gb, regs);
-    std::optional<Xoshiro256> frng;
-    if (fence_) frng.emplace(fence_->trace_rng(gb));
-    if (hw) {
-      // Same per-element arithmetic and fence-stream call order as
-      // make_voltages; only the matvec is deferred.
-      for (std::size_t c = 0; c < ncyc; ++c) {
-        double i = enc.cycle_current[c];
-        if (fence_) i += fence_->cycle_current(*frng);
-        i *= coupling;
-        buf.ic[c * block + b] = i;
-      }
-      FastNormal::instance().fill(rng, buf.zv.data() + b * samples, samples);
-      FastNormal::instance().fill(rng, buf.z.data() + b * samples * dps,
-                                  samples * dps);
-    } else {
-      make_voltages(enc, rng, buf.v, frng ? &*frng : nullptr);
-      read_sensor_fast(plan.sensor, buf.v, plan.bits, rng, buf.yt);
-      std::copy(buf.yt.begin(), buf.yt.end(), buf.y.begin() + b * samples);
+    for (std::size_t b = 0; b < bn; ++b) {
+      normal.fill(buf.rng[b], buf.zv.data() + b * samples, samples);
+      normal.fill(buf.rng[b], buf.z.data() + b * samples * dps,
+                  samples * dps);
     }
-    buf.ct[b] = enc.ciphertext;
-    if (store != nullptr) store->record_meta(gb, pt, enc.ciphertext);
-  }
-  if (hw) {
-    // The scalar matvec is a latency-bound FP-add chain, so this is where
-    // blocking pays most.
-    response_.voltages_block(buf.ic.data(), bn, block, buf.v.data(),
-                             plan.simd);
-    const double env_noise_v = setup_.calibration().env_noise_v;
     for (std::size_t i = 0; i < bn * samples; ++i) {
       buf.v[i] += 0.0 + env_noise_v * buf.zv[i];
     }
     setup_.sensor().toggle_hw_block(plan.sensor.hw, buf.v.data(),
                                     bn * samples, buf.z.data(), buf.y.data(),
                                     plan.simd);
+  } else {
+    // Every other sensor consumes the trace's stream inside the read,
+    // right after the trace's env noise.
+    buf.zv.resize(samples);
+    for (std::size_t b = 0; b < bn; ++b) {
+      double* v = buf.v.data() + b * samples;
+      normal.fill(buf.rng[b], buf.zv.data(), samples);
+      for (std::size_t s = 0; s < samples; ++s) {
+        v[s] += 0.0 + env_noise_v * buf.zv[s];
+      }
+      read_sensor_fast(plan.sensor, v, samples, plan.bits, buf.rng[b],
+                       buf.y.data() + b * samples);
+    }
   }
   if (store != nullptr) store->record_readings_block(g, buf.y.data(), bn);
 }

@@ -323,10 +323,13 @@ class CpaCampaign {
   void run_engine(unsigned shards, Analysis& an);
 
   /// The capture body every engine runs: traces [g, g + bn) (bn <=
-  /// plan.block) from their counter-keyed streams — plaintext, victim
-  /// encryption, fence and noise draws, PDN voltages, sensor readings —
-  /// into buf.y and buf.ct, plus their rows in `store` when set. `regs`
-  /// carries the victim register chain from trace to trace.
+  /// plan.block) from their counter-keyed streams into buf.y and buf.ct,
+  /// plus their rows in `store` when set. Each step runs over the whole
+  /// block: plaintext draws, the block victim (AesDatapathModel::
+  /// encrypt_block), fence and coupling, one PDN voltages_block call,
+  /// then the sensor (toggle_hw_block for benign HW, else a per-trace
+  /// read after that trace's env noise). Each trace's stream is drawn in
+  /// make_voltages' order. `regs` carries the victim register chain.
   void capture_block(const CapturePlan& plan, std::size_t g, std::size_t bn,
                      Regs& regs, CaptureBuffers& buf,
                      store::TraceStoreWriter* store) const;
@@ -339,27 +342,26 @@ class CpaCampaign {
   /// Resolve the sensor plan and the block/SIMD knobs for a capture.
   CapturePlan capture_plan(const std::vector<std::size_t>& bits) const;
 
-  /// Supply voltages at the sample instants for one encryption. Capture
-  /// passes `fence_rng`, the trace's counter-keyed fence stream; the
-  /// sequential pre-passes (selection, TDC stage, TVLA) pass null and
-  /// draw from the fence's own stream.
+  /// Supply voltages at the sample instants for one encryption of the
+  /// sequential pre-passes (selection, TDC stage, TVLA), drawing fence
+  /// currents from the fence's own stream. Capture runs the same
+  /// per-element arithmetic a block at a time (capture_block).
   void make_voltages(const crypto::AesDatapathModel::Encryption& enc,
-                     Xoshiro256& rng, std::vector<double>& v_out,
-                     Xoshiro256* fence_rng = nullptr) const;
+                     Xoshiro256& rng, std::vector<double>& v_out) const;
 
-  /// Read the configured sensor at every sample voltage into `y`
-  /// (per-call sampling).
-  void read_sensor(const std::vector<double>& v,
+  /// Read the configured sensor at the `n` sample voltages `v` into
+  /// y[0, n) (per-call sampling).
+  void read_sensor(const double* v, std::size_t n,
                    const std::vector<std::size_t>& bits, Xoshiro256& rng,
-                   std::vector<double>& y) const;
+                   double* y) const;
 
   SensorPlan make_sensor_plan(const std::vector<std::size_t>& bits) const;
 
   /// Compiled read_sensor: bit-exact same readings and RNG consumption,
   /// batched over the whole voltage vector.
-  void read_sensor_fast(const SensorPlan& plan, const std::vector<double>& v,
-                        const std::vector<std::size_t>& bits, Xoshiro256& rng,
-                        std::vector<double>& y) const;
+  void read_sensor_fast(const SensorPlan& plan, const double* v,
+                        std::size_t n, const std::vector<std::size_t>& bits,
+                        Xoshiro256& rng, double* y) const;
 
   /// Resolve kAutoBit / bits-of-interest before a capture loop; returns
   /// the bits of interest (benign HW only, empty otherwise). Consults

@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.hpp"
+#include "common/rng.hpp"
 #include "crypto/aes128.hpp"
 #include "sca/fold.hpp"
 #include "sensors/benign_sensor.hpp"
@@ -37,13 +39,15 @@ struct CaptureBuffers {
   std::vector<crypto::Block> ct;
   std::vector<std::uint8_t> cls_v;
   std::vector<std::uint8_t> cls_b;
-  // Staging: voltages, cycle-major currents, env-noise and sensor draws,
-  // one trace's readings.
-  std::vector<double> v;
-  std::vector<double> ic;
+  // Staging: each trace's capture stream and plaintext, cycle-major
+  // currents and lane-major voltages (64-byte aligned for the AVX2 PDN
+  // tile), env-noise and sensor draws.
+  std::vector<Xoshiro256> rng;
+  std::vector<crypto::Block> pt;
+  AlignedVector<double> ic;
+  AlignedVector<double> v;
   std::vector<double> zv;
   std::vector<double> z;
-  std::vector<double> yt;
 };
 
 /// The engines' fold step: label ciphertexts buf.ct[0, n) under every

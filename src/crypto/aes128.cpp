@@ -203,44 +203,50 @@ Aes128::Aes128(const Block& key) {
 }
 
 Block Aes128::encrypt(const Block& plaintext) const {
-  return encrypt_states(plaintext)[10];
+  std::uint32_t w[kStateWords];
+  encrypt_columns(plaintext, w);
+  Block out;
+  unpack_columns(w + 40, out);
+  return out;
 }
 
 std::array<Block, 11> Aes128::encrypt_states(const Block& plaintext) const {
+  std::uint32_t w[kStateWords];
+  encrypt_columns(plaintext, w);
   std::array<Block, 11> states;
-  std::uint32_t w[4];
+  for (std::size_t r = 0; r <= 10; ++r) unpack_columns(w + 4 * r, states[r]);
+  return states;
+}
+
+void Aes128::encrypt_columns(const Block& plaintext, std::uint32_t* w) const {
   for (std::size_t c = 0; c < 4; ++c) {
     w[c] = pack_column(plaintext, c) ^ round_key_words_[c];
   }
-  unpack_columns(w, states[0]);
   for (std::size_t r = 1; r <= 9; ++r) {
-    // Output column c gathers post-ShiftRows byte a_r from pre-round byte
-    // s[4*((c+r)%4)+r] (row r rotates left by r), i.e. byte r of word
-    // w[(c+r)%4].
-    std::uint32_t t[4];
+    // Output column c gathers post-ShiftRows byte a_i from pre-round byte
+    // s[4*((c+i)%4)+i] (row i rotates left by i), i.e. byte i of column
+    // (c+i)%4 of the previous state.
+    const std::uint32_t* in = w + 4 * (r - 1);
+    std::uint32_t* out = w + 4 * r;
     for (std::size_t c = 0; c < 4; ++c) {
-      t[c] = kTe.t[0][w[c] & 0xff] ^
-             kTe.t[1][(w[(c + 1) & 3] >> 8) & 0xff] ^
-             kTe.t[2][(w[(c + 2) & 3] >> 16) & 0xff] ^
-             kTe.t[3][(w[(c + 3) & 3] >> 24) & 0xff] ^
-             round_key_words_[4 * r + c];
+      out[c] = kTe.t[0][in[c] & 0xff] ^
+               kTe.t[1][(in[(c + 1) & 3] >> 8) & 0xff] ^
+               kTe.t[2][(in[(c + 2) & 3] >> 16) & 0xff] ^
+               kTe.t[3][(in[(c + 3) & 3] >> 24) & 0xff] ^
+               round_key_words_[4 * r + c];
     }
-    w[0] = t[0];
-    w[1] = t[1];
-    w[2] = t[2];
-    w[3] = t[3];
-    unpack_columns(w, states[r]);
   }
   // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
-  Block& out = states[10];
-  const Block& k10 = round_keys_[10];
+  const std::uint32_t* in = w + 36;
   for (std::size_t c = 0; c < 4; ++c) {
-    for (std::size_t r = 0; r < 4; ++r) {
-      out[4 * c + r] = static_cast<std::uint8_t>(
-          kSbox[(w[(c + r) & 3] >> (8 * r)) & 0xff] ^ k10[4 * c + r]);
+    std::uint32_t col = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      col |= static_cast<std::uint32_t>(kSbox[(in[(c + i) & 3] >> (8 * i)) &
+                                              0xff])
+             << (8 * i);
     }
+    w[40 + c] = col ^ round_key_words_[40 + c];
   }
-  return states;
 }
 
 Block Aes128::decrypt(const Block& ciphertext) const {

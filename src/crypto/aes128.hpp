@@ -32,6 +32,16 @@ class Aes128 {
   /// (1..10) the state after round r. Element 10 equals the ciphertext.
   std::array<Block, 11> encrypt_states(const Block& plaintext) const;
 
+  /// Packed state columns written by encrypt_columns(): 4 per state for
+  /// the 11 states of encrypt_states().
+  static constexpr std::size_t kStateWords = 44;
+
+  /// encrypt_states() on packed 32-bit columns, with no byte unpacking:
+  /// w[4r + c] is column c of state r, holding FIPS byte 4c + i at bits
+  /// 8i..8i+7. w[40..43] is the ciphertext. This is the one T-table
+  /// round implementation; encrypt_states() unpacks its output.
+  void encrypt_columns(const Block& plaintext, std::uint32_t* w) const;
+
   /// Round key r (0..10).
   const Block& round_key(std::size_t r) const;
 

@@ -7,6 +7,12 @@
 // proxy — plus a data-independent base current. This is exactly the
 // leakage the paper's last-round CPA exploits: at the cycle where column
 // c of round 10 is written, the register flips state9[col c] -> ct[col c].
+//
+// Every entry runs one word-level core: the T-table rounds of
+// Aes128::encrypt_columns on packed 32-bit columns, each cycle's HD taken
+// as popcount(register column ^ target column). The popcount kernel is
+// chosen once per process (POPCNT where the CPU has it, else a portable
+// bit count); both give the same integers.
 #pragma once
 
 #include <array>
@@ -116,10 +122,26 @@ class AesDatapathModel {
   RegisterSnapshot registers_after(const Block& plaintext,
                                    std::uint64_t trace_index) const;
 
- private:
-  Encryption encrypt_core(const Block& plaintext, Block& reg, Block& mask_reg,
-                          Xoshiro256& mask_rng) const;
+  /// The popcount kernel of the word-level core. Both compute the same
+  /// HDs; kPopcnt needs a CPU with POPCNT.
+  enum class HdKernel : std::uint8_t { kGeneric, kPopcnt };
+  static bool popcnt_supported();
+  /// kPopcnt where popcnt_supported(), else kGeneric; chosen once.
+  static HdKernel active_hd_kernel();
 
+  /// Block entry of the core: traces first_trace .. first_trace + lanes
+  /// - 1, each exactly as encrypt_stateless() runs it, with `regs`
+  /// chained from lane to lane. Lane b's per-cycle current
+  /// base + k * hd goes to ic[c * stride + b] (cycle-major, the layout
+  /// CycleResponseMatrix::voltages_block reads; stride >= lanes) and its
+  /// ciphertext to ciphertexts[b]. `kernel` is a test hook; callers keep
+  /// the default.
+  void encrypt_block(const Block* plaintexts, std::size_t lanes,
+                     std::uint64_t first_trace, RegisterSnapshot& regs,
+                     double* ic, std::size_t stride, Block* ciphertexts,
+                     HdKernel kernel = active_hd_kernel()) const;
+
+ private:
   Aes128 aes_;
   DatapathConfig cfg_;
   Block register_state_{};   // share 0; survives across encryptions

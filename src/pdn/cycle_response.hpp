@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/dispatch.hpp"
 #include "pdn/rlc.hpp"
 
 namespace slm::pdn {
@@ -52,10 +53,22 @@ class CycleResponseMatrix {
   /// cycle order as voltages(), so per-lane results are bit-identical to
   /// `lanes` scalar calls; the scalar voltages() chain is latency-bound
   /// (one FP add per cycle, no reassociation), which is exactly what the
-  /// lane-parallel form hides. `simd = false` runs the per-lane scalar
-  /// loop instead (same arithmetic, same results).
+  /// lane-parallel form hides. `simd = true` runs the tiles of the
+  /// process-wide dispatch level (common/dispatch.hpp); `simd = false`
+  /// runs the per-lane scalar loop (same arithmetic, same results).
   void voltages_block(const double* ic_t, std::size_t lanes,
                       std::size_t stride, double* out, bool simd) const;
+
+  /// voltages_block() at an explicit level. kScalar: the per-lane scalar
+  /// loop. kSse2: 8-lane tiles (portable code the compiler keeps in SSE2
+  /// registers on x86-64), then the scalar loop on the ragged tail.
+  /// kAvx2: 32-lane AVX2 tiles (8 ymm accumulators, separate multiply and
+  /// add, no FMA), then the 8-lane tiles and the scalar tail. Every level
+  /// sums each lane c-ascending from 0.0, so all are bit-identical.
+  /// kAvx2 on a CPU without AVX2 throws.
+  void voltages_block(const double* ic_t, std::size_t lanes,
+                      std::size_t stride, double* out,
+                      DispatchLevel level) const;
 
   /// Raw response entry: dV at `sample` per amp in `cycle`.
   double response(std::size_t sample, std::size_t cycle) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "sca/fold_kernels.hpp"
@@ -22,8 +23,8 @@ struct StagedBlock {
 
 StagedBlock stage_block(const FoldKernels& k, const double* y,
                         std::size_t n) {
-  thread_local std::vector<std::int64_t> yi;
-  thread_local std::vector<std::int64_t> yyi;
+  thread_local AlignedVector<std::int64_t> yi;
+  thread_local AlignedVector<std::int64_t> yyi;
   if (yi.size() < n) {
     yi.resize(n);
     yyi.resize(n);
@@ -60,7 +61,7 @@ const std::int32_t* stage_rows_i32(const FoldKernels& k, const double* y,
                                    std::size_t width, std::int64_t* col_y,
                                    std::int64_t* col_yy) {
   constexpr std::size_t kSlice = 256;
-  thread_local std::vector<std::int32_t> rows;
+  thread_local AlignedVector<std::int32_t> rows;
   if (rows.size() < count * width) rows.resize(count * width);
   for (std::size_t t0 = 0; t0 < count; t0 += kSlice) {
     const std::size_t m = std::min(kSlice, count - t0);
@@ -90,7 +91,7 @@ void add_class_block(const char* who, const std::uint8_t* v,
   if (count < kClassRows) {
     const StagedBlock st = stage_block(k, y, count * samples);
     k.sum_cols2_i64(sum_y, sum_yy, st.y, st.yy, count, samples);
-    thread_local std::vector<std::uint32_t> cls;
+    thread_local AlignedVector<std::uint32_t> cls;
     cls.resize(count);
     for (std::size_t j = 0; j < tables; ++j) {
       std::int64_t* cn = class_n + j * kClassRows;
@@ -107,12 +108,12 @@ void add_class_block(const char* who, const std::uint8_t* v,
   }
   const std::size_t width =
       (samples + kClassTileLanes - 1) / kClassTileLanes * kClassTileLanes;
-  thread_local std::vector<std::int64_t> col;
+  thread_local AlignedVector<std::int64_t> col;
   col.assign(2 * samples, 0);
   const std::int32_t* rows = stage_rows_i32(k, y, count, samples, width,
                                             col.data(), col.data() + samples);
   k.add2_i64(sum_y, sum_yy, col.data(), col.data() + samples, samples);
-  thread_local std::vector<std::int32_t> tile;
+  thread_local AlignedVector<std::int32_t> tile;
   if (tile.size() < kClassRows * width) {
     tile.assign(kClassRows * width, 0);  // the kernels leave it zeroed
   }
@@ -456,7 +457,9 @@ void XorClassCpa::load(ByteReader& in) {
   sum_y_ = sums_from_f64_exact(in.get_f64_vector(), "XorClassCpa::load");
   sum_yy_ = sums_from_f64_exact(in.get_f64_vector(), "XorClassCpa::load");
   class_n_ = sums_from_f64_exact(in.get_f64_vector(), "XorClassCpa::load");
-  class_y_ = sums_from_f64_exact(in.get_f64_vector(), "XorClassCpa::load");
+  const std::vector<std::int64_t> class_y =
+      sums_from_f64_exact(in.get_f64_vector(), "XorClassCpa::load");
+  class_y_.assign(class_y.begin(), class_y.end());
   SLM_REQUIRE(sum_y_.size() == samples_ && sum_yy_.size() == samples_ &&
                   class_n_.size() == kClasses &&
                   class_y_.size() == kClasses * samples_,
@@ -541,7 +544,9 @@ void MultiByteCpa::load(ByteReader& in) {
   sum_y_ = sums_from_f64_exact(in.get_f64_vector(), "MultiByteCpa::load");
   sum_yy_ = sums_from_f64_exact(in.get_f64_vector(), "MultiByteCpa::load");
   class_n_ = sums_from_f64_exact(in.get_f64_vector(), "MultiByteCpa::load");
-  class_y_ = sums_from_f64_exact(in.get_f64_vector(), "MultiByteCpa::load");
+  const std::vector<std::int64_t> class_y =
+      sums_from_f64_exact(in.get_f64_vector(), "MultiByteCpa::load");
+  class_y_.assign(class_y.begin(), class_y.end());
   SLM_REQUIRE(sum_y_.size() == samples_ && sum_yy_.size() == samples_ &&
                   class_n_.size() == kBytes * kClasses &&
                   class_y_.size() == kBytes * kClasses * samples_,

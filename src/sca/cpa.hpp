@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/binio.hpp"
 
 namespace slm::sca {
@@ -162,7 +163,9 @@ class XorClassCpa {
   std::vector<std::int64_t> sum_y_;      // [s]
   std::vector<std::int64_t> sum_yy_;     // [s]
   std::vector<std::int64_t> class_n_;    // [class]
-  std::vector<std::int64_t> class_y_;    // [class * samples_ + s]
+  // 64-byte aligned, so an 8-sample row is one cache line for the AVX2
+  // fold kernels.
+  AlignedVector<std::int64_t> class_y_;  // [class * samples_ + s]
 };
 
 /// Sixteen XorClassCpa accumulators fused behind one capture stream: the
@@ -227,7 +230,8 @@ class MultiByteCpa {
   std::vector<std::int64_t> sum_y_;    // [s], shared across bytes
   std::vector<std::int64_t> sum_yy_;   // [s], shared across bytes
   std::vector<std::int64_t> class_n_;  // [byte * kClasses + class]
-  std::vector<std::int64_t> class_y_;  // [(byte * kClasses + class) * samples_ + s]
+  // [(byte * kClasses + class) * samples_ + s], 64-byte aligned.
+  AlignedVector<std::int64_t> class_y_;
 };
 
 /// One checkpoint of a CPA campaign's convergence (Figs. 9b-18b).

@@ -1,9 +1,7 @@
 #include "sca/fold_kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -542,43 +540,7 @@ constexpr FoldKernels kAvx2Kernels{
     class_tile_i32_avx2};
 #endif
 
-// SLM_SIMD parse, shared with core::resolve_simd. Unset or "auto"
-// means pick the best the CPU supports; any value that neither names a
-// level nor parses as nonzero keeps the historical atoi semantics and
-// lands on scalar.
-DispatchLevel resolve_from_env() {
-  const char* env = std::getenv("SLM_SIMD");
-  if (env == nullptr) return detect_dispatch();
-  if (std::strcmp(env, "auto") == 0) return detect_dispatch();
-  if (std::strcmp(env, "scalar") == 0) return DispatchLevel::kScalar;
-  if (std::strcmp(env, "sse2") == 0) {
-    SLM_REQUIRE(detect_dispatch() >= DispatchLevel::kSse2,
-                "SLM_SIMD=sse2 requested but this CPU has no SSE2 kernels");
-    return DispatchLevel::kSse2;
-  }
-  if (std::strcmp(env, "avx2") == 0) {
-    SLM_REQUIRE(detect_dispatch() >= DispatchLevel::kAvx2,
-                "SLM_SIMD=avx2 requested but this CPU has no AVX2");
-    return DispatchLevel::kAvx2;
-  }
-  return std::atoi(env) != 0 ? detect_dispatch() : DispatchLevel::kScalar;
-}
-
-std::atomic<int> g_forced{-1};
-
 }  // namespace
-
-const char* dispatch_level_name(DispatchLevel level) {
-  switch (level) {
-    case DispatchLevel::kScalar:
-      return "scalar";
-    case DispatchLevel::kSse2:
-      return "sse2";
-    case DispatchLevel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
 
 void require_fold_budget(std::size_t traces, const char* who) {
   SLM_REQUIRE(traces <= kMaxFoldTraces,
@@ -586,22 +548,6 @@ void require_fold_budget(std::size_t traces, const char* who) {
                   " traces exceed the integer-accumulator overflow budget (" +
                   std::to_string(kMaxFoldTraces) +
                   " traces keeps worst-case sum_yy below 2^62)");
-}
-
-DispatchLevel detect_dispatch() {
-#if SLM_FOLD_X86
-  if (__builtin_cpu_supports("avx2")) return DispatchLevel::kAvx2;
-  return DispatchLevel::kSse2;  // baseline on x86-64
-#else
-  return DispatchLevel::kScalar;
-#endif
-}
-
-DispatchLevel active_dispatch() {
-  const int forced = g_forced.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<DispatchLevel>(forced);
-  static const DispatchLevel resolved = resolve_from_env();
-  return resolved;
 }
 
 const FoldKernels& kernels(DispatchLevel level) {
@@ -627,15 +573,6 @@ const FoldKernels& kernels(DispatchLevel level) {
 
 const FoldKernels& active_kernels() { return kernels(active_dispatch()); }
 
-void force_dispatch_for_testing(DispatchLevel level) {
-  (void)kernels(level);  // validate the level is runnable before forcing
-  g_forced.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-void clear_forced_dispatch_for_testing() {
-  g_forced.store(-1, std::memory_order_relaxed);
-}
-
 void stage_readings_i64(const double* y, std::size_t n, std::int64_t* yi,
                         std::int64_t* yyi) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -653,7 +590,7 @@ void stage_readings_i64(const double* y, std::size_t n, std::int64_t* yi,
   }
 }
 
-std::vector<double> sums_to_f64_exact(const std::vector<std::int64_t>& v,
+std::vector<double> sums_to_f64_exact(std::span<const std::int64_t> v,
                                       const char* who) {
   std::vector<double> out(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {

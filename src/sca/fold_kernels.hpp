@@ -10,29 +10,27 @@
 // bit-identical by construction, with the scalar level kept as the
 // equivalence oracle (tests/sca/fold_dispatch_test.cpp pins it).
 //
-// Dispatch is resolved at startup from the CPU and the SLM_SIMD knob:
-//   SLM_SIMD=0 | scalar   force the scalar reference kernels
-//   SLM_SIMD=sse2         force the 2-lane SSE2 kernels
-//   SLM_SIMD=avx2         force the 4-lane AVX2 kernels (refused if the
-//                         CPU lacks AVX2)
-//   unset / other         auto-detect the best level the CPU supports
-// The same parse feeds core::resolve_simd, so SLM_SIMD=0 still selects
-// the scalar capture kernels exactly as before.
+// The level is the process-wide one of common/dispatch.hpp (SLM_SIMD:
+// scalar, sse2, avx2, unset = auto); the PDN block matvec follows it too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "common/dispatch.hpp"
 
 namespace slm::sca {
 
-enum class DispatchLevel : int {
-  kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-};
-
-const char* dispatch_level_name(DispatchLevel level);
+// The dispatch level and its test hooks live in common/dispatch.hpp;
+// these keep the sca:: spellings the fold callers use.
+using slm::active_dispatch;
+using slm::clear_forced_dispatch_for_testing;
+using slm::detect_dispatch;
+using slm::dispatch_level_name;
+using slm::DispatchLevel;
+using slm::force_dispatch_for_testing;
 
 // --- Overflow budget ----------------------------------------------------
 //
@@ -124,13 +122,6 @@ struct FoldKernels {
                          std::int32_t* tile);
 };
 
-/// Best level the running CPU supports.
-DispatchLevel detect_dispatch();
-
-/// The process-wide level: SLM_SIMD if set, else detect_dispatch().
-/// Resolved once on first use.
-DispatchLevel active_dispatch();
-
 /// Kernel table for an explicit level (the property test drives every
 /// level through this regardless of the active one). Requesting a level
 /// the CPU cannot run throws.
@@ -138,12 +129,6 @@ const FoldKernels& kernels(DispatchLevel level);
 
 /// Kernel table for active_dispatch().
 const FoldKernels& active_kernels();
-
-/// Test hook: override active_dispatch() for the rest of the process
-/// (or until cleared). Lets one test binary exercise every level
-/// end-to-end without re-execing under a different SLM_SIMD.
-void force_dispatch_for_testing(DispatchLevel level);
-void clear_forced_dispatch_for_testing();
 
 /// Stage one trace-major block of readings for the integer fold:
 /// yi[i] = (int64) y[i] and yyi[i] = yi[i]^2. Enforces the engine
@@ -161,7 +146,7 @@ void stage_readings_i64(const double* y, std::size_t n, std::int64_t* yi,
 // round trip and throw rather than silently losing a bit.
 
 /// int64 sums -> the exact doubles the legacy engines would have held.
-std::vector<double> sums_to_f64_exact(const std::vector<std::int64_t>& v,
+std::vector<double> sums_to_f64_exact(std::span<const std::int64_t> v,
                                       const char* who);
 
 /// Stored doubles -> int64 sums; refuses non-integral values.

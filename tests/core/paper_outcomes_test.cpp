@@ -9,6 +9,11 @@
 // store::replay_all, whose 4096-trace chunks take the int32 class-tile
 // path of XorClassCpa::add_block (sca/cpa.cpp): the replay must name the
 // same winner at the same MTD as the live run.
+//
+// Fig. 18: CPA through one C6288 path endpoint (the highest-variance one,
+// picked by the selection pre-pass) recovers the byte at ~20k traces on
+// this model, and needs no more traces than the Hamming weight of the
+// top-12 variance bits (paper: ~100k vs ~200k).
 #include <filesystem>
 #include <string>
 
@@ -16,6 +21,7 @@
 
 #include "core/attack.hpp"
 #include "core/campaign.hpp"
+#include "core/parallel.hpp"
 #include "store/replay.hpp"
 #include "store/trace_store.hpp"
 
@@ -63,6 +69,37 @@ TEST(PaperOutcomes, Fig10BenignHwAluDisclosesByte3Near50k) {
   ASSERT_TRUE(replay.mtd.disclosed());
   EXPECT_EQ(*replay.mtd.traces, *live.mtd.traces);
   std::filesystem::remove(path);
+}
+
+// The bench_fig18_cpa_c6288_bit28 configurations, on 2 threads.
+TEST(PaperOutcomes, Fig18SingleC6288EndpointBeatsCombinedHw) {
+  constexpr std::size_t kTraces = 500000;
+  // A fresh setup per campaign, as the bench builds them: the selection
+  // pre-pass advances the victim's registers.
+  AttackSetup setup(BenignCircuit::kC6288x2, Calibration::paper_defaults());
+  CampaignConfig single;
+  single.mode = SensorMode::kBenignSingleBit;
+  single.single_bit = CampaignConfig::kAutoBit;
+  single.traces = kTraces;
+  const CampaignResult bit = ParallelCampaign(setup, single, 2).run();
+  ASSERT_TRUE(bit.key_recovered) << "endpoint bit " << bit.single_bit;
+  ASSERT_TRUE(bit.mtd.disclosed());
+  // Reproduced at ~20k (bit 60); the band allows a factor of two below
+  // and five above, and stays far above the TDC's ~2k.
+  EXPECT_GE(*bit.mtd.traces, 10000u);
+  EXPECT_LE(*bit.mtd.traces, 100000u);
+
+  CampaignConfig hw;
+  hw.mode = SensorMode::kBenignHw;
+  hw.traces = kTraces;
+  hw.selection_top_k = 12;
+  AttackSetup hw_setup(BenignCircuit::kC6288x2, Calibration::paper_defaults());
+  const CampaignResult combined = ParallelCampaign(hw_setup, hw, 2).run();
+  // A combined HW that never stably discloses within the budget needs
+  // more than the whole budget.
+  const std::size_t hw_traces =
+      combined.mtd.disclosed() ? *combined.mtd.traces : kTraces + 1;
+  EXPECT_LE(*bit.mtd.traces, hw_traces);
 }
 
 }  // namespace

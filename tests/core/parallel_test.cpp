@@ -126,7 +126,9 @@ TEST(StealthyAttackThreads, KeyByteReportDeterministicPerSeedAndThreads) {
   EXPECT_EQ(a.success, b.success);
   EXPECT_EQ(a.traces, b.traces);
   EXPECT_EQ(a.mtd.disclosed(), b.mtd.disclosed());
-  if (a.mtd.disclosed()) EXPECT_EQ(*a.mtd.traces, *b.mtd.traces);
+  if (a.mtd.disclosed()) {
+    EXPECT_EQ(*a.mtd.traces, *b.mtd.traces);
+  }
   EXPECT_EQ(a.threads_used, 2u);
 }
 

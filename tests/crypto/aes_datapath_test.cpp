@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
 
@@ -95,6 +99,231 @@ TEST(AesDatapath, CyclePeriodFromClock) {
   cfg.clock_mhz = 100.0;
   AesDatapathModel model(key(), cfg);
   EXPECT_DOUBLE_EQ(model.cycle_period_ns(), 10.0);
+}
+
+// --- Word-level core vs a byte-wise oracle ------------------------------
+//
+// The oracle is the byte-level datapath the word core replaced: states
+// from Aes128::encrypt_states, the 16 mask bytes of each round drawn
+// into a Block, and each cycle's HD summed byte by byte.
+
+using Regs = AesDatapathModel::RegisterSnapshot;
+
+std::uint32_t byte_hd(const Block& a, const Block& b, std::size_t col) {
+  std::uint32_t hd = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    hd += static_cast<std::uint32_t>(
+        slm::hamming_distance(a[4 * col + i], b[4 * col + i]));
+  }
+  return hd;
+}
+
+AesDatapathModel::Encryption oracle_encrypt(const Aes128& aes,
+                                            const DatapathConfig& cfg,
+                                            const Block& pt,
+                                            Xoshiro256& mask_rng, Regs& regs) {
+  AesDatapathModel::Encryption enc;
+  enc.plaintext = pt;
+  Block reg = cfg.carry_previous_state ? regs.register_state : Block{};
+  Block mask_reg = cfg.carry_previous_state ? regs.register_mask : Block{};
+  const auto states = aes.encrypt_states(pt);
+  enc.ciphertext = states[10];
+  for (std::size_t round = 0; round <= 10; ++round) {
+    Block target = states[round];
+    Block mask{};
+    if (cfg.masked) {
+      for (auto& m : mask) m = static_cast<std::uint8_t>(mask_rng.next());
+      for (std::size_t i = 0; i < 16; ++i) target[i] ^= mask[i];
+    }
+    for (std::size_t col = 0; col < 4; ++col) {
+      const std::size_t cyc = 4 * round + col;
+      enc.cycle_hd[cyc] = byte_hd(reg, target, col);
+      if (cfg.masked) enc.cycle_hd[cyc] += byte_hd(mask_reg, mask, col);
+      for (std::size_t i = 0; i < 4; ++i) {
+        reg[4 * col + i] = target[4 * col + i];
+        if (cfg.masked) mask_reg[4 * col + i] = mask[4 * col + i];
+      }
+    }
+  }
+  for (std::size_t c = 0; c < AesDatapathModel::kCycles; ++c) {
+    enc.cycle_current[c] =
+        cfg.base_current_a + cfg.current_per_hd_a * enc.cycle_hd[c];
+  }
+  regs.register_state = reg;
+  regs.register_mask = mask_reg;
+  return enc;
+}
+
+// The contract-v2 oracle: the mask stream is re-derived per trace.
+AesDatapathModel::Encryption oracle_stateless(const Aes128& aes,
+                                              const DatapathConfig& cfg,
+                                              const Block& pt,
+                                              std::uint64_t trace,
+                                              Regs& regs) {
+  Xoshiro256 mask_rng =
+      Xoshiro256::trace_stream(cfg.mask_seed, kTraceDomainMask, trace);
+  AesDatapathModel::Encryption enc =
+      oracle_encrypt(aes, cfg, pt, mask_rng, regs);
+  regs.mask_rng_state = {};
+  return enc;
+}
+
+struct CoreCase {
+  const char* name;
+  bool masked;
+  bool carry;
+};
+
+constexpr CoreCase kCoreCases[] = {
+    {"unmasked", false, true},
+    {"masked", true, true},
+    {"no-carry", false, false},
+    {"masked-no-carry", true, false},
+};
+
+DatapathConfig core_config(const CoreCase& cc) {
+  DatapathConfig cfg;
+  cfg.masked = cc.masked;
+  cfg.carry_previous_state = cc.carry;
+  return cfg;
+}
+
+Block random_block(Xoshiro256& rng) {
+  Block b;
+  for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+  return b;
+}
+
+bool same_bits(const std::array<double, AesDatapathModel::kCycles>& a,
+               const std::array<double, AesDatapathModel::kCycles>& b) {
+  return std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+}
+
+TEST(AesDatapathCore, StatelessMatchesByteOracle) {
+  const Aes128 aes(key());
+  for (const CoreCase& cc : kCoreCases) {
+    const DatapathConfig cfg = core_config(cc);
+    const AesDatapathModel model(key(), cfg);
+    Xoshiro256 rng(0x5eed);
+    Regs regs{random_block(rng), random_block(rng), {1, 2, 3, 4}};
+    Regs oracle_regs = regs;
+    for (std::uint64_t t = 0; t < 200; ++t) {
+      const Block pt = random_block(rng);
+      const auto enc = model.encrypt_stateless(pt, t, regs);
+      const auto ref = oracle_stateless(aes, cfg, pt, t, oracle_regs);
+      ASSERT_EQ(enc.cycle_hd, ref.cycle_hd) << cc.name << " trace " << t;
+      ASSERT_TRUE(same_bits(enc.cycle_current, ref.cycle_current))
+          << cc.name << " trace " << t;
+      ASSERT_EQ(enc.ciphertext, ref.ciphertext) << cc.name;
+      ASSERT_EQ(enc.plaintext, pt);
+      ASSERT_EQ(regs, oracle_regs) << cc.name << " trace " << t;
+    }
+  }
+}
+
+TEST(AesDatapathCore, StatefulEncryptMatchesByteOracle) {
+  const Aes128 aes(key());
+  for (const CoreCase& cc : kCoreCases) {
+    const DatapathConfig cfg = core_config(cc);
+    AesDatapathModel model(key(), cfg);
+    Xoshiro256 oracle_masks(cfg.mask_seed);
+    Regs oracle_regs{};
+    Xoshiro256 rng(0xca11);
+    for (int t = 0; t < 100; ++t) {
+      const Block pt = random_block(rng);
+      const auto enc = model.encrypt(pt);
+      const auto ref = oracle_encrypt(aes, cfg, pt, oracle_masks, oracle_regs);
+      ASSERT_EQ(enc.cycle_hd, ref.cycle_hd) << cc.name << " trace " << t;
+      ASSERT_TRUE(same_bits(enc.cycle_current, ref.cycle_current));
+      ASSERT_EQ(enc.ciphertext, ref.ciphertext);
+    }
+    oracle_regs.mask_rng_state = oracle_masks.state();
+    EXPECT_EQ(model.register_snapshot(), oracle_regs) << cc.name;
+  }
+}
+
+TEST(AesDatapathCore, RegistersAfterMatchesByteOracle) {
+  const Aes128 aes(key());
+  for (const CoreCase& cc : kCoreCases) {
+    const DatapathConfig cfg = core_config(cc);
+    const AesDatapathModel model(key(), cfg);
+    Xoshiro256 rng(0xaf7e);
+    for (std::uint64_t t = 0; t < 50; ++t) {
+      const Block pt = random_block(rng);
+      Regs ref{};
+      (void)oracle_stateless(aes, cfg, pt, 1000 + t, ref);
+      EXPECT_EQ(model.registers_after(pt, 1000 + t), ref) << cc.name;
+    }
+  }
+}
+
+// The block entry over a shard's chunk: the chain starts from the
+// registers trace g0 - 1 leaves behind (the engines' registers_before),
+// lanes write cycle-major currents at a stride wider than the block, and
+// both popcount kernels are driven directly.
+TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
+  const Aes128 aes(key());
+  std::vector<AesDatapathModel::HdKernel> kernels{
+      AesDatapathModel::HdKernel::kGeneric};
+  if (AesDatapathModel::popcnt_supported()) {
+    kernels.push_back(AesDatapathModel::HdKernel::kPopcnt);
+  }
+  constexpr std::size_t kCycles = AesDatapathModel::kCycles;
+  constexpr std::uint64_t kShardStart = 4099;
+  for (const CoreCase& cc : kCoreCases) {
+    const DatapathConfig cfg = core_config(cc);
+    const AesDatapathModel model(key(), cfg);
+    Xoshiro256 rng(0xb1c0);
+    const Block before = random_block(rng);
+    const Regs start = model.registers_after(before, kShardStart - 1);
+    for (const std::size_t lanes : {1, 63, 64}) {
+      const std::size_t stride = 67;
+      std::vector<Block> pts(lanes);
+      for (Block& pt : pts) pt = random_block(rng);
+      // Oracle: the byte-wise chain, trace by trace.
+      Regs oracle_regs = start;
+      std::vector<AesDatapathModel::Encryption> ref;
+      for (std::size_t b = 0; b < lanes; ++b) {
+        ref.push_back(
+            oracle_stateless(aes, cfg, pts[b], kShardStart + b, oracle_regs));
+      }
+      for (const AesDatapathModel::HdKernel kernel : kernels) {
+        const std::string what =
+            std::string(cc.name) + " lanes " + std::to_string(lanes) +
+            (kernel == AesDatapathModel::HdKernel::kPopcnt ? " popcnt"
+                                                           : " generic");
+        Regs regs = start;
+        std::vector<double> ic(kCycles * stride, -1.0);
+        std::vector<Block> cts(lanes);
+        model.encrypt_block(pts.data(), lanes, kShardStart, regs, ic.data(),
+                            stride, cts.data(), kernel);
+        for (std::size_t b = 0; b < lanes; ++b) {
+          ASSERT_EQ(cts[b], ref[b].ciphertext) << what << " lane " << b;
+          for (std::size_t c = 0; c < kCycles; ++c) {
+            const double got = ic[c * stride + b];
+            ASSERT_EQ(std::memcmp(&got, &ref[b].cycle_current[c],
+                                  sizeof(double)),
+                      0)
+                << what << " lane " << b << " cycle " << c;
+          }
+        }
+        for (std::size_t c = 0; c < kCycles; ++c) {
+          for (std::size_t b = lanes; b < stride; ++b) {
+            ASSERT_EQ(ic[c * stride + b], -1.0) << what << " wrote lane " << b;
+          }
+        }
+        EXPECT_EQ(regs, oracle_regs) << what;
+        // The per-trace entry agrees with the block, lane by lane.
+        Regs step = start;
+        for (std::size_t b = 0; b < lanes; ++b) {
+          const auto enc =
+              model.encrypt_stateless(pts[b], kShardStart + b, step);
+          ASSERT_EQ(enc.cycle_hd, ref[b].cycle_hd) << what << " lane " << b;
+        }
+        EXPECT_EQ(step, regs) << what;
+      }
+    }
+  }
 }
 
 }  // namespace
