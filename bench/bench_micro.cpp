@@ -713,6 +713,84 @@ void BM_GenCompute(benchmark::State& state) {
 
 BENCHMARK(BM_GenCompute)->UseRealTime();
 
+// --- Lane-block draws ---------------------------------------------------
+//
+// The capture block's randomness drawn the way CpaCampaign::capture_block
+// draws it, in the attack_alu_hw shape: per trace 16 plaintext bytes,
+// 8 env-noise normals and 8 x 5 sensor normals. BM_FastNormalFillLanes
+// is one lane-block fill of the 40 sensor normals over 64 lanes
+// (items = normals); BM_CaptureDraws is a whole block's draws, stream
+// derivation included (items = traces). The plain rows run the active
+// dispatch level (AVX2 where the CPU has it), the Scalar rows the per-lane
+// reference loop.
+
+constexpr std::size_t kDrawSamples = 8;
+constexpr std::size_t kDrawDps = 5;
+
+void fill_lanes_bench(benchmark::State& state, DispatchLevel level) {
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  const std::size_t n = kDrawSamples * kDrawDps;
+  std::vector<Xoshiro256> rngs;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    rngs.push_back(Xoshiro256::trace_stream(0x51, kTraceDomainCapture, l));
+  }
+  std::vector<double> out(lanes * n);
+  for (auto _ : state) {
+    FastNormal::instance().fill_lanes(rngs.data(), lanes, out.data(), n, n,
+                                      level);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(lanes * n));
+}
+
+void BM_FastNormalFillLanes(benchmark::State& state) {
+  fill_lanes_bench(state, active_dispatch());
+}
+BENCHMARK(BM_FastNormalFillLanes)->Arg(64);
+
+void BM_FastNormalFillLanesScalar(benchmark::State& state) {
+  fill_lanes_bench(state, DispatchLevel::kScalar);
+}
+BENCHMARK(BM_FastNormalFillLanesScalar)->Arg(64);
+
+void capture_draws_bench(benchmark::State& state, DispatchLevel level) {
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  const std::size_t nz = kDrawSamples * kDrawDps;
+  std::vector<Xoshiro256> rngs(lanes);
+  std::vector<std::uint8_t> pt(lanes * 16);
+  std::vector<double> zv(lanes * kDrawSamples);
+  std::vector<double> z(lanes * nz);
+  const FastNormal& normal = FastNormal::instance();
+  std::uint64_t g = 0;
+  for (auto _ : state) {
+    for (std::size_t b = 0; b < lanes; ++b) {
+      rngs[b] = Xoshiro256::trace_stream(0x51, kTraceDomainCapture, g + b);
+    }
+    fill_bytes_lanes(rngs.data(), lanes, pt.data(), 16, 16, level);
+    normal.fill_lanes(rngs.data(), lanes, zv.data(), kDrawSamples,
+                      kDrawSamples, level);
+    normal.fill_lanes(rngs.data(), lanes, z.data(), nz, nz, level);
+    benchmark::DoNotOptimize(pt.data());
+    benchmark::DoNotOptimize(z.data());
+    benchmark::ClobberMemory();
+    g += lanes;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(lanes));
+}
+
+void BM_CaptureDraws(benchmark::State& state) {
+  capture_draws_bench(state, active_dispatch());
+}
+BENCHMARK(BM_CaptureDraws)->Arg(64);
+
+void BM_CaptureDrawsScalar(benchmark::State& state) {
+  capture_draws_bench(state, DispatchLevel::kScalar);
+}
+BENCHMARK(BM_CaptureDrawsScalar)->Arg(64);
+
 }  // namespace
 
 // BENCHMARK_MAIN(), plus a default --benchmark_out=BENCH_micro.json so

@@ -11,6 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/dispatch.hpp"
+
 namespace slm {
 
 /// Domain separators for counter-keyed per-trace streams (determinism
@@ -114,13 +116,37 @@ class FastNormal {
   /// jitter block through this and stay on the per-call RNG contract.
   void fill(Xoshiro256& rng, double* out, std::size_t n) const;
 
+  /// Lane-block fill: lane l < lanes writes n standard normals from its
+  /// own stream rngs[l] to out[l * stride + i], i < n (stride >= n).
+  /// Each lane's values and its final stream state are bit-identical to
+  /// fill(rngs[l], out + l * stride, n), which is what the scalar level
+  /// runs. The AVX2 level steps four lanes' xoshiro states per ymm and
+  /// converts the index and fraction bits exactly (no FMA); SSE2 runs
+  /// the scalar entry. DESIGN.md §8 has why the bits cannot differ.
+  void fill_lanes(Xoshiro256* rngs, std::size_t lanes, double* out,
+                  std::size_t n, std::size_t stride,
+                  DispatchLevel level) const;
+
   /// Shared immutable instance (table is ~8 KiB, build it once).
   static const FastNormal& instance();
 
  private:
   static constexpr int kTableBits = 12;
   static constexpr int kTableSize = 1 << kTableBits;  // 4096 entries
+  // A draw's table index is its top kTableBits bits; interpolation reads
+  // quantile_[idx + 1], so the largest index must stay inside the table.
+  static_assert((~std::uint64_t{0} >> (64 - kTableBits)) + 1 <=
+                    static_cast<std::uint64_t>(kTableSize),
+                "FastNormal: table index + 1 must not pass kTableSize");
   std::array<double, kTableSize + 1> quantile_{};
 };
+
+/// Lane-block byte draws: lane l < lanes writes the low byte of each of
+/// its next n draws, rngs[l].next(), to out[l * stride + i], i < n
+/// (stride >= n) — a capture block's plaintexts. Values and final states
+/// are bit-identical at every level; AVX2 steps four lanes per ymm, SSE2
+/// runs the scalar entry.
+void fill_bytes_lanes(Xoshiro256* rngs, std::size_t lanes, std::uint8_t* out,
+                      std::size_t n, std::size_t stride, DispatchLevel level);
 
 }  // namespace slm

@@ -248,27 +248,22 @@ void CpaCampaign::read_sensor(const double* v, std::size_t n,
 SensorPlan CpaCampaign::make_sensor_plan(
     const std::vector<std::size_t>& bits) const {
   SensorPlan plan;
-  if (cfg_.mode == SensorMode::kBenignHw) {
-    plan.hw = setup_.sensor().compile_hw_plan(bits);
-    plan.batched = true;
-  } else if (cfg_.mode == SensorMode::kBenignSingleBit) {
-    plan.bit = setup_.sensor().compile_bit_plan(cfg_.single_bit);
-    plan.batched = true;
+  switch (cfg_.mode) {
+    case SensorMode::kBenignHw:
+      plan.hw = setup_.sensor().compile_hw_plan(bits);
+      plan.draws_per_sample = plan.hw.draws_per_sample;
+      break;
+    case SensorMode::kBenignSingleBit:
+      plan.bit = setup_.sensor().compile_bit_plan(cfg_.single_bit);
+      plan.draws_per_sample = 2;  // common jitter, endpoint jitter
+      break;
+    case SensorMode::kTdcFull:
+    case SensorMode::kTdcSingleBit:
+    case SensorMode::kRoCounter:
+      plan.draws_per_sample = 1;
+      break;
   }
   return plan;
-}
-
-void CpaCampaign::read_sensor_fast(const SensorPlan& plan, const double* v,
-                                   std::size_t n,
-                                   const std::vector<std::size_t>& bits,
-                                   Xoshiro256& rng, double* y) const {
-  if (!plan.batched) {
-    read_sensor(v, n, bits, rng, y);
-  } else if (cfg_.mode == SensorMode::kBenignHw) {
-    setup_.sensor().toggle_hw_batch(plan.hw, v, n, rng, y);
-  } else {
-    setup_.sensor().toggle_bit_batch(plan.bit, v, n, rng, y);
-  }
 }
 
 std::vector<std::size_t> CpaCampaign::resolve_sensor_bits() {
@@ -474,9 +469,9 @@ CapturePlan CpaCampaign::capture_plan(
     const std::vector<std::size_t>& bits) const {
   CapturePlan plan;
   plan.sensor = make_sensor_plan(bits);
-  plan.bits = bits;
   plan.block = resolve_block(cfg_.block);
   plan.simd = resolve_simd(cfg_.simd);
+  plan.draw_level = plan.simd ? active_dispatch() : DispatchLevel::kScalar;
   return plan;
 }
 
@@ -496,10 +491,13 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   // Plaintexts: the first draws of each trace's counter-keyed stream,
   // which the lane keeps for its noise and sensor draws below.
   for (std::size_t b = 0; b < bn; ++b) {
-    Xoshiro256& rng = buf.rng[b] =
+    buf.rng[b] =
         Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g + b);
-    for (auto& pb : buf.pt[b]) pb = static_cast<std::uint8_t>(rng.next());
   }
+  static_assert(sizeof(crypto::Block) == 16);
+  fill_bytes_lanes(buf.rng.data(), bn,
+                   reinterpret_cast<std::uint8_t*>(buf.pt.data()), 16, 16,
+                   plan.draw_level);
   // The victim writes each trace's per-cycle currents cycle-major
   // (ic[c * block + b]), so the lane-inner PDN kernel is unit-stride.
   setup_.victim().encrypt_block(buf.pt.data(), bn, g, regs, buf.ic.data(),
@@ -511,14 +509,27 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   }
   // make_voltages' per-element arithmetic: the fence draw (from the
   // trace's fence stream, cycle-ascending) rides on the coupling path.
+  // A constant fence (random_current_a == 0) adds base + u * 0.0, which
+  // is base for every finite u in [0, 1), so it draws nothing here; the
+  // sequential pre-passes still step the fence's own stream, whose state
+  // the set-up memo keys on and restores.
   const double coupling = setup_.effective_coupling();
-  if (fence_) {
+  if (fence_ && fence_->config().random_current_a != 0.0) {
     for (std::size_t b = 0; b < bn; ++b) {
       Xoshiro256 frng = fence_->trace_rng(g + b);
       for (std::size_t c = 0; c < ncyc; ++c) {
         double& i = buf.ic[c * block + b];
         i += fence_->cycle_current(frng);
         i *= coupling;
+      }
+    }
+  } else if (fence_) {
+    const double base = fence_->config().base_current_a;
+    for (std::size_t c = 0; c < ncyc; ++c) {
+      double* ic = buf.ic.data() + c * block;
+      for (std::size_t b = 0; b < bn; ++b) {
+        ic[b] += base;
+        ic[b] *= coupling;
       }
     }
   } else {
@@ -531,38 +542,50 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   // blocking pays most.
   response_.voltages_block(buf.ic.data(), bn, block, buf.v.data(),
                            plan.simd);
-  const double env_noise_v = setup_.calibration().env_noise_v;
+  // Every lane's draws, in its stream's order: the env noise of each
+  // sample, then the sensor's draws_per_sample normals per sample. The
+  // sensor is then evaluated from the draws, with no stream in hand.
+  const std::size_t n = bn * samples;
+  const std::size_t dps = plan.sensor.draws_per_sample;
+  buf.zv.resize(block * samples);
+  buf.z.resize(block * samples * dps);
   const FastNormal& normal = FastNormal::instance();
-  if (cfg_.mode == SensorMode::kBenignHw) {
-    // The benign-HW kernel separates its draws from the compute: each
-    // trace's env noise, then its sensor draws, for the whole block.
-    const std::size_t dps = plan.sensor.hw.draws_per_sample;
-    buf.zv.resize(block * samples);
-    buf.z.resize(block * samples * dps);
-    for (std::size_t b = 0; b < bn; ++b) {
-      normal.fill(buf.rng[b], buf.zv.data() + b * samples, samples);
-      normal.fill(buf.rng[b], buf.z.data() + b * samples * dps,
-                  samples * dps);
-    }
-    for (std::size_t i = 0; i < bn * samples; ++i) {
-      buf.v[i] += 0.0 + env_noise_v * buf.zv[i];
-    }
-    setup_.sensor().toggle_hw_block(plan.sensor.hw, buf.v.data(),
-                                    bn * samples, buf.z.data(), buf.y.data(),
-                                    plan.simd);
-  } else {
-    // Every other sensor consumes the trace's stream inside the read,
-    // right after the trace's env noise.
-    buf.zv.resize(samples);
-    for (std::size_t b = 0; b < bn; ++b) {
-      double* v = buf.v.data() + b * samples;
-      normal.fill(buf.rng[b], buf.zv.data(), samples);
-      for (std::size_t s = 0; s < samples; ++s) {
-        v[s] += 0.0 + env_noise_v * buf.zv[s];
+  normal.fill_lanes(buf.rng.data(), bn, buf.zv.data(), samples, samples,
+                    plan.draw_level);
+  normal.fill_lanes(buf.rng.data(), bn, buf.z.data(), samples * dps,
+                    samples * dps, plan.draw_level);
+  const double env_noise_v = setup_.calibration().env_noise_v;
+  for (std::size_t i = 0; i < n; ++i) {
+    buf.v[i] += 0.0 + env_noise_v * buf.zv[i];
+  }
+  const double* v = buf.v.data();
+  const double* z = buf.z.data();
+  double* y = buf.y.data();
+  switch (cfg_.mode) {
+    case SensorMode::kBenignHw:
+      setup_.sensor().toggle_hw_block(plan.sensor.hw, v, n, z, y, plan.simd);
+      break;
+    case SensorMode::kBenignSingleBit:
+      setup_.sensor().toggle_bit_block(plan.sensor.bit, v, n, z, y);
+      break;
+    case SensorMode::kTdcFull:
+      for (std::size_t i = 0; i < n; ++i) {
+        y[i] = static_cast<double>(setup_.tdc().sample_from_draw(v[i], z[i]));
       }
-      read_sensor_fast(plan.sensor, v, samples, plan.bits, buf.rng[b],
-                       buf.y.data() + b * samples);
-    }
+      break;
+    case SensorMode::kTdcSingleBit:
+      for (std::size_t i = 0; i < n; ++i) {
+        y[i] = setup_.tdc().sample_bit_from_draw(cfg_.single_bit, v[i], z[i])
+                   ? 1.0
+                   : 0.0;
+      }
+      break;
+    case SensorMode::kRoCounter:
+      for (std::size_t i = 0; i < n; ++i) {
+        y[i] = static_cast<double>(
+            setup_.ro_sensor().sample_from_draw(v[i], z[i]));
+      }
+      break;
   }
   if (store != nullptr) store->record_readings_block(g, buf.y.data(), bn);
 }

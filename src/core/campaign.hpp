@@ -104,8 +104,11 @@ struct CampaignConfig {
   /// profits from discarding endpoints with variance but no slope.
   std::size_t selection_top_k = 0;
 
-  /// Optional active-fence countermeasure around the victim (hiding
-  /// defence; random_current_a = 0 disables it).
+  /// Active-fence countermeasure around the victim (hiding defence).
+  /// The fence is on whenever base_current_a or random_current_a is
+  /// positive, so the default (base 0.05 A, random 0) is a constant DC
+  /// draw; only base_current_a = random_current_a = 0 turns it off. A
+  /// constant fence draws nothing in capture (DESIGN.md §8, §12).
   defense::ActiveFenceConfig fence{};
 
   /// Trace-block size for the block-batched capture pipeline (see
@@ -355,13 +358,9 @@ class CpaCampaign {
                    const std::vector<std::size_t>& bits, Xoshiro256& rng,
                    double* y) const;
 
+  /// The configured sensor's compiled plan and its normals per sample,
+  /// for capture_block's read-out from pre-drawn normals.
   SensorPlan make_sensor_plan(const std::vector<std::size_t>& bits) const;
-
-  /// Compiled read_sensor: bit-exact same readings and RNG consumption,
-  /// batched over the whole voltage vector.
-  void read_sensor_fast(const SensorPlan& plan, const double* v,
-                        std::size_t n, const std::vector<std::size_t>& bits,
-                        Xoshiro256& rng, double* y) const;
 
   /// Resolve kAutoBit / bits-of-interest before a capture loop; returns
   /// the bits of interest (benign HW only, empty otherwise). Consults

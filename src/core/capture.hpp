@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/dispatch.hpp"
 #include "common/rng.hpp"
 #include "crypto/aes128.hpp"
 #include "sca/fold.hpp"
@@ -15,21 +16,23 @@
 
 namespace slm::core {
 
-/// Precompiled sensor dispatch for CpaCampaign::read_sensor_fast. Benign
-/// modes get a batch plan; other modes fall back to the per-call loop.
+/// Precompiled sensor read-out for CpaCampaign::capture_block: the benign
+/// modes' compiled plans, and how many standard normals each sample's
+/// reading takes from the trace's stream (after its env-noise draw).
 struct SensorPlan {
   sensors::BenignSensorBank::CompiledHwPlan hw;
   sensors::BenignSensorBank::CompiledBitPlan bit;
-  bool batched = false;
+  std::size_t draws_per_sample = 0;
 };
 
 /// Everything the capture body needs besides the trace range, resolved
 /// once per run (see CpaCampaign::capture_plan).
 struct CapturePlan {
   SensorPlan sensor;
-  std::vector<std::size_t> bits;  ///< bits of interest (benign HW)
   std::size_t block = 0;          ///< resolved trace-block size
   bool simd = true;               ///< resolved lane-parallel dispatch
+  /// Level of the lane-block draws (scalar when simd is off).
+  DispatchLevel draw_level = DispatchLevel::kScalar;
 };
 
 /// One shard's block buffers. capture_block fills `y` (readings, trace-

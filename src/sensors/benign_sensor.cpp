@@ -248,12 +248,9 @@ BenignSensorBank::CompiledBitPlan BenignSensorBank::compile_bit_plan(
   throw Error("BenignSensorBank::compile_bit_plan: index out of range");
 }
 
-void BenignSensorBank::toggle_bit_batch(const CompiledBitPlan& plan,
+void BenignSensorBank::toggle_bit_block(const CompiledBitPlan& plan,
                                         const double* v, std::size_t n,
-                                        Xoshiro256& rng, double* y) const {
-  thread_local std::vector<double> z;
-  z.resize(n * 2);
-  FastNormal::instance().fill(rng, z.data(), z.size());
+                                        const double* z, double* y) const {
   for (std::size_t j = 0; j < n; ++j) {
     y[j] = plan.cap->toggle_from_draws(plan.local, v[j], &z[2 * j]) ? 1.0
                                                                     : 0.0;

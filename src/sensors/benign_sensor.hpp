@@ -156,9 +156,12 @@ class BenignSensorBank {
   };
   CompiledBitPlan compile_bit_plan(std::size_t global_i) const;
 
-  /// Batched sample_toggle_bit: y[j] = 0/1 toggle of the planned bit.
-  void toggle_bit_batch(const CompiledBitPlan& plan, const double* v,
-                        std::size_t n, Xoshiro256& rng, double* y) const;
+  /// sample_toggle_bit over pre-drawn normals: y[j] = 0/1 toggle of the
+  /// planned bit at v[j], reading the two draws z[2j], z[2j + 1] the
+  /// per-call API would take from its stream (common jitter, then the
+  /// endpoint's own jitter).
+  void toggle_bit_block(const CompiledBitPlan& plan, const double* v,
+                        std::size_t n, const double* z, double* y) const;
 
   /// Batched selection pre-pass kernel: for every sample j, add each
   /// global endpoint's toggle bit into ones[0..endpoint_count()).

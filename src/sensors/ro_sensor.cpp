@@ -25,9 +25,12 @@ double RoCounterSensor::expected_count(double v) const {
 }
 
 std::uint32_t RoCounterSensor::sample(double v, Xoshiro256& rng) const {
-  const double noisy = expected_count(v) + FastNormal::instance()(
-                                               rng, 0.0,
-                                               cfg_.phase_noise_counts);
+  return sample_from_draw(v, FastNormal::instance()(rng));
+}
+
+std::uint32_t RoCounterSensor::sample_from_draw(double v, double z) const {
+  const double noisy =
+      expected_count(v) + (0.0 + cfg_.phase_noise_counts * z);
   return static_cast<std::uint32_t>(std::max(0.0, noisy));
 }
 

@@ -37,6 +37,10 @@ class RoCounterSensor {
   /// Noisy counter reading.
   std::uint32_t sample(double v, Xoshiro256& rng) const;
 
+  /// sample() from a caller-drawn standard normal z: the reading is
+  /// expected_count(v) + (0.0 + phase_noise_counts * z), floored at 0.
+  std::uint32_t sample_from_draw(double v, double z) const;
+
   const RoSensorConfig& config() const { return cfg_; }
 
  private:

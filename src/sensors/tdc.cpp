@@ -18,10 +18,12 @@ double TdcSensor::depth(double v) const {
 }
 
 std::uint32_t TdcSensor::sample(double v, Xoshiro256& rng) const {
-  const double noisy =
-      depth(v) + FastNormal::instance()(rng, 0.0, cfg_.noise_lsb);
+  return sample_from_draw(v, FastNormal::instance()(rng));
+}
+
+std::uint32_t TdcSensor::sample_from_draw(double v, double z) const {
   const double clamped =
-      std::clamp(noisy, 0.0, static_cast<double>(cfg_.stages));
+      std::clamp(noisy_depth(v, z), 0.0, static_cast<double>(cfg_.stages));
   return static_cast<std::uint32_t>(clamped);
 }
 
@@ -33,10 +35,12 @@ BitVec TdcSensor::sample_word(double v, Xoshiro256& rng) const {
 }
 
 bool TdcSensor::sample_bit(std::size_t i, double v, Xoshiro256& rng) const {
+  return sample_bit_from_draw(i, v, FastNormal::instance()(rng));
+}
+
+bool TdcSensor::sample_bit_from_draw(std::size_t i, double v, double z) const {
   SLM_REQUIRE(i < cfg_.stages, "TdcSensor::sample_bit: stage out of range");
-  const double noisy =
-      depth(v) + FastNormal::instance()(rng, 0.0, cfg_.noise_lsb);
-  return noisy > static_cast<double>(i);
+  return noisy_depth(v, z) > static_cast<double>(i);
 }
 
 double TdcSensor::idle_depth() const { return depth(cfg_.delay.vnom); }

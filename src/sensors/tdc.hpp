@@ -44,11 +44,20 @@ class TdcSensor {
   /// Quantised reading (stages traversed), with noise.
   std::uint32_t sample(double v, Xoshiro256& rng) const;
 
+  /// sample() from a caller-drawn standard normal z: the noisy depth is
+  /// depth(v) + (0.0 + noise_lsb * z), the expression sample() and
+  /// sample_bit() evaluate on their own draw. Capture blocks draw every
+  /// lane's normals up front and read the sensor through these.
+  std::uint32_t sample_from_draw(double v, double z) const;
+
   /// Full thermometer word, with noise (bit i set iff depth > i).
   BitVec sample_word(double v, Xoshiro256& rng) const;
 
   /// Single thermometer bit i — the Fig. 11 attack mode.
   bool sample_bit(std::size_t i, double v, Xoshiro256& rng) const;
+
+  /// sample_bit() from a caller-drawn standard normal z.
+  bool sample_bit_from_draw(std::size_t i, double v, double z) const;
 
   /// Depth at nominal voltage (the idle reading).
   double idle_depth() const;
@@ -56,6 +65,10 @@ class TdcSensor {
   const TdcConfig& config() const { return cfg_; }
 
  private:
+  double noisy_depth(double v, double z) const {
+    return depth(v) + (0.0 + cfg_.noise_lsb * z);
+  }
+
   TdcConfig cfg_;
 };
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/dispatch.hpp"
 #include "common/error.hpp"
 #include "core/parallel.hpp"
 #include "reference_capture.hpp"
@@ -237,6 +238,65 @@ TEST(Campaign, ThreadAndBlockInvariant) {
       expect_matches_reference(
           run_once(SensorMode::kTdcFull, threads, 64, true), ref,
           "tdc threads " + std::to_string(threads));
+    }
+  }
+  // Every sensor mode reads the capture block's lane draws, and the fence
+  // is absent, constant (its draws are skipped) or randomised: each
+  // combination matches the per-trace reference at every runnable
+  // dispatch level, and with the SIMD toggle off.
+  struct FenceCase {
+    const char* name;
+    double base;
+    double random;
+  };
+  const double default_base = defense::ActiveFenceConfig{}.base_current_a;
+  const FenceCase fences[] = {{"no fence", 0.0, 0.0},
+                              {"default fence", default_base, 0.0},
+                              {"constant fence 0.3", 0.3, 0.0},
+                              {"random fence", default_base, 0.02}};
+  std::vector<DispatchLevel> levels{DispatchLevel::kScalar};
+  if (detect_dispatch() >= DispatchLevel::kSse2) {
+    levels.push_back(DispatchLevel::kSse2);
+  }
+  if (detect_dispatch() >= DispatchLevel::kAvx2) {
+    levels.push_back(DispatchLevel::kAvx2);
+  }
+  // A TDC stage just below the idle depth flips with the victim's load.
+  const std::size_t tdc_bit = static_cast<std::size_t>(
+      AttackSetup(BenignCircuit::kAlu, cal).tdc().idle_depth() - 1.0);
+  for (const SensorMode mode :
+       {SensorMode::kBenignHw, SensorMode::kBenignSingleBit,
+        SensorMode::kTdcFull, SensorMode::kTdcSingleBit,
+        SensorMode::kRoCounter}) {
+    for (const FenceCase& fc : fences) {
+      auto cfg_of = [&](std::size_t block, bool simd) {
+        CampaignConfig cfg = cfg_for(mode, block, simd, false);
+        cfg.fence.base_current_a = fc.base;
+        cfg.fence.random_current_a = fc.random;
+        if (mode == SensorMode::kBenignSingleBit) {
+          cfg.single_bit = CampaignConfig::kAutoBit;
+        } else if (mode == SensorMode::kTdcSingleBit) {
+          cfg.single_bit = tdc_bit;
+        }
+        return cfg;
+      };
+      AttackSetup ref_setup(BenignCircuit::kAlu, cal);
+      const reference::Result ref =
+          reference::capture(ref_setup, cfg_of(0, true));
+      const std::string what =
+          std::string(sensor_mode_name(mode)) + " " + fc.name;
+      for (const DispatchLevel level : levels) {
+        force_dispatch_for_testing(level);
+        AttackSetup setup(BenignCircuit::kAlu, cal);
+        expect_matches_reference(
+            ParallelCampaign(setup, cfg_of(61, true), 2).run(), ref,
+            what + " " + dispatch_level_name(level));
+        clear_forced_dispatch_for_testing();
+      }
+      AttackSetup setup(BenignCircuit::kAlu, cal);
+      expect_matches_reference(
+          ParallelCampaign(setup, cfg_of(64, false), 3).run(), ref,
+          what + " simd off");
     }
   }
 }

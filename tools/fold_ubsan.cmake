@@ -17,7 +17,14 @@
 #      chunk-sized blocks refused in their last sub-block
 #      (TiledBlockRefusedInLastSubBlockLeavesStateUntouched) — all
 #      execute under UBSan;
-#   2. a capture plus the fused one-pass replay (`slm attack
+#   2. rng_test's lane-block draw cases at every runnable level
+#      (Rng.FillLanesMatchesFillBitForBit,
+#      Rng.FillBytesLanesMatchesNextBitForBit,
+#      Rng.FillLanesRefusesOverlappingLanes) — the AVX2 xoshiro shifts,
+#      the table gather indices and the scalar reference loops they are
+#      compared against, for lane and draw counts around the four-lane
+#      groups;
+#   3. a capture plus the fused one-pass replay (`slm attack
 #      --from-store --fused-tvla` and `slm analyze`) — the end-to-end
 #      path from mmap'd store columns through every fold.
 # Any signed overflow, misaligned load, or invalid shift aborts the
@@ -48,7 +55,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ubsan configure failed:\n${out}\n${err}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} --build ${scratch}/build
-                        --target slm fold_dispatch_test --parallel 4
+                        --target slm fold_dispatch_test rng_test --parallel 4
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ubsan build failed:\n${out}\n${err}")
@@ -71,7 +78,19 @@ foreach(simd 0 sse2 avx2 auto)
   endif()
 endforeach()
 
-# 2. End-to-end fused replay under UBSan: capture a store, then the
+# 2. The lane-block draws. Each case forces every runnable level itself,
+# so one run covers scalar, SSE2 and AVX2.
+execute_process(COMMAND ${scratch}/build/tests/rng_test
+                        --gtest_filter=Rng.*
+                WORKING_DIRECTORY ${scratch}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+          "ubsan rng_test -> rc=${rc} (rc 66 means UBSan reported undefined "
+          "behavior)\n${out}\n${err}")
+endif()
+
+# 3. End-to-end fused replay under UBSan: capture a store, then the
 # fused attack+TVLA read-out and the three-section analyze verb. 1500
 # traces may or may not disclose the byte, so accept the capture's rc
 # from the replay as well (bit-identity is the store suite's job — here
@@ -108,4 +127,5 @@ if(NOT (rc EQUAL 0 OR rc EQUAL 4))
 endif()
 
 file(REMOVE ${store})
-message(STATUS "fold ubsan: kernels and fused replay are clean under UBSan")
+message(STATUS
+        "fold ubsan: kernels, lane draws and fused replay are clean under UBSan")
