@@ -277,8 +277,8 @@ inline CpaFigureResult run_cpa_figure(core::BenignCircuit circuit,
     observer = std::make_shared<obs::CampaignObserver>();
   }
   cfg.observer = observer.get();
-  core::ParallelCampaign campaign(setup, cfg, threads);
-  CpaFigureResult out{campaign.run(), 0, observer};
+  core::CpaCampaign campaign(setup, cfg);
+  CpaFigureResult out{campaign.run(threads), 0, observer};
   out.resolved_bit = out.campaign.single_bit;
   const auto& r = out.campaign;
 

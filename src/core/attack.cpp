@@ -1,13 +1,23 @@
 #include "core/attack.hpp"
 
-#include <chrono>
-
 #include "common/error.hpp"
-#include "core/parallel.hpp"
 
 namespace slm::core {
 
 namespace {
+
+// The run options every entry point passes through to its campaign.
+void apply_run_options(const RunOptions& opts, CampaignConfig& cfg) {
+  cfg.observer = opts.observer;
+  cfg.checkpoint_dir = opts.checkpoint_dir;
+  cfg.resume = opts.resume;
+  cfg.halt_after_traces = opts.halt_after_traces;
+  cfg.block = opts.block;
+  cfg.simd = opts.simd;
+  cfg.pool = opts.pool;
+  cfg.setup_memo = opts.setup_memo;
+  cfg.store_out = opts.store_out;
+}
 
 KeyByteReport report_from(std::size_t key_byte, const CampaignResult& r) {
   KeyByteReport report;
@@ -82,28 +92,8 @@ KeyByteReport StealthyAttack::recover_key_byte(std::size_t key_byte,
                                                unsigned threads,
                                                const RunOptions& opts) {
   CampaignConfig cfg = byte_campaign_config(key_byte, traces, mode);
-  cfg.observer = opts.observer;
-  cfg.checkpoint_dir = opts.checkpoint_dir;
-  cfg.resume = opts.resume;
-  cfg.halt_after_traces = opts.halt_after_traces;
-  cfg.block = opts.block;
-  cfg.simd = opts.simd;
-  cfg.pool = opts.pool;
-  cfg.setup_memo = opts.setup_memo;
-  cfg.store_out = opts.store_out;
-  ParallelCampaign campaign(setup_, cfg, threads);
-  return report_from(key_byte, campaign.run());
-}
-
-std::vector<KeyByteReport> StealthyAttack::recover_key_bytes(
-    const std::vector<std::size_t>& key_bytes, std::size_t traces,
-    SensorMode mode, unsigned threads) {
-  std::vector<KeyByteReport> reports;
-  reports.reserve(key_bytes.size());
-  for (std::size_t b : key_bytes) {
-    reports.push_back(recover_key_byte(b, traces, mode, threads));
-  }
-  return reports;
+  apply_run_options(opts, cfg);
+  return report_from(key_byte, CpaCampaign(setup_, cfg).run(threads));
 }
 
 CampaignConfig StealthyAttack::fullkey_campaign_config(std::size_t traces,
@@ -152,22 +142,12 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
 StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
     std::size_t traces, SensorMode mode, unsigned threads,
     const FullKeyOptions& opts) {
+  CampaignConfig cfg = fullkey_campaign_config(traces, mode);
+  apply_run_options(opts.run, cfg);
+  const FullKeyRunResult r =
+      CpaCampaign(setup_, cfg).run_fullkey(opts.fused, threads);
   FullKeyReport report;
   report.success = true;
-  report.threads_used = resolve_threads(threads);
-  const auto t0 = std::chrono::steady_clock::now();
-  CampaignConfig cfg = fullkey_campaign_config(traces, mode);
-  cfg.observer = opts.run.observer;
-  cfg.checkpoint_dir = opts.run.checkpoint_dir;
-  cfg.resume = opts.run.resume;
-  cfg.halt_after_traces = opts.run.halt_after_traces;
-  cfg.block = opts.run.block;
-  cfg.simd = opts.run.simd;
-  cfg.pool = opts.run.pool;
-  cfg.setup_memo = opts.run.setup_memo;
-  cfg.store_out = opts.run.store_out;
-  ParallelCampaign campaign(setup_, cfg, threads);
-  const FullKeyRunResult r = campaign.run_fullkey(opts.fused);
   report.bytes.reserve(16);
   for (std::size_t b = 0; b < 16; ++b) {
     const FullKeyByteResult& br = r.bytes[b];
@@ -190,12 +170,11 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
     report.bytes.push_back(std::move(kb));
   }
   report.traces_captured = r.traces_run;
+  report.capture_seconds = r.capture_seconds;
+  report.threads_used = r.threads_used;
   report.block_size = r.block_size;
   report.resumed_from = r.resumed_from;
   report.snapshot_path = r.snapshot_path;
-  report.capture_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   report.master_key = crypto::recover_master_key(report.last_round_key);
   return report;
 }

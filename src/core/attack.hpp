@@ -48,9 +48,10 @@ struct RunOptions {
   std::size_t block = 0;   ///< trace-block size (0 = SLM_BLOCK / default)
   bool simd = true;        ///< false forces the scalar block kernels
   /// Externally-owned worker pool (borrowed, may be null): shard the
-  /// campaign over this pool instead of a private one, overriding the
-  /// `threads` knob. How `slm serve` multiplexes many tenants' jobs
-  /// over one shared core::ThreadPool (see CampaignConfig::pool).
+  /// campaign over this pool instead of a private one, its size
+  /// overriding the `threads` knob of CpaCampaign::run(threads). How
+  /// `slm serve` multiplexes many tenants' jobs over one shared
+  /// core::ThreadPool (see CampaignConfig::pool).
   ThreadPool* pool = nullptr;
   /// Borrowed set-up memo (may be null): reuse the PDN response matrix
   /// and the sensor pre-pass across campaigns that share their inputs
@@ -94,11 +95,6 @@ class StealthyAttack {
                                  SensorMode mode, unsigned threads,
                                  const RunOptions& opts);
 
-  /// Recover several last-round key bytes (one campaign each).
-  std::vector<KeyByteReport> recover_key_bytes(
-      const std::vector<std::size_t>& key_bytes, std::size_t traces,
-      SensorMode mode = SensorMode::kBenignHw, unsigned threads = 0);
-
   struct FullKeyReport {
     std::vector<KeyByteReport> bytes;     ///< one entry per key byte
     crypto::Block last_round_key{};       ///< assembled from the campaigns
@@ -107,8 +103,8 @@ class StealthyAttack {
     /// Traces of the one shared capture pass (16 single-byte campaigns
     /// would capture 16x as many at equal per-byte budgets).
     std::size_t traces_captured = 0;
-    double capture_seconds = 0.0;  ///< wall time of the capture/attack
-    unsigned threads_used = 0;
+    double capture_seconds = 0.0;  ///< campaign wall time (traces/sec)
+    unsigned threads_used = 0;     ///< shards the campaign ran on
     std::size_t block_size = 0;
     std::size_t bytes_early_exited = 0;  ///< frozen before the budget
     std::size_t resumed_from = 0;        ///< snapshot resume point

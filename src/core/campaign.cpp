@@ -592,20 +592,6 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
 
 namespace {
 
-// One shard's mutable half of the pipeline: its accumulator, block
-// buffers and observer-gated phase timers (accumulated thread-locally,
-// read by the coordinator only between segments).
-template <class Acc>
-struct Shard {
-  explicit Shard(std::size_t samples) : acc(samples) {}
-  Acc acc;
-  std::size_t position = 0;
-  CaptureBuffers buf;
-  double kernel_s = 0.0;
-  double cpa_s = 0.0;
-  std::size_t blocks = 0;
-};
-
 // The shard accumulators merged in fixed shard order — bit-exact for any
 // order, because the sums are integers. One shard is its own merge.
 template <class Acc>
@@ -765,37 +751,54 @@ struct FullKeyAnalysis {
 
 }  // namespace
 
-template <class ShardT>
+template <class Acc>
+void CpaCampaign::capture_range(
+    const CapturePlan& plan, const std::vector<sca::LastRoundBitModel>& models,
+    std::size_t g0, std::size_t g1, Shard<Acc>& sh,
+    store::TraceStoreWriter* store) const {
+  if (g0 >= g1) return;
+  const bool timed = cfg_.observer != nullptr;
+  Regs regs = registers_before(g0);
+  for (std::size_t g = g0; g < g1;) {
+    const std::size_t bn = std::min(plan.block, g1 - g);
+    const double t0 = timed ? obs::monotonic_seconds() : 0.0;
+    capture_block(plan, g, bn, regs, sh.buf, store);
+    const double t1 = timed ? obs::monotonic_seconds() : 0.0;
+    fold_block(models, bn, sh.buf, sh.acc);
+    if (timed) {
+      sh.kernel_s += t1 - t0;
+      sh.cpa_s += obs::monotonic_seconds() - t1;
+    }
+    ++sh.blocks;
+    sh.position += bn;
+    g += bn;
+  }
+}
+
+// The fabric worker runs the loop over both accumulators too.
+template void CpaCampaign::capture_range(
+    const CapturePlan&, const std::vector<sca::LastRoundBitModel>&,
+    std::size_t, std::size_t, Shard<sca::XorClassCpa>&,
+    store::TraceStoreWriter*) const;
+template void CpaCampaign::capture_range(
+    const CapturePlan&, const std::vector<sca::LastRoundBitModel>&,
+    std::size_t, std::size_t, Shard<sca::MultiByteCpa>&,
+    store::TraceStoreWriter*) const;
+
+template <class Acc>
 void CpaCampaign::capture_segment(
     ThreadPool* pool, const CapturePlan& plan,
     const std::vector<sca::LastRoundBitModel>& models,
-    std::vector<ShardT>& shards, std::size_t covered, std::size_t cp,
+    std::vector<Shard<Acc>>& shards, std::size_t covered, std::size_t cp,
     store::TraceStoreWriter* store) const {
   obs::CampaignObserver* const ob = cfg_.observer;
-  const bool timed = ob != nullptr;
   const std::size_t n = cp - covered;
   const std::size_t T = shards.size();
   // Shard i owns global traces [g0, g1) of the segment [covered, cp): no
   // cross-shard RNG ordering at all, and every shard stores its own rows.
   const std::function<void(std::size_t)> body = [&](std::size_t i) {
-    ShardT& sh = shards[i];
-    const std::size_t g0 = covered + i * n / T;
-    const std::size_t g1 = covered + (i + 1) * n / T;
-    Regs regs = g0 < g1 ? registers_before(g0) : Regs{};
-    for (std::size_t g = g0; g < g1;) {
-      const std::size_t bn = std::min(plan.block, g1 - g);
-      const double t0 = timed ? obs::monotonic_seconds() : 0.0;
-      capture_block(plan, g, bn, regs, sh.buf, store);
-      const double t1 = timed ? obs::monotonic_seconds() : 0.0;
-      fold_block(models, bn, sh.buf, sh.acc);
-      if (timed) {
-        sh.kernel_s += t1 - t0;
-        sh.cpa_s += obs::monotonic_seconds() - t1;
-      }
-      ++sh.blocks;
-      sh.position += bn;
-      g += bn;
-    }
+    capture_range(plan, models, covered + i * n / T,
+                  covered + (i + 1) * n / T, shards[i], store);
   };
   {
     std::optional<obs::CampaignObserver::Span> span;
@@ -810,7 +813,7 @@ void CpaCampaign::capture_segment(
     // Per-shard block counts, batched to the checkpoint boundary like the
     // phase timers (workers never touch the registry mid-segment).
     double nb = 0.0;
-    for (ShardT& sh : shards) {
+    for (Shard<Acc>& sh : shards) {
       nb += static_cast<double>(sh.blocks);
       sh.blocks = 0;
     }
@@ -883,10 +886,17 @@ void CpaCampaign::halt_if_due(std::size_t done, const std::string& path) const {
 }
 
 template <class Analysis>
-void CpaCampaign::run_engine(unsigned shard_count, Analysis& an) {
+void CpaCampaign::run_engine(unsigned threads, Analysis& an) {
   using Acc = typename Analysis::Acc;
   constexpr bool fullkey = Analysis::kFullKey;
   const double wall_start = obs::monotonic_seconds();
+  // A borrowed pool fixes the shard count: the split must match the
+  // workers running it, or run_indexed would starve shards. Never more
+  // shards than traces: each shard must own at least one trace or its
+  // accumulator would merge as an empty no-op anyway.
+  const unsigned shard_count = static_cast<unsigned>(std::min<std::size_t>(
+      cfg_.pool != nullptr ? cfg_.pool->size() : resolve_threads(threads),
+      std::max<std::size_t>(1, cfg_.traces)));
   obs::CampaignObserver* const ob = cfg_.observer;
   const bool timed = ob != nullptr;
   (void)resolve_contract(cfg_.rng_contract);
@@ -1055,16 +1065,16 @@ void CpaCampaign::run_engine(unsigned shard_count, Analysis& an) {
   result.capture_seconds = obs::monotonic_seconds() - wall_start;
 }
 
-CampaignResult CpaCampaign::run_shards(unsigned shards) {
+CampaignResult CpaCampaign::run(unsigned threads) {
   ByteAnalysis an(cfg_, setup_.victim().cipher().last_round_key());
-  run_engine(shards, an);
+  run_engine(threads, an);
   return std::move(an.result);
 }
 
-FullKeyRunResult CpaCampaign::run_fullkey_shards(unsigned shards,
-                                                 const FullKeyConfig& fk) {
+FullKeyRunResult CpaCampaign::run_fullkey(const FullKeyConfig& fk,
+                                          unsigned threads) {
   FullKeyAnalysis an(cfg_, fk, setup_.victim().cipher().last_round_key());
-  run_engine(shards, an);
+  run_engine(threads, an);
   return std::move(an.result);
 }
 

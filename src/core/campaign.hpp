@@ -169,11 +169,11 @@ struct CampaignConfig {
   std::string store_out;
 
   /// Externally-owned worker pool (borrowed, may be null). When set,
-  /// ParallelCampaign shards over THIS pool instead of constructing a
-  /// private one — the `slm serve` daemon multiplexes every tenant's
-  /// campaigns over one shared core::ThreadPool this way. The pool's
-  /// size overrides the `threads` knob; the results are bit-identical
-  /// either way (thread count is repro-irrelevant).
+  /// CpaCampaign::run(threads) shards over THIS pool instead of
+  /// constructing a private one — the `slm serve` daemon multiplexes
+  /// every tenant's campaigns over one shared core::ThreadPool this way.
+  /// The pool's size overrides the `threads` argument; the results are
+  /// bit-identical either way (thread count is repro-irrelevant).
   ThreadPool* pool = nullptr;
 
   /// Externally-owned set-up memo (borrowed, may be null; see
@@ -201,8 +201,9 @@ struct CampaignRun {
   /// CampaignConfig::setup_memo hit) or "none" (the mode needs none).
   std::string prepass;
 
-  /// Workers used and campaign wall time (selection pre-pass included),
-  /// for traces/sec reporting in the benches and the CLI.
+  /// Shards that ran and campaign wall time (selection pre-pass
+  /// included, the constructor's set-up not), for traces/sec reporting
+  /// in the benches and the CLI.
   unsigned threads_used = 0;
   double capture_seconds = 0.0;
 
@@ -257,19 +258,25 @@ struct FullKeyRunResult : CampaignRun {
 };
 
 // Engine internals, defined in core/capture.hpp: the sensor dispatch
-// plan, the resolved per-run capture plan and one shard's block buffers.
+// plan, the resolved per-run capture plan, one shard's block buffers and
+// the shard itself.
 struct SensorPlan;
 struct CapturePlan;
 struct CaptureBuffers;
-struct SensorBitsKey;
+template <class Acc>
+struct Shard;
+struct SensorBitsKey;  // core/setup_memo.hpp
 
 class CpaCampaign {
  public:
   CpaCampaign(AttackSetup& setup, const CampaignConfig& cfg);
 
-  /// Run the full campaign: the one-shard case of the sharded engine
-  /// (ParallelCampaign), on the calling thread with no pool.
-  CampaignResult run() { return run_shards(1); }
+  /// Run the full campaign over `threads` shards: 0 = all hardware
+  /// threads, 1 = one shard on the calling thread. A borrowed cfg.pool
+  /// overrides `threads` with its size, and there are never more shards
+  /// than traces; result.threads_used reports the shards that ran. The
+  /// results are bit-identical for any shard count (DESIGN.md §7/§12).
+  CampaignResult run(unsigned threads = 1);
 
   /// Run the fused full-key campaign: ONE capture stream (identical
   /// trace readings to run() under the same config, because generation
@@ -277,11 +284,10 @@ class CpaCampaign {
   /// (sca::MultiByteCpa), per-byte folds at checkpoints with optional
   /// early exit. cfg.target_key_byte is ignored; the sampling window
   /// must bracket every byte's leakage cycle (StealthyAttack::
-  /// fullkey_campaign_config builds such a config). One shard on the
-  /// calling thread, like run().
-  FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {}) {
-    return run_fullkey_shards(1, fk);
-  }
+  /// fullkey_campaign_config builds such a config). `threads` shards
+  /// the capture exactly like run(threads).
+  FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {},
+                               unsigned threads = 1);
 
   /// The sampling instants the campaign will use.
   const std::vector<double>& sample_times_ns() const { return sample_times_; }
@@ -308,22 +314,29 @@ class CpaCampaign {
                                       std::size_t traces) const;
 
  private:
-  friend class ParallelCampaign;  // runs the engines over more shards
-  friend class FabricWorker;      // same capture body over a trace range
+  friend class FabricWorker;  // same capture loop over a trace range
 
   using Regs = crypto::AesDatapathModel::RegisterSnapshot;
 
-  /// The byte and full-key engines: run_engine over their analysis.
-  CampaignResult run_shards(unsigned shards);
-  FullKeyRunResult run_fullkey_shards(unsigned shards,
-                                      const FullKeyConfig& fk);
-
-  /// The one engine loop: `shards` workers capture contiguous chunks of
-  /// every checkpoint segment and merge in fixed shard order at each
-  /// checkpoint, where `an` (the byte or full-key analysis in
-  /// core/campaign.cpp) folds, reports and saves its state.
+  /// The one engine loop: picks the shard count from `threads` (see
+  /// run), then the shards capture contiguous chunks of every checkpoint
+  /// segment and merge in fixed shard order at each checkpoint, where
+  /// `an` (the byte or full-key analysis in core/campaign.cpp) folds,
+  /// reports and saves its state.
   template <class Analysis>
-  void run_engine(unsigned shards, Analysis& an);
+  void run_engine(unsigned threads, Analysis& an);
+
+  /// The one block capture loop: traces [g0, g1) captured (capture_block)
+  /// and folded (fold_block) into sh.acc a block at a time, starting
+  /// from registers_before(g0) and carrying the victim register chain
+  /// from block to block. The phase timers in `sh` run only with an
+  /// observer attached. Defined for the XorClassCpa and MultiByteCpa
+  /// shards.
+  template <class Acc>
+  void capture_range(const CapturePlan& plan,
+                     const std::vector<sca::LastRoundBitModel>& models,
+                     std::size_t g0, std::size_t g1, Shard<Acc>& sh,
+                     store::TraceStoreWriter* store) const;
 
   /// The capture body every engine runs: traces [g, g + bn) (bn <=
   /// plan.block) from their counter-keyed streams into buf.y and buf.ct,
@@ -382,10 +395,10 @@ class CpaCampaign {
   void write_snapshot(const CampaignCheckpoint& ck, std::string* path,
                       double* io_seconds) const;
   void halt_if_due(std::size_t done, const std::string& path) const;
-  template <class Shard>
+  template <class Acc>
   void capture_segment(ThreadPool* pool, const CapturePlan& plan,
                        const std::vector<sca::LastRoundBitModel>& models,
-                       std::vector<Shard>& shards, std::size_t covered,
+                       std::vector<Shard<Acc>>& shards, std::size_t covered,
                        std::size_t cp, store::TraceStoreWriter* store) const;
 
   AttackSetup& setup_;

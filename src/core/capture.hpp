@@ -1,7 +1,7 @@
 // Engine internals shared by the capture engines (core/campaign.cpp)
 // and the fabric worker (core/fabric.cpp): the resolved capture plan,
-// one shard's block buffers, and the fold step that labels a block's
-// ciphertexts and adds the block to an accumulator.
+// one shard's block buffers and accumulator, and the fold step that
+// labels a block's ciphertexts and adds the block to an accumulator.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +51,21 @@ struct CaptureBuffers {
   AlignedVector<double> v;
   std::vector<double> zv;
   std::vector<double> z;
+};
+
+/// One shard's mutable half of the pipeline: its accumulator, block
+/// buffers and observer-gated phase timers (accumulated thread-locally,
+/// read by the coordinator only between segments). The engines run one
+/// per worker; the fabric worker runs one over its trace range.
+template <class Acc>
+struct Shard {
+  explicit Shard(std::size_t samples) : acc(samples) {}
+  Acc acc;
+  std::size_t position = 0;
+  CaptureBuffers buf;
+  double kernel_s = 0.0;
+  double cpa_s = 0.0;
+  std::size_t blocks = 0;
 };
 
 /// The engines' fold step: label ciphertexts buf.ct[0, n) under every

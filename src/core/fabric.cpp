@@ -369,14 +369,13 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
 
   obs::CampaignObserver* const ob = cfg.observer;
   const std::size_t samples = campaign_.sample_times_.size();
-  // The engines' capture body, single-threaded over [a, bEnd): the
+  // The engines' capture loop, single-threaded over [a, bEnd): the
   // accumulator content per trace index is byte-identical to theirs.
   const CapturePlan plan = campaign_.capture_plan(bits_);
   const std::vector<sca::LastRoundBitModel> models =
       fullkey_ ? sca::key_byte_models(cfg.target_bit)
                : std::vector<sca::LastRoundBitModel>{sca::LastRoundBitModel(
                      cfg.target_key_byte, cfg.target_bit)};
-  CaptureBuffers buf;
 
   // Snapshot boundaries: the snapshot_every grid within the range, the
   // halt point (so the partial snapshot covers exactly [a, a+halt)),
@@ -435,20 +434,15 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
     return snap;
   };
 
-  // The engines' fold step over the accumulator this worker's analysis
-  // uses. The victim register chain persists across snapshot boundaries.
-  const auto run_range = [&](auto acc) {
-    CpaCampaign::Regs regs = campaign_.registers_before(a);
+  // One shard over the accumulator this worker's analysis uses, captured
+  // a snapshot interval at a time.
+  const auto run_range = [&](auto sh) {
     AccumulatorSnapshot last_snap;
     std::uint64_t g = a;
     for (const std::uint64_t cp : bounds) {
-      while (g < cp) {
-        const std::size_t bn = std::min<std::uint64_t>(plan.block, cp - g);
-        campaign_.capture_block(plan, g, bn, regs, buf, nullptr);
-        fold_block(models, bn, buf, acc);
-        g += bn;
-      }
-      last_snap = write_snapshot(cp, acc);
+      campaign_.capture_range(plan, models, g, cp, sh, nullptr);
+      g = cp;
+      last_snap = write_snapshot(cp, sh.acc);
       if (job.halt_after > 0 && cp - a >= job.halt_after) {
         if (ob != nullptr) {
           ob->event("halt", obs::JsonWriter()
@@ -460,8 +454,8 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
     }
     return last_snap;
   };
-  return fullkey_ ? run_range(sca::MultiByteCpa(samples))
-                  : run_range(sca::XorClassCpa(samples));
+  return fullkey_ ? run_range(Shard<sca::MultiByteCpa>(samples))
+                  : run_range(Shard<sca::XorClassCpa>(samples));
 }
 
 void FabricProgress::reset(std::size_t workers) {

@@ -1,8 +1,6 @@
 #include "core/parallel.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -93,39 +91,6 @@ void ThreadPool::run_indexed(std::size_t n,
       lk, [&] { return impl_->workers_done == impl_->workers.size(); });
   impl_->fn = nullptr;
   if (impl_->error) std::rethrow_exception(impl_->error);
-}
-
-ParallelCampaign::ParallelCampaign(AttackSetup& setup,
-                                   const CampaignConfig& cfg,
-                                   unsigned threads)
-    : setup_(setup), cfg_(cfg), threads_(resolve_threads(threads)) {
-  // A borrowed pool fixes the worker count: the shard split must match
-  // the threads actually running it, or run_indexed would starve shards.
-  if (cfg_.pool != nullptr) threads_ = cfg_.pool->size();
-  // Never spin up more shards than traces: each shard must own at least
-  // one trace or its CpaEngine would merge as an empty no-op anyway.
-  threads_ = static_cast<unsigned>(std::min<std::size_t>(
-      threads_, std::max<std::size_t>(1, cfg_.traces)));
-}
-
-CampaignResult ParallelCampaign::run() {
-  const auto t0 = std::chrono::steady_clock::now();
-  CpaCampaign campaign(setup_, cfg_);
-  CampaignResult result = campaign.run_shards(threads_);
-  result.capture_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return result;
-}
-
-FullKeyRunResult ParallelCampaign::run_fullkey(const FullKeyConfig& fk) {
-  const auto t0 = std::chrono::steady_clock::now();
-  CpaCampaign campaign(setup_, cfg_);
-  FullKeyRunResult result = campaign.run_fullkey_shards(threads_, fk);
-  result.capture_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return result;
 }
 
 }  // namespace slm::core

@@ -1,23 +1,12 @@
-// Sharded, deterministic, multi-threaded CPA campaigns.
-//
-// ParallelCampaign splits every checkpoint segment of the global trace
-// sequence into contiguous per-shard chunks. Every trace's draws derive
-// statelessly from (seed, trace index), the capture path itself is
-// shared read-only (netlists, sensors, the PDN response matrix, the
-// victim model), and every shard feeds a private accumulator. At every
-// checkpoint the shard accumulators are merged in fixed shard order
-// over integer-exact sums and a CpaProgressPoint is snapshotted, so the
-// convergence curves of Figs. 9b-18b survive sharding bit for bit: the
-// results are identical for ANY thread count, block size, and SIMD
-// toggle (DESIGN.md §7/§12). One shard is CpaCampaign::run itself.
+// The thread knob and the fork-join pool the sharded campaign engine
+// runs on. CpaCampaign::run(threads) splits every checkpoint segment of
+// the global trace sequence into contiguous per-shard chunks and runs
+// them on a ThreadPool; the results are identical for ANY thread count,
+// block size, and SIMD toggle (DESIGN.md §7/§12).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <vector>
-
-#include "core/campaign.hpp"
-#include "core/setup.hpp"
 
 namespace slm::core {
 
@@ -44,34 +33,6 @@ class ThreadPool {
  private:
   struct Impl;
   Impl* impl_;
-};
-
-class ParallelCampaign {
- public:
-  /// `threads` = 0 picks hardware_concurrency; 1 runs the one-shard
-  /// engine on the calling thread, exactly CpaCampaign::run.
-  ParallelCampaign(AttackSetup& setup, const CampaignConfig& cfg,
-                   unsigned threads = 0);
-
-  unsigned threads() const { return threads_; }
-
-  /// Run the campaign; result.threads_used / capture_seconds report the
-  /// realised parallelism and capture-loop throughput.
-  CampaignResult run();
-
-  /// Sharded fused full-key campaign: the shared capture stream is split
-  /// across worker shards exactly like run(), each shard feeds a private
-  /// sca::MultiByteCpa, and the coordinator merges in fixed shard order
-  /// and runs the per-byte folds / early-exit logic at checkpoints.
-  /// Results are bit-identical for any thread count, block size, and
-  /// SIMD toggle — and per byte to 16 single-byte campaigns over the
-  /// same config.
-  FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {});
-
- private:
-  AttackSetup& setup_;
-  CampaignConfig cfg_;
-  unsigned threads_;
 };
 
 }  // namespace slm::core

@@ -20,10 +20,8 @@ TEST(StealthyAttack, DifferentBytesGiveDifferentWindows) {
   // Bytes in different state columns leak in different cycles; both must
   // still be recoverable with the fast sensor.
   StealthyAttack attack(BenignCircuit::kAlu);
-  const auto reports =
-      attack.recover_key_bytes({0, 7}, 4000, SensorMode::kTdcFull);
-  ASSERT_EQ(reports.size(), 2u);
-  for (const auto& r : reports) {
+  for (const std::size_t b : {0, 7}) {
+    const auto r = attack.recover_key_byte(b, 4000, SensorMode::kTdcFull);
     EXPECT_TRUE(r.success) << "byte " << r.key_byte;
   }
 }

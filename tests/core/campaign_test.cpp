@@ -201,9 +201,8 @@ TEST(Campaign, ThreadAndBlockInvariant) {
   auto run_once = [&](SensorMode mode, unsigned threads, std::size_t block,
                       bool simd, bool fence = false) {
     AttackSetup setup(BenignCircuit::kAlu, cal);
-    ParallelCampaign campaign(setup, cfg_for(mode, block, simd, fence),
-                              threads);
-    return campaign.run();
+    CpaCampaign campaign(setup, cfg_for(mode, block, simd, fence));
+    return campaign.run(threads);
   };
   auto reference_of = [&](SensorMode mode, bool fence) {
     AttackSetup setup(BenignCircuit::kAlu, cal);
@@ -289,13 +288,13 @@ TEST(Campaign, ThreadAndBlockInvariant) {
         force_dispatch_for_testing(level);
         AttackSetup setup(BenignCircuit::kAlu, cal);
         expect_matches_reference(
-            ParallelCampaign(setup, cfg_of(61, true), 2).run(), ref,
+            CpaCampaign(setup, cfg_of(61, true)).run(2), ref,
             what + " " + dispatch_level_name(level));
         clear_forced_dispatch_for_testing();
       }
       AttackSetup setup(BenignCircuit::kAlu, cal);
       expect_matches_reference(
-          ParallelCampaign(setup, cfg_of(64, false), 3).run(), ref,
+          CpaCampaign(setup, cfg_of(64, false)).run(3), ref,
           what + " simd off");
     }
   }
@@ -403,7 +402,7 @@ TEST(CheckpointSchedule, EnginesAgreeOnAScheduleWithoutTheBudget) {
     CampaignConfig c = cfg;
     if (threads == 1) c.store_out = store_path;
     AttackSetup setup(BenignCircuit::kAlu, cal);
-    runs.push_back(ParallelCampaign(setup, c, threads).run().progress);
+    runs.push_back(CpaCampaign(setup, c).run(threads).progress);
   }
   {
     const store::TraceStoreReader reader(store_path);
@@ -435,7 +434,7 @@ TEST(CheckpointSchedule, EnginesAgreeOnAScheduleWithoutTheBudget) {
     halting.halt_after_traces = 250;
     AttackSetup setup(BenignCircuit::kAlu, cal);
     try {
-      (void)ParallelCampaign(setup, halting, threads).run();
+      (void)CpaCampaign(setup, halting).run(threads);
       ADD_FAILURE() << "expected CampaignHalted";
     } catch (const CampaignHalted& halted) {
       EXPECT_EQ(halted.traces(), 300u) << threads << " thread(s)";

@@ -41,8 +41,8 @@ CampaignConfig fullkey_cfg(std::size_t traces) {
 FullKeyRunResult run_fused(const CampaignConfig& cfg, unsigned threads,
                            const FullKeyConfig& fk = {}) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-  ParallelCampaign campaign(setup, cfg, threads);
-  return campaign.run_fullkey(fk);
+  CpaCampaign campaign(setup, cfg);
+  return campaign.run_fullkey(fk, threads);
 }
 
 // The 16-campaign oracle: one single-byte campaign per key byte over the
@@ -203,8 +203,8 @@ TEST(FullKeyFused, SnapshotIdentityChecks) {
   cfg.resume = true;
   {
     AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-    ParallelCampaign campaign(setup, cfg, 2);
-    EXPECT_THROW(campaign.run(), slm::Error);
+    CpaCampaign campaign(setup, cfg);
+    EXPECT_THROW(campaign.run(2), slm::Error);
   }
 }
 

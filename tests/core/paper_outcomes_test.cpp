@@ -81,7 +81,7 @@ TEST(PaperOutcomes, Fig18SingleC6288EndpointBeatsCombinedHw) {
   single.mode = SensorMode::kBenignSingleBit;
   single.single_bit = CampaignConfig::kAutoBit;
   single.traces = kTraces;
-  const CampaignResult bit = ParallelCampaign(setup, single, 2).run();
+  const CampaignResult bit = CpaCampaign(setup, single).run(2);
   ASSERT_TRUE(bit.key_recovered) << "endpoint bit " << bit.single_bit;
   ASSERT_TRUE(bit.mtd.disclosed());
   // Reproduced at ~20k (bit 60); the band allows a factor of two below
@@ -94,7 +94,7 @@ TEST(PaperOutcomes, Fig18SingleC6288EndpointBeatsCombinedHw) {
   hw.traces = kTraces;
   hw.selection_top_k = 12;
   AttackSetup hw_setup(BenignCircuit::kC6288x2, Calibration::paper_defaults());
-  const CampaignResult combined = ParallelCampaign(hw_setup, hw, 2).run();
+  const CampaignResult combined = CpaCampaign(hw_setup, hw).run(2);
   // A combined HW that never stably discloses within the budget needs
   // more than the whole budget.
   const std::size_t hw_traces =

@@ -42,34 +42,12 @@ TEST(ThreadPoolTest, RethrowsWorkerException) {
   EXPECT_EQ(n.load(), 4);
 }
 
-TEST(ParallelCampaignTest, ThreadsOneIsBitIdenticalToSerial) {
-  const auto cal = Calibration::paper_defaults();
-  const auto cfg = small_cfg(SensorMode::kTdcFull, 500);
-
-  AttackSetup serial_setup(BenignCircuit::kAlu, cal);
-  CpaCampaign serial(serial_setup, cfg);
-  const auto a = serial.run();
-
-  AttackSetup parallel_setup(BenignCircuit::kAlu, cal);
-  ParallelCampaign wrapped(parallel_setup, cfg, 1);
-  const auto b = wrapped.run();
-
-  EXPECT_EQ(a.final_max_abs_corr, b.final_max_abs_corr);
-  EXPECT_EQ(a.recovered_guess, b.recovered_guess);
-  ASSERT_EQ(a.progress.size(), b.progress.size());
-  for (std::size_t i = 0; i < a.progress.size(); ++i) {
-    EXPECT_EQ(a.progress[i].max_abs_corr, b.progress[i].max_abs_corr);
-  }
-  EXPECT_EQ(b.threads_used, 1u);
-}
-
 // TSan-friendly smoke test: 4 workers, small budget, checkpointed.
-TEST(ParallelCampaignTest, FourWorkerSmoke) {
+TEST(ShardedCampaignTest, FourWorkerSmoke) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
   auto cfg = small_cfg(SensorMode::kTdcFull, 400);
   cfg.checkpoints = {100, 250, 400};
-  ParallelCampaign campaign(setup, cfg, 4);
-  const auto r = campaign.run();
+  const auto r = CpaCampaign(setup, cfg).run(4);
   EXPECT_EQ(r.threads_used, 4u);
   EXPECT_EQ(r.traces_run, 400u);
   ASSERT_EQ(r.progress.size(), 3u);
@@ -80,20 +58,19 @@ TEST(ParallelCampaignTest, FourWorkerSmoke) {
   EXPECT_GT(r.capture_seconds, 0.0);
 }
 
-TEST(ParallelCampaignTest, ShardedRecoversKey) {
+TEST(ShardedCampaignTest, ShardedRecoversKey) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-  ParallelCampaign campaign(setup, small_cfg(SensorMode::kTdcFull, 4000), 4);
-  const auto r = campaign.run();
+  const auto r =
+      CpaCampaign(setup, small_cfg(SensorMode::kTdcFull, 4000)).run(4);
   EXPECT_TRUE(r.key_recovered);
   ASSERT_TRUE(r.mtd.disclosed());
 }
 
-TEST(ParallelCampaignTest, SameSeedSameThreadsIsDeterministic) {
+TEST(ShardedCampaignTest, SameSeedSameThreadsIsDeterministic) {
   const auto cal = Calibration::paper_defaults();
   auto run_once = [&] {
     AttackSetup setup(BenignCircuit::kAlu, cal);
-    ParallelCampaign campaign(setup, small_cfg(SensorMode::kTdcFull, 600), 3);
-    return campaign.run();
+    return CpaCampaign(setup, small_cfg(SensorMode::kTdcFull, 600)).run(3);
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -106,12 +83,38 @@ TEST(ParallelCampaignTest, SameSeedSameThreadsIsDeterministic) {
   }
 }
 
-TEST(ParallelCampaignTest, MoreShardsThanTracesClamps) {
+TEST(ShardedCampaignTest, MoreShardsThanTracesClamps) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-  ParallelCampaign campaign(setup, small_cfg(SensorMode::kTdcFull, 3), 8);
-  EXPECT_LE(campaign.threads(), 3u);
-  const auto r = campaign.run();
+  const auto r =
+      CpaCampaign(setup, small_cfg(SensorMode::kTdcFull, 3)).run(8);
+  EXPECT_EQ(r.threads_used, 3u);
   EXPECT_EQ(r.traces_run, 3u);
+}
+
+// A borrowed pool fixes the shard count whatever `threads` asks for, and
+// the shards it runs are the shards a private pool of that size runs.
+TEST(ShardedCampaignTest, BorrowedPoolSetsShardCount) {
+  const auto cal = Calibration::paper_defaults();
+  auto cfg = small_cfg(SensorMode::kTdcFull, 500);
+  cfg.checkpoints = {120, 300, 500};
+
+  AttackSetup private_setup(BenignCircuit::kAlu, cal);
+  const auto a = CpaCampaign(private_setup, cfg).run(3);
+
+  ThreadPool pool(3);
+  cfg.pool = &pool;
+  AttackSetup pooled_setup(BenignCircuit::kAlu, cal);
+  const auto b = CpaCampaign(pooled_setup, cfg).run(1);
+
+  EXPECT_EQ(a.threads_used, 3u);
+  EXPECT_EQ(b.threads_used, 3u);
+  EXPECT_EQ(a.final_max_abs_corr, b.final_max_abs_corr);
+  EXPECT_EQ(a.recovered_guess, b.recovered_guess);
+  ASSERT_EQ(a.progress.size(), b.progress.size());
+  for (std::size_t i = 0; i < a.progress.size(); ++i) {
+    EXPECT_EQ(a.progress[i].traces, b.progress[i].traces);
+    EXPECT_EQ(a.progress[i].max_abs_corr, b.progress[i].max_abs_corr);
+  }
 }
 
 TEST(StealthyAttackThreads, KeyByteReportDeterministicPerSeedAndThreads) {
@@ -137,6 +140,16 @@ TEST(StealthyAttackThreads, ShardedKeyByteRecovery) {
   const auto r = attack.recover_key_byte(3, 4000, SensorMode::kTdcFull, 4);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.threads_used, 4u);
+}
+
+// The report names the shards that ran: a 3-trace budget clamps four
+// requested threads to three shards, for the key and for every byte.
+TEST(StealthyAttackThreads, FullKeyReportsShardsThatRan) {
+  StealthyAttack attack(BenignCircuit::kAlu);
+  const auto r = attack.recover_full_key(3, SensorMode::kTdcFull, 4);
+  EXPECT_EQ(r.threads_used, 3u);
+  ASSERT_EQ(r.bytes.size(), 16u);
+  for (const KeyByteReport& b : r.bytes) EXPECT_EQ(b.threads_used, 3u);
 }
 
 TEST(StealthyAttackThreads, FullKeyMatchesAcrossThreadCounts) {

@@ -251,8 +251,7 @@ TEST(SetupMemoCampaign, TdcFullNeedsNoPrepass) {
 }
 
 TEST(SetupMemoCampaign, RunOptionsCarryTheMemo) {
-  // recover_key_bytes({3, 6}) spelled out through the RunOptions path
-  // serve uses.
+  // Two byte campaigns, 3 and 6, through the RunOptions path serve uses.
   const auto run = [](SetupMemo* memo) {
     StealthyAttack attack(BenignCircuit::kAlu);
     RunOptions ro;

@@ -457,20 +457,31 @@ TEST(ServeDaemonTest, PreemptedBenignHwJobRunsItsPrepassOnce) {
   // bits-of-interest pre-pass; the later ones reuse it from the
   // daemon's set-up memo, and the result is byte-identical to an
   // uninterrupted run's.
+  //
+  // Both jobs are staged as admitted-but-unfinished (results/<id>/
+  // job.json), so the restart scan queues them together before the
+  // loop starts. Spooled, the loop could pop job_hw before the watcher
+  // admits job_tdc, and a job alone in the queue is never preempted.
   JobSpec hw = attack_spec("job_hw", "alice", kAttackTraces, 3);
   hw.mode = core::SensorMode::kBenignHw;
-  const auto submit = [&](const std::string& spool) {
-    write_job_file(spool, hw);
-    write_job_file(spool, attack_spec("job_tdc", "bob", kAttackTraces, 5));
+  const auto stage = [&](const std::string& results) {
+    for (const JobSpec& spec :
+         {hw, attack_spec("job_tdc", "bob", kAttackTraces, 5)}) {
+      std::filesystem::create_directories(results + "/" + spec.id);
+      std::ofstream out(results + "/" + spec.id + "/job.json",
+                        std::ios::binary);
+      out << job_to_json(spec);
+      ASSERT_TRUE(out.good());
+    }
   };
   const std::string spool_ref = fresh_dir("serve_memo_ref_spool");
   const std::string results_ref = fresh_dir("serve_memo_ref_results");
-  submit(spool_ref);
+  stage(results_ref);
   serve(base_options(spool_ref, results_ref));
 
   const std::string spool = fresh_dir("serve_memo_spool");
   const std::string results = fresh_dir("serve_memo_results");
-  submit(spool);
+  stage(results);
   ServeOptions opt = base_options(spool, results);
   opt.timeslice_traces = 100;
   const ServeReport rep = serve(opt);

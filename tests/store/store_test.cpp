@@ -117,13 +117,13 @@ TEST(StoreReplayTest, LiveAndReplayFoldAlike) {
       cfg.store_out = path;
       core::AttackSetup setup(core::BenignCircuit::kAlu,
                               core::Calibration::paper_defaults());
-      core::ParallelCampaign live(setup, cfg, shards);
+      core::CpaCampaign live(setup, cfg);
       core::CampaignResult live_byte;
       core::FullKeyRunResult live_fk;
       if (byte) {
-        live_byte = live.run();
+        live_byte = live.run(shards);
       } else {
-        live_fk = live.run_fullkey(fk);
+        live_fk = live.run_fullkey(fk, shards);
       }
       const crypto::Block lrk = setup.victim().cipher().last_round_key();
 
@@ -231,8 +231,8 @@ TEST(StoreReplayTest, ShardedCaptureWritesIdenticalColumnsToSerial) {
   cfg.store_out = sharded_path;
   core::AttackSetup s2(core::BenignCircuit::kAlu,
                        core::Calibration::paper_defaults());
-  core::ParallelCampaign par(s2, cfg, 3);
-  (void)par.run();
+  core::CpaCampaign par(s2, cfg);
+  (void)par.run(3);
 
   TraceStoreReader serial(serial_path);
   TraceStoreReader sharded(sharded_path);

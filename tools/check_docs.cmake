@@ -36,9 +36,11 @@ set(retired_flags "--rng-contract" "--fullkey-mode")
 set(retired_knobs "SLM_RNG_CONTRACT" "SLM_COMPILED" "SLM_PIPELINE")
 set(retired_metric_prefix "slm.pipeline.")
 # The single-analysis replay functions and their options struct, folded
-# into store::replay_all. Section 6 also scans DESIGN.md for these.
+# into store::replay_all; the sharded-engine wrapper class, folded into
+# CpaCampaign::run(threads); and StealthyAttack's multi-byte runner.
+# Section 6 also scans DESIGN.md for these.
 set(retired_api "replay_attack" "replay_fullkey" "replay_tvla"
-    "ReplayFullKeyOptions")
+    "ReplayFullKeyOptions" "ParallelCampaign" "recover_key_bytes")
 
 # 1. Every `bench_*` name in the docs must exist as a source file under
 #    bench/ or be wired up in bench/CMakeLists.txt (ctest-only entries
