@@ -63,8 +63,16 @@ void BM_AesDatapathEncrypt(benchmark::State& state) {
 BENCHMARK(BM_AesDatapathEncrypt);
 
 // The capture engine's victim step: one encrypt_block call over a block
-// of traces, currents written cycle-major (items = traces).
-void BM_VictimBlock(benchmark::State& state) {
+// of traces, currents written cycle-major (items = traces). One row per
+// level of the core: Portable runs the T-table rounds, Aesni the
+// four-lane AESENC body (the active level on a CPU with AES-NI and AVX2).
+void victim_block_bench(benchmark::State& state,
+                        crypto::AesDatapathModel::Level level) {
+  if (level == crypto::AesDatapathModel::Level::kAesni &&
+      !crypto::AesDatapathModel::aesni_supported()) {
+    state.SkipWithError("AES-NI victim level not supported by this CPU");
+    return;
+  }
   const crypto::AesDatapathModel model(key(), crypto::DatapathConfig{});
   const auto lanes = static_cast<std::size_t>(state.range(0));
   Xoshiro256 rng(5);
@@ -78,7 +86,7 @@ void BM_VictimBlock(benchmark::State& state) {
   std::uint64_t g = 0;
   for (auto _ : state) {
     model.encrypt_block(pts.data(), lanes, g, regs, ic.data(), lanes,
-                        cts.data());
+                        cts.data(), level);
     g += lanes;
     benchmark::DoNotOptimize(ic.data());
     benchmark::DoNotOptimize(cts.data());
@@ -87,7 +95,16 @@ void BM_VictimBlock(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_VictimBlock)->Arg(64);
+
+void BM_VictimBlockPortable(benchmark::State& state) {
+  victim_block_bench(state, crypto::AesDatapathModel::Level::kPortable);
+}
+BENCHMARK(BM_VictimBlockPortable)->Arg(64);
+
+void BM_VictimBlockAesni(benchmark::State& state) {
+  victim_block_bench(state, crypto::AesDatapathModel::Level::kAesni);
+}
+BENCHMARK(BM_VictimBlockAesni)->Arg(64);
 
 void BM_AluNetlistEval(benchmark::State& state) {
   const auto cal = core::Calibration::paper_defaults();

@@ -472,6 +472,8 @@ CapturePlan CpaCampaign::capture_plan(
   plan.block = resolve_block(cfg_.block);
   plan.simd = resolve_simd(cfg_.simd);
   plan.draw_level = plan.simd ? active_dispatch() : DispatchLevel::kScalar;
+  plan.victim_level = plan.simd ? crypto::AesDatapathModel::active_level()
+                                : crypto::AesDatapathModel::Level::kPortable;
   return plan;
 }
 
@@ -501,7 +503,7 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   // The victim writes each trace's per-cycle currents cycle-major
   // (ic[c * block + b]), so the lane-inner PDN kernel is unit-stride.
   setup_.victim().encrypt_block(buf.pt.data(), bn, g, regs, buf.ic.data(),
-                                block, buf.ct.data());
+                                block, buf.ct.data(), plan.victim_level);
   if (store != nullptr) {
     for (std::size_t b = 0; b < bn; ++b) {
       store->record_meta(g + b, buf.pt[b], buf.ct[b]);

@@ -10,7 +10,7 @@
 #include "common/aligned.hpp"
 #include "common/dispatch.hpp"
 #include "common/rng.hpp"
-#include "crypto/aes128.hpp"
+#include "crypto/aes_datapath.hpp"
 #include "sca/fold.hpp"
 #include "sensors/benign_sensor.hpp"
 
@@ -33,6 +33,9 @@ struct CapturePlan {
   bool simd = true;               ///< resolved lane-parallel dispatch
   /// Level of the lane-block draws (scalar when simd is off).
   DispatchLevel draw_level = DispatchLevel::kScalar;
+  /// Level of the victim core (portable when simd is off).
+  crypto::AesDatapathModel::Level victim_level =
+      crypto::AesDatapathModel::Level::kPortable;
 };
 
 /// One shard's block buffers. capture_block fills `y` (readings, trace-

@@ -5,12 +5,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/dispatch.hpp"
 #include "common/error.hpp"
 #include "core/parallel.hpp"
+#include "crypto/aes_datapath.hpp"
 #include "reference_capture.hpp"
 #include "store/replay.hpp"
 #include "store/trace_store.hpp"
@@ -298,6 +301,36 @@ TEST(Campaign, ThreadAndBlockInvariant) {
           what + " simd off");
     }
   }
+}
+
+// The victim's levels write the same store bytes: a campaign forced onto
+// the portable victim (SLM_SIMD=scalar's dispatch level) against one at
+// the default level, over two shards whose chunks end in partial blocks,
+// so the AES-NI level's four-lane body and one-trace tail both run.
+TEST(Campaign, PortableVictimWritesTheDefaultStoreBytes) {
+  const auto cal = Calibration::paper_defaults();
+  auto capture = [&](const std::string& name) {
+    const std::string path = ::testing::TempDir() + name;
+    std::filesystem::remove(path);
+    CampaignConfig cfg = small_cfg(SensorMode::kBenignHw, 301);
+    cfg.store_out = path;
+    AttackSetup setup(BenignCircuit::kAlu, cal);
+    (void)CpaCampaign(setup, cfg).run(2);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes{std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>()};
+    std::filesystem::remove(path);
+    return bytes;
+  };
+  const std::string by_default = capture("victim_default.trc");
+  force_dispatch_for_testing(DispatchLevel::kScalar);
+  EXPECT_EQ(crypto::AesDatapathModel::active_level(),
+            crypto::AesDatapathModel::Level::kPortable);
+  const std::string portable = capture("victim_portable.trc");
+  clear_forced_dispatch_for_testing();
+  ASSERT_FALSE(by_default.empty());
+  EXPECT_TRUE(by_default == portable)
+      << "store sizes " << by_default.size() << " / " << portable.size();
 }
 
 TEST(Campaign, ContractResolution) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bitvec.hpp"
+#include "common/dispatch.hpp"
 #include "common/rng.hpp"
 
 namespace slm::crypto {
@@ -99,6 +100,40 @@ TEST(AesDatapath, CyclePeriodFromClock) {
   cfg.clock_mhz = 100.0;
   AesDatapathModel model(key(), cfg);
   EXPECT_DOUBLE_EQ(model.cycle_period_ns(), 10.0);
+}
+
+// The build turns FMA contraction off (-ffp-contract=off), so code in a
+// function whose target has FMA rounds base + k * hd as plain code does:
+// a multiply and an add, each rounded. With contraction on, GCC fuses
+// them there, and several hd in 0..64 come out a bit apart.
+#if defined(__x86_64__)
+[[gnu::noipa]] __attribute__((target("avx2,fma"))) double current_fma_target(
+    double base, double k, std::uint32_t hd) {
+  return base + k * hd;
+}
+#endif
+
+[[gnu::noipa]] double current_plain(double base, double k, std::uint32_t hd) {
+  return base + k * hd;
+}
+
+TEST(AesDatapath, FmaTargetRoundsLikePlainCode) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+    GTEST_SKIP() << "no AVX2/FMA on this CPU";
+  }
+  const DatapathConfig cfg;
+  for (std::uint32_t hd = 0; hd <= 64; ++hd) {
+    const double fma_target =
+        current_fma_target(cfg.base_current_a, cfg.current_per_hd_a, hd);
+    const double plain =
+        current_plain(cfg.base_current_a, cfg.current_per_hd_a, hd);
+    EXPECT_EQ(std::memcmp(&fma_target, &plain, sizeof(double)), 0)
+        << "hd " << hd;
+  }
+#else
+  GTEST_SKIP() << "x86-64 only";
+#endif
 }
 
 // --- Word-level core vs a byte-wise oracle ------------------------------
@@ -199,46 +234,87 @@ bool same_bits(const std::array<double, AesDatapathModel::kCycles>& a,
   return std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
 }
 
+// Every victim level this CPU runs. The per-trace entries run
+// active_level(), which follows the process-wide dispatch level, so a
+// case makes a level active by forcing the dispatch level below AVX2
+// (portable) or at it (AES-NI).
+struct LevelCase {
+  AesDatapathModel::Level level;
+  DispatchLevel dispatch;
+  const char* name;
+};
+
+std::vector<LevelCase> runnable_levels() {
+  std::vector<LevelCase> levels{{AesDatapathModel::Level::kPortable,
+                                 DispatchLevel::kScalar, "portable"}};
+  if (AesDatapathModel::aesni_supported() &&
+      detect_dispatch() >= DispatchLevel::kAvx2) {
+    levels.push_back(
+        {AesDatapathModel::Level::kAesni, DispatchLevel::kAvx2, "aesni"});
+  }
+  return levels;
+}
+
+class ActiveLevel {
+ public:
+  explicit ActiveLevel(const LevelCase& lc) {
+    force_dispatch_for_testing(lc.dispatch);
+    EXPECT_EQ(AesDatapathModel::active_level(), lc.level) << lc.name;
+  }
+  ~ActiveLevel() { clear_forced_dispatch_for_testing(); }
+  ActiveLevel(const ActiveLevel&) = delete;
+  ActiveLevel& operator=(const ActiveLevel&) = delete;
+};
+
 TEST(AesDatapathCore, StatelessMatchesByteOracle) {
   const Aes128 aes(key());
-  for (const CoreCase& cc : kCoreCases) {
-    const DatapathConfig cfg = core_config(cc);
-    const AesDatapathModel model(key(), cfg);
-    Xoshiro256 rng(0x5eed);
-    Regs regs{random_block(rng), random_block(rng), {1, 2, 3, 4}};
-    Regs oracle_regs = regs;
-    for (std::uint64_t t = 0; t < 200; ++t) {
-      const Block pt = random_block(rng);
-      const auto enc = model.encrypt_stateless(pt, t, regs);
-      const auto ref = oracle_stateless(aes, cfg, pt, t, oracle_regs);
-      ASSERT_EQ(enc.cycle_hd, ref.cycle_hd) << cc.name << " trace " << t;
-      ASSERT_TRUE(same_bits(enc.cycle_current, ref.cycle_current))
-          << cc.name << " trace " << t;
-      ASSERT_EQ(enc.ciphertext, ref.ciphertext) << cc.name;
-      ASSERT_EQ(enc.plaintext, pt);
-      ASSERT_EQ(regs, oracle_regs) << cc.name << " trace " << t;
+  for (const LevelCase& lc : runnable_levels()) {
+    const ActiveLevel active(lc);
+    for (const CoreCase& cc : kCoreCases) {
+      const std::string what = std::string(cc.name) + " " + lc.name;
+      const DatapathConfig cfg = core_config(cc);
+      const AesDatapathModel model(key(), cfg);
+      Xoshiro256 rng(0x5eed);
+      Regs regs{random_block(rng), random_block(rng), {1, 2, 3, 4}};
+      Regs oracle_regs = regs;
+      for (std::uint64_t t = 0; t < 200; ++t) {
+        const Block pt = random_block(rng);
+        const auto enc = model.encrypt_stateless(pt, t, regs);
+        const auto ref = oracle_stateless(aes, cfg, pt, t, oracle_regs);
+        ASSERT_EQ(enc.cycle_hd, ref.cycle_hd) << what << " trace " << t;
+        ASSERT_TRUE(same_bits(enc.cycle_current, ref.cycle_current))
+            << what << " trace " << t;
+        ASSERT_EQ(enc.ciphertext, ref.ciphertext) << what;
+        ASSERT_EQ(enc.plaintext, pt);
+        ASSERT_EQ(regs, oracle_regs) << what << " trace " << t;
+      }
     }
   }
 }
 
 TEST(AesDatapathCore, StatefulEncryptMatchesByteOracle) {
   const Aes128 aes(key());
-  for (const CoreCase& cc : kCoreCases) {
-    const DatapathConfig cfg = core_config(cc);
-    AesDatapathModel model(key(), cfg);
-    Xoshiro256 oracle_masks(cfg.mask_seed);
-    Regs oracle_regs{};
-    Xoshiro256 rng(0xca11);
-    for (int t = 0; t < 100; ++t) {
-      const Block pt = random_block(rng);
-      const auto enc = model.encrypt(pt);
-      const auto ref = oracle_encrypt(aes, cfg, pt, oracle_masks, oracle_regs);
-      ASSERT_EQ(enc.cycle_hd, ref.cycle_hd) << cc.name << " trace " << t;
-      ASSERT_TRUE(same_bits(enc.cycle_current, ref.cycle_current));
-      ASSERT_EQ(enc.ciphertext, ref.ciphertext);
+  for (const LevelCase& lc : runnable_levels()) {
+    const ActiveLevel active(lc);
+    for (const CoreCase& cc : kCoreCases) {
+      const std::string what = std::string(cc.name) + " " + lc.name;
+      const DatapathConfig cfg = core_config(cc);
+      AesDatapathModel model(key(), cfg);
+      Xoshiro256 oracle_masks(cfg.mask_seed);
+      Regs oracle_regs{};
+      Xoshiro256 rng(0xca11);
+      for (int t = 0; t < 100; ++t) {
+        const Block pt = random_block(rng);
+        const auto enc = model.encrypt(pt);
+        const auto ref =
+            oracle_encrypt(aes, cfg, pt, oracle_masks, oracle_regs);
+        ASSERT_EQ(enc.cycle_hd, ref.cycle_hd) << what << " trace " << t;
+        ASSERT_TRUE(same_bits(enc.cycle_current, ref.cycle_current)) << what;
+        ASSERT_EQ(enc.ciphertext, ref.ciphertext) << what;
+      }
+      oracle_regs.mask_rng_state = oracle_masks.state();
+      EXPECT_EQ(model.register_snapshot(), oracle_regs) << what;
     }
-    oracle_regs.mask_rng_state = oracle_masks.state();
-    EXPECT_EQ(model.register_snapshot(), oracle_regs) << cc.name;
   }
 }
 
@@ -260,14 +336,12 @@ TEST(AesDatapathCore, RegistersAfterMatchesByteOracle) {
 // The block entry over a shard's chunk: the chain starts from the
 // registers trace g0 - 1 leaves behind (the engines' registers_before),
 // lanes write cycle-major currents at a stride wider than the block, and
-// both popcount kernels are driven directly.
+// every runnable level is driven directly. The lane counts run the
+// AES-NI level's four-lane body alone (4, 64), its one-trace tail alone
+// (1, 2, 3) and both (5, 7, 63).
 TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
   const Aes128 aes(key());
-  std::vector<AesDatapathModel::HdKernel> kernels{
-      AesDatapathModel::HdKernel::kGeneric};
-  if (AesDatapathModel::popcnt_supported()) {
-    kernels.push_back(AesDatapathModel::HdKernel::kPopcnt);
-  }
+  const std::vector<LevelCase> levels = runnable_levels();
   constexpr std::size_t kCycles = AesDatapathModel::kCycles;
   constexpr std::uint64_t kShardStart = 4099;
   for (const CoreCase& cc : kCoreCases) {
@@ -276,7 +350,7 @@ TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
     Xoshiro256 rng(0xb1c0);
     const Block before = random_block(rng);
     const Regs start = model.registers_after(before, kShardStart - 1);
-    for (const std::size_t lanes : {1, 63, 64}) {
+    for (const std::size_t lanes : {1, 2, 3, 4, 5, 7, 63, 64}) {
       const std::size_t stride = 67;
       std::vector<Block> pts(lanes);
       for (Block& pt : pts) pt = random_block(rng);
@@ -287,16 +361,14 @@ TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
         ref.push_back(
             oracle_stateless(aes, cfg, pts[b], kShardStart + b, oracle_regs));
       }
-      for (const AesDatapathModel::HdKernel kernel : kernels) {
-        const std::string what =
-            std::string(cc.name) + " lanes " + std::to_string(lanes) +
-            (kernel == AesDatapathModel::HdKernel::kPopcnt ? " popcnt"
-                                                           : " generic");
+      for (const LevelCase& lc : levels) {
+        const std::string what = std::string(cc.name) + " lanes " +
+                                 std::to_string(lanes) + " " + lc.name;
         Regs regs = start;
         std::vector<double> ic(kCycles * stride, -1.0);
         std::vector<Block> cts(lanes);
         model.encrypt_block(pts.data(), lanes, kShardStart, regs, ic.data(),
-                            stride, cts.data(), kernel);
+                            stride, cts.data(), lc.level);
         for (std::size_t b = 0; b < lanes; ++b) {
           ASSERT_EQ(cts[b], ref[b].ciphertext) << what << " lane " << b;
           for (std::size_t c = 0; c < kCycles; ++c) {
@@ -313,7 +385,9 @@ TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
           }
         }
         EXPECT_EQ(regs, oracle_regs) << what;
-        // The per-trace entry agrees with the block, lane by lane.
+        // The per-trace entry at the same level agrees with the block,
+        // lane by lane.
+        const ActiveLevel active(lc);
         Regs step = start;
         for (std::size_t b = 0; b < lanes; ++b) {
           const auto enc =

@@ -37,10 +37,12 @@ set(retired_knobs "SLM_RNG_CONTRACT" "SLM_COMPILED" "SLM_PIPELINE")
 set(retired_metric_prefix "slm.pipeline.")
 # The single-analysis replay functions and their options struct, folded
 # into store::replay_all; the sharded-engine wrapper class, folded into
-# CpaCampaign::run(threads); and StealthyAttack's multi-byte runner.
+# CpaCampaign::run(threads); StealthyAttack's multi-byte runner; and the
+# victim's POPCNT kernel choice, replaced by AesDatapathModel::Level.
 # Section 6 also scans DESIGN.md for these.
 set(retired_api "replay_attack" "replay_fullkey" "replay_tvla"
-    "ReplayFullKeyOptions" "ParallelCampaign" "recover_key_bytes")
+    "ReplayFullKeyOptions" "ParallelCampaign" "recover_key_bytes"
+    "HdKernel" "kPopcnt" "active_hd_kernel")
 
 # 1. Every `bench_*` name in the docs must exist as a source file under
 #    bench/ or be wired up in bench/CMakeLists.txt (ctest-only entries

@@ -24,7 +24,11 @@
 #      the table gather indices and the scalar reference loops they are
 #      compared against, for lane and draw counts around the four-lane
 #      groups;
-#   3. a capture plus the fused one-pass replay (`slm attack
+#   3. aes_datapath_test's victim core cases (AesDatapathCore.*) — the
+#      AES-NI four-lane body and one-trace path, the portable T-table
+#      core and the byte-wise oracle; each case forces every runnable
+#      victim level itself;
+#   4. a capture plus the fused one-pass replay (`slm attack
 #      --from-store --fused-tvla` and `slm analyze`) — the end-to-end
 #      path from mmap'd store columns through every fold.
 # Any signed overflow, misaligned load, or invalid shift aborts the
@@ -55,7 +59,8 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ubsan configure failed:\n${out}\n${err}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} --build ${scratch}/build
-                        --target slm fold_dispatch_test rng_test --parallel 4
+                        --target slm fold_dispatch_test rng_test
+                                 aes_datapath_test --parallel 4
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ubsan build failed:\n${out}\n${err}")
@@ -90,7 +95,18 @@ if(NOT rc EQUAL 0)
           "behavior)\n${out}\n${err}")
 endif()
 
-# 3. End-to-end fused replay under UBSan: capture a store, then the
+# 3. The victim core at every runnable level (each case forces them).
+execute_process(COMMAND ${scratch}/build/tests/aes_datapath_test
+                        --gtest_filter=AesDatapathCore.*
+                WORKING_DIRECTORY ${scratch}
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+          "ubsan aes_datapath_test -> rc=${rc} (rc 66 means UBSan reported "
+          "undefined behavior)\n${out}\n${err}")
+endif()
+
+# 4. End-to-end fused replay under UBSan: capture a store, then the
 # fused attack+TVLA read-out and the three-section analyze verb. 1500
 # traces may or may not disclose the byte, so accept the capture's rc
 # from the replay as well (bit-identity is the store suite's job — here
@@ -128,4 +144,4 @@ endif()
 
 file(REMOVE ${store})
 message(STATUS
-        "fold ubsan: kernels, lane draws and fused replay are clean under UBSan")
+        "fold ubsan: kernels, lane draws, victim core and fused replay are clean under UBSan")
