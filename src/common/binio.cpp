@@ -187,6 +187,26 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   return crc32_update(0, data, size);
 }
 
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& fill,
+                       const std::string& context) {
+  const std::string tmp_path = path + ".tmp";
+  {
+    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
+    SLM_REQUIRE(static_cast<bool>(os),
+                context + ": cannot write '" + tmp_path + "'");
+    fill(os);
+    os.flush();
+    SLM_REQUIRE(static_cast<bool>(os),
+                context + ": short write to '" + tmp_path + "'");
+  }
+  // Atomic replace: a reader (or a crash) sees either the old complete
+  // file or the new complete file, never a torn one.
+  std::error_code ec;
+  std::filesystem::rename(tmp_path, path, ec);
+  SLM_REQUIRE(!ec, context + ": atomic rename to '" + path + "' failed");
+}
+
 std::size_t write_framed_file(
     const std::string& path, const char* magic8, std::uint32_t version,
     std::initializer_list<std::span<const std::uint8_t>> payload,
@@ -198,31 +218,26 @@ std::size_t write_framed_file(
     crc = crc32_update(crc, span.data(), span.size());
   }
   ByteWriter envelope;
-  envelope.put_bytes(reinterpret_cast<const std::uint8_t*>(magic8), 8);
+  // Byte by byte: GCC 12 misreports put_bytes' vector::insert here as
+  // an overflow (-Wstringop-overflow).
+  for (int i = 0; i < 8; ++i) {
+    envelope.put_u8(static_cast<std::uint8_t>(magic8[i]));
+  }
   envelope.put_u32(version);
   envelope.put_u64(length);
   envelope.put_u32(crc);
 
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream os(tmp_path, std::ios::binary | std::ios::trunc);
-    SLM_REQUIRE(static_cast<bool>(os),
-                context + ": cannot write '" + tmp_path + "'");
-    const auto write = [&os](std::span<const std::uint8_t> bytes) {
-      os.write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
-    };
-    write(envelope.bytes());
-    for (const std::span<const std::uint8_t> span : payload) write(span);
-    os.flush();
-    SLM_REQUIRE(static_cast<bool>(os),
-                context + ": short write to '" + tmp_path + "'");
-  }
-  // Atomic replace: a reader (or a crash) sees either the old complete
-  // file or the new complete file, never a torn one.
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, path, ec);
-  SLM_REQUIRE(!ec, context + ": atomic rename to '" + path + "' failed");
+  write_file_atomic(
+      path,
+      [&](std::ostream& os) {
+        const auto write = [&os](std::span<const std::uint8_t> bytes) {
+          os.write(reinterpret_cast<const char*>(bytes.data()),
+                   static_cast<std::streamsize>(bytes.size()));
+        };
+        write(envelope.bytes());
+        for (const std::span<const std::uint8_t> span : payload) write(span);
+      },
+      context);
   return envelope.size() + length;
 }
 

@@ -7,7 +7,9 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <initializer_list>
+#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,9 +50,19 @@ bool crc32_pclmul_supported();
 /// Byte count of the framed-file envelope (magic, version, length, crc).
 inline constexpr std::size_t kFramedEnvelopeBytes = 8 + 4 + 8 + 4;
 
+/// The one commit step for files that must never appear torn: `fill`
+/// streams the body into `<path>.tmp`, which is flushed and checked (a
+/// short write, e.g. ENOSPC, throws and leaves `path` untouched) and then
+/// atomically renamed over `path`. A kill at any instant leaves either
+/// the previous complete file or the new complete file. Throws
+/// slm::Error ("<context>: cannot write / short write / atomic rename
+/// ...") on I/O failure.
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::ostream&)>& fill,
+                       const std::string& context);
+
 /// Shared framed-file envelope for the binary state formats (`SLMCKPT1`
-/// campaign checkpoints, `SLMSNAP1` fabric accumulator snapshots,
-/// `SLMTRC1` trace stores):
+/// campaign checkpoints, `SLMTRC1` trace stores):
 ///
 ///   magic   8 bytes
 ///   version u32      readers reject other versions (no silent migration)
@@ -60,12 +72,8 @@ inline constexpr std::size_t kFramedEnvelopeBytes = 8 + 4 + 8 + 4;
 ///
 /// The payload is the concatenation of `payload` spans, in order; each
 /// span is written straight from the caller's memory, so a multi-column
-/// file needs no assembled copy. The file is written to `<path>.tmp` and
-/// atomically renamed into place, so a kill at any instant (including
-/// mid-write) leaves either the previous complete file or the new
-/// complete file, never a torn one. Returns the total byte count
-/// written; throws slm::Error ("<context>: cannot write ...") on I/O
-/// failure.
+/// file needs no assembled copy. The file is committed by
+/// write_file_atomic. Returns the total byte count written.
 std::size_t write_framed_file(
     const std::string& path, const char* magic8, std::uint32_t version,
     std::initializer_list<std::span<const std::uint8_t>> payload,

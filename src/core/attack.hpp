@@ -138,8 +138,8 @@ class StealthyAttack {
   bitstream::CheckReport check_stealthiness(
       const bitstream::CheckerOptions& opt = {}) const;
 
-  /// Campaign configuration for one byte campaign (shared between the
-  /// engines and fabric shard workers, which must run the byte-for-byte
+  /// Campaign configuration for one byte campaign (shared by the live
+  /// attack, store replay and serve, which must run the byte-for-byte
   /// identical config).
   CampaignConfig byte_campaign_config(std::size_t key_byte,
                                       std::size_t traces,

@@ -257,7 +257,7 @@ struct FullKeyRunResult : CampaignRun {
   }
 };
 
-// Engine internals, defined in core/capture.hpp: the sensor dispatch
+// Engine internals, defined in core/campaign.cpp: the sensor dispatch
 // plan, the resolved per-run capture plan, one shard's block buffers and
 // the shard itself.
 struct SensorPlan;
@@ -314,8 +314,6 @@ class CpaCampaign {
                                       std::size_t traces) const;
 
  private:
-  friend class FabricWorker;  // same capture loop over a trace range
-
   using Regs = crypto::AesDatapathModel::RegisterSnapshot;
 
   /// The one engine loop: picks the shard count from `threads` (see
@@ -330,8 +328,7 @@ class CpaCampaign {
   /// and folded (fold_block) into sh.acc a block at a time, starting
   /// from registers_before(g0) and carrying the victim register chain
   /// from block to block. The phase timers in `sh` run only with an
-  /// observer attached. Defined for the XorClassCpa and MultiByteCpa
-  /// shards.
+  /// observer attached. Run by the shards of run_engine only.
   template <class Acc>
   void capture_range(const CapturePlan& plan,
                      const std::vector<sca::LastRoundBitModel>& models,

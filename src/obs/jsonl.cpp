@@ -307,25 +307,4 @@ std::optional<bool> FlatJson::bool_field(std::string_view key) const {
   return std::nullopt;
 }
 
-std::optional<double> last_event_value(const std::string& path,
-                                       std::string_view event,
-                                       std::string_view field) {
-  std::ifstream is(path);
-  if (!is) return std::nullopt;
-  const std::string ev_needle = "\"ev\":\"" + std::string(event) + "\"";
-  const std::string field_needle = "\"" + std::string(field) + "\":";
-  std::optional<double> last;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.find(ev_needle) == std::string::npos) continue;
-    const std::size_t pos = line.find(field_needle);
-    if (pos == std::string::npos) continue;
-    const char* start = line.c_str() + pos + field_needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end != start) last = v;
-  }
-  return last;
-}
-
 }  // namespace slm::obs

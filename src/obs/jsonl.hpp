@@ -96,16 +96,4 @@ class FlatJson {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-/// Scan a JSONL event stream for the LAST event named `event` and return
-/// its numeric `field` value, or nullopt when the file is missing or no
-/// such event/field exists yet. A line-oriented text scan, not a JSON
-/// parser: events use fixed flat schemas, so matching the literal
-/// `"ev":"<event>"` and `"<field>":` substrings is exact. Safe to call
-/// on a file another process is appending to (the fabric coordinator
-/// polls worker streams this way) — a torn final line simply doesn't
-/// match yet.
-std::optional<double> last_event_value(const std::string& path,
-                                       std::string_view event,
-                                       std::string_view field);
-
 }  // namespace slm::obs

@@ -1,5 +1,5 @@
-// The fold steps shared by the live capture engines (core/campaign.cpp),
-// the fabric worker and store replay (store/replay.cpp): the checkpoint
+// The fold steps shared by the live capture engines (core/campaign.cpp)
+// and store replay (store/replay.cpp): the checkpoint
 // schedule, the label step and the full-key early-exit tracker. Written
 // once, below both core and store, so a replay reproduces the live run's
 // decisions bit for bit.

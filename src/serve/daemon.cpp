@@ -11,10 +11,10 @@
 #include <sstream>
 #include <thread>
 
+#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "core/attack.hpp"
 #include "core/checkpoint.hpp"
-#include "core/fabric.hpp"
 #include "core/parallel.hpp"
 #include "core/setup_memo.hpp"
 #include "crypto/aes128.hpp"
@@ -35,7 +35,7 @@ std::string hex_byte(std::uint8_t b) {
 }
 
 // Hexfloat: the exact bits, so byte-comparing two result files IS the
-// bit-exactness claim (same idiom as `slm merge --report`).
+// bit-exactness claim.
 std::string hexfloat(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%a", v);
@@ -43,16 +43,12 @@ std::string hexfloat(double v) {
 }
 
 /// Atomic write: result.json appearing at all means the job finished —
-/// a daemon killed mid-write leaves only the tmp file, and the restart
-/// recovery scan reruns the job from its checkpoint.
+/// a daemon killed mid-write (or refused a short write) leaves only the
+/// tmp file, and the restart recovery scan reruns the job from its
+/// checkpoint.
 void write_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw Error("serve: cannot write '" + tmp + "'");
-    os << body << '\n';
-  }
-  fs::rename(tmp, path);
+  write_file_atomic(
+      path, [&body](std::ostream& os) { os << body << '\n'; }, "serve");
 }
 
 /// The deterministic outcome record of one job. Excludes everything
@@ -151,46 +147,6 @@ SliceOutcome run_tvla_slice(const QueuedJob& job, core::SetupMemo* memo,
   return out;
 }
 
-SliceOutcome run_fabric_slice(const QueuedJob& job,
-                              const std::string& slm_binary,
-                              obs::CampaignObserver* job_ob) {
-  const JobSpec& spec = job.spec;
-  core::CoordinateOptions co;
-  co.slm_binary = slm_binary;
-  co.work_dir = job.dir + "/fabric";
-  co.total_traces = spec.traces;
-  co.shards = spec.fabric_shards;
-  co.observer = job_ob;
-  co.worker_args = {"--circuit",  circuit_cli_name(spec.circuit),
-                    "--mode",     mode_cli_name(spec.mode),
-                    "--key-byte", std::to_string(spec.key_byte),
-                    "--traces",   std::to_string(spec.traces)};
-  const core::CoordinateResult cr = core::coordinate_local(co);
-
-  const core::AccumulatorSnapshot merged = core::load_snapshot(cr.merged_path);
-  const sca::CpaEngine engine =
-      core::fold_snapshot_byte(merged, spec.key_byte);
-  core::StealthyAttack attack(spec.circuit);
-  const std::uint8_t truth =
-      attack.setup().victim().cipher().last_round_key()[spec.key_byte];
-  const std::uint8_t recovered =
-      static_cast<std::uint8_t>(engine.best_guess());
-
-  SliceOutcome out;
-  out.completed = true;
-  out.success = recovered == truth;
-  out.traces_done = spec.traces;
-  obs::JsonWriter w = result_header(spec);
-  w.field("key_byte", static_cast<std::uint64_t>(spec.key_byte))
-      .field("success", out.success)
-      .field("true", hex_byte(truth))
-      .field("recovered", hex_byte(recovered))
-      .field("corr", hexfloat(engine.max_abs_correlation()[recovered]))
-      .field("fabric_shards", static_cast<std::uint64_t>(spec.fabric_shards));
-  out.result_json = w.str();
-  return out;
-}
-
 /// kAnalyze: one fused one-pass replay of the job's SLMTRC1 store
 /// (store::replay_all), campaign inferred from the store identity the
 /// same way `slm analyze` does. No capture, no checkpoints — the sweep
@@ -265,9 +221,8 @@ SliceOutcome run_analyze_slice(const QueuedJob& job, core::SetupMemo* memo,
 std::uint64_t slice_halt_point(const JobSpec& spec, std::uint64_t traces_done,
                                std::uint64_t timeslice, bool others_waiting) {
   if (timeslice == 0 || !others_waiting) return 0;
-  if (spec.kind == JobKind::kTvla || spec.kind == JobKind::kAnalyze ||
-      spec.fabric_shards > 0) {
-    return 0;  // non-preemptible: no checkpoint support / own processes
+  if (spec.kind == JobKind::kTvla || spec.kind == JobKind::kAnalyze) {
+    return 0;  // non-preemptible: no checkpoint support
   }
   const std::uint64_t want = traces_done + timeslice;
   for (const std::size_t cp : core::checkpoint_schedule({}, spec.traces)) {
@@ -542,9 +497,6 @@ ServeReport serve(const ServeOptions& opt) {
         out = run_tvla_slice(*job, &memo, &*job_ob);
       } else if (spec.kind == JobKind::kAnalyze) {
         out = run_analyze_slice(*job, &memo, &*job_ob);
-      } else if (spec.fabric_shards > 0) {
-        m.add("slm.serve.fabric_jobs_total");
-        out = run_fabric_slice(*job, opt.slm_binary, &*job_ob);
       } else {
         out = run_attack_slice(*job, halt_after, &pool, &memo, &*job_ob);
       }

@@ -57,10 +57,6 @@ struct ServeOptions {
   /// idle_polls high; the CLI default drains and exits.
   std::uint64_t poll_ms = 25;
   std::uint64_t idle_polls = 2;
-
-  /// Worker executable for fabric-dispatched jobs (empty = this binary
-  /// via /proc/self/exe, resolved by the CLI).
-  std::string slm_binary;
 };
 
 /// What one serve() run did — mirrored in the final `serve_state` event

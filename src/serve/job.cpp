@@ -168,17 +168,17 @@ JobSpec parse_job_json(std::string_view text, const std::string& where) {
     }
     spec.key_byte = *b;
   }
+  // Retired with the process fabric. Job files written before then carry
+  // "fabric_shards": 0 (spool files and results/<id>/job.json), so a
+  // zero is accepted and ignored; anything else asked for the fabric.
   if (obj.has("fabric_shards")) {
     const auto f = obj.uint_field("fabric_shards");
-    if (!f || *f > 64) {
+    if (!f || *f != 0) {
       throw JobSpecError(where +
-                         ": \"fabric_shards\" must be an integer in [0, 64]");
+                         ": \"fabric_shards\" is retired: the process "
+                         "fabric is gone; every job runs in-process on the "
+                         "daemon's pool (only 0 is accepted, and ignored)");
     }
-    if (*f > 0 && spec.kind != JobKind::kAttack) {
-      throw JobSpecError(where +
-                         ": fabric_shards only applies to attack jobs");
-    }
-    spec.fabric_shards = static_cast<unsigned>(*f);
   }
   if (obj.has("store")) {
     const auto s = obj.string_field("store");
@@ -217,8 +217,7 @@ std::string job_to_json(const JobSpec& spec) {
       .field("circuit", circuit_cli_name(spec.circuit))
       .field("mode", mode_cli_name(spec.mode))
       .field("traces", static_cast<std::uint64_t>(spec.traces))
-      .field("key_byte", static_cast<std::uint64_t>(spec.key_byte))
-      .field("fabric_shards", static_cast<std::uint64_t>(spec.fabric_shards));
+      .field("key_byte", static_cast<std::uint64_t>(spec.key_byte));
   if (!spec.store.empty()) w.field("store", spec.store);
   return w.str();
 }

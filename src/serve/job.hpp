@@ -58,10 +58,6 @@ struct JobSpec {
   core::SensorMode mode = core::SensorMode::kTdcFull;
   std::uint64_t traces = 20000;  ///< per population for kTvla
   std::uint64_t key_byte = 3;    ///< kAttack only
-  /// kAttack only, shards > 0: dispatch the capture to that many
-  /// `core::fabric` worker subprocesses and fold their SLMSNAP1
-  /// snapshots instead of running in-process (non-preemptible).
-  unsigned fabric_shards = 0;
   /// kAnalyze only (required there): path to the SLMTRC1 store the
   /// fused one-pass replay sweeps. The store's own identity supplies
   /// circuit/mode/traces; the spec fields are informational.

@@ -257,6 +257,13 @@ void TraceStoreReader::open_and_validate() {
 
   const auto* base = static_cast<const std::uint8_t*>(map_);
   if (std::memcmp(base, kStoreMagic, 8) != 0) {
+    // The retired process fabric wrote SLMSNAP1 accumulator snapshots in
+    // the same envelope; name one rather than call it a corrupt store.
+    if (std::memcmp(base, "SLMSNAP1", 8) == 0) {
+      throw StoreFormatError("trace store: '" + path_ +
+                             "' is an SLMSNAP1 snapshot of the retired "
+                             "process fabric, not an SLMTRC1 store");
+    }
     throw StoreFormatError("trace store: bad magic in '" + path_ + "'");
   }
   ByteReader env(base + 8, kFramedEnvelopeBytes - 8);

@@ -1,8 +1,7 @@
 // Capture-once, replay-many trace store (docs/STORE.md): a CRC'd,
 // chunked, columnar `SLMTRC1` file holding one campaign's sensor
 // readings, plaintexts and ciphertexts, framed by the same
-// `common/binio` envelope as `SLMCKPT1` checkpoints and `SLMSNAP1`
-// snapshots. The header carries a fingerprint of
+// `common/binio` envelope as `SLMCKPT1` checkpoints. The header carries a fingerprint of
 // (seed, rng_contract, trace_count, attack/sensor config hash) so a
 // replayed attack refuses stores captured under a different campaign,
 // and the readings column is 8-byte aligned in the file so the mmap
@@ -25,8 +24,7 @@
 namespace slm::store {
 
 /// `SLMTRC1` wire magic: seven ASCII characters NUL-padded to the
-/// envelope's eight bytes (siblings `SLMCKPT1`/`SLMSNAP1` use all
-/// eight).
+/// envelope's eight bytes (the sibling `SLMCKPT1` uses all eight).
 inline constexpr char kStoreMagic[] = "SLMTRC1";
 
 /// `SLMTRC1` wire version.

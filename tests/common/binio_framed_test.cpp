@@ -2,9 +2,11 @@
 // (common/binio): every way a framed file can be structurally bad —
 // missing, short header, wrong magic, wrong version, truncated payload,
 // flipped CRC or payload byte — must surface as a typed, context-
-// prefixed error, never a misparse. The trace store, checkpoints and
-// snapshots all stand on this envelope. The CRC-32 kernels behind it
-// are checked against the bytewise reference loop.
+// prefixed error, never a misparse. The trace store and checkpoints
+// stand on this envelope. Its commit step, write_file_atomic (which
+// serve's job and result files use too), must refuse a short write. The
+// CRC-32 kernels behind it are checked against the bytewise reference
+// loop.
 #include "common/binio.hpp"
 
 #include <unistd.h>
@@ -205,6 +207,32 @@ TEST(BinioFramedTest, GatherWriteMatchesOneSpan) {
   const auto back = read_framed_file(many.path, "SLMTEST1", 2, "test");
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, payload);
+}
+
+TEST(BinioFramedTest, AtomicWriteRefusesAShortWrite) {
+  // The tmp file is a symlink to /dev/full, so the flush fails with
+  // ENOSPC: the write must throw and leave the committed file as it was.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full to inject ENOSPC";
+  }
+  TempFile f("atomic_enospc");
+  write_framed_file(f.path, "SLMTEST1", 1, {sample_payload()}, "test");
+  const std::vector<std::uint8_t> before = slurp(f.path);
+  const std::string tmp = f.path + ".tmp";
+  std::filesystem::remove(tmp);
+  std::filesystem::create_symlink("/dev/full", tmp);
+  const std::vector<std::uint8_t> big(1 << 16, 0x5a);
+  expect_error_containing(
+      [&] { write_framed_file(f.path, "SLMTEST1", 1, {big}, "test"); },
+      "test: short write to '" + tmp + "'");
+  expect_error_containing(
+      [&] {
+        write_file_atomic(
+            f.path, [](std::ostream& os) { os << "job\n"; }, "serve");
+      },
+      "serve: short write");
+  EXPECT_EQ(slurp(f.path), before);
+  std::filesystem::remove(tmp);
 }
 
 // ---------------------------------------------------------------------

@@ -191,7 +191,7 @@ TEST(FullKeyFused, HaltResumeBitForBit) {
 }
 
 // A full-key snapshot must refuse to resume as a single-byte campaign.
-TEST(FullKeyFused, SnapshotIdentityChecks) {
+TEST(FullKeyFused, CheckpointIdentityChecks) {
   CampaignConfig cfg = fullkey_cfg(900);
   const std::string dir = fresh_dir("fullkey_identity");
   cfg.checkpoint_dir = dir;

@@ -1,9 +1,10 @@
 // State written by a retired capture path must be refused loudly, with a
 // message that names the retired path — never silently resumed, merged
-// or replayed under the engines' contract. Two paths are retired: RNG
-// contract v1 (sequential streams) and the reference-kernel (compiled =
-// 0) accumulators. Each row builds one such artifact on disk and runs
-// the consumer that must refuse it.
+// or replayed under the engines' contract. Three paths are retired: RNG
+// contract v1 (sequential streams), the reference-kernel (compiled = 0)
+// accumulators and the process fabric (its `fabric_shards` job field and
+// `SLMSNAP1` snapshots). Each row builds one such artifact and runs the
+// consumer that must refuse it.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -15,8 +16,8 @@
 
 #include "core/attack.hpp"
 #include "core/campaign.hpp"
+#include "common/binio.hpp"
 #include "core/checkpoint.hpp"
-#include "core/fabric.hpp"
 #include "serve/daemon.hpp"
 #include "serve/job.hpp"
 #include "store/trace_store.hpp"
@@ -70,20 +71,13 @@ void resume_edited_checkpoint(
   (void)CpaCampaign(setup, cfg).run();
 }
 
-// Capture a shard snapshot, let `edit` rewrite its identity (the saved
-// fingerprint follows the edit), then load it.
-void load_edited_snapshot(
-    const std::string& dir,
-    const std::function<void(SnapshotIdentity&)>& edit) {
-  AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-  FabricWorker worker(setup, small_cfg(), false);
-  FabricJob job;
-  job.range = {0, 100};
-  job.snapshot_out = dir + "/shard.snap";
-  AccumulatorSnapshot snap = worker.run(job);
-  edit(snap.id);
-  save_snapshot(job.snapshot_out, snap);
-  (void)load_snapshot(job.snapshot_out);
+// A framed file with the retired fabric's `SLMSNAP1` magic, opened as
+// a trace store (`--from-store x.snap` is how one would reach replay).
+void open_snapshot_as_store(const std::string& dir) {
+  const std::string path = dir + "/shard.snap";
+  const std::vector<std::uint8_t> payload(64, 0);
+  write_framed_file(path, "SLMSNAP1", 1, {payload}, "test");
+  store::TraceStoreReader reader(path);
 }
 
 // A structurally valid SLMTRC1 store stamped with contract 1, served as
@@ -149,22 +143,19 @@ TEST(RetiredState, RefusedByName) {
          });
        },
        {"reference-kernel", "retired"}},
-      {"SLMSNAP1 snapshot with contract 1",
-       [](const std::string& dir) {
-         return refusal_of([&] {
-           load_edited_snapshot(
-               dir, [](SnapshotIdentity& id) { id.rng_contract = 1; });
+      {"job with fabric_shards = 2",
+       [](const std::string&) {
+         return refusal_of([] {
+           (void)serve::parse_job_json(
+               R"({"tenant":"a","kind":"attack","fabric_shards":2})", "t");
          });
        },
-       {"contract v1", "retired"}},
-      {"SLMSNAP1 snapshot with compiled = 0",
+       {"fabric_shards", "process fabric", "retired"}},
+      {"SLMSNAP1 snapshot given to the trace store reader",
        [](const std::string& dir) {
-         return refusal_of([&] {
-           load_edited_snapshot(dir,
-                                [](SnapshotIdentity& id) { id.compiled = 0; });
-         });
+         return refusal_of([&] { open_snapshot_as_store(dir); });
        },
-       {"reference-kernel", "retired"}},
+       {"SLMSNAP1", "process fabric", "retired"}},
       {"serve analyze over a contract-1 store", serve_analyze_v1_store,
        {"\"failed\":true", "contract v1", "retired"}},
   };

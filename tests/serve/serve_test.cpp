@@ -276,10 +276,23 @@ TEST(JobSpecTest, RejectsBadSpecs) {
   // Key byte out of range.
   EXPECT_THROW(parse_job_json(R"({"tenant":"a","key_byte":16})", "t"),
                JobSpecError);
-  // Fabric dispatch only exists for single-byte attack jobs.
-  EXPECT_THROW(
-      parse_job_json(R"({"tenant":"a","kind":"tvla","fabric_shards":2})", "t"),
-      JobSpecError);
+  // The process fabric is retired: a job that asks for it is refused
+  // by name, whatever its kind. The 0 older job files carry is accepted.
+  for (const char* json :
+       {R"({"tenant":"a","kind":"tvla","fabric_shards":2})",
+        R"({"tenant":"a","kind":"attack","fabric_shards":4})",
+        R"({"tenant":"a","fabric_shards":"2"})"}) {
+    try {
+      (void)parse_job_json(json, "t");
+      ADD_FAILURE() << "accepted " << json;
+    } catch (const JobSpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("process fabric is gone"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(
+      parse_job_json(R"({"tenant":"a","kind":"tvla","fabric_shards":0})", "t"));
   // Analyze jobs replay a store — the path is mandatory, and no other
   // kind accepts one.
   EXPECT_THROW(parse_job_json(R"({"tenant":"a","kind":"analyze"})", "t"),
@@ -516,6 +529,35 @@ TEST(ServeDaemonTest, PreemptedBenignHwJobRunsItsPrepassOnce) {
             std::string::npos);
   EXPECT_NE(feed.find("\"slm.serve.turnaround_seconds\":{\"count\":2,"),
             std::string::npos);
+}
+
+TEST(ServeDaemonTest, RecoversJobFileWithRetiredZeroFabricShards) {
+  // Job files written before the process fabric was retired carry
+  // "fabric_shards":0 (job_to_json wrote it into every spool file and
+  // results/<id>/job.json). A daemon restarted across the upgrade must
+  // still recover such a job, and finish it as it would a current one.
+  const std::string spool_ref = fresh_dir("serve_old_ref_spool");
+  const std::string results_ref = fresh_dir("serve_old_ref_results");
+  write_job_file(spool_ref,
+                 attack_spec("job_old", "alice", kAttackTraces, 3));
+  serve(base_options(spool_ref, results_ref));
+
+  const std::string spool = fresh_dir("serve_old_spool");
+  const std::string results = fresh_dir("serve_old_results");
+  std::filesystem::create_directories(results + "/job_old");
+  {
+    std::ofstream out(results + "/job_old/job.json", std::ios::binary);
+    out << R"({"id":"job_old","tenant":"alice","priority":0,)"
+           R"("kind":"attack","circuit":"alu","mode":"tdc",)"
+           R"("traces":1200,"key_byte":3,"fabric_shards":0})"
+        << "\n";
+  }
+  const ServeReport rep = serve(base_options(spool, results));
+  EXPECT_EQ(rep.jobs_recovered, 1u);
+  EXPECT_EQ(rep.jobs_completed, 1u);
+  EXPECT_EQ(rep.jobs_failed, 0u);
+  EXPECT_EQ(slurp(results + "/job_old/result.json"),
+            slurp(results_ref + "/job_old/result.json"));
 }
 
 TEST(ServeDaemonTest, MalformedSpoolFileIsRejectedNotFatal) {

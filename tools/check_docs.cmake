@@ -18,31 +18,37 @@ file(READ ${REPO}/docs/BENCHMARKS.md benchdoc)
 file(READ ${REPO}/docs/OBSERVABILITY.md obsdoc)
 file(READ ${REPO}/docs/ARCHITECTURE.md archdoc)
 file(READ ${REPO}/docs/FULLKEY.md fullkeydoc)
-file(READ ${REPO}/docs/DISTRIBUTED.md distdoc)
 file(READ ${REPO}/docs/SERVE.md servedoc)
 file(READ ${REPO}/docs/STORE.md storedoc)
 file(READ ${REPO}/docs/CLI.md clidoc)
 file(READ ${REPO}/EXPERIMENTS.md experiments)
-set(docs "${readme}\n${benchdoc}\n${obsdoc}\n${archdoc}\n${fullkeydoc}\n${distdoc}\n${servedoc}\n${storedoc}\n${clidoc}\n${experiments}")
+set(docs "${readme}\n${benchdoc}\n${obsdoc}\n${archdoc}\n${fullkeydoc}\n${servedoc}\n${storedoc}\n${clidoc}\n${experiments}")
 
 set(errors "")
 
 # Surfaces retired from the product: the RNG contract v1 switch, the
 # reference-kernel switch, the serial generate/compute pipeline and its
-# metrics, and the farmed full-key mode. The docs may still name them,
-# but only on a line that says they are retired (section 6); the
+# metrics, the farmed full-key mode, and the process fabric (its attack
+# worker flags, submit --fabric-shards, serve --slm-bin, and its
+# slm.fabric.* and serve fabric-job metrics). The docs may still name
+# them, but only on a line that says they are retired (section 6); the
 # forward checks below skip them, since no source mentions them.
-set(retired_flags "--rng-contract" "--fullkey-mode")
+set(retired_flags "--rng-contract" "--fullkey-mode" "--shard" "--range"
+    "--snapshot-out" "--snapshot-every" "--dry-run" "--fabric-shards"
+    "--slm-bin")
 set(retired_knobs "SLM_RNG_CONTRACT" "SLM_COMPILED" "SLM_PIPELINE")
-set(retired_metric_prefix "slm.pipeline.")
+set(retired_metric_prefix "slm.pipeline." "slm.fabric."
+    "slm.serve.fabric_jobs_total")
 # The single-analysis replay functions and their options struct, folded
 # into store::replay_all; the sharded-engine wrapper class, folded into
 # CpaCampaign::run(threads); StealthyAttack's multi-byte runner; and the
-# victim's POPCNT kernel choice, replaced by AesDatapathModel::Level.
-# Section 6 also scans DESIGN.md for these.
+# victim's POPCNT kernel choice, replaced by AesDatapathModel::Level; and
+# the process fabric's worker, coordinator and snapshot format. Section 6
+# also scans DESIGN.md for these.
 set(retired_api "replay_attack" "replay_fullkey" "replay_tvla"
     "ReplayFullKeyOptions" "ParallelCampaign" "recover_key_bytes"
-    "HdKernel" "kPopcnt" "active_hd_kernel")
+    "HdKernel" "kPopcnt" "active_hd_kernel" "FabricWorker"
+    "coordinate_local" "SLMSNAP1")
 
 # 1. Every `bench_*` name in the docs must exist as a source file under
 #    bench/ or be wired up in bench/CMakeLists.txt (ctest-only entries
@@ -69,7 +75,7 @@ foreach(src tools/slm_cli.cpp bench/bench_util.hpp
   string(APPEND flag_sources "${one}\n")
 endforeach()
 string(REGEX MATCHALL "--[a-z][a-z0-9-]+" doc_flags
-       "${benchdoc}\n${obsdoc}\n${fullkeydoc}\n${distdoc}\n${servedoc}\n${storedoc}\n${clidoc}")
+       "${benchdoc}\n${obsdoc}\n${fullkeydoc}\n${servedoc}\n${storedoc}\n${clidoc}")
 list(REMOVE_DUPLICATES doc_flags)
 foreach(f ${doc_flags})
   if(f IN_LIST retired_flags)
@@ -89,7 +95,7 @@ file(READ ${REPO}/src/core/campaign.cpp campaignsrc)
 file(READ ${REPO}/tests/regression/golden_trace_test.cpp goldensrc)
 string(APPEND flag_sources "${rootcmake}\n${obssrc}\n${campaignsrc}\n${goldensrc}\n")
 string(REGEX MATCHALL "SLM_[A-Z_]+" doc_knobs
-       "${readme}\n${benchdoc}\n${obsdoc}\n${archdoc}\n${fullkeydoc}\n${distdoc}\n${servedoc}\n${storedoc}\n${clidoc}")
+       "${readme}\n${benchdoc}\n${obsdoc}\n${archdoc}\n${fullkeydoc}\n${servedoc}\n${storedoc}\n${clidoc}")
 list(REMOVE_DUPLICATES doc_knobs)
 foreach(k ${doc_knobs})
   if(k IN_LIST retired_knobs)
@@ -113,11 +119,17 @@ foreach(src ${metric_files})
   string(APPEND metric_sources "${one}\n")
 endforeach()
 string(REGEX MATCHALL "slm\\.[a-z0-9_]+\\.[a-z0-9_.]*[a-z0-9_]" doc_metrics
-       "${obsdoc}\n${distdoc}\n${servedoc}\n${storedoc}")
+       "${obsdoc}\n${servedoc}\n${storedoc}")
 list(REMOVE_DUPLICATES doc_metrics)
 foreach(m ${doc_metrics})
-  string(FIND "${m}" "${retired_metric_prefix}" retired_pos)
-  if(retired_pos EQUAL 0)
+  set(retired_metric FALSE)
+  foreach(prefix ${retired_metric_prefix})
+    string(FIND "${m}" "${prefix}" retired_pos)
+    if(retired_pos EQUAL 0)
+      set(retired_metric TRUE)
+    endif()
+  endforeach()
+  if(retired_metric)
     continue()
   endif()
   # Family entries are documented as slm.span.<name>_seconds; match on
@@ -152,12 +164,17 @@ foreach(v ${doc_versions})
 endforeach()
 
 # 6. Retired surfaces must not be documented as live: every line of
-#    the docs that names a retired flag, knob, slm.pipeline.* metric or
-#    replay function must say, on that same line, that it is retired.
+#    the docs that names a retired flag, knob, metric or API must say,
+#    on that same line, that it is retired.
 file(READ ${REPO}/DESIGN.md design)
 string(REPLACE ";" "," docs_lines "${docs}")
 string(REPLACE ";" "," design_lines "${design}")
-foreach(name ${retired_flags} ${retired_knobs} "slm\\.pipeline\\."
+set(retired_metric_patterns "")
+foreach(prefix ${retired_metric_prefix})
+  string(REPLACE "." "\\." pattern "${prefix}")
+  list(APPEND retired_metric_patterns "${pattern}")
+endforeach()
+foreach(name ${retired_flags} ${retired_knobs} ${retired_metric_patterns}
         ${retired_api})
   set(scanned "${docs_lines}")
   if(name IN_LIST retired_api)
@@ -192,38 +209,9 @@ if(NOT benchdoc MATCHES "bench_fullkey")
   string(APPEND errors "BENCHMARKS.md no longer documents bench_fullkey\n")
 endif()
 
-# 8. The distributed-fabric story must stay documented: DISTRIBUTED.md
-#    has to cover the shard-worker CLI surface (--shard / --range /
-#    --snapshot-out / --snapshot-every / --dry-run), the SLMSNAP1 wire
-#    format, the bench (bench_fabric + its fabric_speedup JSON field),
-#    and the slm.fabric.* metric family; OBSERVABILITY.md must keep
-#    that family and the reissue event in its catalogs; and every
-#    fabric surface the docs lean on must still exist in the CLI.
-foreach(needed "--shard" "--range" "--snapshot-out" "--snapshot-every"
-        "--dry-run" "SLMSNAP1" "bench_fabric" "fabric_speedup"
-        "slm merge" "slm coordinate")
-  if(NOT distdoc MATCHES "${needed}")
-    string(APPEND errors "DISTRIBUTED.md no longer documents '${needed}'\n")
-  endif()
-endforeach()
-if(NOT distdoc MATCHES "slm\\.fabric\\.")
-  string(APPEND errors "DISTRIBUTED.md no longer mentions the slm.fabric.* metrics\n")
-endif()
-if(NOT obsdoc MATCHES "slm\\.fabric\\.")
-  string(APPEND errors "OBSERVABILITY.md no longer documents the slm.fabric.* metrics\n")
-endif()
-if(NOT obsdoc MATCHES "fabric_reissue")
-  string(APPEND errors "OBSERVABILITY.md no longer documents the fabric_reissue event\n")
-endif()
 file(READ ${REPO}/tools/slm_cli.cpp clisrc)
-foreach(surface "--shard" "--snapshot-out" "--dry-run" "SLMSNAP1")
-  string(FIND "${clisrc}\n${metric_sources}" "${surface}" pos)
-  if(pos EQUAL -1)
-    string(APPEND errors "fabric surface '${surface}' documented in DISTRIBUTED.md is gone from the sources\n")
-  endif()
-endforeach()
 
-# 9. The campaign-as-a-service story must stay documented, and CLI.md
+# 8. The campaign-as-a-service story must stay documented, and CLI.md
 #    must stay the ONE exit-code authority. SERVE.md has to cover the
 #    daemon surface (the three verbs, the spool/results protocol, the
 #    scheduling and preemption flags, the SLMCKPT1 resume mechanism,
@@ -234,7 +222,7 @@ endforeach()
 #    duplication CLI.md exists to end.
 foreach(needed "slm submit" "slm serve" "slm status" "--spool" "--results"
         "--tenant" "--priority" "--queue-cap" "--max-queue" "--timeslice"
-        "--max-slices" "--poll-ms" "--idle-polls" "--fabric-shards"
+        "--max-slices" "--poll-ms" "--idle-polls"
         "SLMCKPT1" "serve_smoke" "serve.jsonl" "result.json")
   if(NOT servedoc MATCHES "${needed}")
     string(APPEND errors "SERVE.md no longer documents '${needed}'\n")
@@ -249,8 +237,8 @@ endif()
 if(NOT obsdoc MATCHES "job_preempted")
   string(APPEND errors "OBSERVABILITY.md no longer documents the job_preempted event\n")
 endif()
-foreach(verb gen check sta atpg attack capture analyze tvla merge coordinate
-        submit serve status)
+foreach(verb gen check sta atpg attack capture analyze tvla submit serve
+        status)
   if(NOT clidoc MATCHES "slm ${verb}")
     string(APPEND errors "CLI.md no longer documents the '${verb}' verb\n")
   endif()
@@ -261,11 +249,11 @@ foreach(code 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 64)
   endif()
 endforeach()
 set(dup_names "README.md" "docs/BENCHMARKS.md" "docs/OBSERVABILITY.md"
-    "docs/ARCHITECTURE.md" "docs/FULLKEY.md" "docs/DISTRIBUTED.md"
-    "docs/SERVE.md" "docs/STORE.md" "EXPERIMENTS.md")
-set(dup_vars readme benchdoc obsdoc archdoc fullkeydoc distdoc servedoc
-    storedoc experiments)
-foreach(i RANGE 8)
+    "docs/ARCHITECTURE.md" "docs/FULLKEY.md" "docs/SERVE.md"
+    "docs/STORE.md" "EXPERIMENTS.md")
+set(dup_vars readme benchdoc obsdoc archdoc fullkeydoc servedoc storedoc
+    experiments)
+foreach(i RANGE 7)
   list(GET dup_names ${i} doc_name)
   list(GET dup_vars ${i} doc_var)
   if("${${doc_var}}" MATCHES "\\| *rc *\\| *meaning *\\|")
@@ -273,13 +261,13 @@ foreach(i RANGE 8)
   endif()
 endforeach()
 
-# 10. The capture-once/replay-many story must stay documented: STORE.md
-#     has to cover the replay surface (--store-out / --from-store, the
-#     capture and tvla verbs, the SLMTRC1 wire format, the bench and its
-#     replay_speedup JSON field, and the store_smoke drill);
-#     OBSERVABILITY.md must keep the slm.store.* metric family and both
-#     store events in its catalogs; and every store surface the docs
-#     lean on must still exist in the sources.
+# 9. The capture-once/replay-many story must stay documented: STORE.md
+#    has to cover the replay surface (--store-out / --from-store, the
+#    capture and tvla verbs, the SLMTRC1 wire format, the bench and its
+#    replay_speedup JSON field, and the store_smoke drill);
+#    OBSERVABILITY.md must keep the slm.store.* metric family and both
+#    store events in its catalogs; and every store surface the docs
+#    lean on must still exist in the sources.
 foreach(needed "--store-out" "--from-store" "slm capture" "slm tvla"
         "SLMTRC1" "bench_store" "replay_speedup" "store_smoke"
         "exit code 13" "exit code 14")
@@ -309,7 +297,7 @@ foreach(surface "--store-out" "--from-store" "SLMTRC1")
   endif()
 endforeach()
 
-# 11. The integer-exact fold engine and the fused one-pass replay must
+# 10. The integer-exact fold engine and the fused one-pass replay must
 #     stay documented: STORE.md has to cover the fused surface (the
 #     analyze verb, --fused-tvla, replay_all, the analyze job kind, the
 #     fused_replay_speedup JSON field, and the fold_ubsan drill);

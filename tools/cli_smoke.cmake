@@ -32,5 +32,27 @@ set(ENV{SLM_BLOCK} 7)
 run_cli(4 attack --circuit alu --mode hw --traces 500 --key-byte 3)
 unset(ENV{SLM_SIMD})
 unset(ENV{SLM_BLOCK})
-run_cli(64 bogus-command)
+# Usage errors (rc 64) name what was refused: an unknown verb, and every
+# surface of the retired process fabric (its attack worker flags, the
+# merge/coordinate verbs, submit --fabric-shards, serve --slm-bin).
+function(run_cli_refused needle)
+  execute_process(COMMAND ${SLM} ${ARGN}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE rc
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT rc EQUAL 64 OR NOT err MATCHES "${needle}")
+    message(FATAL_ERROR "slm ${ARGN} -> rc=${rc} (expected 64 naming '${needle}')\n${out}\n${err}")
+  endif()
+endfunction()
+run_cli_refused("unknown command 'bogus-command'" bogus-command)
+run_cli_refused("unknown option --shard" attack --shard 0/4)
+run_cli_refused("unknown option --snapshot-out" attack --snapshot-out x.snap)
+run_cli_refused("unknown option --dry-run" attack --dry-run)
+run_cli_refused("unknown command 'merge'" merge a.snap b.snap)
+run_cli_refused("unknown command 'coordinate'" coordinate --work-dir smoke-fabric)
+run_cli_refused("unknown option --fabric-shards"
+                submit --spool smoke-spool --tenant a --fabric-shards 2)
+run_cli_refused("unknown option --slm-bin"
+                serve --spool smoke-spool --results smoke-results --slm-bin x)
 message(STATUS "cli smoke: all subcommands behaved")

@@ -1,9 +1,9 @@
 # UndefinedBehaviorSanitizer drill for the integer-exact fold engine,
 # run as a ctest entry (fold_ubsan). The engine's whole correctness
 # story rests on int64 accumulation never wrapping inside the
-# kMaxFoldTraces x kMaxAbsReading budget (sca/fold_kernels.hpp); this
-# drill configures a scratch -fsanitize=undefined build and drives the
-# arithmetic that has to be overflow-free:
+# kMaxFoldTraces x kMaxAbsReading budget (sca/fold_kernels.hpp); on the
+# shared scratch ASan + UBSan build (asan_ubsan_build.cmake) this drill
+# drives the arithmetic that has to be overflow-free:
 #   1. fold_dispatch_test at every runnable SLM_SIMD level — the block
 #      kernels (stage / sum_cols2 / scatter), budget guards, the
 #      property oracles, and the Walsh-Hadamard class fold against its
@@ -33,47 +33,26 @@
 #      path from mmap'd store columns through every fold.
 # Any signed overflow, misaligned load, or invalid shift aborts the
 # process (halt_on_error=1, exitcode=66) and fails the test. Skips
-# gracefully when the toolchain lacks UBSan.
+# gracefully when the toolchain cannot link ASan + UBSan.
 #
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P fold_ubsan.cmake
 
-set(scratch ${WORKDIR}/fold_ubsan)
-file(MAKE_DIRECTORY ${scratch})
-
-# Probe: can the toolchain compile and link a UBSan binary at all?
-file(WRITE ${scratch}/probe.cpp "int main() { return 0; }\n")
-execute_process(COMMAND ${CXX} -fsanitize=undefined ${scratch}/probe.cpp
-                        -o ${scratch}/probe
-                RESULT_VARIABLE probe_rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT probe_rc EQUAL 0)
-  message(STATUS "fold ubsan: toolchain cannot link -fsanitize=undefined, skipping")
+include(${CMAKE_CURRENT_LIST_DIR}/asan_ubsan_build.cmake)
+if(NOT san_build)
+  message(STATUS "fold ubsan: toolchain cannot link -fsanitize=address,undefined, skipping")
   return()
 endif()
 
-execute_process(COMMAND ${CMAKE_COMMAND} -S ${REPO} -B ${scratch}/build
-                        -DCMAKE_BUILD_TYPE=RelWithDebInfo
-                        -DSLM_SANITIZE=undefined
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "ubsan configure failed:\n${out}\n${err}")
-endif()
-execute_process(COMMAND ${CMAKE_COMMAND} --build ${scratch}/build
-                        --target slm fold_dispatch_test rng_test
-                                 aes_datapath_test --parallel 4
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "ubsan build failed:\n${out}\n${err}")
-endif()
-
-set(ENV{UBSAN_OPTIONS} "halt_on_error=1 exitcode=66 print_stacktrace=1")
+set(scratch ${WORKDIR}/fold_ubsan)
+file(MAKE_DIRECTORY ${scratch})
 
 # 1. The kernel property suite at every dispatch level. Unsupported
 # levels are skipped inside the test (force_dispatch refuses levels the
 # CPU lacks), so driving all three spellings is safe everywhere.
 foreach(simd 0 sse2 avx2 auto)
   execute_process(COMMAND ${CMAKE_COMMAND} -E env SLM_SIMD=${simd}
-                          ${scratch}/build/tests/fold_dispatch_test
+                          ${san_build}/tests/fold_dispatch_test
                   WORKING_DIRECTORY ${scratch}
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
@@ -85,7 +64,7 @@ endforeach()
 
 # 2. The lane-block draws. Each case forces every runnable level itself,
 # so one run covers scalar, SSE2 and AVX2.
-execute_process(COMMAND ${scratch}/build/tests/rng_test
+execute_process(COMMAND ${san_build}/tests/rng_test
                         --gtest_filter=Rng.*
                 WORKING_DIRECTORY ${scratch}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -96,7 +75,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 # 3. The victim core at every runnable level (each case forces them).
-execute_process(COMMAND ${scratch}/build/tests/aes_datapath_test
+execute_process(COMMAND ${san_build}/tests/aes_datapath_test
                         --gtest_filter=AesDatapathCore.*
                 WORKING_DIRECTORY ${scratch}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -111,7 +90,7 @@ endif()
 # traces may or may not disclose the byte, so accept the capture's rc
 # from the replay as well (bit-identity is the store suite's job — here
 # only UBSan's verdict matters).
-set(slm ${scratch}/build/tools/slm)
+set(slm ${san_build}/tools/slm)
 set(common --circuit alu --mode tdc --traces 1500 --key-byte 3)
 set(store ${scratch}/ubsan.trc)
 file(REMOVE ${store})

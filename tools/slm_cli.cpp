@@ -21,6 +21,7 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -39,7 +40,6 @@
 #include "common/error.hpp"
 #include "core/attack.hpp"
 #include "core/checkpoint.hpp"
-#include "core/fabric.hpp"
 #include "core/parallel.hpp"
 #include "obs/observer.hpp"
 #include "serve/daemon.hpp"
@@ -205,20 +205,26 @@ core::SensorMode parse_mode(const Args& args, const char* dflt) {
   throw Error("unknown --mode '" + mode_s + "'");
 }
 
-// The options `attack`, `capture` and `tvla` accept. Anything else —
-// a typo, or a retired flag — is a usage error, not silently ignored.
-bool known_campaign_option(const std::string& key) {
-  static const char* const kKnown[] = {
+// The options `attack`, `capture`, `tvla`, `submit` and `serve` accept
+// (nullptr: the verb checks none). Anything else — a typo, or a retired
+// flag — is a usage error, not silently ignored.
+const std::vector<std::string>* known_options(const std::string& cmd) {
+  static const std::vector<std::string> kCampaign = {
       "circuit",        "mode",           "traces",     "key-byte",
       "threads",        "block",          "trace-out",  "tvla",
       "checkpoint-dir", "resume",         "halt-after", "store-out",
       "from-store",     "fused-tvla",     "full-key",   "early-exit",
-      "early-exit-margin", "snapshot-out", "snapshot-every", "range",
-      "shard",          "dry-run"};
-  for (const char* k : kKnown) {
-    if (key == k) return true;
-  }
-  return false;
+      "early-exit-margin"};
+  static const std::vector<std::string> kSubmit = {
+      "spool",  "tenant",   "priority", "kind",      "circuit", "mode",
+      "traces", "key-byte", "store",    "queue-cap", "id"};
+  static const std::vector<std::string> kServe = {
+      "spool",   "results",    "max-queue", "timeslice",
+      "threads", "max-slices", "poll-ms",   "idle-polls"};
+  if (cmd == "attack" || cmd == "capture" || cmd == "tvla") return &kCampaign;
+  if (cmd == "submit") return &kSubmit;
+  if (cmd == "serve") return &kServe;
+  return nullptr;
 }
 
 // Observability: --trace-out wins over the SLM_TRACE environment knob;
@@ -275,10 +281,9 @@ int cmd_attack(const Args& args) {
     }
   }
   opts.halt_after_traces = args.get_n("halt-after", 0);
-  if (opts.halt_after_traces > 0 && opts.checkpoint_dir.empty() &&
-      args.get("snapshot-out", "").empty()) {
-    throw Error("attack --halt-after: needs --checkpoint-dir or "
-                "--snapshot-out (nothing to resume from otherwise)");
+  if (opts.halt_after_traces > 0 && opts.checkpoint_dir.empty()) {
+    throw Error("attack --halt-after: needs --checkpoint-dir (nothing to "
+                "resume from otherwise)");
   }
   // --block tiles the capture loop (0 = SLM_BLOCK env, else the default;
   // any value is bit-identical, including across a kill/resume pair).
@@ -332,101 +337,6 @@ int cmd_attack(const Args& args) {
     }
     fk_opts.fused.early_exit_margin =
         args.get_d("early-exit-margin", fk_opts.fused.early_exit_margin);
-  }
-
-  // Distributed fabric (docs/DISTRIBUTED.md): --range/--shard turn this
-  // invocation into a shard worker that captures one contiguous trace
-  // range into an SLMSNAP1 snapshot (--snapshot-out); --dry-run prints
-  // the shard manifest as one pure-JSON line (config fingerprint and
-  // all) without capturing anything, so a coordinator can pre-validate
-  // that every shard resolves the identical campaign.
-  const std::string snapshot_out = args.get("snapshot-out", "");
-  const std::string range_s = args.get("range", "");
-  const std::string shard_s = args.get("shard", "");
-  const bool dry_run = args.options.count("dry-run") > 0;
-  if (!snapshot_out.empty() || !range_s.empty() || !shard_s.empty() ||
-      dry_run) {
-    if (!opts.checkpoint_dir.empty() || opts.resume) {
-      throw Error("attack: the fabric worker flags (--snapshot-out/--range/"
-                  "--shard/--dry-run) cannot combine with --checkpoint-dir/"
-                  "--resume — prefix snapshots are the fabric's own resume "
-                  "mechanism");
-    }
-    if (!opts.store_out.empty() || !from_store.empty()) {
-      throw Error("attack: the fabric worker flags cannot combine with "
-                  "--store-out/--from-store — shard snapshots already "
-                  "persist the accumulators (slm merge folds them)");
-    }
-    core::TraceRange range{0, traces};
-    if (!range_s.empty()) {
-      const auto colon = range_s.find(':');
-      if (colon == std::string::npos) {
-        throw Error("attack --range: expected BEGIN:END, got '" + range_s +
-                    "'");
-      }
-      range.begin = std::stoull(range_s.substr(0, colon));
-      range.end = std::stoull(range_s.substr(colon + 1));
-    } else if (!shard_s.empty()) {
-      const auto slash = shard_s.find('/');
-      if (slash == std::string::npos) {
-        throw Error("attack --shard: expected I/N, got '" + shard_s + "'");
-      }
-      const std::size_t i = std::stoull(shard_s.substr(0, slash));
-      const std::size_t n = std::stoull(shard_s.substr(slash + 1));
-      if (n == 0 || i >= n) {
-        throw Error("attack --shard: index out of range in '" + shard_s +
-                    "'");
-      }
-      range = core::plan_shards(traces, static_cast<unsigned>(n))[i];
-    }
-
-    core::StealthyAttack fabric_attack(circuit);
-    core::CampaignConfig cfg =
-        full_key ? fabric_attack.fullkey_campaign_config(traces, mode)
-                 : fabric_attack.byte_campaign_config(key_byte, traces, mode);
-    cfg.block = opts.block;
-    cfg.observer = observer.get();
-    core::FabricWorker worker(fabric_attack.setup(), cfg, full_key);
-    const core::SnapshotIdentity& id = worker.identity();
-    if (dry_run) {
-      std::cout << obs::JsonWriter()
-                       .field("circuit", core::benign_circuit_name(circuit))
-                       .field("mode", core::sensor_mode_name(mode))
-                       .field("traces", id.total_traces)
-                       .field("seed", id.seed)
-                       .field("samples", id.samples)
-                       .field("target_key_byte", id.target_key_byte)
-                       .field("single_bit", id.single_bit)
-                       .field("compiled", id.compiled != 0)
-                       .field("rng_contract",
-                              static_cast<std::uint64_t>(id.rng_contract))
-                       .field("fullkey", id.fullkey != 0)
-                       .field("fingerprint",
-                              static_cast<std::uint64_t>(id.fingerprint()))
-                       .field("begin", range.begin)
-                       .field("end", range.end)
-                       .str()
-                << "\n";
-      return 0;
-    }
-    if (snapshot_out.empty()) {
-      throw Error("attack: --range/--shard need --snapshot-out FILE");
-    }
-    core::FabricJob job;
-    job.range = range;
-    job.snapshot_out = snapshot_out;
-    job.snapshot_every = args.get_n("snapshot-every", 0);
-    job.halt_after = opts.halt_after_traces;
-    try {
-      worker.run(job);
-    } catch (const core::CampaignHalted& halted) {
-      std::cout << "campaign halted after " << halted.traces()
-                << " traces; snapshot at " << halted.snapshot_path() << "\n";
-      return 5;
-    }
-    std::cout << "fabric worker: captured [" << range.begin << ", "
-              << range.end << ") -> " << snapshot_out << "\n";
-    return 0;
   }
 
   core::StealthyAttack attack(circuit);
@@ -781,181 +691,6 @@ int cmd_analyze(const Args& args) {
   return ar.fullkey.success ? 0 : 4;
 }
 
-// `slm merge SNAP... [--out F] [--report]` — offline snapshot folding:
-// validate + merge SLMSNAP1 files in the order given (any order is
-// bit-identical), optionally write the merged snapshot, and with
-// --report (which insists on complete trace coverage) fold the merged
-// accumulator into the final key ranking — byte-identical to what the
-// serial engine prints for the same campaign.
-int cmd_merge(const Args& args) {
-  if (args.positional.empty()) {
-    throw Error("merge: need at least one snapshot file");
-  }
-  std::vector<core::AccumulatorSnapshot> parts;
-  parts.reserve(args.positional.size());
-  for (const std::string& path : args.positional) {
-    parts.push_back(core::load_snapshot(path));
-  }
-  core::AccumulatorSnapshot merged = core::merge_snapshots(parts);
-  const core::SnapshotIdentity& id = merged.id;
-
-  core::RangeLedger ledger(id.total_traces);
-  for (const core::TraceRange& r : merged.ranges) ledger.cover(r);
-  std::printf("merged %zu snapshot(s): %llu/%llu traces covered, "
-              "%zu range(s), fingerprint %08x\n",
-              parts.size(),
-              static_cast<unsigned long long>(ledger.covered()),
-              static_cast<unsigned long long>(id.total_traces),
-              merged.ranges.size(), id.fingerprint());
-
-  const std::string out = args.get("out", "");
-  if (!out.empty()) {
-    const std::size_t bytes = core::save_snapshot(out, merged);
-    std::printf("wrote %zu bytes to %s\n", bytes, out.c_str());
-  }
-
-  if (args.options.count("report") == 0) return 0;
-  if (!ledger.complete()) {
-    std::string gaps;
-    for (const core::TraceRange& g : ledger.missing()) {
-      if (!gaps.empty()) gaps += ", ";
-      gaps += "[" + std::to_string(g.begin) + ", " + std::to_string(g.end) +
-              ")";
-    }
-    throw core::SnapshotRangeError(
-        "merge --report: coverage incomplete — missing " + gaps +
-        " of " + std::to_string(id.total_traces) + " traces");
-  }
-
-  // The truth to grade against: the same victim every campaign of this
-  // circuit instantiates (the fabric never changes the key schedule).
-  core::StealthyAttack attack(static_cast<core::BenignCircuit>(id.circuit));
-  const crypto::Block true_lrk =
-      attack.setup().victim().cipher().last_round_key();
-
-  if (id.fullkey != 0) {
-    crypto::Block recovered_lrk{};
-    bool all_ok = true;
-    std::printf("byte  true  recovered  ok\n");
-    for (std::size_t j = 0; j < true_lrk.size(); ++j) {
-      const sca::CpaEngine engine = core::fold_snapshot_byte(merged, j);
-      const std::uint8_t rec =
-          static_cast<std::uint8_t>(engine.best_guess());
-      recovered_lrk[j] = rec;
-      const bool ok = rec == true_lrk[j];
-      all_ok = all_ok && ok;
-      const std::vector<double> corr = engine.max_abs_correlation();
-      std::printf("%4zu  0x%02x       0x%02x  %s  |r| %a\n", j, true_lrk[j],
-                  rec, ok ? "yes" : "NO ", corr[rec]);
-    }
-    std::printf("last-round key: true %s recovered %s\n",
-                crypto::block_to_hex(true_lrk).c_str(),
-                crypto::block_to_hex(recovered_lrk).c_str());
-    const crypto::Block true_master = crypto::recover_master_key(true_lrk);
-    const crypto::Block recovered_master =
-        crypto::recover_master_key(recovered_lrk);
-    std::printf("master key:     true %s recovered %s -> %s\n",
-                crypto::block_to_hex(true_master).c_str(),
-                crypto::block_to_hex(recovered_master).c_str(),
-                all_ok ? "RECOVERED" : "not recovered");
-    return all_ok ? 0 : 4;
-  }
-
-  const std::size_t kb = static_cast<std::size_t>(id.target_key_byte);
-  const sca::CpaEngine engine = core::fold_snapshot_byte(merged, kb);
-  const std::uint8_t rec = static_cast<std::uint8_t>(engine.best_guess());
-  const bool ok = rec == true_lrk[kb];
-  const std::vector<double> corr = engine.max_abs_correlation();
-  std::printf("key byte %zu: true 0x%02x recovered 0x%02x -> %s\n", kb,
-              true_lrk[kb], rec, ok ? "RECOVERED" : "not recovered");
-  std::printf("best |r| %a\n", corr[rec]);
-  return ok ? 0 : 4;
-}
-
-// `slm coordinate` — drive N local `slm attack --range --snapshot-out`
-// worker subprocesses to full coverage (reissuing dead shards' missing
-// ranges) and merge the result into <work-dir>/merged.snap.
-int cmd_coordinate(const Args& args) {
-  core::CoordinateOptions opt;
-  opt.total_traces = args.get_n("traces", 150000);
-  opt.shards = static_cast<unsigned>(args.get_n("shards", 4));
-  opt.work_dir = args.get("work-dir", "");
-  if (opt.work_dir.empty()) {
-    throw Error("coordinate: need --work-dir DIR");
-  }
-  opt.snapshot_every = args.get_n("snapshot-every", 0);
-  opt.max_reissue_rounds =
-      static_cast<unsigned>(args.get_n("max-reissues", 4));
-  if (args.options.count("kill-shard") > 0) {
-    opt.kill_shard = static_cast<int>(args.get_n("kill-shard", 0));
-    opt.kill_after = args.get_n("kill-after", 0);
-    if (opt.kill_after == 0) {
-      throw Error("coordinate --kill-shard: needs --kill-after N (traces "
-                  "into the shard's range)");
-    }
-  }
-
-  // The worker binary: an explicit --slm-bin wins, else this very
-  // executable (via /proc/self/exe, so it works from any cwd).
-  opt.slm_binary = args.get("slm-bin", "");
-  if (opt.slm_binary.empty()) {
-    std::error_code ec;
-    const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
-    if (ec) throw Error("coordinate: cannot resolve own binary; pass "
-                        "--slm-bin PATH");
-    opt.slm_binary = self.string();
-  }
-
-  // Campaign config pass-through: the whitelisted attack flags are
-  // forwarded verbatim so every worker resolves the identical campaign
-  // (the snapshot fingerprint enforces it at merge time).
-  for (const char* k :
-       {"circuit", "mode", "key-byte", "block"}) {
-    const auto it = args.options.find(k);
-    if (it != args.options.end()) {
-      opt.worker_args.push_back("--" + std::string(k));
-      opt.worker_args.push_back(it->second);
-    }
-  }
-  opt.worker_args.push_back("--traces");
-  opt.worker_args.push_back(std::to_string(opt.total_traces));
-  if (args.options.count("full-key") > 0) {
-    opt.worker_args.push_back("--full-key");
-  }
-
-  std::unique_ptr<obs::CampaignObserver> observer;
-  const std::string trace_out = args.get("trace-out", "");
-  if (!trace_out.empty()) {
-    observer = std::make_unique<obs::CampaignObserver>(trace_out);
-  } else {
-    observer = obs::observer_from_env();
-  }
-  opt.observer = observer.get();
-
-  const core::CoordinateResult res = core::coordinate_local(opt);
-  std::printf("coordinate: %u worker(s) spawned, %u failure(s), %u "
-              "range(s) reissued, %zu snapshot(s) merged\n",
-              res.workers_spawned, res.worker_failures, res.ranges_reissued,
-              res.snapshots_merged);
-  std::printf("merged snapshot: %s\n", res.merged_path.c_str());
-  if (observer != nullptr && observer->has_sink()) {
-    observer->write_manifest(
-        obs::JsonWriter()
-            .field("shards", static_cast<std::uint64_t>(opt.shards))
-            .field("traces", opt.total_traces)
-            .field("workers_spawned",
-                   static_cast<std::uint64_t>(res.workers_spawned))
-            .field("worker_failures",
-                   static_cast<std::uint64_t>(res.worker_failures))
-            .field("ranges_reissued",
-                   static_cast<std::uint64_t>(res.ranges_reissued))
-            .field("snapshots_merged",
-                   static_cast<std::uint64_t>(res.snapshots_merged))
-            .field("merged_path", res.merged_path));
-  }
-  return 0;
-}
-
 // Campaign-as-a-service verbs (docs/SERVE.md): submit writes a job file
 // into the spool, serve is the resident multi-tenant scheduler, status
 // summarizes the daemon's JSONL feed. Exit codes: 10 = job rejected
@@ -1000,8 +735,6 @@ int cmd_submit(const Args& args) {
   spec.mode = serve::mode_from_name(args.get("mode", "tdc"), "submit");
   spec.traces = args.get_n("traces", 20000);
   spec.key_byte = args.get_n("key-byte", 3);
-  spec.fabric_shards =
-      static_cast<unsigned>(args.get_n("fabric-shards", 0));
   spec.store = args.get("store", "");
 
   // Backpressure starts at the submission edge: the spool is the
@@ -1095,12 +828,6 @@ int cmd_serve(const Args& args) {
   so.max_slices = args.get_n("max-slices", 0);
   so.poll_ms = args.get_n("poll-ms", 25);
   so.idle_polls = args.get_n("idle-polls", 2);
-  so.slm_binary = args.get("slm-bin", "");
-  if (so.slm_binary.empty()) {
-    std::error_code ec;
-    const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
-    if (!ec) so.slm_binary = self.string();
-  }
 
   const serve::ServeReport rep = serve::serve(so);
   std::printf("serve: %zu slice(s): %zu admitted (+%zu recovered), "
@@ -1171,27 +898,21 @@ int usage() {
          "         [--checkpoint-dir D] [--resume D] [--halt-after N]\n"
          "         [--trace-out F.jsonl]\n"
          "         [--store-out F.trc | --from-store F.trc [--fused-tvla]]\n"
-         "         [--shard I/N | --range A:B] [--snapshot-out F.snap]\n"
-         "         [--snapshot-every N] [--dry-run]\n"
          "  capture --store-out F.trc [--tvla] [+ attack/tvla flags]\n"
          "  analyze --from-store F.trc [--trace-out F.jsonl]\n"
          "  tvla   [--circuit alu|c6288] [--mode tdc|tdc-bit|hw|bit|ro]\n"
          "         [--traces N-per-population] [--key-byte B]\n"
          "         [--trace-out F.jsonl]\n"
          "         [--store-out F.trc | --from-store F.trc]\n"
-         "  merge  SNAP... [--out F.snap] [--report]\n"
-         "  coordinate --work-dir D [--shards N] [--traces N]\n"
-         "         [--snapshot-every N] [--kill-shard I --kill-after N]\n"
-         "         [--max-reissues K] [--slm-bin PATH] [--trace-out F]\n"
-         "         [+ the attack config flags, forwarded to workers]\n"
+
          "  submit --spool D --tenant T\n"
          "         [--kind attack|full-key|tvla|analyze]\n"
          "         [--priority P] [--circuit alu|c6288] [--mode M]\n"
-         "         [--traces N] [--key-byte B] [--fabric-shards N]\n"
+         "         [--traces N] [--key-byte B]\n"
          "         [--store F.trc] [--queue-cap N] [--id ID]\n"
          "  serve  --spool D --results D [--max-queue N] [--timeslice N]\n"
          "         [--threads N] [--max-slices N] [--poll-ms MS]\n"
-         "         [--idle-polls N] [--slm-bin PATH]\n"
+         "         [--idle-polls N]\n"
          "  status --results D [--spool D]\n";
   return 64;
 }
@@ -1202,9 +923,10 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   const Args args = parse_args(argc, argv, 2);
-  if (cmd == "attack" || cmd == "capture" || cmd == "tvla") {
+  if (const std::vector<std::string>* known = known_options(cmd)) {
     for (const auto& option : args.options) {
-      if (!known_campaign_option(option.first)) {
+      if (std::find(known->begin(), known->end(), option.first) ==
+          known->end()) {
         std::cerr << "slm: " << cmd << ": unknown option --" << option.first
                   << "\n";
         return usage();
@@ -1220,11 +942,10 @@ int main(int argc, char** argv) {
     if (cmd == "capture") return cmd_capture(args);
     if (cmd == "analyze") return cmd_analyze(args);
     if (cmd == "tvla") return cmd_tvla(args);
-    if (cmd == "merge") return cmd_merge(args);
-    if (cmd == "coordinate") return cmd_coordinate(args);
     if (cmd == "submit") return cmd_submit(args);
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "status") return cmd_status(args);
+    std::cerr << "slm: unknown command '" << cmd << "'\n";
     return usage();
   } catch (const serve::QueueFullError& e) {
     std::cerr << "slm: error: " << e.what() << "\n";
@@ -1232,15 +953,6 @@ int main(int argc, char** argv) {
   } catch (const serve::JobSpecError& e) {
     std::cerr << "slm: error: " << e.what() << "\n";
     return 11;
-  } catch (const core::SnapshotFormatError& e) {
-    std::cerr << "slm: error: " << e.what() << "\n";
-    return 7;
-  } catch (const core::SnapshotMismatch& e) {
-    std::cerr << "slm: error: " << e.what() << "\n";
-    return 8;
-  } catch (const core::SnapshotRangeError& e) {
-    std::cerr << "slm: error: " << e.what() << "\n";
-    return 9;
   } catch (const store::StoreFormatError& e) {
     std::cerr << "slm: error: " << e.what() << "\n";
     return 13;

@@ -1,7 +1,7 @@
 # AddressSanitizer drill for the trace store's zero-copy mmap replay
-# path, run as a ctest entry (store_asan). Configures a scratch build of
-# the CLI with -fsanitize=address and drives a capture plus replays
-# through it: every chunk-CRC walk over the mapped file, every column
+# path, run as a ctest entry (store_asan). On the shared scratch ASan +
+# UBSan build (asan_ubsan_build.cmake) it drives a capture plus replays
+# through the CLI: every chunk-CRC walk over the mapped file, every column
 # view handed to the folding kernels, and the refusal paths for a
 # corrupted and a truncated store must stay inside the mapping. The
 # same tree also runs binio_framed_test (every CRC kernel over every
@@ -9,45 +9,23 @@
 # bounds-checked) and store_test (gather-written stores, the byte pins
 # and the per-region corruption table). An out-of-bounds read aborts
 # the process (halt_on_error=1, exitcode=66) and fails the test. Skips
-# gracefully when the toolchain lacks ASan.
+# gracefully when the toolchain cannot link ASan + UBSan.
 #
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P store_asan.cmake
 
-set(scratch ${WORKDIR}/store_asan)
-file(MAKE_DIRECTORY ${scratch})
-
-# Probe: can the toolchain compile and link an ASan binary at all?
-file(WRITE ${scratch}/probe.cpp "int main() { return 0; }\n")
-execute_process(COMMAND ${CXX} -fsanitize=address ${scratch}/probe.cpp
-                        -o ${scratch}/probe
-                RESULT_VARIABLE probe_rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT probe_rc EQUAL 0)
-  message(STATUS "store asan: toolchain cannot link -fsanitize=address, skipping")
+include(${CMAKE_CURRENT_LIST_DIR}/asan_ubsan_build.cmake)
+if(NOT san_build)
+  message(STATUS "store asan: toolchain cannot link -fsanitize=address,undefined, skipping")
   return()
 endif()
 
-execute_process(COMMAND ${CMAKE_COMMAND} -S ${REPO} -B ${scratch}/build
-                        -DCMAKE_BUILD_TYPE=RelWithDebInfo
-                        "-DCMAKE_CXX_FLAGS=-fsanitize=address -O1 -g"
-                        -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=address
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "asan configure failed:\n${out}\n${err}")
-endif()
-execute_process(COMMAND ${CMAKE_COMMAND} --build ${scratch}/build
-                        --target slm binio_framed_test store_test
-                        --parallel 4
-                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "asan build failed:\n${out}\n${err}")
-endif()
-
-set(slm ${scratch}/build/tools/slm)
-set(ENV{ASAN_OPTIONS} "halt_on_error=1 exitcode=66")
+set(scratch ${WORKDIR}/store_asan)
+file(MAKE_DIRECTORY ${scratch})
+set(slm ${san_build}/tools/slm)
 
 foreach(test binio_framed_test store_test)
-  execute_process(COMMAND ${scratch}/build/tests/${test}
+  execute_process(COMMAND ${san_build}/tests/${test}
                   WORKING_DIRECTORY ${scratch}
                   RESULT_VARIABLE rc
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -1,5 +1,5 @@
 # Shared scratch -fsanitize=thread build of the CLI for the TSan drills
-# (pipeline_tsan, serve_tsan, fabric_tsan). Included, not run: the
+# (pipeline_tsan, serve_tsan). Included, not run: the
 # caller sets REPO, WORKDIR and CXX; this sets `slm` to the TSan binary,
 # or to "" when the toolchain cannot link TSan (the caller then skips).
 # Every drill builds into the same directory, so only the first one to
