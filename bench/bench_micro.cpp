@@ -228,11 +228,10 @@ BENCHMARK(BM_BenignSensorSampleBit);
 
 // --- Block-kernel vs per-trace baselines -------------------------------
 //
-// The three pairs below are the block pipeline's hot kernels (DESIGN.md
-// §11): the compiled capture evaluated per trace (toggle_hw_batch) vs
-// per block of lanes (toggle_hw_block, SIMD and forced-scalar), and the
-// CPA accumulators fed one trace at a time vs one cache-blocked rank-K
-// update. items_per_second is samples/sec for the sensor kernels and
+// The block pipeline's hot kernels (DESIGN.md §11): the compiled capture
+// evaluated per block of lanes (toggle_hw_block, SIMD and forced-scalar),
+// and the CPA accumulators fed one trace at a time vs one cache-blocked
+// rank-K update. items_per_second is samples/sec for the sensor kernels and
 // traces/sec for the CPA kernels.
 
 constexpr std::size_t kMicroBits = 32;    // planned endpoints
@@ -245,22 +244,6 @@ sensors::BenignSensorBank::CompiledHwPlan micro_hw_plan(
   for (std::size_t i = 0; i < kMicroBits; ++i) bits.push_back(i);
   return setup.sensor().compile_hw_plan(bits);
 }
-
-void BM_SensorToggleHwBatch(benchmark::State& state) {
-  core::AttackSetup setup(core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults());
-  const auto plan = micro_hw_plan(setup);
-  Xoshiro256 rng(7);
-  std::vector<double> v(kMicroSamples, 0.97);
-  std::vector<double> y(kMicroSamples, 0.0);
-  for (auto _ : state) {
-    setup.sensor().toggle_hw_batch(plan, v.data(), v.size(), rng, y.data());
-    benchmark::DoNotOptimize(y[0]);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kMicroSamples));
-}
-BENCHMARK(BM_SensorToggleHwBatch);
 
 void toggle_hw_block_bench(benchmark::State& state, bool simd) {
   core::AttackSetup setup(core::BenignCircuit::kAlu,

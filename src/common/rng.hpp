@@ -19,10 +19,15 @@ namespace slm {
 /// contract v2, DESIGN.md §12). Each consumer of per-trace randomness
 /// derives its stream from trace_stream(seed, domain, trace_index) with
 /// its own domain constant, so the capture draws, fence draws, and mask
-/// draws of the same trace never collide.
+/// draws of the same trace never collide, and each campaign pass
+/// (capture, the selection and TDC-stage pre-passes, TVLA) draws its
+/// plaintexts and noise from its own traces.
 inline constexpr std::uint64_t kTraceDomainCapture = 0;
 inline constexpr std::uint64_t kTraceDomainFence = 1;
 inline constexpr std::uint64_t kTraceDomainMask = 2;
+inline constexpr std::uint64_t kTraceDomainSelection = 3;
+inline constexpr std::uint64_t kTraceDomainTvla = 4;
+inline constexpr std::uint64_t kTraceDomainTdcStage = 5;
 
 /// xoshiro256** by Blackman & Vigna — fast, high-quality, 2^256-1 period.
 class Xoshiro256 {

@@ -71,7 +71,6 @@ class MultiCorrelation {
   /// lists the hypothesis indices with h=1; all others have h=0.
   void add_binary(const std::vector<std::uint8_t>& h_bits, double y);
 
-  std::size_t hypothesis_count() const { return sum_h_.size(); }
   std::size_t count() const { return n_; }
 
   /// Pearson r for hypothesis k.

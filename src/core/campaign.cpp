@@ -24,24 +24,59 @@
 
 namespace slm::core {
 
-// Engine internals (forward-declared in core/campaign.hpp): the
-// resolved capture plan, one shard's block buffers and accumulator, and
-// the fold step that labels a block's ciphertexts and adds the block to
-// an accumulator.
+// Engine internals (forward-declared in core/campaign.hpp): the sensor
+// read-out, the resolved capture plan of a pass, one shard's block
+// buffers and accumulator, the shards' workers, and the fold step that
+// labels a block's ciphertexts and adds the block to a CPA accumulator.
 
-/// Precompiled sensor read-out for CpaCampaign::capture_block: the benign
-/// modes' compiled plans, and how many standard normals each sample's
-/// reading takes from the trace's stream (after its env-noise draw).
+/// What capture_block reads out of each sample: a campaign sensor's
+/// reading into buf.y (one per SensorMode, see readout_of), or, for
+/// the selection pre-pass, every benign endpoint's toggle counted into
+/// buf.ones.
+enum class Readout : std::uint8_t {
+  kTdcFull,
+  kTdcSingleBit,
+  kBenignHw,
+  kBenignSingleBit,
+  kRoCounter,
+  kToggleCounts,
+};
+
+Readout readout_of(SensorMode m) {
+  switch (m) {
+    case SensorMode::kTdcFull:
+      return Readout::kTdcFull;
+    case SensorMode::kTdcSingleBit:
+      return Readout::kTdcSingleBit;
+    case SensorMode::kBenignHw:
+      return Readout::kBenignHw;
+    case SensorMode::kBenignSingleBit:
+      return Readout::kBenignSingleBit;
+    case SensorMode::kRoCounter:
+      return Readout::kRoCounter;
+  }
+  throw Error("readout_of: unknown sensor mode");
+}
+
+/// Precompiled sensor read-out for CpaCampaign::capture_block: the
+/// read-out, the benign modes' compiled plans, and how many standard
+/// normals each sample's reading takes from the trace's stream (after
+/// its env-noise draw).
 struct SensorPlan {
+  Readout readout = Readout::kTdcFull;
   sensors::BenignSensorBank::CompiledHwPlan hw;
   sensors::BenignSensorBank::CompiledBitPlan bit;
   std::size_t draws_per_sample = 0;
 };
 
 /// Everything the capture body needs besides the trace range, resolved
-/// once per run (see CpaCampaign::capture_plan).
+/// once per pass (see CpaCampaign::capture_plan).
 struct CapturePlan {
   SensorPlan sensor;
+  /// Trace domain of the pass's counter-keyed streams (common/rng.hpp).
+  std::uint64_t domain = kTraceDomainCapture;
+  /// TVLA: the plaintext every even trace encrypts, after its draw.
+  std::optional<crypto::Block> fixed_even;
   std::size_t block = 0;          ///< resolved trace-block size
   bool simd = true;               ///< resolved lane-parallel dispatch
   /// Level of the lane-block draws (scalar when simd is off).
@@ -52,9 +87,11 @@ struct CapturePlan {
 };
 
 /// One shard's block buffers. capture_block fills `y` (readings, trace-
-/// major) and `ct` (ciphertexts); fold_block fills the class labels.
+/// major) or `ones` (the block's toggle counts per endpoint) and `ct`
+/// (ciphertexts); fold_block fills the class labels.
 struct CaptureBuffers {
   std::vector<double> y;
+  std::vector<std::size_t> ones;
   std::vector<crypto::Block> ct;
   std::vector<std::uint8_t> cls_v;
   std::vector<std::uint8_t> cls_b;
@@ -71,17 +108,43 @@ struct CaptureBuffers {
 
 /// One shard's mutable half of the pipeline: its accumulator, block
 /// buffers and observer-gated phase timers (accumulated thread-locally,
-/// read by the coordinator only between segments). run_engine runs one
+/// read by the coordinator only between segments). Every pass runs one
 /// per worker.
 template <class Acc>
 struct Shard {
-  explicit Shard(std::size_t samples) : acc(samples) {}
+  explicit Shard(Acc blank) : acc(std::move(blank)) {}
   Acc acc;
   std::size_t position = 0;
   CaptureBuffers buf;
   double kernel_s = 0.0;
   double cpa_s = 0.0;
   std::size_t blocks = 0;
+};
+
+/// The shards a pass splits its trace range over and the pool that runs
+/// them: the borrowed cfg.pool, a private pool, or none for one shard
+/// (the calling thread).
+struct Workers {
+  Workers(unsigned count, ThreadPool* borrowed)
+      : shards(count), pool(count == 1 ? nullptr : borrowed) {
+    if (count > 1 && pool == nullptr) pool = &owned.emplace(count);
+  }
+
+  const unsigned shards;
+  ThreadPool* pool;
+  std::optional<ThreadPool> owned;
+};
+
+/// The TDC auto-stage probe's accumulator: counts of the full-TDC
+/// readings 0..stages, and how many 0 readings had stage 0 firing.
+struct ReadingCounts {
+  explicit ReadingCounts(std::size_t bins) : counts(bins, 0) {}
+  void merge(const ReadingCounts& o) {
+    for (std::size_t k = 0; k < counts.size(); ++k) counts[k] += o.counts[k];
+    zero_fired += o.zero_fired;
+  }
+  std::vector<std::uint64_t> counts;
+  std::uint64_t zero_fired = 0;
 };
 
 /// The engines' fold step: label ciphertexts buf.ct[0, n) under every
@@ -261,108 +324,48 @@ void finalize_trace_store(store::TraceStoreWriter& writer,
   }
 }
 
-void CpaCampaign::make_voltages(
-    const crypto::AesDatapathModel::Encryption& enc, Xoshiro256& rng,
-    std::vector<double>& v_out) const {
-  const Calibration& cal = setup_.calibration();
-  // Victim current as seen by the attacker region (coupling-attenuated).
-  static thread_local std::vector<double> i_cycles;
-  i_cycles.assign(enc.cycle_current.begin(), enc.cycle_current.end());
-  if (fence_) {
-    // The active fence sits in the victim region: its randomised draw
-    // rides on the same coupling path and masks the victim's signal.
-    for (double& i : i_cycles) i += fence_->next_cycle_current();
-  }
-  const double coupling = setup_.effective_coupling();
-  for (double& i : i_cycles) i *= coupling;
-
-  response_.voltages(i_cycles, v_out);
-  // One batched draw block; identical values and stream order to the
-  // per-sample normal(rng, 0.0, sigma) calls (see FastNormal::fill).
-  static thread_local std::vector<double> z;
-  z.resize(v_out.size());
-  FastNormal::instance().fill(rng, z.data(), z.size());
-  for (std::size_t s = 0; s < v_out.size(); ++s) {
-    v_out[s] += 0.0 + cal.env_noise_v * z[s];
-  }
-}
-
-void CpaCampaign::read_sensor(const double* v, std::size_t n,
-                              const std::vector<std::size_t>& bits,
-                              Xoshiro256& rng, double* y) const {
-  switch (cfg_.mode) {
-    case SensorMode::kTdcFull:
-      for (std::size_t s = 0; s < n; ++s) {
-        y[s] = static_cast<double>(setup_.tdc().sample(v[s], rng));
-      }
-      break;
-    case SensorMode::kTdcSingleBit:
-      for (std::size_t s = 0; s < n; ++s) {
-        y[s] =
-            setup_.tdc().sample_bit(cfg_.single_bit, v[s], rng) ? 1.0 : 0.0;
-      }
-      break;
-    case SensorMode::kBenignHw:
-      for (std::size_t s = 0; s < n; ++s) {
-        y[s] = static_cast<double>(
-            setup_.sensor().sample_toggle_hw(bits, v[s], rng));
-      }
-      break;
-    case SensorMode::kBenignSingleBit:
-      for (std::size_t s = 0; s < n; ++s) {
-        y[s] = setup_.sensor().sample_toggle_bit(cfg_.single_bit, v[s], rng)
-                   ? 1.0
-                   : 0.0;
-      }
-      break;
-    case SensorMode::kRoCounter:
-      for (std::size_t s = 0; s < n; ++s) {
-        y[s] = static_cast<double>(setup_.ro_sensor().sample(v[s], rng));
-      }
-      break;
-  }
-}
-
 SensorPlan CpaCampaign::make_sensor_plan(
-    const std::vector<std::size_t>& bits) const {
+    Readout readout, const std::vector<std::size_t>& bits) const {
   SensorPlan plan;
-  switch (cfg_.mode) {
-    case SensorMode::kBenignHw:
+  plan.readout = readout;
+  switch (readout) {
+    case Readout::kBenignHw:
       plan.hw = setup_.sensor().compile_hw_plan(bits);
       plan.draws_per_sample = plan.hw.draws_per_sample;
       break;
-    case SensorMode::kBenignSingleBit:
+    case Readout::kBenignSingleBit:
       plan.bit = setup_.sensor().compile_bit_plan(cfg_.single_bit);
       plan.draws_per_sample = 2;  // common jitter, endpoint jitter
       break;
-    case SensorMode::kTdcFull:
-    case SensorMode::kTdcSingleBit:
-    case SensorMode::kRoCounter:
+    case Readout::kToggleCounts:
+      // Each instance's common jitter, then one draw per endpoint.
+      plan.draws_per_sample =
+          setup_.sensor().instance_count() + setup_.sensor_bits();
+      break;
+    case Readout::kTdcFull:
+    case Readout::kTdcSingleBit:
+    case Readout::kRoCounter:
       plan.draws_per_sample = 1;
       break;
   }
   return plan;
 }
 
-std::vector<std::size_t> CpaCampaign::resolve_sensor_bits() {
+std::vector<std::size_t> CpaCampaign::resolve_sensor_bits(unsigned threads) {
   const bool auto_bit = cfg_.single_bit == CampaignConfig::kAutoBit &&
                         (cfg_.mode == SensorMode::kBenignSingleBit ||
                          cfg_.mode == SensorMode::kTdcSingleBit);
   if (cfg_.mode != SensorMode::kBenignHw && !auto_bit) {
     prepass_ = "none";  // only the range checks run
-    return run_sensor_prepass();
+    return run_sensor_prepass(threads);
   }
   prepass_ = "ran";
   SetupMemo* const memo = cfg_.setup_memo;
-  if (memo == nullptr) return run_sensor_prepass();
+  if (memo == nullptr) return run_sensor_prepass(threads);
   SensorBitsKey key = sensor_bits_key();
   if (std::optional<SensorBits> hit = memo->find(key)) {
     count_memo_lookup(true);
     prepass_ = "reused";
-    // Leave the setup exactly as the pass would have: a later stateful
-    // pass (TVLA's loop, the next campaign on this setup) reads it.
-    setup_.victim().restore_registers(hit->registers);
-    if (fence_) fence_->set_rng_state(*hit->fence_state);
     cfg_.single_bit = hit->single_bit;
     log_info() << "campaign: sensor pre-pass reused from the set-up memo ("
                << hit->bits.size() << " bits of interest, bit "
@@ -370,12 +373,8 @@ std::vector<std::size_t> CpaCampaign::resolve_sensor_bits() {
     return std::move(hit->bits);
   }
   count_memo_lookup(false);
-  std::vector<std::size_t> bits = run_sensor_prepass();
-  memo->insert(std::move(key),
-               SensorBits{bits, cfg_.single_bit,
-                          setup_.victim().register_snapshot(),
-                          fence_ ? std::optional(fence_->rng_state())
-                                 : std::nullopt});
+  std::vector<std::size_t> bits = run_sensor_prepass(threads);
+  memo->insert(std::move(key), SensorBits{bits, cfg_.single_bit});
   return bits;
 }
 
@@ -392,15 +391,13 @@ SensorBitsKey CpaCampaign::sensor_bits_key() const {
   key.selection_top_k = cfg_.selection_top_k;
   key.sample_times_ns = sample_times_;
   key.fence = cfg_.fence;
-  if (fence_) key.fence_state = fence_->rng_state();
-  key.registers = setup_.victim().register_snapshot();
   return key;
 }
 
-std::vector<std::size_t> CpaCampaign::run_sensor_prepass() {
+std::vector<std::size_t> CpaCampaign::run_sensor_prepass(unsigned threads) {
   std::vector<std::size_t> bits;
   if (cfg_.mode == SensorMode::kBenignHw) {
-    bits = select_bits_of_interest();
+    bits = select_bits_of_interest(threads);
     log_info() << "campaign: " << bits.size() << " bits of interest selected";
     SLM_REQUIRE(!bits.empty(),
                 "CpaCampaign: no bits of interest — sensor not sensitive "
@@ -408,7 +405,7 @@ std::vector<std::size_t> CpaCampaign::run_sensor_prepass() {
   }
   if (cfg_.mode == SensorMode::kBenignSingleBit) {
     if (cfg_.single_bit == CampaignConfig::kAutoBit) {
-      cfg_.single_bit = run_selection_pass().highest_variance_bit();
+      cfg_.single_bit = run_selection_pass(threads).highest_variance_bit();
       log_info() << "campaign: auto-selected endpoint bit "
                  << cfg_.single_bit;
     }
@@ -417,43 +414,7 @@ std::vector<std::size_t> CpaCampaign::run_sensor_prepass() {
   }
   if (cfg_.mode == SensorMode::kTdcSingleBit) {
     if (cfg_.single_bit == CampaignConfig::kAutoBit) {
-      // The paper picks "the highest variant bit ... close to the idle
-      // value". The highest-variance thermometer stage is the one whose
-      // firing probability sits closest to 1/2 at the operating point,
-      // so probe the stages around the mean depth directly (the floored
-      // reading's mean alone is biased by half a stage).
-      Xoshiro256 pre_rng(cfg_.seed ^ 0x7dc0u);
-      std::vector<double> v;
-      std::vector<double> voltages;
-      OnlineMeanVar depth;
-      for (std::size_t t = 0; t < 256; ++t) {
-        crypto::Block pt;
-        for (auto& b : pt) b = static_cast<std::uint8_t>(pre_rng.next());
-        const auto enc = setup_.victim().encrypt(pt);
-        make_voltages(enc, pre_rng, v);
-        for (double vs : v) {
-          voltages.push_back(vs);
-          depth.add(static_cast<double>(setup_.tdc().sample(vs, pre_rng)));
-        }
-      }
-      const std::size_t stages = setup_.calibration().tdc.stages;
-      const auto centre = static_cast<std::size_t>(depth.mean());
-      std::size_t best_stage = centre;
-      double best_dist = 1.0;
-      for (std::size_t cand = (centre > 3 ? centre - 3 : 0);
-           cand <= centre + 3 && cand < stages; ++cand) {
-        std::size_t ones = 0;
-        for (double vs : voltages) {
-          if (setup_.tdc().sample_bit(cand, vs, pre_rng)) ++ones;
-        }
-        const double p = static_cast<double>(ones) /
-                         static_cast<double>(voltages.size());
-        if (std::abs(p - 0.5) < best_dist) {
-          best_dist = std::abs(p - 0.5);
-          best_stage = cand;
-        }
-      }
-      cfg_.single_bit = best_stage;
+      cfg_.single_bit = tdc_stage(threads);
       log_info() << "campaign: auto-selected TDC stage " << cfg_.single_bit;
     }
     SLM_REQUIRE(cfg_.single_bit < setup_.calibration().tdc.stages,
@@ -462,67 +423,108 @@ std::vector<std::size_t> CpaCampaign::run_sensor_prepass() {
   return bits;
 }
 
-sca::WelchTTest CpaCampaign::run_tvla(std::size_t traces_per_population) {
+std::size_t CpaCampaign::tdc_stage(unsigned threads) const {
+  // The paper picks "the highest variant bit ... close to the idle
+  // value". The highest-variance thermometer stage is the one whose
+  // firing probability sits closest to 1/2 at the operating point, so
+  // probe the stages around the mean depth directly (the floored
+  // reading's mean alone is biased by half a stage). Stage k >= 1 fires
+  // iff the full reading is >= k, so one histogram serves those stages.
+  // A 0 reading covers every noisy depth below 1, clamped ones included,
+  // so stage 0 is counted from the sample's own voltage and draw.
+  constexpr std::size_t kProbeTraces = 256;
+  const std::size_t stages = setup_.calibration().tdc.stages;
+  const std::size_t samples = sample_times_.size();
+  const sensors::TdcSensor& tdc = setup_.tdc();
+  const ReadingCounts h = run_pass(
+      threads, capture_plan(Readout::kTdcFull, {}, kTraceDomainTdcStage),
+      kProbeTraces, ReadingCounts(stages + 1),
+      [samples, &tdc](std::size_t, std::size_t bn, CaptureBuffers& buf,
+                      ReadingCounts& acc) {
+        for (std::size_t i = 0; i < bn * samples; ++i) {
+          const auto reading = static_cast<std::size_t>(buf.y[i]);
+          ++acc.counts[reading];
+          if (reading == 0 &&
+              tdc.sample_bit_from_draw(0, buf.v[i], buf.z[i])) {
+            ++acc.zero_fired;
+          }
+        }
+      },
+      nullptr);
+  std::uint64_t total = 0;
+  std::uint64_t depth_sum = 0;
+  for (std::size_t k = 0; k <= stages; ++k) {
+    total += h.counts[k];
+    depth_sum += k * h.counts[k];
+  }
+  const std::size_t centre = static_cast<std::size_t>(depth_sum / total);
+  std::size_t best_stage = centre;
+  double best_dist = 1.0;
+  for (std::size_t cand = (centre > 3 ? centre - 3 : 0);
+       cand <= centre + 3 && cand < stages; ++cand) {
+    std::uint64_t ones = cand == 0 ? h.zero_fired : 0;
+    for (std::size_t k = std::max<std::size_t>(cand, 1); k <= stages; ++k) {
+      ones += h.counts[k];
+    }
+    const double p = static_cast<double>(ones) / static_cast<double>(total);
+    if (std::abs(p - 0.5) < best_dist) {
+      best_dist = std::abs(p - 0.5);
+      best_stage = cand;
+    }
+  }
+  return best_stage;
+}
+
+unsigned CpaCampaign::shard_count(unsigned threads, std::size_t traces) const {
+  return static_cast<unsigned>(std::min<std::size_t>(
+      cfg_.pool != nullptr ? cfg_.pool->size() : resolve_threads(threads),
+      std::max<std::size_t>(1, traces)));
+}
+
+sca::WelchTTest CpaCampaign::run_tvla(std::size_t traces_per_population,
+                                      unsigned threads) {
   SLM_REQUIRE(traces_per_population >= 2, "run_tvla: too few traces");
-  sca::require_fold_budget(2 * traces_per_population, "run_tvla");
+  const std::size_t traces = 2 * traces_per_population;
+  sca::require_fold_budget(traces, "run_tvla");
   std::unique_ptr<store::TraceStoreWriter> store_writer;
   if (!cfg_.store_out.empty()) {
     store_writer = std::make_unique<store::TraceStoreWriter>(
-        cfg_.store_out,
-        store_identity(store::StoreKind::kTvla, 2 * traces_per_population));
+        cfg_.store_out, store_identity(store::StoreKind::kTvla, traces));
+    store_writer->set_capture_threads(shard_count(threads, traces));
   }
-  const std::vector<std::size_t> bits = resolve_sensor_bits();
+  const std::vector<std::size_t> bits = resolve_sensor_bits(threads);
   if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
 
-  sca::WelchTTest ttest(sample_times_.size());
-  Xoshiro256 rng(cfg_.seed ^ 0x77a1u);
-  const crypto::Block fixed_pt =
-      crypto::block_from_hex("da39a3ee5e6b4b0d3255bfef95601890");
-  std::vector<double> v;
-  std::vector<double> y;
-  for (std::size_t t = 0; t < 2 * traces_per_population; ++t) {
-    const bool fixed = (t % 2) == 0;
-    crypto::Block pt = fixed_pt;
-    if (!fixed) {
-      for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
-    }
-    const auto enc = setup_.victim().encrypt(pt);
-    make_voltages(enc, rng, v);
-    y.resize(v.size());
-    read_sensor(v.data(), v.size(), bits, rng, y.data());
-    ttest.add(fixed, y);
-    if (store_writer) {
-      store_writer->record_meta(t, pt, enc.ciphertext);
-      store_writer->record_readings(t, y.data());
-    }
-  }
+  CapturePlan plan = capture_plan(readout_of(cfg_.mode), bits,
+                                  kTraceDomainTvla);
+  plan.fixed_even = crypto::block_from_hex("da39a3ee5e6b4b0d3255bfef95601890");
+  const std::size_t samples = sample_times_.size();
+  sca::WelchTTest ttest = run_pass(
+      threads, plan, traces, sca::WelchTTest(samples),
+      [samples](std::size_t g, std::size_t bn, CaptureBuffers& buf,
+                sca::WelchTTest& acc) {
+        for (std::size_t b = 0; b < bn; ++b) {
+          acc.add((g + b) % 2 == 0, buf.y.data() + b * samples);
+        }
+      },
+      store_writer.get());
   if (store_writer) finalize_trace_store(*store_writer, cfg_.observer);
   return ttest;
 }
 
-sca::BitSelector CpaCampaign::run_selection_pass() {
-  Xoshiro256 rng(cfg_.seed ^ 0xb17561ec7u);
-  sca::BitSelector selector(setup_.sensor_bits());
-  std::vector<double> v;
-  // Per-bit toggle counts over every sample; the per-sample reference
-  // (BitSelector::add over sample_toggles words) lives in the tests.
-  std::vector<std::size_t> ones(setup_.sensor_bits(), 0);
-  std::size_t samples = 0;
-  for (std::size_t t = 0; t < cfg_.selection_traces; ++t) {
-    crypto::Block pt;
-    for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
-    const auto enc = setup_.victim().encrypt(pt);
-    make_voltages(enc, rng, v);
-    setup_.sensor().toggle_accumulate_batch(v.data(), v.size(), rng,
-                                            ones.data());
-    samples += v.size();
-  }
-  selector.add_batch(ones, samples);
-  return selector;
+sca::BitSelector CpaCampaign::run_selection_pass(unsigned threads) const {
+  const std::size_t samples = sample_times_.size();
+  return run_pass(
+      threads, capture_plan(Readout::kToggleCounts, {}, kTraceDomainSelection),
+      cfg_.selection_traces, sca::BitSelector(setup_.sensor_bits()),
+      [samples](std::size_t, std::size_t bn, CaptureBuffers& buf,
+                sca::BitSelector& acc) { acc.add_batch(buf.ones, bn * samples); },
+      nullptr);
 }
 
-std::vector<std::size_t> CpaCampaign::select_bits_of_interest() {
-  const auto selector = run_selection_pass();
+std::vector<std::size_t> CpaCampaign::select_bits_of_interest(
+    unsigned threads) const {
+  const auto selector = run_selection_pass(threads);
   auto bits = selector.bits_of_interest(cfg_.selection_min_variance);
   if (cfg_.selection_top_k > 0 && bits.size() > cfg_.selection_top_k) {
     std::sort(bits.begin(), bits.end(), [&](std::size_t a, std::size_t b) {
@@ -534,19 +536,25 @@ std::vector<std::size_t> CpaCampaign::select_bits_of_interest() {
   return bits;
 }
 
-CpaCampaign::Regs CpaCampaign::registers_before(std::size_t g) const {
+CpaCampaign::Regs CpaCampaign::registers_before(const CapturePlan& plan,
+                                                 std::size_t g) const {
   if (g == 0) return Regs{};
-  Xoshiro256 prev =
-      Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g - 1);
   crypto::Block pt;
-  for (auto& b : pt) b = static_cast<std::uint8_t>(prev.next());
+  if (plan.fixed_even && (g - 1) % 2 == 0) {
+    pt = *plan.fixed_even;
+  } else {
+    Xoshiro256 prev = Xoshiro256::trace_stream(cfg_.seed, plan.domain, g - 1);
+    for (auto& b : pt) b = static_cast<std::uint8_t>(prev.next());
+  }
   return setup_.victim().registers_after(pt, g - 1);
 }
 
-CapturePlan CpaCampaign::capture_plan(
-    const std::vector<std::size_t>& bits) const {
+CapturePlan CpaCampaign::capture_plan(Readout readout,
+                                      const std::vector<std::size_t>& bits,
+                                      std::uint64_t domain) const {
   CapturePlan plan;
-  plan.sensor = make_sensor_plan(bits);
+  plan.sensor = make_sensor_plan(readout, bits);
+  plan.domain = domain;
   plan.block = resolve_block(cfg_.block);
   plan.simd = resolve_simd(cfg_.simd);
   plan.draw_level = plan.simd ? active_dispatch() : DispatchLevel::kScalar;
@@ -571,13 +579,15 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   // Plaintexts: the first draws of each trace's counter-keyed stream,
   // which the lane keeps for its noise and sensor draws below.
   for (std::size_t b = 0; b < bn; ++b) {
-    buf.rng[b] =
-        Xoshiro256::trace_stream(cfg_.seed, kTraceDomainCapture, g + b);
+    buf.rng[b] = Xoshiro256::trace_stream(cfg_.seed, plan.domain, g + b);
   }
   static_assert(sizeof(crypto::Block) == 16);
   fill_bytes_lanes(buf.rng.data(), bn,
                    reinterpret_cast<std::uint8_t*>(buf.pt.data()), 16, 16,
                    plan.draw_level);
+  if (plan.fixed_even) {
+    for (std::size_t b = g % 2; b < bn; b += 2) buf.pt[b] = *plan.fixed_even;
+  }
   // The victim writes each trace's per-cycle currents cycle-major
   // (ic[c * block + b]), so the lane-inner PDN kernel is unit-stride.
   setup_.victim().encrypt_block(buf.pt.data(), bn, g, regs, buf.ic.data(),
@@ -587,12 +597,11 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
       store->record_meta(g + b, buf.pt[b], buf.ct[b]);
     }
   }
-  // make_voltages' per-element arithmetic: the fence draw (from the
-  // trace's fence stream, cycle-ascending) rides on the coupling path.
-  // A constant fence (random_current_a == 0) adds base + u * 0.0, which
-  // is base for every finite u in [0, 1), so it draws nothing here; the
-  // sequential pre-passes still step the fence's own stream, whose state
-  // the set-up memo keys on and restores.
+  // The active fence sits in the victim region: its draw (from the
+  // trace's fence stream, cycle-ascending) rides on the same coupling
+  // path and masks the victim's signal. A constant fence
+  // (random_current_a == 0) adds base + u * 0.0, which is base for every
+  // finite u in [0, 1), so it draws nothing.
   const double coupling = setup_.effective_coupling();
   if (fence_ && fence_->config().random_current_a != 0.0) {
     for (std::size_t b = 0; b < bn; ++b) {
@@ -641,26 +650,30 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   const double* v = buf.v.data();
   const double* z = buf.z.data();
   double* y = buf.y.data();
-  switch (cfg_.mode) {
-    case SensorMode::kBenignHw:
+  switch (plan.sensor.readout) {
+    case Readout::kBenignHw:
       setup_.sensor().toggle_hw_block(plan.sensor.hw, v, n, z, y, plan.simd);
       break;
-    case SensorMode::kBenignSingleBit:
+    case Readout::kBenignSingleBit:
       setup_.sensor().toggle_bit_block(plan.sensor.bit, v, n, z, y);
       break;
-    case SensorMode::kTdcFull:
+    case Readout::kToggleCounts:
+      buf.ones.assign(setup_.sensor_bits(), 0);
+      setup_.sensor().toggle_accumulate_block(v, n, z, buf.ones.data());
+      break;
+    case Readout::kTdcFull:
       for (std::size_t i = 0; i < n; ++i) {
         y[i] = static_cast<double>(setup_.tdc().sample_from_draw(v[i], z[i]));
       }
       break;
-    case SensorMode::kTdcSingleBit:
+    case Readout::kTdcSingleBit:
       for (std::size_t i = 0; i < n; ++i) {
         y[i] = setup_.tdc().sample_bit_from_draw(cfg_.single_bit, v[i], z[i])
                    ? 1.0
                    : 0.0;
       }
       break;
-    case SensorMode::kRoCounter:
+    case Readout::kRoCounter:
       for (std::size_t i = 0; i < n; ++i) {
         y[i] = static_cast<double>(
             setup_.ro_sensor().sample_from_draw(v[i], z[i]));
@@ -831,20 +844,20 @@ struct FullKeyAnalysis {
 
 }  // namespace
 
-template <class Acc>
-void CpaCampaign::capture_range(
-    const CapturePlan& plan, const std::vector<sca::LastRoundBitModel>& models,
-    std::size_t g0, std::size_t g1, Shard<Acc>& sh,
-    store::TraceStoreWriter* store) const {
+template <class Acc, class Fold>
+void CpaCampaign::capture_range(const CapturePlan& plan, std::size_t g0,
+                                std::size_t g1, Shard<Acc>& sh,
+                                store::TraceStoreWriter* store,
+                                const Fold& fold) const {
   if (g0 >= g1) return;
   const bool timed = cfg_.observer != nullptr;
-  Regs regs = registers_before(g0);
+  Regs regs = registers_before(plan, g0);
   for (std::size_t g = g0; g < g1;) {
     const std::size_t bn = std::min(plan.block, g1 - g);
     const double t0 = timed ? obs::monotonic_seconds() : 0.0;
     capture_block(plan, g, bn, regs, sh.buf, store);
     const double t1 = timed ? obs::monotonic_seconds() : 0.0;
-    fold_block(models, bn, sh.buf, sh.acc);
+    fold(g, bn, sh.buf, sh.acc);
     if (timed) {
       sh.kernel_s += t1 - t0;
       sh.cpa_s += obs::monotonic_seconds() - t1;
@@ -855,29 +868,51 @@ void CpaCampaign::capture_range(
   }
 }
 
-template <class Acc>
-void CpaCampaign::capture_segment(
-    ThreadPool* pool, const CapturePlan& plan,
-    const std::vector<sca::LastRoundBitModel>& models,
-    std::vector<Shard<Acc>>& shards, std::size_t covered, std::size_t cp,
-    store::TraceStoreWriter* store) const {
-  obs::CampaignObserver* const ob = cfg_.observer;
-  const std::size_t n = cp - covered;
+template <class Acc, class Fold>
+void CpaCampaign::capture_split(const Workers& w, const CapturePlan& plan,
+                                std::vector<Shard<Acc>>& shards,
+                                std::size_t g0, std::size_t g1,
+                                store::TraceStoreWriter* store,
+                                const Fold& fold) const {
+  const std::size_t n = g1 - g0;
   const std::size_t T = shards.size();
-  // Shard i owns global traces [g0, g1) of the segment [covered, cp): no
-  // cross-shard RNG ordering at all, and every shard stores its own rows.
+  // Shard i owns traces [g0 + i n / T, g0 + (i + 1) n / T): no cross-shard
+  // RNG ordering at all, and every shard stores its own rows.
   const std::function<void(std::size_t)> body = [&](std::size_t i) {
-    capture_range(plan, models, covered + i * n / T,
-                  covered + (i + 1) * n / T, shards[i], store);
+    capture_range(plan, g0 + i * n / T, g0 + (i + 1) * n / T, shards[i],
+                  store, fold);
   };
+  if (w.pool == nullptr) {
+    body(0);
+  } else {
+    w.pool->run_indexed(T, body);
+  }
+}
+
+template <class Acc, class Fold>
+Acc CpaCampaign::run_pass(unsigned threads, const CapturePlan& plan,
+                          std::size_t traces, const Acc& blank,
+                          const Fold& fold,
+                          store::TraceStoreWriter* store) const {
+  const Workers w(shard_count(threads, traces), cfg_.pool);
+  std::vector<Shard<Acc>> shards(w.shards, Shard<Acc>(blank));
+  capture_split(w, plan, shards, 0, traces, store, fold);
+  Acc total = blank;
+  for (const Shard<Acc>& sh : shards) total.merge(sh.acc);
+  return total;
+}
+
+template <class Acc, class Fold>
+void CpaCampaign::capture_segment(const Workers& w, const CapturePlan& plan,
+                                  std::vector<Shard<Acc>>& shards,
+                                  std::size_t covered, std::size_t cp,
+                                  store::TraceStoreWriter* store,
+                                  const Fold& fold) const {
+  obs::CampaignObserver* const ob = cfg_.observer;
   {
     std::optional<obs::CampaignObserver::Span> span;
     if (ob != nullptr) span.emplace(ob->span("capture"));
-    if (pool == nullptr) {
-      body(0);
-    } else {
-      pool->run_indexed(T, body);
-    }
+    capture_split(w, plan, shards, covered, cp, store, fold);
   }
   if (ob != nullptr) {
     // Per-shard block counts, batched to the checkpoint boundary like the
@@ -960,13 +995,7 @@ void CpaCampaign::run_engine(unsigned threads, Analysis& an) {
   using Acc = typename Analysis::Acc;
   constexpr bool fullkey = Analysis::kFullKey;
   const double wall_start = obs::monotonic_seconds();
-  // A borrowed pool fixes the shard count: the split must match the
-  // workers running it, or run_indexed would starve shards. Never more
-  // shards than traces: each shard must own at least one trace or its
-  // accumulator would merge as an empty no-op anyway.
-  const unsigned shard_count = static_cast<unsigned>(std::min<std::size_t>(
-      cfg_.pool != nullptr ? cfg_.pool->size() : resolve_threads(threads),
-      std::max<std::size_t>(1, cfg_.traces)));
+  const unsigned shard_count = this->shard_count(threads, cfg_.traces);
   obs::CampaignObserver* const ob = cfg_.observer;
   const bool timed = ob != nullptr;
   (void)resolve_contract(cfg_.rng_contract);
@@ -995,20 +1024,24 @@ void CpaCampaign::run_engine(unsigned threads, Analysis& an) {
     const double t0 = obs::monotonic_seconds();
     std::optional<obs::CampaignObserver::Span> span;
     if (ob != nullptr) span.emplace(ob->span("selection"));
-    result.bits_of_interest = resolve_sensor_bits();
+    result.bits_of_interest = resolve_sensor_bits(threads);
     result.selection_seconds = obs::monotonic_seconds() - t0;
   }
   result.single_bit = cfg_.single_bit;
   result.prepass = prepass_;
   if (store_writer) store_writer->set_resolved_single_bit(cfg_.single_bit);
 
-  const CapturePlan plan = capture_plan(result.bits_of_interest);
+  // Built after the pre-pass, whose own workers are gone by now, so a
+  // run never holds two idle private pools.
+  const Workers workers(shard_count, cfg_.pool);
+  const CapturePlan plan = capture_plan(
+      readout_of(cfg_.mode), result.bits_of_interest, kTraceDomainCapture);
   result.block_size = plan.block;
   const std::size_t samples = sample_times_.size();
   // Each shard bins its traces into (ciphertext-class, base-bit) cells;
   // the merge folds them into full per-guess CPA sums at checkpoints only
   // (see sca::XorClassCpa).
-  std::vector<Shard<Acc>> shards(shard_count, Shard<Acc>(samples));
+  std::vector<Shard<Acc>> shards(shard_count, Shard<Acc>(Acc(samples)));
   if (const auto ck = load_resume(shard_count, fullkey)) {
     for (std::size_t i = 0; i < shards.size(); ++i) {
       const CheckpointShard& cs = ck->shard_state[i];
@@ -1047,19 +1080,14 @@ void CpaCampaign::run_engine(unsigned threads, Analysis& an) {
   double ckpt_io_s = 0.0;
   std::size_t seg_traces = result.resumed_from;
   double seg_time = timed ? obs::monotonic_seconds() : 0.0;
-  // One shard runs on the calling thread; more on the borrowed pool or a
-  // private one of `shard_count` workers.
-  std::optional<ThreadPool> owned_pool;
-  ThreadPool* pool = shard_count == 1 ? nullptr : cfg_.pool;
-  if (shard_count > 1 && pool == nullptr) {
-    pool = &owned_pool.emplace(shard_count);
-  }
+  const auto fold = [&an](std::size_t, std::size_t bn, CaptureBuffers& buf,
+                          Acc& acc) { fold_block(an.models, bn, buf, acc); };
   std::size_t covered = result.resumed_from;
   for (const std::size_t cp :
        checkpoint_schedule(cfg_.checkpoints, cfg_.traces)) {
     if (cp <= result.resumed_from) continue;
-    capture_segment(pool, plan, an.models, shards, covered, cp,
-                    store_writer.get());
+    capture_segment(workers, plan, shards, covered, cp, store_writer.get(),
+                    fold);
     covered = cp;
     result.traces_run = cp;
     {

@@ -179,9 +179,9 @@ struct CampaignConfig {
   /// Externally-owned set-up memo (borrowed, may be null; see
   /// core/setup_memo.hpp). When set, the constructor looks the PDN
   /// response matrix up before building it, and the run looks the
-  /// sensor pre-pass up before running it. A hit restores exactly the
-  /// state a rerun would leave, so results are byte-identical either
-  /// way. `slm serve` lends one memo to every campaign it runs.
+  /// sensor pre-pass up before running it. Both are pure functions of
+  /// their keys, so results are byte-identical either way. `slm serve`
+  /// lends one memo to every campaign it runs.
   SetupMemo* setup_memo = nullptr;
 };
 
@@ -257,14 +257,14 @@ struct FullKeyRunResult : CampaignRun {
   }
 };
 
-// Engine internals, defined in core/campaign.cpp: the sensor dispatch
-// plan, the resolved per-run capture plan, one shard's block buffers and
-// the shard itself.
+// Engine internals, defined in core/campaign.cpp.
+enum class Readout : std::uint8_t;
 struct SensorPlan;
 struct CapturePlan;
 struct CaptureBuffers;
 template <class Acc>
 struct Shard;
+struct Workers;
 struct SensorBitsKey;  // core/setup_memo.hpp
 
 class CpaCampaign {
@@ -292,19 +292,21 @@ class CpaCampaign {
   /// The sampling instants the campaign will use.
   const std::vector<double>& sample_times_ns() const { return sample_times_; }
 
-  /// Bits-of-interest pre-pass only (exposed for the Fig. 7/8 benches).
-  std::vector<std::size_t> select_bits_of_interest();
+  /// Bits-of-interest pre-pass only (exposed for the Fig. 7/8 benches),
+  /// sharded like run(threads); the bits never depend on `threads`.
+  std::vector<std::size_t> select_bits_of_interest(unsigned threads = 1) const;
 
   /// Full per-bit statistics from the selection pre-pass.
-  sca::BitSelector run_selection_pass();
+  sca::BitSelector run_selection_pass(unsigned threads = 1) const;
 
   /// The single-bit index actually used (after kAutoBit resolution).
   std::size_t resolved_single_bit() const { return cfg_.single_bit; }
 
   /// Non-specific leakage assessment with the configured sensor: fixed-
-  /// vs-random plaintexts, Welch's t-test per sample point. Uses the
-  /// same physics as run() but needs no key hypothesis at all.
-  sca::WelchTTest run_tvla(std::size_t traces_per_population);
+  /// (even traces) vs-random plaintexts, Welch's t-test per sample
+  /// point. Same engine as run(threads), but no key hypothesis at all.
+  sca::WelchTTest run_tvla(std::size_t traces_per_population,
+                           unsigned threads = 1);
 
   /// The `SLMTRC1` fingerprint this campaign's capture would stamp into
   /// a store of `traces` traces: (seed, rng contract, trace count,
@@ -324,25 +326,39 @@ class CpaCampaign {
   template <class Analysis>
   void run_engine(unsigned threads, Analysis& an);
 
-  /// The one block capture loop: traces [g0, g1) captured (capture_block)
-  /// and folded (fold_block) into sh.acc a block at a time, starting
-  /// from registers_before(g0) and carrying the victim register chain
-  /// from block to block. The phase timers in `sh` run only with an
-  /// observer attached. Run by the shards of run_engine only.
-  template <class Acc>
-  void capture_range(const CapturePlan& plan,
-                     const std::vector<sca::LastRoundBitModel>& models,
-                     std::size_t g0, std::size_t g1, Shard<Acc>& sh,
-                     store::TraceStoreWriter* store) const;
+  /// Shards for a run of `traces` traces: `threads` (0 = all hardware
+  /// threads), or a borrowed cfg.pool's size, never more than traces.
+  unsigned shard_count(unsigned threads, std::size_t traces) const;
 
-  /// The capture body every engine runs: traces [g, g + bn) (bn <=
-  /// plan.block) from their counter-keyed streams into buf.y and buf.ct,
-  /// plus their rows in `store` when set. Each step runs over the whole
-  /// block: plaintext draws, the block victim (AesDatapathModel::
-  /// encrypt_block), fence and coupling, one PDN voltages_block call,
-  /// then the sensor (toggle_hw_block for benign HW, else a per-trace
-  /// read after that trace's env noise). Each trace's stream is drawn in
-  /// make_voltages' order. `regs` carries the victim register chain.
+  /// The one block capture loop: traces [g0, g1) captured (capture_block)
+  /// and folded into sh.acc by fold(g, bn, buf, acc) a block at a time,
+  /// starting from registers_before(g0). The phase timers in `sh` run
+  /// only with an observer attached.
+  template <class Acc, class Fold>
+  void capture_range(const CapturePlan& plan, std::size_t g0, std::size_t g1,
+                     Shard<Acc>& sh, store::TraceStoreWriter* store,
+                     const Fold& fold) const;
+
+  /// capture_range over contiguous chunks of [g0, g1), one per shard.
+  template <class Acc, class Fold>
+  void capture_split(const Workers& w, const CapturePlan& plan,
+                     std::vector<Shard<Acc>>& shards, std::size_t g0,
+                     std::size_t g1, store::TraceStoreWriter* store,
+                     const Fold& fold) const;
+
+  /// A pre-pass or TVLA: traces [0, traces) of plan's domain, each
+  /// shard folding into a copy of `blank`, merged in fixed shard order.
+  template <class Acc, class Fold>
+  Acc run_pass(unsigned threads, const CapturePlan& plan, std::size_t traces,
+               const Acc& blank, const Fold& fold,
+               store::TraceStoreWriter* store) const;
+
+  /// The capture body every pass runs: traces [g, g + bn) (bn <=
+  /// plan.block) of plan's domain, plus their rows in `store` when set.
+  /// Each step runs over the whole block: plaintext draws (the fixed one
+  /// on TVLA's even traces), the block victim, fence and coupling, one
+  /// PDN voltages_block call, every lane's normals, then the plan's
+  /// read-out. `regs` carries the victim register chain.
   void capture_block(const CapturePlan& plan, std::size_t g, std::size_t bn,
                      Regs& regs, CaptureBuffers& buf,
                      store::TraceStoreWriter* store) const;
@@ -350,37 +366,27 @@ class CpaCampaign {
   /// Victim register state entering trace g (zero at g = 0): derivable
   /// from trace g - 1 alone, because the state register is fully
   /// overwritten every encryption.
-  Regs registers_before(std::size_t g) const;
+  Regs registers_before(const CapturePlan& plan, std::size_t g) const;
 
-  /// Resolve the sensor plan and the block/SIMD knobs for a capture.
-  CapturePlan capture_plan(const std::vector<std::size_t>& bits) const;
+  /// Resolve the sensor plan and the block/SIMD knobs for one pass.
+  CapturePlan capture_plan(Readout readout, const std::vector<std::size_t>& bits,
+                           std::uint64_t domain) const;
 
-  /// Supply voltages at the sample instants for one encryption of the
-  /// sequential pre-passes (selection, TDC stage, TVLA), drawing fence
-  /// currents from the fence's own stream. Capture runs the same
-  /// per-element arithmetic a block at a time (capture_block).
-  void make_voltages(const crypto::AesDatapathModel::Encryption& enc,
-                     Xoshiro256& rng, std::vector<double>& v_out) const;
-
-  /// Read the configured sensor at the `n` sample voltages `v` into
-  /// y[0, n) (per-call sampling).
-  void read_sensor(const double* v, std::size_t n,
-                   const std::vector<std::size_t>& bits, Xoshiro256& rng,
-                   double* y) const;
-
-  /// The configured sensor's compiled plan and its normals per sample,
-  /// for capture_block's read-out from pre-drawn normals.
-  SensorPlan make_sensor_plan(const std::vector<std::size_t>& bits) const;
+  /// The read-out's compiled plan and its normals per sample, for
+  /// capture_block's read-out from pre-drawn normals.
+  SensorPlan make_sensor_plan(Readout readout,
+                              const std::vector<std::size_t>& bits) const;
 
   /// Resolve kAutoBit / bits-of-interest before a capture loop; returns
   /// the bits of interest (benign HW only, empty otherwise). Consults
   /// cfg.setup_memo when the resolution needs a pre-pass.
-  std::vector<std::size_t> resolve_sensor_bits();
+  std::vector<std::size_t> resolve_sensor_bits(unsigned threads);
 
   /// resolve_sensor_bits without the memo: the pre-pass itself.
-  std::vector<std::size_t> run_sensor_prepass();
+  std::vector<std::size_t> run_sensor_prepass(unsigned threads);
+  std::size_t tdc_stage(unsigned threads) const;
 
-  /// The set-up memo key of the sensor pre-pass, taken at pass start.
+  /// The set-up memo key of the sensor pre-pass.
   SensorBitsKey sensor_bits_key() const;
 
   /// Count one set-up memo lookup on the observer, when attached.
@@ -392,19 +398,17 @@ class CpaCampaign {
   void write_snapshot(const CampaignCheckpoint& ck, std::string* path,
                       double* io_seconds) const;
   void halt_if_due(std::size_t done, const std::string& path) const;
-  template <class Acc>
-  void capture_segment(ThreadPool* pool, const CapturePlan& plan,
-                       const std::vector<sca::LastRoundBitModel>& models,
+  template <class Acc, class Fold>
+  void capture_segment(const Workers& w, const CapturePlan& plan,
                        std::vector<Shard<Acc>>& shards, std::size_t covered,
-                       std::size_t cp, store::TraceStoreWriter* store) const;
+                       std::size_t cp, store::TraceStoreWriter* store,
+                       const Fold& fold) const;
 
   AttackSetup& setup_;
   CampaignConfig cfg_;
   std::vector<double> sample_times_;
   pdn::CycleResponseMatrix response_;
-  /// Mutable: the sequential pre-passes advance the fence's own stream;
-  /// capture only ever uses it statelessly (trace_rng / cycle_current).
-  mutable std::optional<defense::ActiveFence> fence_;
+  std::optional<defense::ActiveFence> fence_;
   /// How the last resolve_sensor_bits got its answer: "ran" the
   /// pre-pass, "reused" a memo entry, or "none" needed (run_start).
   const char* prepass_ = "none";

@@ -1,6 +1,8 @@
 #include "core/checkpoint.hpp"
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "common/binio.hpp"
 #include "core/campaign.hpp"
@@ -179,6 +181,19 @@ std::size_t save_checkpoint(const std::string& dir,
 
 std::optional<CampaignCheckpoint> load_checkpoint(const std::string& dir) {
   const std::string path = checkpoint_file(dir);
+  // Version 4 accumulators were captured with bits of interest (or an
+  // auto-picked bit) from the retired sequential pre-passes; this build's
+  // pre-passes may pick others, so the two cannot be continued as one.
+  std::uint8_t head[12] = {};
+  std::ifstream(path, std::ios::binary)
+      .read(reinterpret_cast<char*>(head), sizeof head);
+  if (std::equal(head, head + 8, kMagic) &&
+      ByteReader(head + 8, 4).get_u32() == 4) {
+    throw Error("checkpoint: '" + path +
+                "' is version 4, written by the retired sequential sensor "
+                "pre-pass (its bits of interest may differ from this "
+                "build's) — start the campaign fresh");
+  }
   const std::optional<std::vector<std::uint8_t>> payload =
       read_framed_file(path, kMagic, kCheckpointVersion, "checkpoint");
   if (!payload) return std::nullopt;

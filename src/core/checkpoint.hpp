@@ -7,13 +7,16 @@
 // File format (docs/OBSERVABILITY.md documents it for operators):
 //
 //   magic   "SLMCKPT1"                 8 bytes
-//   version u32                        currently 4 (version 2 added the
+//   version u32                        currently 5 (version 2 added the
 //                                      trace-block size, version 3 the
 //                                      RNG determinism contract,
-//                                      version 4 the full-key section);
+//                                      version 4 the full-key section,
+//                                      version 5 marks accumulators whose
+//                                      sensor bits came from the
+//                                      counter-keyed pre-passes);
 //                                      readers reject other versions
 //                                      (no silent migration of attack
-//                                      state)
+//                                      state), version 4 by name
 //   length  u64                        payload byte count
 //   crc     u32                        CRC-32 of the payload
 //   payload                            header + shards + progress,
@@ -45,7 +48,7 @@
 
 namespace slm::core {
 
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// Thrown when a campaign with `halt_after_traces` set reaches that
 /// trace count at a checkpoint: the snapshot is on disk, the process

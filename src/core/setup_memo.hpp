@@ -12,12 +12,12 @@
 //
 // Every key holds every input of its result and is compared field for
 // field (defaulted operator== down to the nested calibration structs);
-// no hash ever picks an entry. A hit restores the state the pre-pass
-// leaves behind, so it is indistinguishable from a rerun. DESIGN.md
-// §14 states the contract.
+// no hash ever picks an entry. Both results are pure functions of their
+// keys — the pre-pass draws every trace from its own counter-keyed
+// stream and touches no state — so a hit restores nothing and is
+// indistinguishable from a rerun. DESIGN.md §14 states the contract.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -29,7 +29,6 @@
 #include "core/calibration.hpp"
 #include "core/campaign.hpp"
 #include "core/setup.hpp"
-#include "crypto/aes_datapath.hpp"
 #include "defense/active_fence.hpp"
 #include "pdn/cycle_response.hpp"
 #include "pdn/rlc.hpp"
@@ -47,10 +46,9 @@ struct ResponseKey {
 };
 
 /// Everything CpaCampaign's sensor pre-pass reads: the platform (benign
-/// circuit, calibration, platform seed), the campaign knobs it consults,
-/// and the two stateful inputs at pass start. The pass drives the
-/// victim's stateful encrypt(), so the register snapshot (mask stream
-/// included) is part of the key, as is the fence's own stream position.
+/// circuit, calibration, platform seed) and the campaign knobs it
+/// consults. Nothing stateful: the pass starts every trace's victim
+/// registers, fence and noise from (seed, trace index).
 struct SensorBitsKey {
   BenignCircuit circuit = BenignCircuit::kAlu;
   Calibration cal;
@@ -63,19 +61,14 @@ struct SensorBitsKey {
   std::size_t selection_top_k = 0;
   std::vector<double> sample_times_ns;
   defense::ActiveFenceConfig fence;
-  std::optional<std::array<std::uint64_t, 4>> fence_state;  ///< no fence
-  crypto::AesDatapathModel::RegisterSnapshot registers;
 
   bool operator==(const SensorBitsKey&) const = default;
 };
 
-/// The pre-pass outcome plus the state the pass leaves behind, which a
-/// hit restores: the victim's post-pass registers and fence stream.
+/// The pre-pass outcome.
 struct SensorBits {
   std::vector<std::size_t> bits;  ///< bits of interest (benign HW)
   std::size_t single_bit = 0;     ///< resolved single-bit index
-  crypto::AesDatapathModel::RegisterSnapshot registers;
-  std::optional<std::array<std::uint64_t, 4>> fence_state;
 };
 
 class SetupMemo {

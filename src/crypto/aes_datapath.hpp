@@ -83,8 +83,8 @@ class AesDatapathModel {
 
   /// The mutable half of the model: the state register shares (which
   /// carry across encryptions and feed the Hamming-distance leakage) and
-  /// the masking RNG position. Campaign checkpoints snapshot and restore
-  /// this so a resumed campaign sees the identical register history.
+  /// the masking RNG position. encrypt_stateless and encrypt_block carry
+  /// it in the caller's hands instead.
   struct RegisterSnapshot {
     Block register_state{};
     Block register_mask{};
@@ -95,11 +95,6 @@ class AesDatapathModel {
   RegisterSnapshot register_snapshot() const {
     return RegisterSnapshot{register_state_, register_mask_,
                             mask_rng_.state()};
-  }
-  void restore_registers(const RegisterSnapshot& snap) {
-    register_state_ = snap.register_state;
-    register_mask_ = snap.register_mask;
-    mask_rng_.set_state(snap.mask_rng_state);
   }
 
   /// Stateless variant for determinism contract v2 (DESIGN.md §12): run

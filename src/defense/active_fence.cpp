@@ -4,12 +4,9 @@
 
 namespace slm::defense {
 
-ActiveFence::ActiveFence(const ActiveFenceConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed) {
+ActiveFence::ActiveFence(const ActiveFenceConfig& cfg) : cfg_(cfg) {
   SLM_REQUIRE(cfg_.base_current_a >= 0.0 && cfg_.random_current_a >= 0.0,
               "ActiveFence: currents must be non-negative");
 }
-
-double ActiveFence::next_cycle_current() { return cycle_current(rng_); }
 
 }  // namespace slm::defense

@@ -4,18 +4,10 @@
 
 namespace slm::obs {
 
-namespace {
-const std::string kNoPath;
-}  // namespace
-
 CampaignObserver::CampaignObserver() = default;
 
 CampaignObserver::CampaignObserver(const std::string& jsonl_path)
     : sink_(std::make_unique<JsonlSink>(jsonl_path)) {}
-
-const std::string& CampaignObserver::sink_path() const {
-  return sink_ ? sink_->path() : kNoPath;
-}
 
 void CampaignObserver::event(const char* name, JsonWriter fields) {
   if (!sink_) return;

@@ -33,7 +33,6 @@ class CampaignObserver {
   const MetricsRegistry& metrics() const { return metrics_; }
 
   bool has_sink() const { return sink_ != nullptr; }
-  const std::string& sink_path() const;
 
   /// Emit one event line (adds "ts" monotonic seconds and "ev" first).
   /// No-op without a sink; metrics still accumulate either way.

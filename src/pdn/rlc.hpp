@@ -48,7 +48,6 @@ class RlcPdn {
   std::vector<double> run(const std::vector<double>& extra_load_a);
 
   double voltage() const { return v_; }
-  double inductor_current() const { return il_; }
   const PdnConfig& config() const { return cfg_; }
 
   /// DC voltage for a constant total load (analytic: V = Vreg - R*I).

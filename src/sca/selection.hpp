@@ -33,6 +33,10 @@ class BitSelector {
   /// them here in one step.
   void add_batch(const std::vector<std::size_t>& ones, std::size_t samples);
 
+  /// Add another selector's counts (same width); exact, so shards merge
+  /// in any order to the same statistics.
+  void merge(const BitSelector& other) { add_batch(other.ones_, other.samples_); }
+
   std::size_t bit_count() const { return ones_.size(); }
   std::size_t sample_count() const { return samples_; }
 

@@ -45,6 +45,21 @@ void WelchTTest::add(bool fixed_population, const double* samples) {
   }
 }
 
+void WelchTTest::merge(const WelchTTest& other) {
+  SLM_REQUIRE(other.samples_ == samples_,
+              "WelchTTest::merge: sample count mismatch");
+  require_fold_budget(fixed_n_ + random_n_ + other.fixed_n_ + other.random_n_,
+                      "WelchTTest");
+  fixed_n_ += other.fixed_n_;
+  random_n_ += other.random_n_;
+  for (std::size_t s = 0; s < samples_; ++s) {
+    fixed_sum_[s] += other.fixed_sum_[s];
+    fixed_sumsq_[s] += other.fixed_sumsq_[s];
+    random_sum_[s] += other.random_sum_[s];
+    random_sumsq_[s] += other.random_sumsq_[s];
+  }
+}
+
 double WelchTTest::t_statistic(std::size_t sample) const {
   SLM_REQUIRE(sample < samples_, "WelchTTest: sample out of range");
   if (fixed_n_ < 2 || random_n_ < 2) return 0.0;

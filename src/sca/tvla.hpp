@@ -32,6 +32,10 @@ class WelchTTest {
   /// replay path feeds mmap'd rows here without a per-trace copy).
   void add(bool fixed_population, const double* samples);
 
+  /// Add another test's populations (same sample count). The sums are
+  /// exact integers, so shards merge to the same state in any order.
+  void merge(const WelchTTest& other);
+
   std::size_t sample_count() const { return samples_; }
   std::size_t fixed_traces() const { return fixed_n_; }
   std::size_t random_traces() const { return random_n_; }

@@ -139,39 +139,6 @@ BenignSensorBank::CompiledHwPlan BenignSensorBank::compile_hw_plan(
   return plan;
 }
 
-void BenignSensorBank::toggle_hw_batch(const CompiledHwPlan& plan,
-                                       const double* v, std::size_t n,
-                                       Xoshiro256& rng, double* y) const {
-  if (plan.draws_per_sample == 0) {
-    for (std::size_t j = 0; j < n; ++j) y[j] = 0.0;
-    return;
-  }
-  thread_local std::vector<double> z;
-  z.resize(n * plan.draws_per_sample);
-  FastNormal::instance().fill(rng, z.data(), z.size());
-  const double* d = z.data();
-  if (plan.uniform_clock) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double t_nom = plan.parts.front().packed.nominal_time(v[j]);
-      std::uint32_t hw = 0;
-      for (const auto& part : plan.parts) {
-        hw += part.packed.hw_at_nominal(t_nom, d);
-        d += 1 + part.packed.size();
-      }
-      y[j] = static_cast<double>(hw);
-    }
-    return;
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    std::uint32_t hw = 0;
-    for (const auto& part : plan.parts) {
-      hw += part.packed.hw_from_draws(v[j], d);
-      d += 1 + part.packed.size();
-    }
-    y[j] = static_cast<double>(hw);
-  }
-}
-
 void BenignSensorBank::toggle_hw_block(const CompiledHwPlan& plan,
                                        const double* v, std::size_t lanes,
                                        const double* z, double* y,
@@ -181,8 +148,8 @@ void BenignSensorBank::toggle_hw_block(const CompiledHwPlan& plan,
     return;
   }
   if (!simd) {
-    // Scalar reference dispatch (SLM_SIMD=0): the exact per-sample loop
-    // of toggle_hw_batch, just reading caller-provided draws.
+    // Scalar reference dispatch (SLM_SIMD=0): one sample at a time, in
+    // the per-call API's order, reading caller-provided draws.
     const double* d = z;
     if (plan.uniform_clock) {
       for (std::size_t l = 0; l < lanes; ++l) {
@@ -213,7 +180,7 @@ void BenignSensorBank::toggle_hw_block(const CompiledHwPlan& plan,
   t_nom.resize(lanes);
   // nominal_time is the same expression whichever part computes it under
   // a uniform clock, so one lane-major pass serves every part — exactly
-  // the division-sharing toggle_hw_batch does per sample.
+  // the division-sharing the scalar loop above does per sample.
   std::size_t off = 0;
   if (plan.uniform_clock) {
     const auto& front = plan.parts.front().packed;
@@ -257,16 +224,11 @@ void BenignSensorBank::toggle_bit_block(const CompiledBitPlan& plan,
   }
 }
 
-void BenignSensorBank::toggle_accumulate_batch(const double* v, std::size_t n,
-                                               Xoshiro256& rng,
+void BenignSensorBank::toggle_accumulate_block(const double* v, std::size_t n,
+                                               const double* z,
                                                std::size_t* ones) const {
   SLM_REQUIRE(!sensors_.empty(), "BenignSensorBank: empty bank");
-  std::size_t draws_per_sample = 0;
-  for (const auto& s : sensors_) draws_per_sample += 1 + s->endpoint_count();
-  thread_local std::vector<double> z;
-  z.resize(n * draws_per_sample);
-  FastNormal::instance().fill(rng, z.data(), z.size());
-  const double* d = z.data();
+  const double* d = z;
   for (std::size_t j = 0; j < n; ++j) {
     std::size_t base = 0;
     for (const auto& s : sensors_) {

@@ -41,11 +41,6 @@ class BenignSensor {
 
   std::size_t endpoint_count() const { return capture_->endpoint_count(); }
 
-  /// Raw captured endpoint word at supply voltage v.
-  BitVec sample_raw(double v, Xoshiro256& rng) const {
-    return capture_->sample(v, rng);
-  }
-
   /// Toggle word: captured XOR reset-cycle values. This is the sensor
   /// output the paper post-processes.
   BitVec sample_toggles(double v, Xoshiro256& rng) const {
@@ -133,17 +128,13 @@ class BenignSensorBank {
   CompiledHwPlan compile_hw_plan(
       const std::vector<std::size_t>& global_bits) const;
 
-  /// Batched sample_toggle_hw: y[j] = HW over the planned bits at v[j].
-  void toggle_hw_batch(const CompiledHwPlan& plan, const double* v,
-                       std::size_t n, Xoshiro256& rng, double* y) const;
-
-  /// Pure-compute half of toggle_hw_batch over pre-drawn normals: lane l
-  /// (a whole trace-block worth of samples) reads voltage v[l] and the
-  /// draw slice z[l * draws_per_sample ...] — exactly the layout one
-  /// FastNormal::fill per trace produces when traces are packed
-  /// back-to-back. `simd = false` forces the per-lane scalar reference
-  /// loop (the SLM_SIMD=0 fallback); both paths are bit-exact against
-  /// toggle_hw_batch on the same draws, which the sensor property suite
+  /// sample_toggle_hw over pre-drawn normals: lane l (a whole trace-
+  /// block worth of samples) reads voltage v[l] and the draw slice
+  /// z[l * draws_per_sample ...] — exactly the draws the per-call API
+  /// takes from its stream, packed sample after sample. `simd = false`
+  /// forces the per-lane scalar reference loop (the SLM_SIMD=0
+  /// fallback); both paths are bit-exact against per-call
+  /// sample_toggle_hw on the same stream, which the sensor suite
   /// enforces.
   void toggle_hw_block(const CompiledHwPlan& plan, const double* v,
                        std::size_t lanes, const double* z, double* y,
@@ -163,11 +154,14 @@ class BenignSensorBank {
   void toggle_bit_block(const CompiledBitPlan& plan, const double* v,
                         std::size_t n, const double* z, double* y) const;
 
-  /// Batched selection pre-pass kernel: for every sample j, add each
-  /// global endpoint's toggle bit into ones[0..endpoint_count()).
-  /// Equivalent to n sample_toggles() calls fed to BitSelector::add.
-  void toggle_accumulate_batch(const double* v, std::size_t n,
-                               Xoshiro256& rng, std::size_t* ones) const;
+  /// Selection pre-pass kernel over pre-drawn normals: for every sample
+  /// j, add each global endpoint's toggle bit at v[j] into
+  /// ones[0..endpoint_count()), reading the instance_count() +
+  /// endpoint_count() draws one sample_toggles() call takes. Equivalent
+  /// to n such calls on the stream the draws came from, fed to
+  /// BitSelector::add.
+  void toggle_accumulate_block(const double* v, std::size_t n,
+                               const double* z, std::size_t* ones) const;
 
  private:
   std::vector<std::shared_ptr<const BenignSensor>> sensors_;

@@ -348,8 +348,13 @@ ServeReport serve(const ServeOptions& opt) {
       qj.dir = d.string();
       qj.seq = seq++;
       qj.admitted_at = qj.ready_at = obs::monotonic_seconds();
-      if (const auto ck = core::load_checkpoint((d / "ckpt").string())) {
-        qj.traces_done = ck->traces_done;
+      try {
+        if (const auto ck = core::load_checkpoint((d / "ckpt").string())) {
+          qj.traces_done = ck->traces_done;
+        }
+      } catch (const Error&) {
+        // A refused checkpoint (a retired version): the job's first slice
+        // fails it with the same message; the daemon still starts.
       }
       m.add("slm.serve.jobs_recovered_total");
       ob.event("job_recovered", obs::JsonWriter()

@@ -268,6 +268,13 @@ void TraceStoreReader::open_and_validate() {
   }
   ByteReader env(base + 8, kFramedEnvelopeBytes - 8);
   const std::uint32_t version = env.get_u32();
+  if (version == 1) {
+    throw StoreFormatError(
+        "trace store: '" + path_ +
+        "' is version 1, captured with the retired sequential sensor "
+        "pre-pass and TVLA loop (its bits of interest and TVLA traces "
+        "differ from this build's) — capture it again");
+  }
   if (version != kStoreVersion) {
     throw StoreFormatError("trace store: unsupported version " +
                            std::to_string(version) + " in '" + path_ +

@@ -27,8 +27,10 @@ namespace slm::store {
 /// envelope's eight bytes (the sibling `SLMCKPT1` uses all eight).
 inline constexpr char kStoreMagic[] = "SLMTRC1";
 
-/// `SLMTRC1` wire version.
-inline constexpr std::uint32_t kStoreVersion = 1;
+/// `SLMTRC1` wire version. Version 2 marks stores whose sensor bits came
+/// from the counter-keyed pre-passes and whose TVLA traces come from the
+/// TVLA trace domain; readers refuse version 1 by name.
+inline constexpr std::uint32_t kStoreVersion = 2;
 
 /// A store file is structurally unusable: missing, truncated, wrong
 /// magic/version, envelope or chunk CRC failure, or a malformed header.

@@ -209,10 +209,6 @@ class CompiledCapture {
 
   // --- Noise-free voltage-threshold queries ----------------------------
 
-  /// True when the delay model is invertible (sensitivity > 0) and the
-  /// per-toggle voltage thresholds were compiled.
-  bool has_voltage_thresholds() const { return has_thresholds_; }
-
   /// Toggles of endpoint i already crossed at supply voltage v with no
   /// jitter: a threshold compare when compiled, a time-domain count
   /// otherwise. Matches counting endpoint toggles <= effective_time(v)
@@ -227,22 +223,6 @@ class CompiledCapture {
   /// Noise-free toggle-vs-reset bit.
   bool toggled_noise_free(std::size_t i, double v) const {
     return (toggles_crossed(i, v) & 1u) != 0;
-  }
-
-  /// Endpoint can change its captured value inside [v_lo, v_hi]: some
-  /// toggle's voltage threshold falls inside the band.
-  bool endpoint_sensitive(std::size_t i, double v_lo, double v_hi) const {
-    return toggles_crossed(i, v_hi) != toggles_crossed(i, v_lo);
-  }
-
-  /// Ascending per-toggle voltage thresholds of endpoint i (empty span
-  /// when the endpoint never toggles). -inf marks always-crossed
-  /// toggles, +inf unreachable ones (factor clamp).
-  const double* voltage_thresholds_begin(std::size_t i) const {
-    return vthresh_.data() + offsets_[i];
-  }
-  const double* voltage_thresholds_end(std::size_t i) const {
-    return vthresh_.data() + offsets_[i + 1];
   }
 
  private:

@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/dispatch.hpp"
@@ -472,6 +474,159 @@ TEST(CheckpointSchedule, EnginesAgreeOnAScheduleWithoutTheBudget) {
     } catch (const CampaignHalted& halted) {
       EXPECT_EQ(halted.traces(), 300u) << threads << " thread(s)";
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The pre-passes run on the engine's trace ranges: the selection pass,
+// the TDC auto-stage probe and TVLA give the same result at any shard
+// count, on a borrowed pool, and on a setup with any history.
+// ---------------------------------------------------------------------
+
+struct PrePassOutcome {
+  std::vector<std::size_t> bits;      // benign-HW bits of interest
+  std::vector<double> variances;      // the selection pass's statistics
+  std::size_t endpoint = 0;           // benign single-bit auto endpoint
+  std::size_t stage = 0;              // TDC auto stage
+  std::vector<double> tvla_t;         // fenced benign-HW TVLA t-values
+  std::size_t tvla_fixed = 0;
+  std::size_t tvla_random = 0;
+};
+
+PrePassOutcome run_prepasses(AttackSetup& setup, unsigned threads,
+                             ThreadPool* pool, const std::string& store) {
+  PrePassOutcome out;
+  CampaignConfig hw = small_cfg(SensorMode::kBenignHw, 64);
+  hw.pool = pool;
+  out.bits = CpaCampaign(setup, hw).run(threads).bits_of_interest;
+  out.variances = CpaCampaign(setup, hw).run_selection_pass(threads).variances();
+  CampaignConfig bit = small_cfg(SensorMode::kBenignSingleBit, 64);
+  bit.single_bit = CampaignConfig::kAutoBit;
+  bit.pool = pool;
+  out.endpoint = CpaCampaign(setup, bit).run(threads).single_bit;
+  CampaignConfig tdc = small_cfg(SensorMode::kTdcSingleBit, 64);
+  tdc.single_bit = CampaignConfig::kAutoBit;
+  tdc.pool = pool;
+  out.stage = CpaCampaign(setup, tdc).run(threads).single_bit;
+  CampaignConfig tv = small_cfg(SensorMode::kBenignHw, 64);
+  tv.fence.random_current_a = 0.02;
+  tv.store_out = store;
+  tv.pool = pool;
+  // 302 traces: shard chunks of odd length start on odd trace indices.
+  const sca::WelchTTest t = CpaCampaign(setup, tv).run_tvla(151, threads);
+  for (std::size_t s = 0; s < t.sample_count(); ++s) {
+    out.tvla_t.push_back(t.t_statistic(s));
+  }
+  out.tvla_fixed = t.fixed_traces();
+  out.tvla_random = t.random_traces();
+  return out;
+}
+
+void expect_same_prepasses(const PrePassOutcome& a, const PrePassOutcome& b) {
+  EXPECT_EQ(a.bits, b.bits);
+  EXPECT_EQ(a.variances, b.variances);
+  EXPECT_EQ(a.endpoint, b.endpoint);
+  EXPECT_EQ(a.stage, b.stage);
+  EXPECT_EQ(a.tvla_t, b.tvla_t);
+  EXPECT_EQ(a.tvla_fixed, b.tvla_fixed);
+  EXPECT_EQ(a.tvla_random, b.tvla_random);
+}
+
+// Every column and identity field of two stores (the capture_threads
+// header field is informational and may differ).
+void expect_same_store_columns(const std::string& a_path,
+                               const std::string& b_path) {
+  const store::TraceStoreReader a(a_path);
+  const store::TraceStoreReader b(b_path);
+  ASSERT_EQ(a.trace_count(), b.trace_count());
+  ASSERT_EQ(a.samples(), b.samples());
+  EXPECT_EQ(a.identity(), b.identity());
+  EXPECT_EQ(a.resolved_single_bit(), b.resolved_single_bit());
+  EXPECT_EQ(std::memcmp(a.readings(0), b.readings(0),
+                        a.trace_count() * a.samples() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(a.plaintext_ptr(0), b.plaintext_ptr(0),
+                        a.trace_count() * 16),
+            0);
+  EXPECT_EQ(std::memcmp(a.ciphertext_ptr(0), b.ciphertext_ptr(0),
+                        a.trace_count() * 16),
+            0);
+}
+
+TEST(PrePass, SameAtAnyShardCountAndOnABorrowedPool) {
+  const std::string dir = ::testing::TempDir() + "prepass_shards/";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  AttackSetup s1(BenignCircuit::kAlu, Calibration::paper_defaults());
+  const PrePassOutcome one = run_prepasses(s1, 1, nullptr, dir + "1.trc");
+  ASSERT_FALSE(one.bits.empty());
+  EXPECT_EQ(one.tvla_fixed, 151u);
+  EXPECT_EQ(one.tvla_random, 151u);
+
+  AttackSetup s3(BenignCircuit::kAlu, Calibration::paper_defaults());
+  const PrePassOutcome three = run_prepasses(s3, 3, nullptr, dir + "3.trc");
+  expect_same_prepasses(three, one);
+  expect_same_store_columns(dir + "3.trc", dir + "1.trc");
+
+  ThreadPool pool(2);
+  AttackSetup sp(BenignCircuit::kAlu, Calibration::paper_defaults());
+  const PrePassOutcome pooled = run_prepasses(sp, 0, &pool, dir + "p.trc");
+  expect_same_prepasses(pooled, one);
+  expect_same_store_columns(dir + "p.trc", dir + "1.trc");
+
+  // The TVLA store interleaves the populations: even traces encrypt the
+  // fixed plaintext, odd ones their own draw.
+  const store::TraceStoreReader tvla(dir + "1.trc");
+  const crypto::Block fixed =
+      crypto::block_from_hex("da39a3ee5e6b4b0d3255bfef95601890");
+  EXPECT_EQ(tvla.plaintext(0), fixed);
+  EXPECT_EQ(tvla.plaintext(300), fixed);
+  EXPECT_NE(tvla.plaintext(1), fixed);
+  EXPECT_NE(tvla.plaintext(1), tvla.plaintext(3));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PrePass, SetupHistoryDoesNotMatter) {
+  // A pre-pass reads no state a campaign, a TVLA or the stateful victim
+  // leaves on the setup, so one on a used setup equals one on a fresh
+  // setup.
+  const std::string dir = ::testing::TempDir() + "prepass_history/";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  AttackSetup fresh(BenignCircuit::kAlu, Calibration::paper_defaults());
+  const PrePassOutcome ref = run_prepasses(fresh, 1, nullptr, dir + "f.trc");
+
+  AttackSetup used(BenignCircuit::kAlu, Calibration::paper_defaults());
+  CampaignConfig fenced = small_cfg(SensorMode::kBenignHw, 200);
+  fenced.seed = 99;
+  fenced.fence.random_current_a = 0.02;
+  (void)CpaCampaign(used, fenced).run(2);
+  (void)CpaCampaign(used, fenced).run_tvla(40);
+  (void)used.victim().encrypt(crypto::Block{});
+  const PrePassOutcome again = run_prepasses(used, 1, nullptr, dir + "u.trc");
+  expect_same_prepasses(again, ref);
+  expect_same_store_columns(dir + "u.trc", dir + "f.trc");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PrePass, TdcStageProbeCountsStageZero) {
+  // At an operating depth below a stage, a 0 reading mixes a firing
+  // stage 0 (noisy depth in (0, 1)) with a silent one (clamped from
+  // below 0). The probe still measures stage 0's own firing rate, so it
+  // picks the stage whose rate sits closest to 1/2. With 0.5 stages of
+  // noise that is stage 0 at depth 0.4 (rate ~0.79, stage 1's ~0.12; a
+  // probe that took stage 0 as always firing picks stage 1), and stage
+  // 1 at depth 1.4.
+  for (const auto& [depth, stage] :
+       {std::pair<double, std::size_t>{0.4, 0}, {1.4, 1}}) {
+    Calibration cal = Calibration::paper_defaults();
+    cal.tdc.window_ns = depth * cal.tdc.stage_delay_ns;
+    cal.tdc.noise_lsb = 0.5;
+    AttackSetup setup(BenignCircuit::kAlu, cal);
+    CampaignConfig cfg = small_cfg(SensorMode::kTdcSingleBit, 16);
+    cfg.single_bit = CampaignConfig::kAutoBit;
+    EXPECT_EQ(CpaCampaign(setup, cfg).run().single_bit, stage)
+        << "depth " << depth;
   }
 }
 

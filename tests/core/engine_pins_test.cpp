@@ -8,7 +8,9 @@
 //
 // Size + FNV-1a 64 of each file; the values were generated by the
 // engines before the serial paths became the one-shard case of the
-// sharded engines.
+// sharded engines, and re-pinned when the checkpoint (5) and store (2)
+// versions were bumped — the version field was the only byte that
+// moved.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -74,7 +76,7 @@ TEST(EngineOutputPins, FencedBenignHwByteCheckpoint) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
   CpaCampaign campaign(setup, cfg);
   (void)campaign.run(1);
-  expect_pinned(checkpoint_file(dir), 51815u, 0x9018aca2ed2277f7ull);
+  expect_pinned(checkpoint_file(dir), 51815u, 0xeec7e602602d4678ull);
   std::filesystem::remove_all(dir);
 }
 
@@ -85,7 +87,7 @@ TEST(EngineOutputPins, FullKeyCheckpoint) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
   CpaCampaign campaign(setup, cfg);
   (void)campaign.run_fullkey({}, 1);
-  expect_pinned(checkpoint_file(dir), 822655u, 0xc09b6437388a97a0ull);
+  expect_pinned(checkpoint_file(dir), 822655u, 0x23a6e7f84e5e65ffull);
   std::filesystem::remove_all(dir);
 }
 
@@ -97,7 +99,7 @@ TEST(EngineOutputPins, ByteCampaignStore) {
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
   CpaCampaign campaign(setup, cfg);
   (void)campaign.run(1);
-  expect_pinned(cfg.store_out, 33724u, 0x12cd6c0c7d7cc754ull);
+  expect_pinned(cfg.store_out, 33724u, 0x4fba047520fea20bull);
   std::filesystem::remove_all(dir);
 }
 

@@ -6,13 +6,15 @@
 // bit-exactness bar for every engine path.
 //
 // Two stream modes:
-//   * kPerTrace   — RNG contract v2: every trace draws from its own
-//                   counter-keyed streams (Xoshiro256::trace_stream,
-//                   ActiveFence::trace_rng), the contract the engines run;
-//   * kSequential — the retired contract v1: one xoshiro stream and the
-//                   stateful victim and fence, consumed in strict
-//                   per-trace order. It exists to check the frozen
-//                   golden_traces.txt fixture.
+//   * kPerTrace   — RNG contract v2: every trace, the selection
+//                   pre-pass's included, draws from its own counter-keyed
+//                   streams (Xoshiro256::trace_stream in the pass's
+//                   domain, ActiveFence::trace_rng), the contract the
+//                   engines run;
+//   * kSequential — the retired contract v1: one xoshiro stream per pass,
+//                   the stateful victim and one sequential fence stream,
+//                   consumed in strict per-trace order. It exists to
+//                   check the frozen golden_traces.txt fixture.
 //
 // Header-only so the benches (bench/bench_util.hpp) can run the same
 // oracle in their equivalence pass.
@@ -72,7 +74,7 @@ class Capture {
                                        cfg_.target_bit);
     out.correct_guess =
         model.correct_guess(setup_.victim().cipher().last_round_key());
-    resolve_bits(&out);
+    resolve_bits(&out, streams);
 
     sca::CpaEngine engine(256, samples_.size());
     Xoshiro256 seq(cfg_.seed);
@@ -115,7 +117,7 @@ class Capture {
 
  private:
   // Victim current plus fence draws (the trace's own fence stream, or
-  // the fence's sequential stream when `fence_rng` is null), coupled,
+  // the v1 sequential fence stream when `fence_rng` is null), coupled,
   // through the PDN, plus per-sample env noise.
   void voltages(const crypto::AesDatapathModel::Encryption& enc,
                 Xoshiro256& rng, Xoshiro256* fence_rng,
@@ -124,8 +126,8 @@ class Capture {
                                 enc.cycle_current.end());
     for (double& i : current) {
       if (fence_) {
-        i += fence_rng != nullptr ? fence_->cycle_current(*fence_rng)
-                                  : fence_->next_cycle_current();
+        i += fence_->cycle_current(fence_rng != nullptr ? *fence_rng
+                                                        : fence_seq_);
       }
       i *= setup_.effective_coupling();
     }
@@ -162,16 +164,30 @@ class Capture {
   }
 
   // The bits-of-interest pre-pass, one BitSelector::add per sample over
-  // the full toggle word (the engines count toggles in batches).
-  sca::BitSelector selection_pass() {
-    Xoshiro256 rng(cfg_.seed ^ 0xb17561ec7u);
+  // the full toggle word (the engines count toggles in blocks). Per-trace
+  // streams take the selection domain and start the victim registers
+  // from zero, as the engines' pre-pass does; the v1 pass ran on the
+  // stateful victim and fence.
+  sca::BitSelector selection_pass(Streams streams) {
+    Xoshiro256 seq(cfg_.seed ^ 0xb17561ec7u);
+    crypto::AesDatapathModel::RegisterSnapshot regs{};
     sca::BitSelector selector(setup_.sensor_bits());
     std::vector<double> v;
     for (std::size_t t = 0; t < cfg_.selection_traces; ++t) {
+      std::optional<Xoshiro256> own;
+      std::optional<Xoshiro256> fence_rng;
+      if (streams == Streams::kPerTrace) {
+        own.emplace(
+            Xoshiro256::trace_stream(cfg_.seed, kTraceDomainSelection, t));
+        if (fence_) fence_rng.emplace(fence_->trace_rng(t));
+      }
+      Xoshiro256& rng = own ? *own : seq;
       crypto::Block pt;
       for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
-      const auto enc = setup_.victim().encrypt(pt);
-      voltages(enc, rng, nullptr, v);
+      const auto enc = streams == Streams::kPerTrace
+                           ? setup_.victim().encrypt_stateless(pt, t, regs)
+                           : setup_.victim().encrypt(pt);
+      voltages(enc, rng, fence_rng ? &*fence_rng : nullptr, v);
       for (const double vs : v) {
         selector.add(setup_.sensor().sample_toggles(vs, rng));
       }
@@ -179,10 +195,10 @@ class Capture {
     return selector;
   }
 
-  void resolve_bits(Result* out) {
+  void resolve_bits(Result* out, Streams streams) {
     out->single_bit = cfg_.single_bit;
     if (cfg_.mode == core::SensorMode::kBenignHw) {
-      const sca::BitSelector selector = selection_pass();
+      const sca::BitSelector selector = selection_pass(streams);
       auto bits = selector.bits_of_interest(cfg_.selection_min_variance);
       if (cfg_.selection_top_k > 0 && bits.size() > cfg_.selection_top_k) {
         std::sort(bits.begin(), bits.end(), [&](std::size_t a, std::size_t b) {
@@ -194,7 +210,7 @@ class Capture {
       out->bits_of_interest = std::move(bits);
     } else if (cfg_.mode == core::SensorMode::kBenignSingleBit &&
                cfg_.single_bit == core::CampaignConfig::kAutoBit) {
-      out->single_bit = selection_pass().highest_variance_bit();
+      out->single_bit = selection_pass(streams).highest_variance_bit();
     } else {
       SLM_REQUIRE(cfg_.single_bit != core::CampaignConfig::kAutoBit,
                   "reference capture: TDC stage auto-selection is not "
@@ -207,6 +223,9 @@ class Capture {
   std::vector<double> samples_;
   pdn::CycleResponseMatrix response_;
   std::optional<defense::ActiveFence> fence_;
+  // The v1 fence stream: one sequence for the whole run, seeded as the
+  // retired ActiveFence::next_cycle_current's stream was.
+  Xoshiro256 fence_seq_{cfg_.fence.seed};
 };
 
 /// One reference campaign on `setup` (which it mutates: the sequential

@@ -191,7 +191,7 @@ TEST(CheckpointFileTest, FileBytesArePinned) {
       (std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
   EXPECT_EQ(written, bytes.size());
   EXPECT_EQ(bytes.size(), 554u);
-  EXPECT_EQ(fnv1a64(bytes), 0xe4043c1998d7995aull);
+  EXPECT_EQ(fnv1a64(bytes), 0x54cc2e0191917707ull);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,10 +1,11 @@
 // State written by a retired capture path must be refused loudly, with a
 // message that names the retired path — never silently resumed, merged
-// or replayed under the engines' contract. Three paths are retired: RNG
+// or replayed under the engines' contract. Four paths are retired: RNG
 // contract v1 (sequential streams), the reference-kernel (compiled = 0)
-// accumulators and the process fabric (its `fabric_shards` job field and
-// `SLMSNAP1` snapshots). Each row builds one such artifact and runs the
-// consumer that must refuse it.
+// accumulators, the process fabric (its `fabric_shards` job field and
+// `SLMSNAP1` snapshots) and the sequential sensor pre-passes and TVLA
+// loop (checkpoint version 4, store version 1). Each row builds one such
+// artifact and runs the consumer that must refuse it.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -69,6 +70,40 @@ void resume_edited_checkpoint(
   cfg.resume = true;
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
   (void)CpaCampaign(setup, cfg).run();
+}
+
+// Rewrite the version field of a framed file (bytes 8..11, outside the
+// payload CRC) to `version`.
+void set_version(const std::string& path, std::uint8_t version) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(8);
+  f.put(static_cast<char>(version));
+}
+
+// A halted campaign's snapshot stamped version 4, then resumed.
+void resume_version4_checkpoint(const std::string& dir) {
+  CampaignConfig cfg = small_cfg();
+  cfg.checkpoint_dir = dir;
+  cfg.halt_after_traces = 100;
+  {
+    AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
+    EXPECT_THROW((void)CpaCampaign(setup, cfg).run(), CampaignHalted);
+  }
+  set_version(checkpoint_file(dir), 4);
+  cfg.halt_after_traces = 0;
+  cfg.resume = true;
+  AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
+  (void)CpaCampaign(setup, cfg).run();
+}
+
+// A captured store stamped version 1, then opened.
+void open_version1_store(const std::string& dir) {
+  CampaignConfig cfg = small_cfg();
+  cfg.store_out = dir + "/v1.trc";
+  AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
+  (void)CpaCampaign(setup, cfg).run();
+  set_version(cfg.store_out, 1);
+  store::TraceStoreReader reader(cfg.store_out);
 }
 
 // A framed file with the retired fabric's `SLMSNAP1` magic, opened as
@@ -158,6 +193,16 @@ TEST(RetiredState, RefusedByName) {
        {"SLMSNAP1", "process fabric", "retired"}},
       {"serve analyze over a contract-1 store", serve_analyze_v1_store,
        {"\"failed\":true", "contract v1", "retired"}},
+      {"checkpoint version 4",
+       [](const std::string& dir) {
+         return refusal_of([&] { resume_version4_checkpoint(dir); });
+       },
+       {"version 4", "sequential sensor pre-pass", "retired"}},
+      {"store version 1",
+       [](const std::string& dir) {
+         return refusal_of([&] { open_version1_store(dir); });
+       },
+       {"version 1", "sequential sensor pre-pass", "retired"}},
   };
   for (const Row& row : rows) {
     const std::string dir = fresh_dir("retired_state");

@@ -1,8 +1,8 @@
 // core::SetupMemo: every key field is part of the key, the table stays
 // bounded, and a campaign that hits the memo reports byte-identical
-// results to one that recomputes — including when a later stateful
-// pass (TVLA's loop, the next campaign on the same setup) reads the
-// victim and fence state the pre-pass left behind.
+// results to one that recomputes. The pre-pass is a pure function of
+// the config, so its key holds no victim or fence state and a hit
+// restores none.
 #include "core/setup_memo.hpp"
 
 #include <gtest/gtest.h>
@@ -32,8 +32,6 @@ SensorBitsKey base_key() {
   key.selection_min_variance = 0.15;
   key.selection_top_k = 0;
   key.sample_times_ns = {400.0, 406.0, 413.0};
-  key.fence_state = std::array<std::uint64_t, 4>{1, 2, 3, 4};
-  key.registers.register_state[0] = 0x11;
   return key;
 }
 
@@ -86,12 +84,6 @@ TEST(SetupMemo, EverySensorBitsKeyFieldIsPartOfTheKey) {
       {"fence.base", [](auto& k) { k.fence.base_current_a += 0.01; }},
       {"fence.random", [](auto& k) { k.fence.random_current_a = 0.02; }},
       {"fence.seed", [](auto& k) { k.fence.seed += 1; }},
-      {"fence_state", [](auto& k) { (*k.fence_state)[2] += 1; }},
-      {"fence_absent", [](auto& k) { k.fence_state.reset(); }},
-      {"registers.state", [](auto& k) { k.registers.register_state[5] ^= 1; }},
-      {"registers.mask", [](auto& k) { k.registers.register_mask[0] ^= 1; }},
-      {"registers.mask_rng",
-       [](auto& k) { k.registers.mask_rng_state[3] += 1; }},
   };
   SetupMemo memo;
   memo.insert(base_key(), some_bits());
@@ -164,7 +156,6 @@ void expect_same(const CampaignResult& a, const CampaignResult& b) {
 // Byte campaigns `bytes`, in order, on one fresh StealthyAttack.
 struct Sequence {
   std::vector<CampaignResult> results;
-  crypto::AesDatapathModel::RegisterSnapshot registers_after;
   double hits = 0.0;
   double misses = 0.0;
 };
@@ -182,7 +173,6 @@ Sequence run_sequence(const Calibration& cal, SensorMode mode,
     cfg.setup_memo = memo;
     s.results.push_back(CpaCampaign(attack.setup(), cfg).run());
   }
-  s.registers_after = attack.setup().victim().register_snapshot();
   s.hits = ob.metrics().counter(kHits);
   s.misses = ob.metrics().counter(kMisses);
   return s;
@@ -191,8 +181,8 @@ Sequence run_sequence(const Calibration& cal, SensorMode mode,
 // Reference without a memo, then the same sequence twice on fresh
 // setups over one memo: the first fills it, the second hits every
 // lookup (one matrix and, where the mode has one, one pre-pass per
-// campaign) — and all three agree byte for byte, down to the victim
-// state the sequence leaves behind. Bytes 3 and 6 retire in the same
+// campaign) — and all three agree byte for byte. Bytes 3 and 6 retire
+// in the same
 // last-round cycle, so their windows and matrices coincide: the first
 // sequence's second campaign already hits the matrix.
 void check_memo_sequence(const Calibration& cal, SensorMode mode,
@@ -218,8 +208,6 @@ void check_memo_sequence(const Calibration& cal, SensorMode mode,
     EXPECT_EQ(fill.results[i].prepass, has_prepass ? "ran" : "none");
     EXPECT_EQ(hit.results[i].prepass, has_prepass ? "reused" : "none");
   }
-  EXPECT_EQ(fill.registers_after, ref.registers_after);
-  EXPECT_EQ(hit.registers_after, ref.registers_after);
 }
 
 TEST(SetupMemoCampaign, TwoBenignHwCampaignsOnOneSetup) {
@@ -228,8 +216,8 @@ TEST(SetupMemoCampaign, TwoBenignHwCampaignsOnOneSetup) {
 }
 
 TEST(SetupMemoCampaign, MaskedDatapath) {
-  // The masked victim draws a fresh mask per round from its own stream:
-  // byte 6's pre-pass key holds the mask-stream position byte 3's left.
+  // The masked victim draws each trace's round masks from that trace's
+  // counter-keyed mask stream, in the pre-pass as in capture.
   Calibration cal = Calibration::paper_defaults();
   cal.aes.masked = true;
   check_memo_sequence(cal, SensorMode::kBenignHw, true);
@@ -278,8 +266,8 @@ TEST(SetupMemoCampaign, RunOptionsCarryTheMemo) {
 }
 
 TEST(SetupMemoCampaign, FencedTvlaAfterItsPrepass) {
-  // TVLA's loop draws the victim and the fence from the state the
-  // benign-HW pre-pass leaves behind, so a hit must restore both.
+  // A fenced TVLA whose benign-HW pre-pass comes from the memo: the
+  // t-values equal a run without one.
   const auto run = [](SetupMemo* memo, std::string* prepass) {
     AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
     CampaignConfig cfg;
@@ -314,28 +302,18 @@ TEST(SetupMemoCampaign, CampaignKeyTracksEveryInput) {
   struct Variant {
     const char* name;
     std::function<void(Calibration&, std::uint64_t&, CampaignConfig&)> cfg;
-    std::function<void(AttackSetup&)> setup;
   };
-  const auto no_setup = [](AttackSetup&) {};
   const std::vector<Variant> variants = {
-      {"seed", [](auto&, auto&, auto& c) { c.seed += 1; }, no_setup},
-      {"window", [](auto&, auto&, auto& c) { c.window_end_ns += 7.0; },
-       no_setup},
+      {"seed", [](auto&, auto&, auto& c) { c.seed += 1; }},
+      {"window", [](auto&, auto&, auto& c) { c.window_end_ns += 7.0; }},
       {"selection_traces",
-       [](auto&, auto&, auto& c) { c.selection_traces += 10; }, no_setup},
+       [](auto&, auto&, auto& c) { c.selection_traces += 10; }},
       {"selection_min_variance",
-       [](auto&, auto&, auto& c) { c.selection_min_variance = 0.2; },
-       no_setup},
-      {"selection_top_k", [](auto&, auto&, auto& c) { c.selection_top_k = 5; },
-       no_setup},
-      {"fence", [](auto&, auto&, auto& c) { c.fence.random_current_a = 0.01; },
-       no_setup},
-      {"calibration", [](auto& cal, auto&, auto&) { cal.env_noise_v *= 1.5; },
-       no_setup},
-      {"platform_seed", [](auto&, auto& seed, auto&) { seed += 1; },
-       no_setup},
-      {"registers", [](auto&, auto&, auto&) {},
-       [](AttackSetup& s) { s.victim().encrypt(crypto::Block{}); }},
+       [](auto&, auto&, auto& c) { c.selection_min_variance = 0.2; }},
+      {"selection_top_k", [](auto&, auto&, auto& c) { c.selection_top_k = 5; }},
+      {"fence", [](auto&, auto&, auto& c) { c.fence.random_current_a = 0.01; }},
+      {"calibration", [](auto& cal, auto&, auto&) { cal.env_noise_v *= 1.5; }},
+      {"platform_seed", [](auto&, auto& seed, auto&) { seed += 1; }},
   };
   const auto run = [](const Variant* v, SetupMemo& memo) {
     Calibration cal = Calibration::paper_defaults();
@@ -346,7 +324,6 @@ TEST(SetupMemoCampaign, CampaignKeyTracksEveryInput) {
     cfg.selection_traces = 600;
     if (v != nullptr) v->cfg(cal, platform_seed, cfg);
     AttackSetup setup(BenignCircuit::kAlu, cal, platform_seed);
-    if (v != nullptr) v->setup(setup);
     cfg.setup_memo = &memo;
     return CpaCampaign(setup, cfg).run().prepass;
   };
@@ -358,9 +335,10 @@ TEST(SetupMemoCampaign, CampaignKeyTracksEveryInput) {
     EXPECT_EQ(run(&v, memo), "reused") << v.name;
   }
 
-  // A second pre-pass on the same campaign starts from the victim and
-  // fence state the first left behind: a different key.
+  // The key holds no state: a setup whose victim already encrypted, and
+  // a second run of the same campaign, both reuse the entry.
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
+  setup.victim().encrypt(crypto::Block{});
   CampaignConfig cfg;
   cfg.mode = SensorMode::kBenignHw;
   cfg.traces = 64;
@@ -368,7 +346,7 @@ TEST(SetupMemoCampaign, CampaignKeyTracksEveryInput) {
   cfg.setup_memo = &memo;
   CpaCampaign campaign(setup, cfg);
   EXPECT_EQ(campaign.run().prepass, "reused");
-  EXPECT_EQ(campaign.run().prepass, "ran");
+  EXPECT_EQ(campaign.run().prepass, "reused");
 }
 
 }  // namespace

@@ -102,7 +102,8 @@ TEST(AesDatapath, CyclePeriodFromClock) {
   EXPECT_DOUBLE_EQ(model.cycle_period_ns(), 10.0);
 }
 
-// The build turns FMA contraction off (-ffp-contract=off), so code in a
+// The src/ libraries pass -ffp-contract=off to everything that links
+// them (src/CMakeLists.txt), this test and slmbench alike, so code in a
 // function whose target has FMA rounds base + k * hd as plain code does:
 // a multiply and an add, each rounded. With contraction on, GCC fuses
 // them there, and several hd in 0..64 come out a bit apart.

@@ -16,8 +16,9 @@ TEST(ActiveFence, DisabledIsConstant) {
   cfg.base_current_a = 0.05;
   cfg.random_current_a = 0.0;
   ActiveFence fence(cfg);
+  Xoshiro256 rng = fence.trace_rng(0);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_DOUBLE_EQ(fence.next_cycle_current(), 0.05);
+    EXPECT_DOUBLE_EQ(fence.cycle_current(rng), 0.05);
   }
   EXPECT_DOUBLE_EQ(fence.mean_current_a(), 0.05);
 }
@@ -69,22 +70,29 @@ TEST(ActiveFence, RandomComponentUniform) {
   cfg.random_current_a = 0.4;
   ActiveFence fence(cfg);
   OnlineMeanVar acc;
-  for (int i = 0; i < 50000; ++i) {
-    const double c = fence.next_cycle_current();
-    ASSERT_GE(c, 0.1);
-    ASSERT_LT(c, 0.5);
-    acc.add(c);
+  for (std::uint64_t t = 0; t < 1000; ++t) {
+    Xoshiro256 rng = fence.trace_rng(t);
+    for (int i = 0; i < 50; ++i) {
+      const double c = fence.cycle_current(rng);
+      ASSERT_GE(c, 0.1);
+      ASSERT_LT(c, 0.5);
+      acc.add(c);
+    }
   }
   EXPECT_NEAR(acc.mean(), fence.mean_current_a(), 0.005);
   EXPECT_NEAR(acc.variance(), 0.4 * 0.4 / 12.0, 0.002);
 }
 
-TEST(ActiveFence, DeterministicPerSeed) {
+TEST(ActiveFence, DeterministicPerSeedAndTrace) {
   ActiveFenceConfig cfg;
   cfg.random_current_a = 0.2;
   ActiveFence a(cfg), b(cfg);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_DOUBLE_EQ(a.next_cycle_current(), b.next_cycle_current());
+  for (std::uint64_t t : {0u, 1u, 977u}) {
+    Xoshiro256 ra = a.trace_rng(t);
+    Xoshiro256 rb = b.trace_rng(t);
+    for (int i = 0; i < 64; ++i) {
+      EXPECT_DOUBLE_EQ(a.cycle_current(ra), b.cycle_current(rb));
+    }
   }
 }
 

@@ -144,11 +144,11 @@ TEST(BenignSensorBank, GlobalBitIndexing) {
 }
 
 // The block kernel (pure compute over pre-drawn normals) must be
-// bit-identical to toggle_hw_batch on the same stream — SIMD lanes and
-// the forced-scalar fallback alike — for plans spanning both instances
-// and plans that skip an instance, with uniform and mixed capture
-// clocks (the two dispatch branches).
-TEST(BenignSensorBank, BlockKernelMatchesBatch) {
+// bit-identical to per-call sample_toggle_hw on the same stream — SIMD
+// lanes and the forced-scalar fallback alike — for plans spanning both
+// instances and plans that skip an instance, with uniform and mixed
+// capture clocks (the two dispatch branches).
+TEST(BenignSensorBank, BlockKernelMatchesPerCallReads) {
   BenignSensorConfig noisy = quiet_cfg();
   noisy.capture.jitter_sigma_ns = 0.05;
   noisy.capture.common_jitter_sigma_ns = 0.08;
@@ -175,7 +175,9 @@ TEST(BenignSensorBank, BlockKernelMatchesBatch) {
       Xoshiro256 rng_a(11);
       Xoshiro256 rng_b(11);
       std::vector<double> ya(lanes), yb(lanes), yc(lanes);
-      bank.toggle_hw_batch(plan, v.data(), lanes, rng_a, ya.data());
+      for (std::size_t l = 0; l < lanes; ++l) {
+        ya[l] = static_cast<double>(bank.sample_toggle_hw(bits, v[l], rng_a));
+      }
       std::vector<double> z(lanes * plan.draws_per_sample);
       FastNormal::instance().fill(rng_b, z.data(), z.size());
       bank.toggle_hw_block(plan, v.data(), lanes, z.data(), yb.data(), true);
@@ -185,8 +187,8 @@ TEST(BenignSensorBank, BlockKernelMatchesBatch) {
         ASSERT_EQ(yb[l], ya[l]) << "simd lane " << l;
         ASSERT_EQ(yc[l], ya[l]) << "scalar lane " << l;
       }
-      // Same stream position afterwards: the block path consumed the
-      // identical draw count through its pre-drawn slab.
+      // Same stream position afterwards: the per-call reads consumed the
+      // draw count the pre-drawn slab holds.
       EXPECT_EQ(rng_a.next(), rng_b.next());
     }
   }

@@ -18,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "core/attack.hpp"
+#include "core/checkpoint.hpp"
 #include "obs/jsonl.hpp"
 #include "serve/job.hpp"
 #include "serve/scheduler.hpp"
@@ -558,6 +559,48 @@ TEST(ServeDaemonTest, RecoversJobFileWithRetiredZeroFabricShards) {
   EXPECT_EQ(rep.jobs_failed, 0u);
   EXPECT_EQ(slurp(results + "/job_old/result.json"),
             slurp(results_ref + "/job_old/result.json"));
+}
+
+TEST(ServeDaemonTest, RetiredCheckpointVersionFailsOnlyItsJob) {
+  // A job preempted by a daemon of the previous release leaves a
+  // version 4 checkpoint, which this build refuses. Restart recovery
+  // must still start: that job fails with the refusal, and the other
+  // recovered job drains.
+  const std::string spool = fresh_dir("serve_v4_spool");
+  const std::string results = fresh_dir("serve_v4_results");
+  const JobSpec old_job = attack_spec("job_old", "alice", kAttackTraces, 3);
+  const JobSpec new_job = attack_spec("job_new", "bob", kAttackTraces, 5);
+  for (const JobSpec& spec : {old_job, new_job}) {
+    std::filesystem::create_directories(results + "/" + spec.id);
+    std::ofstream out(results + "/" + spec.id + "/job.json",
+                      std::ios::binary);
+    out << job_to_json(spec);
+  }
+  // job_old was preempted at trace 400, as a slice would leave it.
+  core::RunOptions ro;
+  ro.checkpoint_dir = results + "/job_old/ckpt";
+  ro.halt_after_traces = 400;
+  core::StealthyAttack attack(old_job.circuit);
+  EXPECT_THROW((void)attack.recover_key_byte(old_job.key_byte, old_job.traces,
+                                             old_job.mode, 1, ro),
+               core::CampaignHalted);
+  {
+    // The version field, bytes 8..11, sits outside the payload CRC.
+    std::fstream f(core::checkpoint_file(ro.checkpoint_dir),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);
+    f.put(static_cast<char>(4));
+  }
+
+  const ServeReport rep = serve(base_options(spool, results));
+  EXPECT_EQ(rep.jobs_recovered, 2u);
+  EXPECT_EQ(rep.jobs_failed, 1u);
+  EXPECT_EQ(rep.jobs_completed, 1u);
+  const std::string failed = slurp(results + "/job_old/result.json");
+  EXPECT_NE(failed.find("\"failed\":true"), std::string::npos);
+  EXPECT_NE(failed.find("version 4"), std::string::npos);
+  EXPECT_EQ(slurp(results + "/job_new/result.json").find("\"failed\""),
+            std::string::npos);
 }
 
 TEST(ServeDaemonTest, MalformedSpoolFileIsRejectedNotFatal) {

@@ -48,7 +48,8 @@ set(retired_metric_prefix "slm.pipeline." "slm.fabric."
 set(retired_api "replay_attack" "replay_fullkey" "replay_tvla"
     "ReplayFullKeyOptions" "ParallelCampaign" "recover_key_bytes"
     "HdKernel" "kPopcnt" "active_hd_kernel" "FabricWorker"
-    "coordinate_local" "SLMSNAP1")
+    "coordinate_local" "SLMSNAP1" "toggle_hw_batch" "sample_raw"
+    "make_voltages" "read_sensor" "next_cycle_current")
 
 # 1. Every `bench_*` name in the docs must exist as a source file under
 #    bench/ or be wired up in bench/CMakeLists.txt (ctest-only entries

@@ -2,7 +2,7 @@
 # run as a ctest entry (fold_ubsan). The engine's whole correctness
 # story rests on int64 accumulation never wrapping inside the
 # kMaxFoldTraces x kMaxAbsReading budget (sca/fold_kernels.hpp); on the
-# shared scratch ASan + UBSan build (asan_ubsan_build.cmake) this drill
+# shared scratch ASan + UBSan build (sanitizer_build.cmake) this drill
 # drives the arithmetic that has to be overflow-free:
 #   1. fold_dispatch_test at every runnable SLM_SIMD level — the block
 #      kernels (stage / sum_cols2 / scatter), budget guards, the
@@ -38,7 +38,10 @@
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P fold_ubsan.cmake
 
-include(${CMAKE_CURRENT_LIST_DIR}/asan_ubsan_build.cmake)
+include(${CMAKE_CURRENT_LIST_DIR}/sanitizer_build.cmake)
+sanitizer_build(asan_ubsan_build address,undefined san_build
+                slm fold_dispatch_test rng_test aes_datapath_test
+                binio_framed_test store_test)
 if(NOT san_build)
   message(STATUS "fold ubsan: toolchain cannot link -fsanitize=address,undefined, skipping")
   return()

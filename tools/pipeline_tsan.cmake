@@ -1,6 +1,6 @@
 # ThreadSanitizer drill for the capture engine, run as a ctest entry
 # (pipeline_tsan). On the shared scratch TSan build of the CLI
-# (tsan_build.cmake) it drives two short benign-HW campaigns: one shard
+# (sanitizer_build.cmake) it drives two short benign-HW campaigns: one shard
 # on the calling thread (--threads 1) and four shards over the worker
 # pool (--threads 4), whose lane-parallel capture shares the read-only
 # setup, sensor plan and store writer. Both runs halt at a checkpoint
@@ -12,11 +12,13 @@
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P pipeline_tsan.cmake
 
-include(${CMAKE_CURRENT_LIST_DIR}/tsan_build.cmake)
-if(NOT slm)
+include(${CMAKE_CURRENT_LIST_DIR}/sanitizer_build.cmake)
+sanitizer_build(tsan_build thread tsan_tree slm)
+if(NOT tsan_tree)
   message(STATUS "pipeline tsan: toolchain cannot link -fsanitize=thread, skipping")
   return()
 endif()
+set(slm ${tsan_tree}/tools/slm)
 
 set(scratch ${WORKDIR}/pipeline_tsan)
 file(MAKE_DIRECTORY ${scratch})

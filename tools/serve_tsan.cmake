@@ -1,6 +1,6 @@
 # ThreadSanitizer drill for the serve daemon, run as a ctest entry
 # (serve_tsan). On the shared scratch TSan build of the CLI
-# (tsan_build.cmake) it drains a seven-job, four-tenant spool through
+# (sanitizer_build.cmake) it drains a seven-job, four-tenant spool through
 # `slm serve` with a 1 ms spool poll: the watcher thread hammers the
 # shared FairShareScheduler (depth checks, admissions) while the serve
 # loop concurrently pops, requeues, and charges timeslices and the
@@ -14,11 +14,13 @@
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P serve_tsan.cmake
 
-include(${CMAKE_CURRENT_LIST_DIR}/tsan_build.cmake)
-if(NOT slm)
+include(${CMAKE_CURRENT_LIST_DIR}/sanitizer_build.cmake)
+sanitizer_build(tsan_build thread tsan_tree slm)
+if(NOT tsan_tree)
   message(STATUS "serve tsan: toolchain cannot link -fsanitize=thread, skipping")
   return()
 endif()
+set(slm ${tsan_tree}/tools/slm)
 
 set(scratch ${WORKDIR}/serve_tsan)
 file(MAKE_DIRECTORY ${scratch})

@@ -584,7 +584,9 @@ int cmd_tvla(const Args& args) {
   std::cout << "circuit " << core::benign_circuit_name(circuit) << ", mode "
             << core::sensor_mode_name(mode) << ", " << tpp
             << " traces per population\n";
-  const sca::WelchTTest tt = campaign.run_tvla(tpp);
+  // 0 = all hardware threads; the t-values never depend on it.
+  const unsigned threads = static_cast<unsigned>(args.get_n("threads", 0));
+  const sca::WelchTTest tt = campaign.run_tvla(tpp, threads);
   print_tvla_verdict("", tt.max_abs_t(), tt.leakage_detected());
   return tt.leakage_detected() ? 0 : 4;
 }

@@ -1,6 +1,6 @@
 # AddressSanitizer drill for the trace store's zero-copy mmap replay
 # path, run as a ctest entry (store_asan). On the shared scratch ASan +
-# UBSan build (asan_ubsan_build.cmake) it drives a capture plus replays
+# UBSan build (sanitizer_build.cmake) it drives a capture plus replays
 # through the CLI: every chunk-CRC walk over the mapped file, every column
 # view handed to the folding kernels, and the refusal paths for a
 # corrupted and a truncated store must stay inside the mapping. The
@@ -14,7 +14,10 @@
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P store_asan.cmake
 
-include(${CMAKE_CURRENT_LIST_DIR}/asan_ubsan_build.cmake)
+include(${CMAKE_CURRENT_LIST_DIR}/sanitizer_build.cmake)
+sanitizer_build(asan_ubsan_build address,undefined san_build
+                slm fold_dispatch_test rng_test aes_datapath_test
+                binio_framed_test store_test)
 if(NOT san_build)
   message(STATUS "store asan: toolchain cannot link -fsanitize=address,undefined, skipping")
   return()
