@@ -590,20 +590,28 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   }
   // The victim writes each trace's per-cycle currents cycle-major
   // (ic[c * block + b]), so the lane-inner PDN kernel is unit-stride.
+  // The active fence sits in the victim region and rides on the same
+  // coupling path. A constant fence (random_current_a == 0) adds
+  // base + u * 0.0, which is base for every finite u in [0, 1), so it
+  // draws nothing: the victim folds base and the coupling into its
+  // current table. A randomised fence draws per cycle from the trace's
+  // fence stream, cycle-ascending, before the coupling.
+  const double coupling = setup_.effective_coupling();
+  const bool random_fence =
+      fence_ && fence_->config().random_current_a != 0.0;
+  crypto::AesDatapathModel::CurrentFold fold;
+  if (!random_fence) {
+    if (fence_) fold.add = fence_->config().base_current_a;
+    fold.scale = coupling;
+  }
   setup_.victim().encrypt_block(buf.pt.data(), bn, g, regs, buf.ic.data(),
-                                block, buf.ct.data(), plan.victim_level);
+                                block, buf.ct.data(), fold, plan.victim_level);
   if (store != nullptr) {
     for (std::size_t b = 0; b < bn; ++b) {
       store->record_meta(g + b, buf.pt[b], buf.ct[b]);
     }
   }
-  // The active fence sits in the victim region: its draw (from the
-  // trace's fence stream, cycle-ascending) rides on the same coupling
-  // path and masks the victim's signal. A constant fence
-  // (random_current_a == 0) adds base + u * 0.0, which is base for every
-  // finite u in [0, 1), so it draws nothing.
-  const double coupling = setup_.effective_coupling();
-  if (fence_ && fence_->config().random_current_a != 0.0) {
+  if (random_fence) {
     for (std::size_t b = 0; b < bn; ++b) {
       Xoshiro256 frng = fence_->trace_rng(g + b);
       for (std::size_t c = 0; c < ncyc; ++c) {
@@ -612,28 +620,26 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
         i *= coupling;
       }
     }
-  } else if (fence_) {
-    const double base = fence_->config().base_current_a;
-    for (std::size_t c = 0; c < ncyc; ++c) {
-      double* ic = buf.ic.data() + c * block;
-      for (std::size_t b = 0; b < bn; ++b) {
-        ic[b] += base;
-        ic[b] *= coupling;
-      }
-    }
-  } else {
-    for (std::size_t c = 0; c < ncyc; ++c) {
-      double* ic = buf.ic.data() + c * block;
-      for (std::size_t b = 0; b < bn; ++b) ic[b] *= coupling;
-    }
   }
   // The scalar matvec is a latency-bound FP-add chain, so this is where
   // blocking pays most.
   response_.voltages_block(buf.ic.data(), bn, block, buf.v.data(),
                            plan.simd);
-  // Every lane's draws, in its stream's order: the env noise of each
-  // sample, then the sensor's draws_per_sample normals per sample. The
-  // sensor is then evaluated from the draws, with no stream in hand.
+  const double env_noise_v = setup_.calibration().env_noise_v;
+  double* y = buf.y.data();
+  if (plan.sensor.readout == Readout::kBenignHw) {
+    // The benign-HW read-out draws each lane's env noise and sensor
+    // normals itself, four lanes at a time in registers at AVX2.
+    setup_.sensor().toggle_hw_lanes(plan.sensor.hw, buf.rng.data(), bn,
+                                    buf.v.data(), samples, env_noise_v, y,
+                                    plan.draw_level);
+    if (store != nullptr) store->record_readings_block(g, y, bn);
+    return;
+  }
+  // Every other read-out stages each lane's draws, in its stream's
+  // order: the env noise of each sample, then the sensor's
+  // draws_per_sample normals per sample. The sensor is then evaluated
+  // from the draws, with no stream in hand.
   const std::size_t n = bn * samples;
   const std::size_t dps = plan.sensor.draws_per_sample;
   buf.zv.resize(block * samples);
@@ -643,16 +649,13 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
                     plan.draw_level);
   normal.fill_lanes(buf.rng.data(), bn, buf.z.data(), samples * dps,
                     samples * dps, plan.draw_level);
-  const double env_noise_v = setup_.calibration().env_noise_v;
   for (std::size_t i = 0; i < n; ++i) {
     buf.v[i] += 0.0 + env_noise_v * buf.zv[i];
   }
   const double* v = buf.v.data();
   const double* z = buf.z.data();
-  double* y = buf.y.data();
   switch (plan.sensor.readout) {
-    case Readout::kBenignHw:
-      setup_.sensor().toggle_hw_block(plan.sensor.hw, v, n, z, y, plan.simd);
+    case Readout::kBenignHw:  // read above
       break;
     case Readout::kBenignSingleBit:
       setup_.sensor().toggle_bit_block(plan.sensor.bit, v, n, z, y);

@@ -145,11 +145,20 @@ SLM_AESNI_TARGET void core_aesni(const Aes128& aes, const Block& plaintext,
   _mm_storeu_si128(reinterpret_cast<__m128i*>(ciphertext.data()), s);
 }
 
+// The current fold of encrypt_block as four-lane constants.
+struct Fold4 {
+  __m256d base;   // base_current_a
+  __m256d k;      // current_per_hd_a
+  __m256d add;    // the fold's add, when has_add
+  __m256d scale;  // the fold's scale
+  bool has_add;
+};
+
 // One round's four cycles for four lanes: p[j] holds lane j's four
 // column HDs. Transposed, vector c holds cycle 4 * round + c of lanes
-// b0..b0 + 3, written as base + k * hd with one store.
+// b0..b0 + 3, written as ((base + k * hd) + add) * scale with one store.
 SLM_AESNI_TARGET inline void store_round(const __m128i* p, std::size_t round,
-                                         __m256d base, __m256d k, double* ic,
+                                         const Fold4& f, double* ic,
                                          std::size_t stride) {
   const __m128i t0 = _mm_unpacklo_epi32(p[0], p[1]);
   const __m128i t1 = _mm_unpacklo_epi32(p[2], p[3]);
@@ -159,9 +168,11 @@ SLM_AESNI_TARGET inline void store_round(const __m128i* p, std::size_t round,
       _mm_unpacklo_epi64(t0, t1), _mm_unpackhi_epi64(t0, t1),
       _mm_unpacklo_epi64(t2, t3), _mm_unpackhi_epi64(t2, t3)};
   for (std::size_t c = 0; c < 4; ++c) {
-    const __m256d prod = _mm256_mul_pd(_mm256_cvtepi32_pd(cyc[c]), k);
+    const __m256d prod = _mm256_mul_pd(_mm256_cvtepi32_pd(cyc[c]), f.k);
+    __m256d cur = _mm256_add_pd(f.base, prod);
+    if (f.has_add) cur = _mm256_add_pd(cur, f.add);
     _mm256_storeu_pd(ic + (4 * round + c) * stride,
-                     _mm256_add_pd(base, prod));
+                     _mm256_mul_pd(cur, f.scale));
   }
 }
 
@@ -170,17 +181,16 @@ SLM_AESNI_TARGET inline void store_round(const __m128i* p, std::size_t round,
 // the four lanes' rounds are independent; only round 0's HDs wait for
 // the lane before. Runs the largest multiple of four lanes and returns
 // that count; `reg` leaves holding the last of those traces' ciphertext.
-SLM_AESNI_TARGET std::size_t block4_aesni(const Aes128& aes, bool carry,
-                                          double base_current,
-                                          double current_per_hd,
-                                          const Block* plaintexts,
-                                          std::size_t lanes, std::uint32_t* reg,
-                                          double* ic, std::size_t stride,
-                                          Block* ciphertexts) {
+SLM_AESNI_TARGET std::size_t block4_aesni(
+    const Aes128& aes, bool carry, double base_current, double current_per_hd,
+    const AesDatapathModel::CurrentFold& fold, const Block* plaintexts,
+    std::size_t lanes, std::uint32_t* reg, double* ic, std::size_t stride,
+    Block* ciphertexts) {
   __m128i rk[11];
   load_round_keys(aes, rk);
-  const __m256d base = _mm256_set1_pd(base_current);
-  const __m256d k = _mm256_set1_pd(current_per_hd);
+  const Fold4 f{_mm256_set1_pd(base_current), _mm256_set1_pd(current_per_hd),
+                _mm256_set1_pd(fold.add.value_or(0.0)),
+                _mm256_set1_pd(fold.scale), fold.add.has_value()};
   const __m128i zero = _mm_setzero_si128();
   __m128i r = _mm_loadu_si128(reinterpret_cast<const __m128i*>(reg));
   const std::size_t body = lanes & ~std::size_t{3};
@@ -198,13 +208,13 @@ SLM_AESNI_TARGET std::size_t block4_aesni(const Aes128& aes, bool carry,
         p[j] = popcount_epi32(_mm_xor_si128(s[j], next));
         s[j] = next;
       }
-      store_round(p, round, base, k, ic + b0, stride);
+      store_round(p, round, f, ic + b0, stride);
     }
     p[0] = popcount_epi32(_mm_xor_si128(carry ? r : zero, first[0]));
     for (std::size_t j = 1; j < 4; ++j) {
       p[j] = popcount_epi32(_mm_xor_si128(carry ? s[j - 1] : zero, first[j]));
     }
-    store_round(p, 0, base, k, ic + b0, stride);
+    store_round(p, 0, f, ic + b0, stride);
     for (std::size_t j = 0; j < 4; ++j) {
       _mm_storeu_si128(reinterpret_cast<__m128i*>(ciphertexts[b0 + j].data()),
                        s[j]);
@@ -343,6 +353,7 @@ void AesDatapathModel::encrypt_block(const Block* plaintexts,
                                      std::uint64_t first_trace,
                                      RegisterSnapshot& regs, double* ic,
                                      std::size_t stride, Block* ciphertexts,
+                                     const CurrentFold& fold,
                                      Level level) const {
   SLM_REQUIRE(lanes <= stride, "encrypt_block: lanes exceed stride");
   SLM_REQUIRE(level == Level::kPortable || aesni_supported(),
@@ -360,17 +371,20 @@ void AesDatapathModel::encrypt_block(const Block* plaintexts,
       for (std::size_t c = 0; c < 4; ++c) reg[c] = mask_reg[c] = 0;
     }
     b = block4_aesni(aes_, cfg_.carry_previous_state, cfg_.base_current_a,
-                     cfg_.current_per_hd_a, plaintexts, lanes, reg, ic,
+                     cfg_.current_per_hd_a, fold, plaintexts, lanes, reg, ic,
                      stride, ciphertexts);
   }
 #endif
-  // The per-cycle current base + k * hd for every HD a cycle can switch
-  // (two 32-bit register shares at most): each entry is that exact
-  // expression, so a lane's write is one table load.
+  // The folded per-cycle current ((base + k * hd) + add) * scale for
+  // every HD a cycle can switch (two 32-bit register shares at most):
+  // each entry is that exact sequence of roundings, so a lane's write is
+  // one table load.
   constexpr std::uint32_t kMaxHd = 64;
   double current[kMaxHd + 1];
   for (std::uint32_t h = 0; h <= kMaxHd; ++h) {
     current[h] = cfg_.base_current_a + cfg_.current_per_hd_a * h;
+    if (fold.add) current[h] += *fold.add;
+    current[h] *= fold.scale;
   }
   std::uint32_t hd[kCycles];
   for (; b < lanes; ++b) {

@@ -19,6 +19,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -131,16 +132,28 @@ class AesDatapathModel {
   /// and encrypt_block()'s default run this level.
   static Level active_level();
 
+  /// What encrypt_block folds into each cycle's current after
+  /// base + k * hd: an optional constant add (a constant fence's base
+  /// current), then a scale (the victim-to-sensor coupling), each one
+  /// rounded operation, so a current is ((base + k * hd) + add) * scale.
+  /// The default folds nothing: a scale of 1.0 returns every double as
+  /// it is.
+  struct CurrentFold {
+    std::optional<double> add;
+    double scale = 1.0;
+  };
+
   /// Block entry of the core: traces first_trace .. first_trace + lanes
   /// - 1, each exactly as encrypt_stateless() runs it, with `regs`
   /// chained from lane to lane. Lane b's per-cycle current
-  /// base + k * hd goes to ic[c * stride + b] (cycle-major, the layout
-  /// CycleResponseMatrix::voltages_block reads; stride >= lanes) and its
-  /// ciphertext to ciphertexts[b]. `level` is a test and bench hook;
-  /// callers keep the default.
+  /// base + k * hd, folded by `fold`, goes to ic[c * stride + b]
+  /// (cycle-major, the layout CycleResponseMatrix::voltages_block reads;
+  /// stride >= lanes) and its ciphertext to ciphertexts[b]. `level` is a
+  /// test and bench hook; callers keep the default.
   void encrypt_block(const Block* plaintexts, std::size_t lanes,
                      std::uint64_t first_trace, RegisterSnapshot& regs,
                      double* ic, std::size_t stride, Block* ciphertexts,
+                     const CurrentFold& fold,
                      Level level = active_level()) const;
 
  private:

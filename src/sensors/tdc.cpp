@@ -28,9 +28,12 @@ std::uint32_t TdcSensor::sample_from_draw(double v, double z) const {
 }
 
 BitVec TdcSensor::sample_word(double v, Xoshiro256& rng) const {
-  const std::uint32_t n = sample(v, rng);
+  // One draw; bit i is sample_bit_from_draw(i)'s rule, depth > i.
+  const double d = noisy_depth(v, FastNormal::instance()(rng));
   BitVec word(cfg_.stages);
-  for (std::size_t i = 0; i < cfg_.stages && i < n; ++i) word.set(i, true);
+  for (std::size_t i = 0; i < cfg_.stages; ++i) {
+    word.set(i, d > static_cast<double>(i));
+  }
   return word;
 }
 

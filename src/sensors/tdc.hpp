@@ -50,7 +50,10 @@ class TdcSensor {
   /// lane's normals up front and read the sensor through these.
   std::uint32_t sample_from_draw(double v, double z) const;
 
-  /// Full thermometer word, with noise (bit i set iff depth > i).
+  /// Full thermometer word from one noise draw: bit i is set iff the
+  /// noisy depth is > i, so on the same draw bit i equals
+  /// sample_bit_from_draw(i). Its popcount can exceed sample()'s reading
+  /// by one: a depth in (k, k + 1) sets bits 0..k and reads k.
   BitVec sample_word(double v, Xoshiro256& rng) const;
 
   /// Single thermometer bit i — the Fig. 11 attack mode.

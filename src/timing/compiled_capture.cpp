@@ -224,65 +224,6 @@ PackedToggleSubset CompiledCapture::pack_subset(
   return ps;
 }
 
-void PackedToggleSubset::hw_block(const double* t_nom, std::size_t lanes,
-                                  const double* z, std::size_t stride,
-                                  std::uint32_t* hw,
-                                  BlockScratch& scratch) const {
-  scratch.t_eff.resize(lanes);
-  scratch.t.resize(lanes);
-  scratch.c.resize(lanes);
-  double* const te = scratch.t_eff.data();
-  double* const tq = scratch.t.data();
-  std::uint32_t* const c = scratch.c.data();
-  // Same expressions as hw_at_nominal, one lane per slot: the scalar
-  // kernel's t_eff / t / parity arithmetic is replayed verbatim so every
-  // lane's double sequence is bit-identical to its scalar run.
-  const double csigma = common_jitter_sigma_ns_;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    te[l] = t_nom[l] + (0.0 + csigma * z[l * stride]);
-  }
-  const double sigma = jitter_sigma_ns_;
-  const std::size_t k = meta_.size();
-  for (std::size_t j = 0; j < k; ++j) {
-    const Endpoint& m = meta_[j];
-    const double skew = m.skew;
-    const double* const zj = z + 1 + j;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      tq[l] = te[l] - skew + (0.0 + sigma * zj[l * stride]);
-    }
-    const double* const a = times_.data() + m.toff;
-    if (m.window == 0) {
-      // Linear endpoints (count <= kLinearCut): toggle-outer, lane-inner
-      // unit-stride compares — the loop the auto-vectorizer turns into
-      // packed compare+accumulate across the block.
-      const std::uint32_t n = m.count;
-      for (std::size_t l = 0; l < lanes; ++l) c[l] = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const double ai = a[i];
-        for (std::size_t l = 0; l < lanes; ++l) c[l] += ai <= tq[l] ? 1u : 0u;
-      }
-      for (std::size_t l = 0; l < lanes; ++l) hw[l] += c[l] & 1u;
-    } else {
-      // Gridded endpoints: the bucket hint diverges per lane, so each
-      // lane runs its own fixed-width window (<= kTargetWindow entries,
-      // +inf sentinel padded) — short enough that the lane loop is the
-      // parallel dimension that matters.
-      const std::uint16_t* const g = grid_.data() + m.goff;
-      const std::uint32_t w = m.window;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const double t = tq[l];
-        double bl = (t - m.grid_lo) * m.grid_scale - 1.0;
-        bl = bl < 0.0 ? 0.0 : bl;
-        bl = bl > m.buckets ? m.buckets : bl;
-        const std::uint32_t lo = g[static_cast<std::uint32_t>(bl)];
-        std::uint32_t cc = lo;
-        for (std::uint32_t i = 0; i < w; ++i) cc += a[lo + i] <= t ? 1u : 0u;
-        hw[l] += cc & 1u;
-      }
-    }
-  }
-}
-
 bool CompiledCapture::toggle_from_draws(std::size_t i, double v,
                                         const double* z) const {
   const double t_eff =

@@ -29,6 +29,10 @@
 #include <cstdint>
 #include <vector>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "timing/capture.hpp"
@@ -84,25 +88,27 @@ class PackedToggleSubset {
     return hw;
   }
 
-  /// Reusable lane buffers for hw_block, owned by the caller so back-to-
-  /// back blocks share one allocation (thread_local at the call sites).
-  struct BlockScratch {
-    std::vector<double> t_eff;  ///< per-lane effective instant
-    std::vector<double> t;      ///< per-lane per-endpoint query instant
-    std::vector<std::uint32_t> c;  ///< per-lane toggle counts
-  };
+#if defined(__x86_64__)
+  /// Four-lane nominal_time: the same division, lane by lane.
+  __attribute__((target("avx2"))) __m256d nominal_time4(__m256d v) const {
+    return _mm256_div_pd(_mm256_set1_pd(t_base_), factor4(v));
+  }
 
-  /// Lane-parallel hw_at_nominal over a block of `lanes` pre-drawn
-  /// slices: lane l uses nominal instant t_nom[l] and the draw slice
-  /// z[l * stride .. l * stride + size()], and its Hamming weight is
-  /// ADDED into hw[l] (callers zero or chain across parts). Each lane
-  /// executes the exact scalar FP expression sequence of hw_at_nominal —
-  /// the loops are merely endpoint-major so the toggle-run compares
-  /// auto-vectorize across lanes — so every lane is bit-exact against
-  /// hw_at_nominal(t_nom[l], z + l * stride).
-  void hw_block(const double* t_nom, std::size_t lanes, const double* z,
-                std::size_t stride, std::uint32_t* hw,
-                BlockScratch& scratch) const;
+  /// Four-lane hw_at_nominal: lane j of the result is
+  /// hw_at_nominal(t_nom[j], z_j), where z_j holds lane j of 1 + size()
+  /// successive draw() results (a __m256d each: the common draw, then
+  /// one per packed endpoint, the order hw_at_nominal reads z). Each
+  /// lane runs the scalar expression sequence in its own slot, with no
+  /// FMA, and counts toggles with exact compares, so every lane is
+  /// bit-exact against hw_at_nominal. Linear endpoints compare every
+  /// toggle; gridded ones gather their bucket hint and window per lane.
+  /// Returns the four Hamming weights as 64-bit integers. `draw` is a
+  /// functor whose call operator also targets AVX2: the benign bank
+  /// draws from four xoshiro lanes in registers or reads a buffer.
+  template <class Draw>
+  __attribute__((target("avx2"))) __m256i hw4(__m256d t_nom,
+                                              Draw& draw) const;
+#endif
 
  private:
   friend class CompiledCapture;
@@ -134,6 +140,20 @@ class PackedToggleSubset {
     return c & 1u;
   }
 
+#if defined(__x86_64__)
+  /// VoltageDelayModel::factor per lane: 1.0 + k * (vnom - v), clamped
+  /// as max(kMinFactor, f), which is the scalar f < kMinFactor ?
+  /// kMinFactor : f (a NaN f passes through both).
+  __attribute__((target("avx2"))) __m256d factor4(__m256d v) const {
+    const __m256d f = _mm256_add_pd(
+        _mm256_set1_pd(1.0),
+        _mm256_mul_pd(_mm256_set1_pd(delay_.sensitivity_per_volt),
+                      _mm256_sub_pd(_mm256_set1_pd(delay_.vnom), v)));
+    return _mm256_max_pd(
+        _mm256_set1_pd(VoltageDelayModel::kMinFactor), f);
+  }
+#endif
+
   /// Per-endpoint metadata, one cache-friendly record per packed
   /// endpoint instead of parallel arrays.
   struct Endpoint {
@@ -153,8 +173,67 @@ class PackedToggleSubset {
   double jitter_sigma_ns_ = 0.0;
   std::vector<Endpoint> meta_;
   std::vector<double> times_;        ///< toggle runs, each +inf-padded
-  std::vector<std::uint16_t> grid_;  ///< boundary lower bounds, B+1 per run
+  /// Boundary lower bounds, B+1 per run; 32-bit so hw4 gathers them.
+  std::vector<std::uint32_t> grid_;
 };
+
+#if defined(__x86_64__)
+template <class Draw>
+__attribute__((target("avx2"))) inline __m256i PackedToggleSubset::hw4(
+    __m256d t_nom, Draw& draw) const {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d t_eff = _mm256_add_pd(
+      t_nom, _mm256_add_pd(zero, _mm256_mul_pd(
+                                     _mm256_set1_pd(common_jitter_sigma_ns_),
+                                     draw())));
+  const __m256d sigma = _mm256_set1_pd(jitter_sigma_ns_);
+  const __m256i one = _mm256_set1_epi64x(1);
+  __m256i hw = _mm256_setzero_si256();
+  for (const Endpoint& m : meta_) {
+    // t_eff - skew + (0.0 + sigma * z), as toggle_parity's caller forms t.
+    const __m256d t = _mm256_add_pd(
+        _mm256_sub_pd(t_eff, _mm256_set1_pd(m.skew)),
+        _mm256_add_pd(zero, _mm256_mul_pd(sigma, draw())));
+    const double* const a = times_.data() + m.toff;
+    // A true compare is all ones, -1 as an integer: subtracting counts it.
+    __m256i c;
+    if (m.window == 0) {
+      c = _mm256_setzero_si256();
+      for (std::uint32_t i = 0; i < m.count; ++i) {
+        c = _mm256_sub_epi64(
+            c, _mm256_castpd_si256(
+                   _mm256_cmp_pd(_mm256_set1_pd(a[i]), t, _CMP_LE_OQ)));
+      }
+    } else {
+      // toggle_parity's clamps. max/min return their second operand on
+      // NaN, so a NaN instant reads bucket 0 instead of an arbitrary
+      // index; every other bl truncates to the scalar's bucket (a -0.0
+      // the scalar keeps reads as 0.0 here, the same bucket).
+      __m256d bl = _mm256_sub_pd(
+          _mm256_mul_pd(_mm256_sub_pd(t, _mm256_set1_pd(m.grid_lo)),
+                        _mm256_set1_pd(m.grid_scale)),
+          _mm256_set1_pd(1.0));
+      bl = _mm256_max_pd(bl, zero);
+      bl = _mm256_min_pd(bl, _mm256_set1_pd(m.buckets));
+      const __m128i lo = _mm_i32gather_epi32(
+          reinterpret_cast<const int*>(grid_.data() + m.goff),
+          _mm256_cvttpd_epi32(bl), 4);
+      c = _mm256_cvtepu32_epi64(lo);
+      // The masked gather with every lane on is the plain gather; its
+      // zero source keeps GCC 12 from warning on the plain one's
+      // undefined source.
+      const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+      for (std::uint32_t i = 0; i < m.window; ++i) {
+        const __m256d ai = _mm256_mask_i32gather_pd(zero, a + i, lo, all, 8);
+        c = _mm256_sub_epi64(
+            c, _mm256_castpd_si256(_mm256_cmp_pd(ai, t, _CMP_LE_OQ)));
+      }
+    }
+    hw = _mm256_add_epi64(hw, _mm256_and_si256(c, one));
+  }
+  return hw;
+}
+#endif
 
 class CompiledCapture {
  public:

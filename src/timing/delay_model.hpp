@@ -18,10 +18,13 @@ struct VoltageDelayModel {
   double vnom = 1.0;                 ///< nominal supply (V)
   double sensitivity_per_volt = 1.5; ///< k: fractional delay increase per V
 
+  /// Clamp floor of factor().
+  static constexpr double kMinFactor = 0.05;
+
   /// Delay scale factor at supply voltage v (clamped to stay physical).
   double factor(double v) const {
     const double f = 1.0 + sensitivity_per_volt * (vnom - v);
-    return f < 0.05 ? 0.05 : f;
+    return f < kMinFactor ? kMinFactor : f;
   }
 
   /// Voltage that yields the given delay factor (inverse of factor()).

@@ -334,12 +334,26 @@ TEST(AesDatapathCore, RegistersAfterMatchesByteOracle) {
   }
 }
 
+// The current folds the engine passes: none (a randomised fence folds
+// after its draws), the coupling alone (no fence), and a constant
+// fence's base current then the coupling. With no fold every current is
+// the unfolded oracle's, bit for bit.
+struct FoldCase {
+  const char* name;
+  AesDatapathModel::CurrentFold fold;
+};
+const FoldCase kFoldCases[] = {
+    {"no fold", {}},
+    {"coupling", {std::nullopt, 0.8}},
+    {"fence+coupling", {0.05, 0.8}},
+};
+
 // The block entry over a shard's chunk: the chain starts from the
 // registers trace g0 - 1 leaves behind (the engines' registers_before),
 // lanes write cycle-major currents at a stride wider than the block, and
 // every runnable level is driven directly. The lane counts run the
 // AES-NI level's four-lane body alone (4, 64), its one-trace tail alone
-// (1, 2, 3) and both (5, 7, 63).
+// (1, 2, 3) and both (5, 7, 63). Each runs under every fold case.
 TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
   const Aes128 aes(key());
   const std::vector<LevelCase> levels = runnable_levels();
@@ -363,39 +377,46 @@ TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
             oracle_stateless(aes, cfg, pts[b], kShardStart + b, oracle_regs));
       }
       for (const LevelCase& lc : levels) {
-        const std::string what = std::string(cc.name) + " lanes " +
-                                 std::to_string(lanes) + " " + lc.name;
-        Regs regs = start;
-        std::vector<double> ic(kCycles * stride, -1.0);
-        std::vector<Block> cts(lanes);
-        model.encrypt_block(pts.data(), lanes, kShardStart, regs, ic.data(),
-                            stride, cts.data(), lc.level);
-        for (std::size_t b = 0; b < lanes; ++b) {
-          ASSERT_EQ(cts[b], ref[b].ciphertext) << what << " lane " << b;
+        for (const FoldCase& fc : kFoldCases) {
+          const std::string what = std::string(cc.name) + " lanes " +
+                                   std::to_string(lanes) + " " + lc.name +
+                                   " " + fc.name;
+          Regs regs = start;
+          std::vector<double> ic(kCycles * stride, -1.0);
+          std::vector<Block> cts(lanes);
+          model.encrypt_block(pts.data(), lanes, kShardStart, regs, ic.data(),
+                              stride, cts.data(), fc.fold, lc.level);
+          for (std::size_t b = 0; b < lanes; ++b) {
+            ASSERT_EQ(cts[b], ref[b].ciphertext) << what << " lane " << b;
+            for (std::size_t c = 0; c < kCycles; ++c) {
+              // The fold as a separate pass over the oracle's currents:
+              // the add (when given), then the scale.
+              double want = ref[b].cycle_current[c];
+              if (fc.fold.add) want += *fc.fold.add;
+              want *= fc.fold.scale;
+              const double got = ic[c * stride + b];
+              ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+                  << what << " lane " << b << " cycle " << c;
+            }
+          }
           for (std::size_t c = 0; c < kCycles; ++c) {
-            const double got = ic[c * stride + b];
-            ASSERT_EQ(std::memcmp(&got, &ref[b].cycle_current[c],
-                                  sizeof(double)),
-                      0)
-                << what << " lane " << b << " cycle " << c;
+            for (std::size_t b = lanes; b < stride; ++b) {
+              ASSERT_EQ(ic[c * stride + b], -1.0)
+                  << what << " wrote lane " << b;
+            }
           }
-        }
-        for (std::size_t c = 0; c < kCycles; ++c) {
-          for (std::size_t b = lanes; b < stride; ++b) {
-            ASSERT_EQ(ic[c * stride + b], -1.0) << what << " wrote lane " << b;
+          EXPECT_EQ(regs, oracle_regs) << what;
+          // The per-trace entry at the same level agrees with the block,
+          // lane by lane.
+          const ActiveLevel active(lc);
+          Regs step = start;
+          for (std::size_t b = 0; b < lanes; ++b) {
+            const auto enc =
+                model.encrypt_stateless(pts[b], kShardStart + b, step);
+            ASSERT_EQ(enc.cycle_hd, ref[b].cycle_hd) << what << " lane " << b;
           }
+          EXPECT_EQ(step, regs) << what;
         }
-        EXPECT_EQ(regs, oracle_regs) << what;
-        // The per-trace entry at the same level agrees with the block,
-        // lane by lane.
-        const ActiveLevel active(lc);
-        Regs step = start;
-        for (std::size_t b = 0; b < lanes; ++b) {
-          const auto enc =
-              model.encrypt_stateless(pts[b], kShardStart + b, step);
-          ASSERT_EQ(enc.cycle_hd, ref[b].cycle_hd) << what << " lane " << b;
-        }
-        EXPECT_EQ(step, regs) << what;
       }
     }
   }

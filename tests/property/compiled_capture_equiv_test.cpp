@@ -5,8 +5,9 @@
 // stream, sample / sample_bit / sample_subset return bit-identical words
 // AND consume the identical number of draws in the identical order; the
 // *_from_draws batch kernels reproduce the same readings from a
-// FastNormal::fill block; the noise-free voltage-threshold queries agree
-// with a time-domain waveform walk. Each circuit family (ripple-carry
+// FastNormal::fill block, four lanes at a time in the AVX2 evaluator
+// too; the noise-free voltage-threshold queries agree with a
+// time-domain waveform walk. Each circuit family (ripple-carry
 // adder, C6288 multiplier slices) is swept over randomized geometry,
 // delays, capture configs, skew seeds and voltages — well over 1000
 // randomized cases per family.
@@ -96,6 +97,29 @@ Fixture make_c6288_fixture(std::uint64_t seed) {
                                          random_inputs(n_in, rng));
   return Fixture(r.endpoint_waveforms, random_config(rng), rng.next());
 }
+
+#if defined(__x86_64__)
+// Lane j's next draw is z[j * stride]; each call moves one draw along.
+struct BufferDraw {
+  const double* z;
+  __m256i offsets;
+  __attribute__((target("avx2"))) __m256d operator()() {
+    return _mm256_i64gather_pd(z++, offsets, 8);
+  }
+};
+
+// Four lanes at voltages v through nominal_time4 and hw4, reading lane
+// j's 1 + size() draws from z + j * stride.
+__attribute__((target("avx2"))) void hw4_from_buffer(
+    const timing::PackedToggleSubset& packed, const double* v,
+    const double* z, std::size_t stride, double* t_nom, std::uint64_t* hw) {
+  const auto s = static_cast<long long>(stride);
+  BufferDraw draw{z, _mm256_set_epi64x(3 * s, 2 * s, s, 0)};
+  const __m256d t = packed.nominal_time4(_mm256_loadu_pd(v));
+  _mm256_store_pd(t_nom, t);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(hw), packed.hw4(t, draw));
+}
+#endif
 
 /// Runs every equivalence check once for a (fixture, voltage, stream)
 /// case. Returns the number of randomized cases exercised (for the
@@ -195,32 +219,29 @@ void check_case(const Fixture& f, double v, std::uint64_t stream_seed) {
     ASSERT_EQ(ra.next(), rb.next());
   }
 
-  // --- hw_block: the lane-parallel kernel over a block of pre-drawn
-  // slices must match hw_at_nominal lane by lane (same draws, same
-  // nominal time per lane — the block pipeline's bit-exactness claim).
-  {
+#if defined(__x86_64__)
+  // --- hw4: the four-lane evaluator over draws read from a buffer must
+  // match hw_at_nominal lane by lane (same draws, same nominal time per
+  // lane — the draw-and-read read-out's bit-exactness claim).
+  if (__builtin_cpu_supports("avx2")) {
     std::vector<std::uint32_t> idx(bits.begin(), bits.end());
     const timing::PackedToggleSubset packed = f.fast.pack_subset(idx);
     Xoshiro256 rb(stream_seed + 6);
-    const std::size_t lanes = 1 + rb.next() % 17;  // ragged, incl. 1
     const std::size_t stride = 1 + idx.size();
-    std::vector<double> z(lanes * stride);
+    std::vector<double> z(4 * stride);
     FastNormal::instance().fill(rb, z.data(), z.size());
-    std::vector<double> t_nom(lanes);
-    std::vector<double> vl(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      vl[l] = random_voltage(rb);
-      t_nom[l] = packed.nominal_time(vl[l]);
-    }
-    std::vector<std::uint32_t> hw(lanes, 0);
-    timing::PackedToggleSubset::BlockScratch scratch;
-    packed.hw_block(t_nom.data(), lanes, z.data(), stride, hw.data(),
-                    scratch);
-    for (std::size_t l = 0; l < lanes; ++l) {
+    double vl[4];
+    for (double& x : vl) x = random_voltage(rb);
+    alignas(32) double t_nom[4];
+    alignas(32) std::uint64_t hw[4];
+    hw4_from_buffer(packed, vl, z.data(), stride, t_nom, hw);
+    for (std::size_t l = 0; l < 4; ++l) {
+      ASSERT_EQ(t_nom[l], packed.nominal_time(vl[l])) << "lane " << l;
       ASSERT_EQ(hw[l], packed.hw_at_nominal(t_nom[l], z.data() + l * stride))
-          << "lane " << l << " of " << lanes << " at v=" << vl[l];
+          << "lane " << l << " at v=" << vl[l];
     }
   }
+#endif
 
   // --- noise-free threshold queries against a time-domain walk.
   {

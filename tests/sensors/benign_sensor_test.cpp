@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/dispatch.hpp"
 #include "common/error.hpp"
+#include "core/setup.hpp"
 #include "netlist/generators/adder.hpp"
 #include "netlist/generators/alu.hpp"
 
@@ -191,6 +196,111 @@ TEST(BenignSensorBank, BlockKernelMatchesPerCallReads) {
       // draw count the pre-drawn slab holds.
       EXPECT_EQ(rng_a.next(), rng_b.next());
     }
+  }
+}
+
+// The draw-and-read capture (toggle_hw_lanes) against per-call reads on
+// the same streams: for each lane, a copy of its stream draws every
+// sample's env-noise normal, then sample_toggle_hw reads each sample at
+// v + (0.0 + env * z). Readings and final stream states must match byte
+// for byte at every runnable level, for lane counts around the four-lane
+// groups, on streams of a range that starts off a multiple of four.
+void expect_lanes_match_per_call(const BenignSensorBank& bank,
+                                 const std::vector<std::size_t>& bits,
+                                 double v_lo, const std::string& what) {
+  const auto plan = bank.compile_hw_plan(bits);
+  constexpr std::size_t kSamples = 8;
+  constexpr double kEnv = 0.0015;
+  constexpr std::uint64_t kFirstTrace = 4099;
+  std::vector<DispatchLevel> levels{DispatchLevel::kScalar};
+  if (detect_dispatch() >= DispatchLevel::kAvx2) {
+    levels.push_back(DispatchLevel::kAvx2);
+  }
+  for (const std::size_t lanes : {1, 3, 4, 5, 63, 64, 65}) {
+    std::vector<Xoshiro256> start;
+    std::vector<double> v(lanes * kSamples);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      start.push_back(
+          Xoshiro256::trace_stream(0x51, kTraceDomainCapture, kFirstTrace + l));
+      for (int i = 0; i < 16; ++i) (void)start.back().next();  // plaintext
+      for (std::size_t s = 0; s < kSamples; ++s) {
+        v[l * kSamples + s] =
+            v_lo + 0.0007 * static_cast<double>((l * 7 + s * 3) % 17);
+      }
+    }
+    std::vector<double> want(lanes * kSamples);
+    std::vector<Xoshiro256> want_rng = start;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      double noisy[kSamples];
+      for (std::size_t s = 0; s < kSamples; ++s) {
+        noisy[s] = v[l * kSamples + s] +
+                   (0.0 + kEnv * FastNormal::instance()(want_rng[l]));
+      }
+      for (std::size_t s = 0; s < kSamples; ++s) {
+        want[l * kSamples + s] = static_cast<double>(
+            bank.sample_toggle_hw(bits, noisy[s], want_rng[l]));
+      }
+    }
+    for (const DispatchLevel level : levels) {
+      const std::string at = what + " lanes " + std::to_string(lanes) + " " +
+                             dispatch_level_name(level);
+      std::vector<Xoshiro256> rng = start;
+      std::vector<double> y(lanes * kSamples, -1.0);
+      bank.toggle_hw_lanes(plan, rng.data(), lanes, v.data(), kSamples, kEnv,
+                           y.data(), level);
+      ASSERT_EQ(std::memcmp(y.data(), want.data(), y.size() * sizeof(double)),
+                0)
+          << at;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        ASSERT_EQ(rng[l].state(), want_rng[l].state()) << at << " lane " << l;
+      }
+    }
+  }
+}
+
+TEST(BenignSensorBank, DrawAndReadMatchesPerCallReads) {
+  const auto cal = core::Calibration::paper_defaults();
+  {
+    // The ALU campaign plan: one part, linear endpoints.
+    const core::AttackSetup alu(core::BenignCircuit::kAlu, cal);
+    expect_lanes_match_per_call(alu.sensor(), {115, 116, 118, 120}, 0.970,
+                                "alu");
+  }
+  {
+    // Two C6288 instances, bits in both, among them toggle-heavy
+    // (gridded) endpoints.
+    const core::AttackSetup c6288(core::BenignCircuit::kC6288x2, cal);
+    const std::vector<std::size_t> bits{18, 19, 27, 28, 29, 30,
+                                        31, 50, 51, 60, 62, 63};
+    const BenignSensorBank& bank = c6288.sensor();
+    ASSERT_EQ(bank.instance_count(), 2u);
+    std::size_t most_toggles = 0;
+    for (const std::size_t b : bits) {
+      const std::size_t n0 = bank.instance(0).endpoint_count();
+      const BenignSensor& s = bank.instance(b < n0 ? 0 : 1);
+      most_toggles = std::max(
+          most_toggles, s.transition()
+                            .endpoint_waveforms[b < n0 ? b : b - n0]
+                            .toggle_count());
+    }
+    ASSERT_GT(most_toggles, 16u) << "no gridded endpoint in the plan";
+    expect_lanes_match_per_call(bank, bits, 0.964, "c6288x2");
+  }
+  {
+    // Two adders on different capture clocks: no shared division.
+    BenignSensorConfig noisy = quiet_cfg();
+    noisy.capture.jitter_sigma_ns = 0.05;
+    noisy.capture.common_jitter_sigma_ns = 0.08;
+    noisy.capture.endpoint_skew_sigma_ns = 0.03;
+    BenignSensorConfig other = noisy;
+    other.seed = noisy.seed ^ 7;
+    other.capture.clock_period_ns += 0.5;
+    BenignSensorBank bank;
+    bank.add(make_adder_sensor(16, noisy));
+    bank.add(make_adder_sensor(16, other));
+    ASSERT_FALSE(bank.compile_hw_plan({1, 5, 18, 20, 33}).uniform_clock);
+    expect_lanes_match_per_call(bank, {1, 5, 18, 20, 33}, 0.90,
+                                "non-uniform clock");
   }
 }
 

@@ -44,9 +44,38 @@ TEST(Tdc, ThermometerWordConsistent) {
   TdcSensor tdc(quiet_cfg());
   Xoshiro256 rng(2);
   const auto word = tdc.sample_word(0.95, rng);
-  const auto depth = static_cast<std::size_t>(tdc.depth(0.95));
+  const double depth = tdc.depth(0.95);
   for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(word.get(i), i < depth) << "stage " << i;
+    EXPECT_EQ(word.get(i), depth > static_cast<double>(i)) << "stage " << i;
+  }
+}
+
+// On the same draw, word bit k and the single-bit read of stage k agree,
+// at noisy depths just inside (k, k + 1) where floor(depth) would drop
+// bit k. The voltage puts the noise-free depth at k + 0.5 and the noise
+// moves it by at most a few hundredths.
+TEST(Tdc, WordBitMatchesSingleBitOnTheSameDraw) {
+  TdcConfig cfg = quiet_cfg();
+  cfg.noise_lsb = 0.01;
+  const TdcSensor tdc(cfg);
+  for (std::size_t k = 0; k + 1 < cfg.stages; ++k) {
+    // depth(v) = 32 / factor(v), factor(v) = 1 + 2 (1 - v).
+    const double target = static_cast<double>(k) + 0.5;
+    const double v = 1.0 - (32.0 / target - 1.0) / 2.0;
+    ASSERT_NEAR(tdc.depth(v), target, 1e-9);
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      Xoshiro256 word_rng(seed);
+      Xoshiro256 bit_rng(seed);
+      const BitVec word = tdc.sample_word(v, word_rng);
+      const double z = FastNormal::instance()(bit_rng);
+      for (const std::size_t i : {k, k + 1}) {
+        EXPECT_EQ(word.get(i), tdc.sample_bit_from_draw(i, v, z))
+            << "stage " << i << " at depth " << target;
+      }
+      EXPECT_TRUE(word.get(k)) << "stage " << k;
+      EXPECT_FALSE(word.get(k + 1)) << "stage " << k + 1;
+      EXPECT_EQ(word_rng.state(), bit_rng.state()) << "one draw per word";
+    }
   }
 }
 

@@ -49,7 +49,7 @@ set(retired_api "replay_attack" "replay_fullkey" "replay_tvla"
     "ReplayFullKeyOptions" "ParallelCampaign" "recover_key_bytes"
     "HdKernel" "kPopcnt" "active_hd_kernel" "FabricWorker"
     "coordinate_local" "SLMSNAP1" "toggle_hw_batch" "sample_raw"
-    "make_voltages" "read_sensor" "next_cycle_current")
+    "make_voltages" "read_sensor" "next_cycle_current" "BlockScratch")
 
 # 1. Every `bench_*` name in the docs must exist as a source file under
 #    bench/ or be wired up in bench/CMakeLists.txt (ctest-only entries

@@ -28,7 +28,13 @@
 #      AES-NI four-lane body and one-trace path, the portable T-table
 #      core and the byte-wise oracle; each case forces every runnable
 #      victim level itself;
-#   4. a capture plus the fused one-pass replay (`slm attack
+#   4. the benign-HW read-out: benign_sensor_test's BenignSensorBank
+#      cases (the draw-and-read capture and the block kernel against
+#      per-call reads, four-lane and scalar) and
+#      compiled_capture_equiv_test (the four-lane evaluator per lane,
+#      including gridded endpoints, whose instants become bucket
+#      indices through double-to-integer conversions);
+#   5. a capture plus the fused one-pass replay (`slm attack
 #      --from-store --fused-tvla` and `slm analyze`) — the end-to-end
 #      path from mmap'd store columns through every fold.
 # Any signed overflow, misaligned load, or invalid shift aborts the
@@ -41,7 +47,8 @@
 include(${CMAKE_CURRENT_LIST_DIR}/sanitizer_build.cmake)
 sanitizer_build(asan_ubsan_build address,undefined san_build
                 slm fold_dispatch_test rng_test aes_datapath_test
-                binio_framed_test store_test)
+                binio_framed_test store_test benign_sensor_test
+                compiled_capture_equiv_test)
 if(NOT san_build)
   message(STATUS "fold ubsan: toolchain cannot link -fsanitize=address,undefined, skipping")
   return()
@@ -88,7 +95,19 @@ if(NOT rc EQUAL 0)
           "undefined behavior)\n${out}\n${err}")
 endif()
 
-# 4. End-to-end fused replay under UBSan: capture a store, then the
+# 4. The benign-HW read-out, four-lane and scalar.
+foreach(test benign_sensor_test compiled_capture_equiv_test)
+  execute_process(COMMAND ${san_build}/tests/${test}
+                  WORKING_DIRECTORY ${scratch}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "ubsan ${test} -> rc=${rc} (rc 66 means UBSan reported "
+            "undefined behavior)\n${out}\n${err}")
+  endif()
+endforeach()
+
+# 5. End-to-end fused replay under UBSan: capture a store, then the
 # fused attack+TVLA read-out and the three-section analyze verb. 1500
 # traces may or may not disclose the byte, so accept the capture's rc
 # from the replay as well (bit-identity is the store suite's job — here
@@ -126,4 +145,4 @@ endif()
 
 file(REMOVE ${store})
 message(STATUS
-        "fold ubsan: kernels, lane draws, victim core and fused replay are clean under UBSan")
+        "fold ubsan: kernels, lane draws, victim core, benign read-out and fused replay are clean under UBSan")

@@ -17,7 +17,8 @@
 include(${CMAKE_CURRENT_LIST_DIR}/sanitizer_build.cmake)
 sanitizer_build(asan_ubsan_build address,undefined san_build
                 slm fold_dispatch_test rng_test aes_datapath_test
-                binio_framed_test store_test)
+                binio_framed_test store_test benign_sensor_test
+                compiled_capture_equiv_test)
 if(NOT san_build)
   message(STATUS "store asan: toolchain cannot link -fsanitize=address,undefined, skipping")
   return()
