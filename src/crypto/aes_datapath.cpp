@@ -149,9 +149,8 @@ SLM_AESNI_TARGET void core_aesni(const Aes128& aes, const Block& plaintext,
 struct Fold4 {
   __m256d base;   // base_current_a
   __m256d k;      // current_per_hd_a
-  __m256d add;    // the fold's add, when has_add
+  __m256d add;    // the fold's add
   __m256d scale;  // the fold's scale
-  bool has_add;
 };
 
 // One round's four cycles for four lanes: p[j] holds lane j's four
@@ -169,8 +168,7 @@ SLM_AESNI_TARGET inline void store_round(const __m128i* p, std::size_t round,
       _mm_unpacklo_epi64(t2, t3), _mm_unpackhi_epi64(t2, t3)};
   for (std::size_t c = 0; c < 4; ++c) {
     const __m256d prod = _mm256_mul_pd(_mm256_cvtepi32_pd(cyc[c]), f.k);
-    __m256d cur = _mm256_add_pd(f.base, prod);
-    if (f.has_add) cur = _mm256_add_pd(cur, f.add);
+    const __m256d cur = _mm256_add_pd(_mm256_add_pd(f.base, prod), f.add);
     _mm256_storeu_pd(ic + (4 * round + c) * stride,
                      _mm256_mul_pd(cur, f.scale));
   }
@@ -189,8 +187,7 @@ SLM_AESNI_TARGET std::size_t block4_aesni(
   __m128i rk[11];
   load_round_keys(aes, rk);
   const Fold4 f{_mm256_set1_pd(base_current), _mm256_set1_pd(current_per_hd),
-                _mm256_set1_pd(fold.add.value_or(0.0)),
-                _mm256_set1_pd(fold.scale), fold.add.has_value()};
+                _mm256_set1_pd(fold.add), _mm256_set1_pd(fold.scale)};
   const __m128i zero = _mm_setzero_si128();
   __m128i r = _mm_loadu_si128(reinterpret_cast<const __m128i*>(reg));
   const std::size_t body = lanes & ~std::size_t{3};
@@ -383,7 +380,7 @@ void AesDatapathModel::encrypt_block(const Block* plaintexts,
   double current[kMaxHd + 1];
   for (std::uint32_t h = 0; h <= kMaxHd; ++h) {
     current[h] = cfg_.base_current_a + cfg_.current_per_hd_a * h;
-    if (fold.add) current[h] += *fold.add;
+    current[h] += fold.add;
     current[h] *= fold.scale;
   }
   std::uint32_t hd[kCycles];

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -133,13 +132,13 @@ class AesDatapathModel {
   static Level active_level();
 
   /// What encrypt_block folds into each cycle's current after
-  /// base + k * hd: an optional constant add (a constant fence's base
-  /// current), then a scale (the victim-to-sensor coupling), each one
-  /// rounded operation, so a current is ((base + k * hd) + add) * scale.
-  /// The default folds nothing: a scale of 1.0 returns every double as
-  /// it is.
+  /// base + k * hd: a constant add (a constant fence's base current),
+  /// then a scale (the victim-to-sensor coupling), each one rounded
+  /// operation, so a current is ((base + k * hd) + add) * scale. The
+  /// default folds nothing: x + (-0.0) and x * 1.0 return every double
+  /// x as it is, -0.0 included.
   struct CurrentFold {
-    std::optional<double> add;
+    double add = -0.0;
     double scale = 1.0;
   };
 

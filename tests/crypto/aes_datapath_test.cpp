@@ -335,17 +335,20 @@ TEST(AesDatapathCore, RegistersAfterMatchesByteOracle) {
 }
 
 // The current folds the engine passes: none (a randomised fence folds
-// after its draws), the coupling alone (no fence), and a constant
-// fence's base current then the coupling. With no fold every current is
-// the unfolded oracle's, bit for bit.
+// after its draws), the coupling alone (no fence: the default add,
+// -0.0), and a constant fence's base current then the coupling. The
+// reference is the separate pass the fold replaced, which adds only a
+// fence's current, so the unfenced cases show that the default add
+// changes no current, bit for bit.
 struct FoldCase {
   const char* name;
   AesDatapathModel::CurrentFold fold;
+  bool fenced;
 };
 const FoldCase kFoldCases[] = {
-    {"no fold", {}},
-    {"coupling", {std::nullopt, 0.8}},
-    {"fence+coupling", {0.05, 0.8}},
+    {"no fold", {}, false},
+    {"coupling", {-0.0, 0.8}, false},
+    {"fence+coupling", {0.05, 0.8}, true},
 };
 
 // The block entry over a shard's chunk: the chain starts from the
@@ -390,9 +393,9 @@ TEST(AesDatapathCore, BlockEntryMatchesByteOracle) {
             ASSERT_EQ(cts[b], ref[b].ciphertext) << what << " lane " << b;
             for (std::size_t c = 0; c < kCycles; ++c) {
               // The fold as a separate pass over the oracle's currents:
-              // the add (when given), then the scale.
+              // the fence's add (when fenced), then the scale.
               double want = ref[b].cycle_current[c];
-              if (fc.fold.add) want += *fc.fold.add;
+              if (fc.fenced) want += fc.fold.add;
               want *= fc.fold.scale;
               const double got = ic[c * stride + b];
               ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
