@@ -795,77 +795,45 @@ BENCHMARK(BM_CaptureDrawsScalar)->Arg(64);
 //
 // The capture block's benign-HW read-out in the attack_alu_hw shape: 64
 // traces x 8 samples on the campaign's 4 ALU bits of interest (items =
-// traces). Each iteration restarts the lanes' streams from the same
-// states. BM_BenignReadDrawAndRead is toggle_hw_lanes at the active
-// level (four lanes at a time, draws in registers, at AVX2);
-// BM_BenignReadBuffered is the staged path beside it: fill_lanes of the
-// env draws, fill_lanes of the sensor draws, the env add and
-// toggle_hw_block.
+// traces), at the active level: fill_lanes of the env draws, fill_lanes
+// of the sensor draws, the env add and toggle_hw_block. Each iteration
+// restarts the lanes' streams from the same states.
 
-constexpr std::size_t kReadLanes = 64;
-
-struct ReadShape {
-  core::AttackSetup setup{core::BenignCircuit::kAlu,
-                          core::Calibration::paper_defaults()};
-  sensors::BenignSensorBank::CompiledHwPlan plan =
-      setup.sensor().compile_hw_plan({115, 116, 118, 120});
-  std::vector<Xoshiro256> start;
-  std::vector<double> v;
-  std::vector<double> y;
-
-  ReadShape() : v(kReadLanes * kDrawSamples), y(v.size()) {
-    for (std::size_t l = 0; l < kReadLanes; ++l) {
-      start.push_back(Xoshiro256::trace_stream(0x51, kTraceDomainCapture, l));
-    }
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      v[i] = 0.971 + 0.0002 * static_cast<double>(i % 21);
-    }
-  }
-};
-
-void BM_BenignReadDrawAndRead(benchmark::State& state) {
-  ReadShape r;
-  const double env = r.setup.calibration().env_noise_v;
-  std::vector<Xoshiro256> rngs;
-  for (auto _ : state) {
-    rngs = r.start;
-    r.setup.sensor().toggle_hw_lanes(r.plan, rngs.data(), kReadLanes,
-                                     r.v.data(), kDrawSamples, env,
-                                     r.y.data(), active_dispatch());
-    benchmark::DoNotOptimize(r.y.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kReadLanes));
-}
-BENCHMARK(BM_BenignReadDrawAndRead);
-
-void BM_BenignReadBuffered(benchmark::State& state) {
-  ReadShape r;
-  const double env = r.setup.calibration().env_noise_v;
+void BM_BenignRead(benchmark::State& state) {
+  constexpr std::size_t kLanes = 64;
+  const core::AttackSetup setup(core::BenignCircuit::kAlu,
+                                core::Calibration::paper_defaults());
+  const auto plan = setup.sensor().compile_hw_plan({115, 116, 118, 120});
+  const double env = setup.calibration().env_noise_v;
   const DispatchLevel level = active_dispatch();
-  const std::size_t n = kReadLanes * kDrawSamples;
-  const std::size_t nz = kDrawSamples * r.plan.draws_per_sample;
-  std::vector<double> vn(n);
-  std::vector<double> zv(n);
-  std::vector<double> z(kReadLanes * nz);
+  const std::size_t n = kLanes * kDrawSamples;
+  const std::size_t nz = kDrawSamples * plan.draws_per_sample;
+  std::vector<Xoshiro256> start;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    start.push_back(Xoshiro256::trace_stream(0x51, kTraceDomainCapture, l));
+  }
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = 0.971 + 0.0002 * static_cast<double>(i % 21);
+  }
+  std::vector<double> vn(n), zv(n), z(kLanes * nz), y(n);
   std::vector<Xoshiro256> rngs;
   const FastNormal& normal = FastNormal::instance();
   for (auto _ : state) {
-    rngs = r.start;
-    normal.fill_lanes(rngs.data(), kReadLanes, zv.data(), kDrawSamples,
+    rngs = start;
+    normal.fill_lanes(rngs.data(), kLanes, zv.data(), kDrawSamples,
                       kDrawSamples, level);
-    normal.fill_lanes(rngs.data(), kReadLanes, z.data(), nz, nz, level);
-    for (std::size_t i = 0; i < n; ++i) vn[i] = r.v[i] + (0.0 + env * zv[i]);
-    r.setup.sensor().toggle_hw_block(r.plan, vn.data(), n, z.data(),
-                                     r.y.data(), true);
-    benchmark::DoNotOptimize(r.y.data());
+    normal.fill_lanes(rngs.data(), kLanes, z.data(), nz, nz, level);
+    for (std::size_t i = 0; i < n; ++i) vn[i] = v[i] + (0.0 + env * zv[i]);
+    setup.sensor().toggle_hw_block(plan, vn.data(), n, z.data(), y.data(),
+                                   true);
+    benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kReadLanes));
+                          static_cast<std::int64_t>(kLanes));
 }
-BENCHMARK(BM_BenignReadBuffered);
+BENCHMARK(BM_BenignRead);
 
 }  // namespace
 

@@ -4,7 +4,13 @@
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/rng_lanes.hpp"
+
+#if defined(__x86_64__)
+#define SLM_RNG_X86 1
+#include <immintrin.h>
+#else
+#define SLM_RNG_X86 0
+#endif
 
 namespace slm {
 
@@ -140,12 +146,80 @@ void FastNormal::fill(Xoshiro256& rng, double* out, std::size_t n) const {
 
 namespace {
 
-#if SLM_RNG_LANES
-using lanes::load4;
-using lanes::next4;
-using lanes::normal4;
-using lanes::store4;
-using lanes::Xoshiro4;
+#if SLM_RNG_X86
+// Four xoshiro256** streams side by side: word k of lane j's state is
+// 64-bit element j of s[k]. next() is the scalar update, with the
+// multiplies by 5 and 9 written as shift-adds (AVX2 has no 64-bit
+// multiply); both are exact mod 2^64.
+struct Xoshiro4 {
+  __m256i s[4];
+};
+
+template <int K>
+__attribute__((target("avx2"))) inline __m256i rotl4(__m256i x) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, K), _mm256_srli_epi64(x, 64 - K));
+}
+
+__attribute__((target("avx2"))) inline __m256i next4(Xoshiro4& x) {
+  const __m256i s1x5 = _mm256_add_epi64(_mm256_slli_epi64(x.s[1], 2), x.s[1]);
+  const __m256i r7 = rotl4<7>(s1x5);
+  const __m256i result = _mm256_add_epi64(_mm256_slli_epi64(r7, 3), r7);
+  const __m256i t = _mm256_slli_epi64(x.s[1], 17);
+  x.s[2] = _mm256_xor_si256(x.s[2], x.s[0]);
+  x.s[3] = _mm256_xor_si256(x.s[3], x.s[1]);
+  x.s[1] = _mm256_xor_si256(x.s[1], x.s[2]);
+  x.s[0] = _mm256_xor_si256(x.s[0], x.s[3]);
+  x.s[2] = _mm256_xor_si256(x.s[2], t);
+  x.s[3] = rotl4<45>(x.s[3]);
+  return result;
+}
+
+__attribute__((target("avx2"))) Xoshiro4 load4(const Xoshiro256* rngs) {
+  alignas(32) std::uint64_t w[4][4];
+  for (int j = 0; j < 4; ++j) {
+    const std::array<std::uint64_t, 4> st = rngs[j].state();
+    for (int k = 0; k < 4; ++k) w[k][j] = st[static_cast<std::size_t>(k)];
+  }
+  Xoshiro4 x;
+  for (int k = 0; k < 4; ++k) {
+    x.s[k] = _mm256_load_si256(reinterpret_cast<const __m256i*>(w[k]));
+  }
+  return x;
+}
+
+__attribute__((target("avx2"))) void store4(const Xoshiro4& x,
+                                            Xoshiro256* rngs) {
+  alignas(32) std::uint64_t w[4][4];
+  for (int k = 0; k < 4; ++k) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(w[k]), x.s[k]);
+  }
+  for (int j = 0; j < 4; ++j) {
+    rngs[j].set_state({w[0][j], w[1][j], w[2][j], w[3][j]});
+  }
+}
+
+// One normal per lane, the scalar operator() step for step: the top 12
+// bits index the table, the next 20 bits interpolate. The 20-bit
+// fraction becomes a double exactly by OR-ing it into the mantissa of
+// 2^52 and subtracting 2^52; the multiply, subtract and add stay separate
+// instructions (this target has no FMA), so each lane rounds as the
+// scalar expression lo + (hi - lo) * frac does.
+__attribute__((target("avx2"))) inline __m256d normal4(Xoshiro4& x,
+                                                       const double* q) {
+  const __m256i r = next4(x);
+  const __m256i idx = _mm256_srli_epi64(r, 64 - 12);
+  const __m256i bits = _mm256_and_si256(_mm256_srli_epi64(r, 64 - 12 - 20),
+                                        _mm256_set1_epi64x(0xfffff));
+  const __m256d two52 = _mm256_set1_pd(0x1.0p52);
+  const __m256d m = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(bits, _mm256_castpd_si256(two52))),
+      two52);
+  const __m256d frac = _mm256_mul_pd(m, _mm256_set1_pd(1.0 / 1048576.0));
+  const __m256d lo = _mm256_i64gather_pd(q, idx, 8);
+  const __m256d hi = _mm256_i64gather_pd(q + 1, idx, 8);
+  return _mm256_add_pd(lo, _mm256_mul_pd(_mm256_sub_pd(hi, lo), frac));
+}
 
 // Lanes [0, 4) of a fill_lanes call. Four draws per lane at a time are
 // transposed so each lane's run of four lands in one unaligned store.
@@ -222,7 +296,7 @@ __attribute__((target("avx2"))) void bytes4_avx2(Xoshiro256* rngs,
 std::size_t avx2_lanes(DispatchLevel level, std::size_t lanes,
                        const char* who) {
   if (level != DispatchLevel::kAvx2) return 0;
-#if SLM_RNG_LANES
+#if SLM_RNG_X86
   SLM_REQUIRE(detect_dispatch() >= DispatchLevel::kAvx2,
               std::string(who) + ": AVX2 requested but this CPU has no AVX2");
   return lanes - lanes % 4;
@@ -241,7 +315,7 @@ void FastNormal::fill_lanes(Xoshiro256* rngs, std::size_t lanes, double* out,
   static_assert(kTableBits == 12, "normal4 hard-codes the 12-bit index");
   SLM_REQUIRE(lanes <= 1 || n <= stride, "fill_lanes: lanes overlap");
   const std::size_t vec = avx2_lanes(level, lanes, "fill_lanes");
-#if SLM_RNG_LANES
+#if SLM_RNG_X86
   for (std::size_t l = 0; l < vec; l += 4) {
     fill4_avx2(rngs + l, quantile_.data(), out + l * stride, n, stride);
   }
@@ -255,7 +329,7 @@ void fill_bytes_lanes(Xoshiro256* rngs, std::size_t lanes, std::uint8_t* out,
                       std::size_t n, std::size_t stride, DispatchLevel level) {
   SLM_REQUIRE(lanes <= 1 || n <= stride, "fill_bytes_lanes: lanes overlap");
   const std::size_t vec = avx2_lanes(level, lanes, "fill_bytes_lanes");
-#if SLM_RNG_LANES
+#if SLM_RNG_X86
   for (std::size_t l = 0; l < vec; l += 4) {
     bytes4_avx2(rngs + l, out + l * stride, n, stride);
   }

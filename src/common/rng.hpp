@@ -135,10 +135,6 @@ class FastNormal {
   /// Shared immutable instance (table is ~8 KiB, build it once).
   static const FastNormal& instance();
 
-  /// The inverse-CDF table (kTableSize + 1 entries) for lane kernels
-  /// that draw four normals per instruction (common/rng_lanes.hpp).
-  const double* quantiles() const { return quantile_.data(); }
-
  private:
   static constexpr int kTableBits = 12;
   static constexpr int kTableSize = 1 << kTableBits;  // 4096 entries

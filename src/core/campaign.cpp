@@ -625,21 +625,9 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
   // blocking pays most.
   response_.voltages_block(buf.ic.data(), bn, block, buf.v.data(),
                            plan.simd);
-  const double env_noise_v = setup_.calibration().env_noise_v;
-  double* y = buf.y.data();
-  if (plan.sensor.readout == Readout::kBenignHw) {
-    // The benign-HW read-out draws each lane's env noise and sensor
-    // normals itself, four lanes at a time in registers at AVX2.
-    setup_.sensor().toggle_hw_lanes(plan.sensor.hw, buf.rng.data(), bn,
-                                    buf.v.data(), samples, env_noise_v, y,
-                                    plan.draw_level);
-    if (store != nullptr) store->record_readings_block(g, y, bn);
-    return;
-  }
-  // Every other read-out stages each lane's draws, in its stream's
-  // order: the env noise of each sample, then the sensor's
-  // draws_per_sample normals per sample. The sensor is then evaluated
-  // from the draws, with no stream in hand.
+  // Every lane's draws, in its stream's order: the env noise of each
+  // sample, then the sensor's draws_per_sample normals per sample. The
+  // sensor is then evaluated from the draws, with no stream in hand.
   const std::size_t n = bn * samples;
   const std::size_t dps = plan.sensor.draws_per_sample;
   buf.zv.resize(block * samples);
@@ -649,13 +637,16 @@ void CpaCampaign::capture_block(const CapturePlan& plan, std::size_t g,
                     plan.draw_level);
   normal.fill_lanes(buf.rng.data(), bn, buf.z.data(), samples * dps,
                     samples * dps, plan.draw_level);
+  const double env_noise_v = setup_.calibration().env_noise_v;
   for (std::size_t i = 0; i < n; ++i) {
     buf.v[i] += 0.0 + env_noise_v * buf.zv[i];
   }
   const double* v = buf.v.data();
   const double* z = buf.z.data();
+  double* y = buf.y.data();
   switch (plan.sensor.readout) {
-    case Readout::kBenignHw:  // read above
+    case Readout::kBenignHw:
+      setup_.sensor().toggle_hw_block(plan.sensor.hw, v, n, z, y, plan.simd);
       break;
     case Readout::kBenignSingleBit:
       setup_.sensor().toggle_bit_block(plan.sensor.bit, v, n, z, y);

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 
-#include "common/aligned.hpp"
+#include "common/dispatch.hpp"
 #include "common/error.hpp"
-#include "common/rng_lanes.hpp"
 
 namespace slm::sensors {
 
@@ -170,15 +169,8 @@ void hw_scalar(const CompiledHwPlan& plan, const double* v, std::size_t n,
   }
 }
 
-#if SLM_RNG_LANES
+#if defined(__x86_64__)
 #define SLM_LANES_TARGET __attribute__((target("avx2")))
-
-// Four lanes' normals from their xoshiro states in registers.
-struct StreamDraw {
-  lanes::Xoshiro4& x;
-  const double* q;
-  SLM_LANES_TARGET __m256d operator()() { return lanes::normal4(x, q); }
-};
 
 // Four lanes' normals from a caller's slab: lane j's next draw is
 // z[j * stride], and each call moves one draw along.
@@ -190,66 +182,38 @@ struct BufferDraw {
   }
 };
 
-// One sample of four lanes at voltages v over every part of the plan,
-// each part's draws in plan order; the Hamming weights as doubles.
-template <class Draw>
-SLM_LANES_TARGET __m256d hw4_plan(const CompiledHwPlan& plan, __m256d v,
-                                  Draw& draw) {
-  __m256i hw = _mm256_setzero_si256();
-  if (plan.uniform_clock && !plan.parts.empty()) {
-    const __m256d t_nom = plan.parts.front().packed.nominal_time4(v);
-    for (const auto& part : plan.parts) {
-      hw = _mm256_add_epi64(hw, part.packed.hw4(t_nom, draw));
-    }
-  } else {
-    for (const auto& part : plan.parts) {
-      hw = _mm256_add_epi64(
-          hw, part.packed.hw4(part.packed.nominal_time4(v), draw));
-    }
-  }
-  // A count below 2^52 is exact in a double: OR it into 2^52's mantissa
-  // and subtract 2^52.
-  const __m256d two52 = _mm256_set1_pd(0x1.0p52);
-  return _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(hw, _mm256_castpd_si256(two52))),
-      two52);
-}
-
-// toggle_hw_lanes for lanes rngs[0..4): the env-noise draws first, one
-// per sample, into vs (4 per sample, lane-minor), then every sample's
-// sensor draws straight into the evaluator.
-SLM_LANES_TARGET void read4(const CompiledHwPlan& plan, Xoshiro256* rngs,
-                            const double* v, std::size_t samples,
-                            double env_noise_v, double* y, double* vs) {
-  lanes::Xoshiro4 x = lanes::load4(rngs);
-  StreamDraw draw{x, FastNormal::instance().quantiles()};
-  const auto rows = static_cast<long long>(samples);
-  const __m256i row = _mm256_set_epi64x(3 * rows, 2 * rows, rows, 0);
-  const __m256d env = _mm256_set1_pd(env_noise_v);
-  const __m256d zero = _mm256_setzero_pd();
-  for (std::size_t s = 0; s < samples; ++s) {
-    const __m256d noise = _mm256_add_pd(zero, _mm256_mul_pd(env, draw()));
-    _mm256_store_pd(vs + 4 * s,
-                    _mm256_add_pd(_mm256_i64gather_pd(v + s, row, 8), noise));
-  }
-  for (std::size_t s = 0; s < samples; ++s) {
-    alignas(32) double h[4];
-    _mm256_store_pd(h, hw4_plan(plan, _mm256_load_pd(vs + 4 * s), draw));
-    for (std::size_t j = 0; j < 4; ++j) y[j * samples + s] = h[j];
-  }
-  lanes::store4(x, rngs);
-}
-
 // toggle_hw_block over lanes [0, lanes - lanes % 4); returns that count.
+// Four lanes at a time run hw_scalar's steps, each part's draws in plan
+// order.
 SLM_LANES_TARGET std::size_t block4(const CompiledHwPlan& plan,
                                     const double* v, std::size_t lanes,
                                     const double* z, double* y) {
   const auto dps = static_cast<long long>(plan.draws_per_sample);
   const __m256i offsets = _mm256_set_epi64x(3 * dps, 2 * dps, dps, 0);
+  // A count below 2^52 is exact in a double: OR it into 2^52's mantissa
+  // and subtract 2^52.
+  const __m256d two52 = _mm256_set1_pd(0x1.0p52);
   const std::size_t body = lanes - lanes % 4;
   for (std::size_t l = 0; l < body; l += 4) {
     BufferDraw draw{z + l * plan.draws_per_sample, offsets};
-    _mm256_storeu_pd(y + l, hw4_plan(plan, _mm256_loadu_pd(v + l), draw));
+    const __m256d v4 = _mm256_loadu_pd(v + l);
+    __m256i hw = _mm256_setzero_si256();
+    if (plan.uniform_clock && !plan.parts.empty()) {
+      const __m256d t_nom = plan.parts.front().packed.nominal_time4(v4);
+      for (const auto& part : plan.parts) {
+        hw = _mm256_add_epi64(hw, part.packed.hw4(t_nom, draw));
+      }
+    } else {
+      for (const auto& part : plan.parts) {
+        hw = _mm256_add_epi64(
+            hw, part.packed.hw4(part.packed.nominal_time4(v4), draw));
+      }
+    }
+    _mm256_storeu_pd(
+        y + l,
+        _mm256_sub_pd(_mm256_castsi256_pd(
+                          _mm256_or_si256(hw, _mm256_castpd_si256(two52))),
+                      two52));
   }
   return body;
 }
@@ -263,7 +227,7 @@ void BenignSensorBank::toggle_hw_block(const CompiledHwPlan& plan,
                                        const double* z, double* y,
                                        bool simd) const {
   std::size_t l = 0;
-#if SLM_RNG_LANES
+#if defined(__x86_64__)
   if (simd && active_dispatch() == DispatchLevel::kAvx2) {
     l = block4(plan, v, lanes, z, y);
   }
@@ -271,40 +235,6 @@ void BenignSensorBank::toggle_hw_block(const CompiledHwPlan& plan,
   (void)simd;
 #endif
   hw_scalar(plan, v + l, lanes - l, z + l * plan.draws_per_sample, y + l);
-}
-
-void BenignSensorBank::toggle_hw_lanes(const CompiledHwPlan& plan,
-                                       Xoshiro256* rngs, std::size_t lanes,
-                                       const double* v, std::size_t samples,
-                                       double env_noise_v, double* y,
-                                       DispatchLevel level) const {
-  std::size_t l = 0;
-  if (level == DispatchLevel::kAvx2) {
-#if SLM_RNG_LANES
-    SLM_REQUIRE(detect_dispatch() >= DispatchLevel::kAvx2,
-                "toggle_hw_lanes: AVX2 requested but this CPU has no AVX2");
-    thread_local AlignedVector<double> vs;
-    vs.resize(4 * samples);
-    for (; l + 4 <= lanes; l += 4) {
-      read4(plan, rngs + l, v + l * samples, samples, env_noise_v,
-            y + l * samples, vs.data());
-    }
-#else
-    SLM_REQUIRE(false, "toggle_hw_lanes: AVX2 exists only on x86-64");
-#endif
-  }
-  // The scalar reference: one fill of the lane's env and sensor draws in
-  // stream order, the env add in place, then the per-sample read.
-  thread_local std::vector<double> z;
-  z.resize(samples * (1 + plan.draws_per_sample));
-  const FastNormal& normal = FastNormal::instance();
-  for (; l < lanes; ++l) {
-    normal.fill(rngs[l], z.data(), z.size());
-    for (std::size_t s = 0; s < samples; ++s) {
-      z[s] = v[l * samples + s] + (0.0 + env_noise_v * z[s]);
-    }
-    hw_scalar(plan, z.data(), samples, z.data() + samples, y + l * samples);
-  }
 }
 
 BenignSensorBank::CompiledBitPlan BenignSensorBank::compile_bit_plan(

@@ -108,10 +108,9 @@ class BenignSensorBank {
   // --- Compiled batched fast path --------------------------------------
   //
   // Plans pre-split global bit indices per instance once; the batch
-  // kernels then read a whole block of voltages, from normals the caller
-  // drew or, in toggle_hw_lanes, from the lanes' streams directly. RNG
-  // consumption (count and order) is identical to the per-call APIs
-  // above — including skipping instances with no listed bit — so
+  // kernels then read a whole block of voltages from normals the caller
+  // drew. RNG consumption (count and order) is identical to the per-call
+  // APIs above — including skipping instances with no listed bit — so
   // readings are bit-exact against them.
 
   /// Per-instance slice of a global bit list, packed into self-contained
@@ -142,23 +141,6 @@ class BenignSensorBank {
   void toggle_hw_block(const CompiledHwPlan& plan, const double* v,
                        std::size_t lanes, const double* z, double* y,
                        bool simd = true) const;
-
-  /// Draw-and-read benign-HW capture of `lanes` traces with `samples`
-  /// samples each. Lane l's stream rngs[l] stands after its plaintext
-  /// draws. It first draws one env-noise normal z_s per sample and reads
-  /// voltage v[l * samples + s] + (0.0 + env_noise_v * z_s); it then
-  /// draws each sample's plan.draws_per_sample normals and writes the
-  /// sample's toggle Hamming weight to y[l * samples + s]. The streams'
-  /// order, the readings and the final states equal filling the env
-  /// draws, adding them to v, filling the sensor draws and calling
-  /// toggle_hw_block. At `level` kAvx2, four lanes at a time keep their
-  /// xoshiro states and draws in registers and feed the four-lane
-  /// evaluator directly, staging no normals; the tail lanes
-  /// (lanes % 4) and every other level run the scalar reference.
-  void toggle_hw_lanes(const CompiledHwPlan& plan, Xoshiro256* rngs,
-                       std::size_t lanes, const double* v,
-                       std::size_t samples, double env_noise_v, double* y,
-                       DispatchLevel level) const;
 
   /// Owning instance + local index of one global bit.
   struct CompiledBitPlan {

@@ -199,12 +199,13 @@ TEST(BenignSensorBank, BlockKernelMatchesPerCallReads) {
   }
 }
 
-// The draw-and-read capture (toggle_hw_lanes) against per-call reads on
-// the same streams: for each lane, a copy of its stream draws every
-// sample's env-noise normal, then sample_toggle_hw reads each sample at
-// v + (0.0 + env * z). Readings and final stream states must match byte
-// for byte at every runnable level, for lane counts around the four-lane
-// groups, on streams of a range that starts off a multiple of four.
+// The capture's benign-HW read-out (two fill_lanes, the env add,
+// toggle_hw_block) against per-call reads on the same streams: for each
+// lane, a copy of its stream draws every sample's env-noise normal, then
+// sample_toggle_hw reads each sample at v + (0.0 + env * z). Readings
+// and final stream states must match byte for byte at every runnable
+// level, for lane counts around the four-lane groups, on streams of a
+// range that starts off a multiple of four.
 void expect_lanes_match_per_call(const BenignSensorBank& bank,
                                  const std::vector<std::size_t>& bits,
                                  double v_lo, const std::string& what) {
@@ -245,9 +246,17 @@ void expect_lanes_match_per_call(const BenignSensorBank& bank,
       const std::string at = what + " lanes " + std::to_string(lanes) + " " +
                              dispatch_level_name(level);
       std::vector<Xoshiro256> rng = start;
-      std::vector<double> y(lanes * kSamples, -1.0);
-      bank.toggle_hw_lanes(plan, rng.data(), lanes, v.data(), kSamples, kEnv,
-                           y.data(), level);
+      const std::size_t n = lanes * kSamples;
+      const std::size_t dps = plan.draws_per_sample;
+      std::vector<double> zv(n), z(n * dps), vn = v, y(n, -1.0);
+      const FastNormal& normal = FastNormal::instance();
+      normal.fill_lanes(rng.data(), lanes, zv.data(), kSamples, kSamples,
+                        level);
+      normal.fill_lanes(rng.data(), lanes, z.data(), kSamples * dps,
+                        kSamples * dps, level);
+      for (std::size_t i = 0; i < n; ++i) vn[i] += 0.0 + kEnv * zv[i];
+      bank.toggle_hw_block(plan, vn.data(), n, z.data(), y.data(),
+                           level != DispatchLevel::kScalar);
       ASSERT_EQ(std::memcmp(y.data(), want.data(), y.size() * sizeof(double)),
                 0)
           << at;
@@ -258,7 +267,7 @@ void expect_lanes_match_per_call(const BenignSensorBank& bank,
   }
 }
 
-TEST(BenignSensorBank, DrawAndReadMatchesPerCallReads) {
+TEST(BenignSensorBank, CaptureReadMatchesPerCallReads) {
   const auto cal = core::Calibration::paper_defaults();
   {
     // The ALU campaign plan: one part, linear endpoints.

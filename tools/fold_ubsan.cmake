@@ -29,7 +29,7 @@
 #      core and the byte-wise oracle; each case forces every runnable
 #      victim level itself;
 #   4. the benign-HW read-out: benign_sensor_test's BenignSensorBank
-#      cases (the draw-and-read capture and the block kernel against
+#      cases (the capture's staged read and the block kernel against
 #      per-call reads, four-lane and scalar) and
 #      compiled_capture_equiv_test (the four-lane evaluator per lane,
 #      including gridded endpoints, whose instants become bucket
